@@ -57,7 +57,7 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
             kind="photon_response", grid=make_grid(1.0, 1e5, 81, "log"))),
     }
     for name, (config, spec) in sweeps.items():
-        result = run_sweep(config, spec, workers=4)
+        result = run_sweep(config, spec)
         csv_path = os.path.join(golden_dir, f"{name}.csv")
         svg_path = os.path.join(golden_dir, f"{name}.svg")
         emit_csv(result, csv_path)

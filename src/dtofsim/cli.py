@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure on every grid
-point (or a direct solver failure), 3 I/O error.  All output, stdout and
-files alike, is byte deterministic for a fixed seed.
+Exit codes: 0 success, 1 validation or usage error, 2 solver failure on
+every grid point (or a direct solver failure), 3 I/O error.  All output,
+stdout and files alike, is byte deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError
 from .ranging import SENSITIVITY_PARAMS, max_range, sensitivity
 from .scenario import ScenarioConfig, load_scenario, save_scenario, table1_preset
-from .sipm import SipmMcConfig
-from .sweeps import SweepSpec, emit_csv, emit_svg, make_grid, run_sweep
+from .sweeps import (SweepSpec, emit_csv, emit_svg, format_number, make_grid,
+                     run_sweep)
 
 _SWEEP_DEFAULTS = {
     # kind: (lo, hi, n, spacing)
@@ -26,6 +26,14 @@ _SWEEP_DEFAULTS = {
     "elevation": (-60.0, 60.0, 49, "linear"),
     "illuminance": (0.1, 100.0, 50, "log"),
 }
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as validation errors (exit 1), not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -42,15 +50,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="detector variant of the built-in preset "
                              "(ignored when --config is given)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sweep evaluation")
+                        help="Monte Carlo trial threads for SiPM monte_carlo "
+                             "evaluations (default 1)")
 
 
 def _apply_seed(det: DetectorChoice, seed: int | None) -> DetectorChoice:
     if seed is None or not isinstance(det, SipmChoice):
         return det
-    mc = det.mc if det.mc is not None else \
-        SipmMcConfig.for_dead_time(det.params.dead_time_s)
-    return replace(det, mc=replace(mc, seed=seed))
+    return replace(det, mc=replace(det.mc_config(), seed=seed))
 
 
 def _resolve(args, allow_both: bool = False) \
@@ -123,9 +130,10 @@ def _cmd_range(args) -> None:
              "background_power_w,method"]
     for det in detectors:
         res = max_range(config, det, config.tdc, mc_workers=args.workers)
-        lines.append(f"{det.label},{res.r_max_m!r},{res.snr_at_rmax!r},"
-                     f"{res.min_detectable_power_w!r},"
-                     f"{res.background_power_w!r},{res.method}")
+        numbers = (res.r_max_m, res.snr_at_rmax, res.min_detectable_power_w,
+                   res.background_power_w)
+        lines.append(",".join([det.label, *map(format_number, numbers),
+                               res.method]))
     _write_lines(lines, args.out)
 
 
@@ -168,7 +176,8 @@ def _cmd_optimize_gain(args) -> None:
     bounds = (args.gain_min, args.gain_max)
     gain_star, snr_star = optimize_gain(det.params, p_rs,
                                         config.bandwidth_hz, bounds, p_r=p_r)
-    lines = [f"gain_opt,{gain_star!r}", f"snr_opt,{snr_star!r}"]
+    gain_text, snr_text = format_number(gain_star), format_number(snr_star)
+    lines = [f"gain_opt,{gain_text}", f"snr_opt,{snr_text}"]
     if args.out is not None:
         from .apd import trigger_snr
 
@@ -176,8 +185,8 @@ def _cmd_optimize_gain(args) -> None:
         for g in make_grid(bounds[0], bounds[1], args.curve_points, "log"):
             snr = trigger_snr(replace(det.params, gain=g), p_r, p_rs,
                               config.bandwidth_hz)
-            curve.append(f"{g!r},{snr!r}")
-        curve.append(f"# optimum gain={gain_star!r} snr={snr_star!r}")
+            curve.append(f"{format_number(g)},{format_number(snr)}")
+        curve.append(f"# optimum gain={gain_text} snr={snr_text}")
         _write_lines(curve, args.out)
     _write_lines(lines, None)
 
@@ -190,12 +199,12 @@ def _cmd_sensitivity(args) -> None:
     for name in names:
         value = sensitivity(config, det, config.tdc, name,
                             rel_step=args.rel_step)
-        lines.append(f"{name},{value!r}")
+        lines.append(f"{name},{format_number(value)}")
     _write_lines(lines, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dtofsim",
         description="Trigger-SNR and maximum-range analysis for direct "
                     "time-of-flight lidars")
@@ -256,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

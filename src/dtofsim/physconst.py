@@ -1,11 +1,9 @@
 """Physical constants (2019 SI exact values) and photon arithmetic."""
 
-from scipy import constants as _sc
-
-ELEMENTARY_CHARGE = _sc.e          # C
-PLANCK = _sc.h                     # J*s
-LIGHT_SPEED = _sc.c                # m/s
-BOLTZMANN = _sc.k                  # J/K
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+PLANCK = 6.62607015e-34              # J*s
+LIGHT_SPEED = 299792458.0            # m/s
+BOLTZMANN = 1.380649e-23             # J/K
 
 
 def photon_energy(wavelength_m: float) -> float:

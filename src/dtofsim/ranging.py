@@ -194,27 +194,11 @@ _Edit = Callable[[ScenarioConfig, DetectorChoice, TdcPolicy, float],
                  tuple[ScenarioConfig, DetectorChoice, TdcPolicy]]
 
 
-def _scene_edit(field: str) -> _Edit:
+def _section_edit(section: str, field: str) -> _Edit:
     def edit(sc, det, pol, f):
-        return (replace(sc, scene=replace(sc.scene,
-                                          **{field: getattr(sc.scene, field) * f})),
-                det, pol)
-    return edit
-
-
-def _laser_edit(field: str) -> _Edit:
-    def edit(sc, det, pol, f):
-        return (replace(sc, laser=replace(sc.laser,
-                                          **{field: getattr(sc.laser, field) * f})),
-                det, pol)
-    return edit
-
-
-def _optics_edit(field: str) -> _Edit:
-    def edit(sc, det, pol, f):
-        return (replace(sc, optics=replace(sc.optics,
-                                           **{field: getattr(sc.optics, field) * f})),
-                det, pol)
+        part = getattr(sc, section)
+        part = replace(part, **{field: getattr(part, field) * f})
+        return replace(sc, **{section: part}), det, pol
     return edit
 
 
@@ -240,12 +224,6 @@ def _atmosphere_edit(sc, det, pol, f):
     return replace(sc, atmosphere=atm), det, pol
 
 
-def _target_edit(sc, det, pol, f):
-    return (replace(sc, target=replace(sc.target,
-                                       reflectivity=sc.target.reflectivity * f)),
-            det, pol)
-
-
 def _bandwidth_edit(sc, det, pol, f):
     return replace(sc, bandwidth_hz=sc.bandwidth_hz * f), det, pol
 
@@ -256,20 +234,11 @@ def _policy_edit(field: str) -> _Edit:
     return edit
 
 
-def _apd_edit(field: str) -> _Edit:
+def _detector_edit(cls: type, field: str) -> _Edit:
     def edit(sc, det, pol, f):
-        if isinstance(det, ApdChoice):
-            det = replace(det, params=replace(det.params,
-                                              **{field: getattr(det.params, field) * f}))
-        return sc, det, pol
-    return edit
-
-
-def _sipm_edit(field: str) -> _Edit:
-    def edit(sc, det, pol, f):
-        if isinstance(det, SipmChoice):
-            det = replace(det, params=replace(det.params,
-                                              **{field: getattr(det.params, field) * f}))
+        if isinstance(det, cls):
+            det = replace(det, params=replace(
+                det.params, **{field: getattr(det.params, field) * f}))
         return sc, det, pol
     return edit
 
@@ -279,35 +248,35 @@ def _noop(sc, det, pol, f):
 
 
 SENSITIVITY_PARAMS: dict[str, _Edit] = {
-    "peak_power_w": _laser_edit("peak_power_w"),
-    "pulse_fwhm_s": _laser_edit("pulse_fwhm_s"),
-    "wavelength_m": _laser_edit("wavelength_m"),
+    "peak_power_w": _section_edit("laser", "peak_power_w"),
+    "pulse_fwhm_s": _section_edit("laser", "pulse_fwhm_s"),
+    "wavelength_m": _section_edit("laser", "wavelength_m"),
     "repetition_hz": _noop,  # bookkeeping only; never enters the model
-    "reflectivity": _target_edit,
+    "reflectivity": _section_edit("target", "reflectivity"),
     "one_way_transmittance": _atmosphere_edit,
-    "aperture_radius_m": _optics_edit("aperture_radius_m"),
-    "focal_length_m": _optics_edit("focal_length_m"),
-    "detector_radius_m": _optics_edit("detector_radius_m"),
-    "laser_efficiency": _optics_edit("laser_efficiency"),
-    "sun_efficiency": _optics_edit("sun_efficiency"),
+    "aperture_radius_m": _section_edit("optics", "aperture_radius_m"),
+    "focal_length_m": _section_edit("optics", "focal_length_m"),
+    "detector_radius_m": _section_edit("optics", "detector_radius_m"),
+    "laser_efficiency": _section_edit("optics", "laser_efficiency"),
+    "sun_efficiency": _section_edit("optics", "sun_efficiency"),
     "sun_irradiance": _solar_edit,
-    "sun_angle_rad": _scene_edit("sun_angle_rad"),
-    "incidence_angle_rad": _scene_edit("incidence_angle_rad"),
+    "sun_angle_rad": _section_edit("scene", "sun_angle_rad"),
+    "incidence_angle_rad": _section_edit("scene", "incidence_angle_rad"),
     "bandwidth_hz": _bandwidth_edit,
     "tnr": _policy_edit("tnr"),
     "window_s": _policy_edit("window_s"),
-    "gain": _apd_edit("gain"),
-    "quantum_efficiency": _apd_edit("quantum_efficiency"),
-    "excess_noise_index": _apd_edit("excess_noise_index"),
-    "surface_dark_current_a": _apd_edit("surface_dark_current_a"),
-    "bulk_dark_current_a": _apd_edit("bulk_dark_current_a"),
-    "load_resistance_ohm": _apd_edit("load_resistance_ohm"),
-    "temperature_k": _apd_edit("temperature_k"),
-    "amplifier_noise_a": _apd_edit("amplifier_noise_a"),
-    "n_pixels": _sipm_edit("n_pixels"),
-    "pde": _sipm_edit("pde"),
-    "dead_time_s": _sipm_edit("dead_time_s"),
-    "dark_count_rate_cps": _sipm_edit("dark_count_rate_cps"),
+    "gain": _detector_edit(ApdChoice, "gain"),
+    "quantum_efficiency": _detector_edit(ApdChoice, "quantum_efficiency"),
+    "excess_noise_index": _detector_edit(ApdChoice, "excess_noise_index"),
+    "surface_dark_current_a": _detector_edit(ApdChoice, "surface_dark_current_a"),
+    "bulk_dark_current_a": _detector_edit(ApdChoice, "bulk_dark_current_a"),
+    "load_resistance_ohm": _detector_edit(ApdChoice, "load_resistance_ohm"),
+    "temperature_k": _detector_edit(ApdChoice, "temperature_k"),
+    "amplifier_noise_a": _detector_edit(ApdChoice, "amplifier_noise_a"),
+    "n_pixels": _detector_edit(SipmChoice, "n_pixels"),
+    "pde": _detector_edit(SipmChoice, "pde"),
+    "dead_time_s": _detector_edit(SipmChoice, "dead_time_s"),
+    "dark_count_rate_cps": _detector_edit(SipmChoice, "dark_count_rate_cps"),
 }
 
 

@@ -214,9 +214,11 @@ def _tdc_from(node: _Node) -> TdcPolicy:
         tnr=node.number("tnr"),
         window_s=node.number("window_us") * 1e-6,
         bandwidth_hz=node.number("bandwidth_mhz") * 1e6,
-        limit_detection_prob=node.number("limit_detection_prob",
-                                         required=False, default=0.5),
     )
+    # legacy key: r_max is where SNR = tnr, i.e. detection probability 0.5
+    if node.number("limit_detection_prob", required=False, default=0.5) != 0.5:
+        raise ConfigError("limit_detection_prob: only 0.5 is supported; r_max "
+                          "is the range of 50 % detection probability")
     node.finish()
     return policy
 
@@ -392,7 +394,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
                                      lambda v: v * 1e-6),
         "bandwidth_mhz": _pretty_inverse(config.tdc.bandwidth_hz, 1e-6,
                                          lambda v: v * 1e6),
-        "limit_detection_prob": config.tdc.limit_detection_prob,
     }
     detector = _detector_to_dict(config.detector)
     return {
@@ -479,8 +480,7 @@ _TABLE1_COMMON: dict = {
     "solar": {"mode": "illuminance_scaled", "illuminance_klux": 100.0,
               "reference_illuminance_klux": 100.0,
               "reference_irradiance_w_m2": 29.4},
-    "tdc": {"tnr": 5.0, "window_us": 4.0, "bandwidth_mhz": 167.0,
-            "limit_detection_prob": 0.5},
+    "tdc": {"tnr": 5.0, "window_us": 4.0, "bandwidth_mhz": 167.0},
     "bandwidth_mhz": 167.0,
 }
 

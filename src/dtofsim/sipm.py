@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, SipmSaturationError
 from .physconst import photon_energy
@@ -229,7 +228,8 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     span = 2 * half_span
     center = half_span * dt
     edges = np.arange(span + 1) * dt
-    cdf = 0.5 * (1.0 + erf((edges - center) / (sigma * math.sqrt(2.0))))
+    z = (edges - center) / (sigma * math.sqrt(2.0))
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z]))
     profile = np.diff(cdf) * (n_s_photon / _GAUSS_FWHM_FRACTION)
     return profile, half_span - period_steps // 2
 

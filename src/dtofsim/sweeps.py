@@ -9,7 +9,6 @@ grid point are recorded in that row's status and the sweep continues.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,9 +100,9 @@ class SweepResult:
 
 
 def _distance_point(config: ScenarioConfig, det: DetectorChoice,
-                    r: float) -> SweepRow:
+                    r: float, workers: int) -> SweepRow:
     try:
-        snr = ranging.snr_at_range(config, det, r)
+        snr = ranging.snr_at_range(config, det, r, mc_workers=workers)
     except SolverError as exc:
         return SweepRow(r, det.label, None, type(exc).__name__)
     status = STATUS_OK
@@ -117,9 +116,10 @@ def _distance_point(config: ScenarioConfig, det: DetectorChoice,
 
 
 def _max_range_point(config: ScenarioConfig, det: DetectorChoice,
-                     x: float) -> SweepRow:
+                     x: float, workers: int) -> SweepRow:
     try:
-        result = ranging.max_range(config, det, config.tdc)
+        result = ranging.max_range(config, det, config.tdc,
+                                   mc_workers=workers)
     except ranging.NoDetectionError:
         return SweepRow(x, det.label, None, "no_detection")
     except ranging.UnboundedRangeError:
@@ -127,6 +127,16 @@ def _max_range_point(config: ScenarioConfig, det: DetectorChoice,
     except SolverError as exc:
         return SweepRow(x, det.label, None, type(exc).__name__)
     return SweepRow(x, det.label, result.r_max_m, STATUS_OK)
+
+
+def _scenario_at(config: ScenarioConfig, kind: str, x: float) -> ScenarioConfig:
+    """The scenario with the swept quantity set to grid value ``x``."""
+    if kind == "elevation":
+        return replace(config, scene=replace(
+            config.scene, elevation_angle_rad=math.radians(x)))
+    if kind == "illuminance":
+        return replace(config, solar=replace(config.solar, illuminance_klux=x))
+    return config
 
 
 def _photon_response_rows(config: ScenarioConfig,
@@ -146,40 +156,25 @@ def _photon_response_rows(config: ScenarioConfig,
 
 def run_sweep(config: ScenarioConfig, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
-    """Evaluate a sweep; grid points may be evaluated concurrently."""
+    """Evaluate a sweep point by point, in grid order.
+
+    ``workers`` is the Monte Carlo trial-thread count passed on to every
+    SiPM ``monte_carlo`` evaluation; it does not change any row.
+    """
     if spec.kind == "photon_response":
         rows = _photon_response_rows(config, spec.grid)
         series = tuple(dict.fromkeys(r.series for r in rows))
         return SweepResult(kind=spec.kind, x_column="n_photon", series=series,
                            rows=tuple(rows))
-
-    tasks: list[tuple[ScenarioConfig, DetectorChoice, float]] = []
-    for x in spec.grid:
-        for det in spec.detectors:
-            if spec.kind == "distance":
-                tasks.append((config, det, x))
-            elif spec.kind == "elevation":
-                scene = replace(config.scene,
-                                elevation_angle_rad=math.radians(x))
-                tasks.append((replace(config, scene=scene), det, x))
-            else:  # illuminance
-                if config.solar.mode != "illuminance_scaled":
-                    raise ConfigError("illuminance sweep requires the "
-                                      "illuminance_scaled solar mode")
-                solar = replace(config.solar, illuminance_klux=x)
-                tasks.append((replace(config, solar=solar), det, x))
+    if spec.kind == "illuminance" and config.solar.mode != "illuminance_scaled":
+        raise ConfigError("illuminance sweep requires the "
+                          "illuminance_scaled solar mode")
 
     point = _distance_point if spec.kind == "distance" else _max_range_point
-
-    def run(task):
-        cfg, det, x = task
-        return point(cfg, det, x)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    rows = []
+    for x in spec.grid:
+        cfg = _scenario_at(config, spec.kind, x)
+        rows.extend(point(cfg, det, x, workers) for det in spec.detectors)
 
     labels = tuple(det.label for det in spec.detectors)
     if spec.kind == "distance":
@@ -193,8 +188,17 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
                        value_suffix="_m")
 
 
+def format_number(value: float) -> str:
+    """Shortest repr of ``value`` rounded to 15 significant digits.
+
+    A one-ULP difference between libm builds then reaches the output only
+    when the value sits within one ULP of a 15-digit rounding boundary.
+    """
+    return repr(float(f"{value:.15g}"))
+
+
 def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(value)
+    return "" if value is None else format_number(value)
 
 
 def csv_header(result: SweepResult) -> str:

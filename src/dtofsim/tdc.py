@@ -23,7 +23,6 @@ class TdcPolicy:
     tnr: float
     window_s: float
     bandwidth_hz: float
-    limit_detection_prob: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.tnr > 0:
@@ -32,8 +31,6 @@ class TdcPolicy:
             raise ConfigError("window_s must be > 0")
         if not self.bandwidth_hz > 0:
             raise ConfigError("bandwidth_hz must be > 0")
-        if not 0.0 < self.limit_detection_prob <= 1.0:
-            raise ConfigError("limit_detection_prob must be in (0, 1]")
         if self.comparison_count < 1:
             raise ConfigError("window_s * bandwidth_hz must round to >= 1")
 

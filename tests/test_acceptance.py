@@ -202,7 +202,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         return out.read_bytes(), proc.stdout.encode()
 
     checks = []
-    # parallel analytic sweep
+    # analytic sweep; --workers only sizes the Monte Carlo trial pool
     sweep_args = ["sweep", "--kind", "distance", "--detector", "both",
                   "--n", "24", "--workers", "4"]
     a = run(sweep_args, "sweep_a.csv")
@@ -230,6 +230,6 @@ def test_criterion_9_cli_determinism(tmp_path):
     checks.append(a == b)
 
     ok = all(checks)
-    report(9, ok, "CLI outputs byte-identical across repeated runs: parallel "
+    report(9, ok, "CLI outputs byte-identical across repeated runs: "
                   "distance sweep, response curves, and seeded Monte Carlo "
                   "SNR curve")

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from dtofsim.cli import main
-from dtofsim.scenario import load_scenario, save_scenario, table1_preset
+from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
+                              table1_preset)
 
 
 def run_cli(capsys, *argv):
@@ -182,3 +185,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "range", "--detector", "apd", "--out",
                                str(tmp_path / "missing" / "out.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_1(self, capsys, workers):
+        code, _, err = run_cli(capsys, "range", "--workers", workers)
+        assert code == 1
+        assert "--workers" in err
+
+    def test_usage_error_is_1(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--kind", "bogus")
+        assert code == 1
+        assert "invalid choice" in err
+
+    def test_legacy_limit_detection_prob(self, tmp_path, capsys):
+        # r_max is the 50 % detection point; files may keep the old key
+        # only at that value
+        data = scenario_to_dict(table1_preset("apd"))
+        paths = {}
+        for prob in (0.5, 0.9):
+            data["tdc"]["limit_detection_prob"] = prob
+            paths[prob] = tmp_path / f"p{prob}.json"
+            paths[prob].write_text(json.dumps(data), encoding="utf-8")
+        assert load_scenario(str(paths[0.5])) == table1_preset("apd")
+        code, _, err = run_cli(capsys, "range", "--config", str(paths[0.9]))
+        assert code == 1
+        assert "limit_detection_prob" in err and "50 %" in err
+
+
+def test_import_loads_no_scipy():
+    probe = ("import sys, dtofsim; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

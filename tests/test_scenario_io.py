@@ -9,6 +9,7 @@ from dtofsim import ConfigError
 from dtofsim.ranging import snr_at_range
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
+from dtofsim.sipm import SipmMcConfig
 from dtofsim.sweeps import (SweepResult, SweepSpec, csv_lines, emit_csv,
                             emit_svg, make_grid, run_sweep)
 
@@ -222,10 +223,17 @@ class TestRunSweep:
                    for r in result.rows)
 
     def test_workers_do_not_change_rows(self, apd_config, sipm_config):
+        # workers reaches the Monte Carlo trial pool of the sipm_mc series
+        mc = SipmMcConfig(n_trials=4, time_step_s=1e-10, seed=5,
+                          warmup_s=6e-8, n_noise_periods=4)
+        mc_det = replace(sipm_config.detector, snr_mode="monte_carlo", mc=mc,
+                         label="sipm_mc")
         spec = SweepSpec(kind="distance", grid=make_grid(50.0, 300.0, 9),
-                         detectors=(apd_config.detector, sipm_config.detector))
-        assert run_sweep(apd_config, spec) == run_sweep(apd_config, spec,
-                                                        workers=4)
+                         detectors=(apd_config.detector, sipm_config.detector,
+                                    mc_det))
+        serial = run_sweep(apd_config, spec)
+        assert all(r.value is not None for r in serial.rows)
+        assert serial == run_sweep(apd_config, spec, workers=4)
 
 
 class TestEmitters:

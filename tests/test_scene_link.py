@@ -68,8 +68,9 @@ class TestEffectiveAperture:
                                     detector_radius_m=1e-4,
                                     aperture_model="cosine")
         a0 = effective_aperture(cos_optics, theta)
-        a1 = effective_aperture(cos_optics, min(theta * 1.5 + 1e-3,
-                                                math.pi / 2 * 0.9999))
+        # the clip below pi/2 must not take the second angle below theta
+        theta1 = max(theta, min(theta * 1.5 + 1e-3, math.pi / 2 * 0.9999))
+        a1 = effective_aperture(cos_optics, theta1)
         assert a1 <= a0 + 1e-18
 
 
