@@ -11,6 +11,13 @@ into a stationary state, a laser pulse is injected, and the trigger SNR is
 the baseline-subtracted fired count in the counting period at the pulse
 over the standard deviation of per-period fired counts under background
 alone.  The counting period is one over the system bandwidth.
+
+The kernel advances a batch of trials together as a (trials, pixels)
+state holding the step at which each pixel is armed again.  Each trial
+draws its uniforms from its own generator in chunks of steps, so batching
+and chunking never change a result.  One batch holds at most
+``_BLOCK_ELEMENTS`` (step, trial, pixel) hit flags, which bounds memory
+independently of the number of steps.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ _GAUSS_FWHM_FRACTION = math.erf(math.sqrt(math.log(2.0)))
 # steady-state dark load N_pixel * dcr * dead_time above which the
 # occupied-when-pulse-arrives approximation starts to degrade
 DARK_LOAD_WARN_THRESHOLD = 1e-2
+
+# Monte Carlo memory bound: a kernel call holds at most this many
+# (step, trial, pixel) hit flags, and batches at most _MAX_BATCH trials
+_BLOCK_ELEMENTS = 1 << 21
+_MAX_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ class SipmParams:
             warnings.warn(
                 f"dark load N*DCR*tau = {dark_load:.3g} is not small; the "
                 "static dark-occupancy treatment may be inaccurate",
-                stacklevel=2)
+                stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,10 @@ class SipmMcConfig:
 
     ``n_noise_periods`` background-only counting periods per trial feed the
     noise estimate.  Trials draw independent sub-seeds from (seed, trial
-    index), so results do not depend on worker count or scheduling.
+    index), so results do not depend on worker count, batch size or
+    scheduling.  Trials run in batches of at most 64, and a batch draws its
+    uniforms a chunk of steps at a time, so memory stays bounded however
+    long the simulated span is.
     """
 
     n_trials: int = 1000
@@ -234,31 +249,48 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     return profile, half_span - period_steps // 2
 
 
-def _run_trial(rng: np.random.Generator, n_pix: int, dead_steps: int,
-               p_bg: float, warm_steps: int, n_noise_periods: int,
-               period_steps: int, p_pulse: np.ndarray,
-               window_start: int) -> tuple[np.ndarray, float]:
-    """One array realization; returns per-period background counts and the
-    fired count in the counting period at the pulse."""
+def _run_trials(rngs: list[np.random.Generator], n_pix: int,
+                dead_steps: int, p_bg: float, warm_steps: int,
+                n_noise_periods: int, period_steps: int, p_pulse: np.ndarray,
+                window_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array realizations, one per generator, advanced together.
+
+    Returns ``(per_period, pulse_counts)``: row ``i`` of the
+    ``(trials, n_noise_periods)`` array holds trial ``i``'s per-period
+    background counts, and entry ``i`` of ``pulse_counts`` its fired count
+    in the counting period at the pulse.  Each trial draws one uniform per
+    pixel and step from its own generator, in step order, so the result
+    does not depend on which trials share a call or on the chunk size.
+    """
+    n_trials = len(rngs)
     noise_steps = n_noise_periods * period_steps
-    pulse_steps = p_pulse.shape[0]
-    total = warm_steps + noise_steps + pulse_steps
-    uniforms = rng.random((total, n_pix))
-    dead = np.zeros(n_pix, dtype=np.int64)
-    counts = np.zeros(total, dtype=np.int64)
-    for t in range(total):
-        armed = dead == 0
-        p = p_bg if t < warm_steps + noise_steps \
-            else p_pulse[t - warm_steps - noise_steps]
-        fired = armed & (uniforms[t] < p)
-        counts[t] = int(np.count_nonzero(fired))
-        np.subtract(dead, 1, out=dead, where=dead > 0)
-        dead[fired] = dead_steps
+    total = warm_steps + noise_steps + p_pulse.shape[0]
+    p_steps = np.concatenate([np.full(warm_steps + noise_steps, p_bg), p_pulse])
+    chunk = min(total, max(1, _BLOCK_ELEMENTS // (n_trials * n_pix)))
+    uniforms = np.empty((chunk, n_pix))
+    hits = np.empty((chunk, n_trials, n_pix), dtype=bool)
+    armed = np.empty((n_trials, n_pix), dtype=bool)
+    # a pixel that fires at step t is armed again at t + dead_steps + 1
+    ready = np.zeros((n_trials, n_pix), dtype=np.int64)
+    counts = np.empty((total, n_trials), dtype=np.int64)
+    for t0 in range(0, total, chunk):
+        n = min(chunk, total - t0)
+        p_col = p_steps[t0:t0 + n, None]
+        for i, rng in enumerate(rngs):
+            rng.random(out=uniforms[:n])
+            np.less(uniforms[:n], p_col, out=hits[:n, i])
+        for k in range(n):
+            fired = hits[k]
+            np.less_equal(ready, t0 + k, out=armed)
+            np.logical_and(fired, armed, out=fired)
+            np.copyto(ready, t0 + k + dead_steps + 1, where=fired)
+        counts[t0:t0 + n] = np.count_nonzero(hits[:n], axis=2)
     noise_counts = counts[warm_steps:warm_steps + noise_steps]
-    per_period = noise_counts.reshape(n_noise_periods, period_steps).sum(axis=1)
+    per_period = noise_counts.reshape(n_noise_periods, period_steps,
+                                      n_trials).sum(axis=1).T
     window = warm_steps + noise_steps + window_start
-    pulse_count = float(counts[window:window + period_steps].sum())
-    return per_period, pulse_count
+    pulse_counts = counts[window:window + period_steps].sum(axis=0)
+    return per_period, pulse_counts
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -267,10 +299,11 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
                     workers: int = 1) -> tuple[float, float]:
     """Trigger SNR from the time-domain dead-time simulation.
 
-    Returns ``(snr_estimate, std_error)``.  Deterministic for a fixed seed
-    regardless of ``workers``; trial ``i`` always uses the sub-seed
-    ``(seed, i)``, so estimates at different operating points share random
-    numbers.
+    Returns ``(snr_estimate, std_error)``.  The trials are split into
+    contiguous batches, about one per worker thread.  Deterministic for a
+    fixed seed regardless of ``workers``; trial ``i`` always uses the
+    sub-seed ``(seed, i)``, so estimates at different operating points
+    share random numbers.
     """
     if p_r < 0 or p_rs < 0:
         raise ConfigError("optical powers must be >= 0")
@@ -297,21 +330,28 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
                                            pulse_fwhm_s, period_steps)
     p_pulse = -np.expm1(-(rate_bg * dt + profile * params.pde / n_pix))
 
-    def trial(i: int) -> tuple[np.ndarray, float]:
-        seq = np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        return _run_trial(rng, n_pix, dead_steps, p_bg, warm_steps,
-                          mc.n_noise_periods, period_steps, p_pulse,
-                          window_start)
+    # contiguous trial batches, one kernel call each; a batch shares the
+    # element budget with its chunk of steps
+    batch = max(1, min(-(-mc.n_trials // workers), _MAX_BATCH,
+                       _BLOCK_ELEMENTS // n_pix))
 
+    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
+        rngs = [np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
+                for i in range(first, min(first + batch, mc.n_trials))]
+        return _run_trials(rngs, n_pix, dead_steps, p_bg, warm_steps,
+                           mc.n_noise_periods, period_steps, p_pulse,
+                           window_start)
+
+    firsts = range(0, mc.n_trials, batch)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, range(mc.n_trials)))
+            results = list(pool.map(run, firsts))
     else:
-        results = [trial(i) for i in range(mc.n_trials)]
+        results = [run(first) for first in firsts]
 
-    background = np.concatenate([r[0] for r in results]).astype(float)
-    pulse_counts = np.array([r[1] for r in results], dtype=float)
+    background = np.concatenate([r[0] for r in results]).ravel().astype(float)
+    pulse_counts = np.concatenate([r[1] for r in results]).astype(float)
 
     baseline = float(background.mean())
     noise_std = float(background.std(ddof=1))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: Gaussian
 tails come from quadrature, trigger statistics from direct stochastic
-simulation, integrals from exact rational arithmetic, and optima from
-exhaustive grid search.
+simulation, SiPM dead-time trials from a per-trial, per-step loop,
+integrals from exact rational arithmetic, and optima from exhaustive grid
+search.
 """
 
 from __future__ import annotations
@@ -71,6 +72,39 @@ def sipm_firing_mc(n_pixels: int, pde: float, q: float, trials: int,
     se_var = math.sqrt(max(m4 - var * var * (trials - 3) / (trials - 1), 0.0)
                        / trials)
     return {"mean": mean, "var": var, "se_mean": se_mean, "se_var": se_var}
+
+
+def sipm_dead_time_trial(rng: np.random.Generator, n_pix: int,
+                         dead_steps: int, p_bg: float, warm_steps: int,
+                         n_noise_periods: int, period_steps: int,
+                         p_pulse: np.ndarray,
+                         window_start: int) -> tuple[np.ndarray, float]:
+    """One SiPM array realization, one step and one trial at a time.
+
+    The straightforward form of the library's batched dead-time kernel: it
+    draws the whole (steps x pixels) uniform block at once and keeps a
+    per-pixel dead-time countdown.  Returns per-period background counts
+    and the fired count in the counting period at the pulse.
+    """
+    noise_steps = n_noise_periods * period_steps
+    pulse_steps = p_pulse.shape[0]
+    total = warm_steps + noise_steps + pulse_steps
+    uniforms = rng.random((total, n_pix))
+    dead = np.zeros(n_pix, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    for t in range(total):
+        armed = dead == 0
+        p = p_bg if t < warm_steps + noise_steps \
+            else p_pulse[t - warm_steps - noise_steps]
+        fired = armed & (uniforms[t] < p)
+        counts[t] = int(np.count_nonzero(fired))
+        np.subtract(dead, 1, out=dead, where=dead > 0)
+        dead[fired] = dead_steps
+    noise_counts = counts[warm_steps:warm_steps + noise_steps]
+    per_period = noise_counts.reshape(n_noise_periods, period_steps).sum(axis=1)
+    window = warm_steps + noise_steps + window_start
+    pulse_count = float(counts[window:window + period_steps].sum())
+    return per_period, pulse_count
 
 
 def exact_trapezoid(rows: list[tuple[float, float, float]]) -> float:

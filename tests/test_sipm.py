@@ -1,19 +1,23 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtofsim import ConfigError, SipmSaturationError
+from dtofsim import ConfigError, SipmSaturationError, ranging, sipm
+from dtofsim.detectors import SipmChoice
 from dtofsim.physconst import photon_energy
 from dtofsim.sipm import (PhotonCounts, SipmMcConfig, SipmParams,
                           background_occupancy, dark_occupancy, fired_count,
                           fired_std, monte_carlo_snr, signal_fired,
                           trigger_snr_analytic, trigger_snr_approx)
 
-from oracles import sipm_firing_mc
+from oracles import sipm_dead_time_trial, sipm_firing_mc
 
 TABLE1_SIPM = SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
                          dark_count_rate_cps=2007.0)
@@ -225,10 +229,16 @@ class TestMonteCarlo:
         assert monte_carlo_snr(*args) == monte_carlo_snr(*args)
 
     def test_worker_count_does_not_change_results(self):
-        mc = self.quick_mc()
-        args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
-                self.BW, mc)
-        assert monte_carlo_snr(*args) == monte_carlo_snr(*args, workers=4)
+        # 61 trials split unevenly over 3 and 4 workers; 130 exceed one batch
+        configs = [self.quick_mc()] + [
+            replace(self.quick_mc(n_trials=n), n_noise_periods=2)
+            for n in (61, 130)]
+        for mc in configs:
+            args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
+                    self.BW, mc)
+            serial = monte_carlo_snr(*args)
+            for workers in (3, 4):
+                assert monte_carlo_snr(*args, workers=workers) == serial
 
     def test_seed_changes_results(self):
         args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
@@ -274,6 +284,84 @@ class TestMonteCarlo:
                             self.BW, mc)
 
 
+class TestKernel:
+    """The batched kernel against the per-trial loop and pinned outputs."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_pix=st.integers(1, 50), dead_steps=st.integers(1, 12),
+           n_trials=st.integers(1, 70), warm_steps=st.integers(0, 40),
+           n_noise_periods=st.integers(2, 4), period_steps=st.integers(1, 8),
+           pulse_extra=st.integers(0, 6), window_start=st.integers(0, 6),
+           p_bg=st.floats(0.0, 0.5), p_peak=st.floats(0.0, 1.0),
+           chunk=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    # 24 steps in chunks of 1 and in chunks of 5, which do not divide them
+    @example(n_pix=7, dead_steps=3, n_trials=5, warm_steps=10,
+             n_noise_periods=2, period_steps=4, pulse_extra=2,
+             window_start=1, p_bg=0.2, p_peak=0.9, chunk=1, seed=0)
+    @example(n_pix=7, dead_steps=3, n_trials=5, warm_steps=10,
+             n_noise_periods=2, period_steps=4, pulse_extra=2,
+             window_start=1, p_bg=0.2, p_peak=0.9, chunk=5, seed=0)
+    def test_matches_per_trial_reference(self, n_pix, dead_steps, n_trials,
+                                         warm_steps, n_noise_periods,
+                                         period_steps, pulse_extra,
+                                         window_start, p_bg, p_peak, chunk,
+                                         seed):
+        p_pulse = np.linspace(p_bg, p_peak, period_steps + pulse_extra)
+        window_start = min(window_start, pulse_extra)
+        args = (n_pix, dead_steps, p_bg, warm_steps, n_noise_periods,
+                period_steps, p_pulse, window_start)
+
+        def rngs():
+            return [np.random.default_rng([seed, i]) for i in range(n_trials)]
+
+        with mock.patch.object(sipm, "_BLOCK_ELEMENTS",
+                               chunk * n_trials * n_pix):
+            per_period, pulse_counts = sipm._run_trials(rngs(), *args)
+        assert per_period.shape == (n_trials, n_noise_periods)
+        for i, rng in enumerate(rngs()):
+            ref_periods, ref_pulse = sipm_dead_time_trial(rng, *args)
+            assert per_period[i].tolist() == ref_periods.tolist()
+            assert pulse_counts[i] == ref_pulse
+
+    def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
+        det = SipmChoice(params=sipm_config.detector.params,
+                         snr_mode="monte_carlo",
+                         mc=SipmMcConfig.for_dead_time(6e-9, seed=11,
+                                                       n_trials=8))
+        result = ranging.max_range(sipm_config, det, sipm_config.tdc)
+        assert result.r_max_m == 257.4529790878296
+        assert result.snr_at_rmax == 4.991932723369429
+
+    def test_dilute_point_is_pinned(self, sipm_config):
+        _, p_rs = ranging.link_powers(sipm_config, 100.0)
+        mc = SipmMcConfig(n_trials=48, time_step_s=1e-10, seed=7,
+                          warmup_s=6e-8, n_noise_periods=30)
+        assert monte_carlo_snr(sipm_config.detector.params, photons(50.0),
+                               p_rs / 100.0, 6e-9, 905e-9, 1.0 / 6e-9,
+                               mc) == (8.28761982524529, 0.42395734017470516)
+
+    def test_memory_does_not_grow_with_steps_times_pixels(self):
+        # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
+        # alone would take more than 330 MB
+        probe = (
+            "import resource\n"
+            "from dtofsim.sipm import SipmMcConfig, SipmParams, "
+            "monte_carlo_snr\n"
+            "params = SipmParams(n_pixels=1e6, pde=0.22, dead_time_s=6e-9)\n"
+            "mc = SipmMcConfig(n_trials=4, time_step_s=6e-10, seed=1, "
+            "warmup_s=1.8e-8, n_noise_periods=2)\n"
+            "monte_carlo_snr(params, 1e-6, 1e-6, 6e-9, 905e-9, 1 / 6e-10, mc)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        # Linux carries ru_maxrss across exec, so the probe starts from a
+        # bare interpreter, not from this process and its own peak
+        launch = ("import subprocess, sys; "
+                  "subprocess.run([sys.executable, '-c', sys.argv[1]], "
+                  "check=True)")
+        proc = subprocess.run([sys.executable, "-c", launch, probe],
+                              capture_output=True, text=True, check=True)
+        assert int(proc.stdout) / 1024 < 150.0  # ru_maxrss is in KiB
+
+
 class TestParamValidation:
     def test_pde_range(self):
         with pytest.raises(ConfigError, match="pde"):
@@ -282,6 +370,12 @@ class TestParamValidation:
     def test_pixel_count(self):
         with pytest.raises(ConfigError, match="n_pixels"):
             SipmParams(n_pixels=0, pde=0.22, dead_time_s=6e-9)
+
+    def test_dark_load_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="dark load") as record:
+            SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
+                       dark_count_rate_cps=1e5)
+        assert record[0].filename == __file__
 
     def test_negative_photons(self):
         with pytest.raises(ConfigError):
