@@ -243,15 +243,11 @@ def _detector_edit(cls: type, field: str) -> _Edit:
     return edit
 
 
-def _noop(sc, det, pol, f):
-    return sc, det, pol
-
-
 SENSITIVITY_PARAMS: dict[str, _Edit] = {
     "peak_power_w": _section_edit("laser", "peak_power_w"),
     "pulse_fwhm_s": _section_edit("laser", "pulse_fwhm_s"),
     "wavelength_m": _section_edit("laser", "wavelength_m"),
-    "repetition_hz": _noop,  # bookkeeping only; never enters the model
+    "repetition_hz": _section_edit("laser", "repetition_hz"),  # never read
     "reflectivity": _section_edit("target", "reflectivity"),
     "one_way_transmittance": _atmosphere_edit,
     "aperture_radius_m": _section_edit("optics", "aperture_radius_m"),

@@ -3,7 +3,13 @@
 Scenario files are JSON in the field units a lidar datasheet would use
 (W, kHz, ns, %, klux, mm, nA, ohm, cps, m, degrees); everything converts
 to SI on load.  Unknown keys are rejected so a typo cannot silently fall
-back to a default.
+back to a default, and so is ``null``: an optional key that is absent
+takes the model's default.
+
+Each section is declared once, as a table of rows ``(file key, dataclass
+field, unit, required)``.  The unit is a key of ``_UNITS`` for a scaled
+number, ``None`` for a number already in SI, or one of ``int``, ``str``
+and ``bool``.  One reader and one writer drive every table.
 """
 
 from __future__ import annotations
@@ -11,11 +17,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable
 
-from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .apd import ApdParams
+from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import ConfigError
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
@@ -45,415 +53,321 @@ class ScenarioConfig:
             raise ConfigError("bandwidth_hz must be > 0")
 
 
+_NANO = (lambda v: v * 1e-9, lambda v: v * 1e9)
+
+# unit -> (file value to SI, SI value to file)
+_UNITS: dict[str, tuple[Callable[[float], float],
+                        Callable[[float], float]]] = {
+    "pct": (lambda v: v / 100.0, lambda v: v * 100.0),
+    "mm": (lambda v: v / 1000.0, lambda v: v * 1000.0),
+    "nm": _NANO, "ns": _NANO, "na": _NANO,
+    "us": (lambda v: v * 1e-6, lambda v: v * 1e6),
+    "khz": (lambda v: v * 1e3, lambda v: v * 1e-3),
+    "mhz": (lambda v: v * 1e6, lambda v: v * 1e-6),
+    "deg": (math.radians, math.degrees),
+}
+
+_Table = tuple[tuple[str, str, Any, bool], ...]
+
+_SCENE: _Table = (
+    ("range_m", "range_m", None, False),
+    ("incidence_angle_deg", "incidence_angle_rad", "deg", False),
+    ("elevation_angle_deg", "elevation_angle_rad", "deg", False),
+    ("sun_angle_deg", "sun_angle_rad", "deg", False),
+)
+_ATMOSPHERE: dict[str, _Table] = {
+    "fixed_transmittance": (
+        ("one_way_transmittance_pct", "one_way_transmittance", "pct", True),),
+    "extinction": (
+        ("extinction_coeff_per_m", "extinction_coeff_per_m", None, True),),
+}
+_OPTICS: _Table = (
+    ("aperture_radius_m", "aperture_radius_m", None, True),
+    ("focal_length_m", "focal_length_m", None, True),
+    ("detector_radius_mm", "detector_radius_m", "mm", True),
+    ("laser_efficiency_pct", "laser_efficiency", "pct", True),
+    ("sun_efficiency_pct", "sun_efficiency", "pct", True),
+    ("aperture_model", "aperture_model", str, False),
+)
+_TARGET: _Table = (
+    ("reflectivity_pct", "reflectivity", "pct", True),
+    ("extends_beyond_spot", "extends_beyond_spot", bool, False),
+)
+_LASER: _Table = (
+    ("peak_power_w", "peak_power_w", None, True),
+    ("wavelength_nm", "wavelength_m", "nm", True),
+    ("pulse_fwhm_ns", "pulse_fwhm_s", "ns", True),
+    ("repetition_khz", "repetition_hz", "khz", False),
+)
+# the spectrum_integral rows are read and written by hand
+_SOLAR: dict[str, _Table] = {
+    "direct_irradiance": (
+        ("in_band_irradiance_w_m2", "in_band_irradiance_w_m2", None, True),),
+    "illuminance_scaled": (
+        ("illuminance_klux", "illuminance_klux", None, True),
+        ("reference_illuminance_klux", "reference_illuminance_klux", None,
+         False),
+        ("reference_irradiance_w_m2", "reference_irradiance_w_m2", None,
+         False),
+    ),
+    "spectrum_integral": (),
+}
+_TDC: _Table = (
+    ("tnr", "tnr", None, True),
+    ("window_us", "window_s", "us", True),
+    ("bandwidth_mhz", "bandwidth_hz", "mhz", True),
+)
+_TOP: _Table = (("bandwidth_mhz", "bandwidth_hz", "mhz", True),)
+# detector parameters by type; the APD wavelength is the laser's
+_DETECTOR: dict[str, _Table] = {
+    "apd": (
+        ("gain", "gain", None, True),
+        ("quantum_efficiency_pct", "quantum_efficiency", "pct", True),
+        ("excess_noise_mode", "excess_noise_mode", str, False),
+        ("excess_noise_index", "excess_noise_index", None, False),
+        ("surface_dark_current_na", "surface_dark_current_a", "na", False),
+        ("bulk_dark_current_na", "bulk_dark_current_a", "na", False),
+        ("load_resistance_ohm", "load_resistance_ohm", None, True),
+        ("temperature_k", "temperature_k", None, False),
+        ("amplifier_noise_na", "amplifier_noise_a", "na", False),
+        ("electron_ionization_rate", "electron_ionization_rate", None, False),
+    ),
+    "sipm": (
+        ("n_pixels", "n_pixels", None, True),
+        ("pde_pct", "pde", "pct", True),
+        ("dead_time_ns", "dead_time_s", "ns", True),
+        ("dark_count_rate_cps", "dark_count_rate_cps", None, False),
+    ),
+}
+_SIPM_CHOICE: _Table = (("snr_mode", "snr_mode", str, False),)
+# the optional mc block; absent keys keep SipmMcConfig.for_dead_time
+_MC: _Table = (
+    ("n_trials", "n_trials", int, False),
+    ("time_step_ns", "time_step_s", "ns", False),
+    ("pulse_shape", "pulse_shape", str, False),
+    ("seed", "seed", int, False),
+    ("warmup_ns", "warmup_s", "ns", False),
+    ("n_noise_periods", "n_noise_periods", int, False),
+)
+
+_KIND_NAMES = {str: "a string", bool: "a boolean"}
+
+
 class _Node:
-    """Dict wrapper that tracks consumed keys and reports leftovers."""
+    """One JSON object: typed reads in file units, leftover keys rejected."""
 
     def __init__(self, data: Any, path: str):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected an object")
         self._data = dict(data)
-        self._path = path
+        self.path = path
 
-    def take(self, key: str, required: bool = True, default: Any = None) -> Any:
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
+
+    def take(self, key: str) -> Any:
         if key not in self._data:
-            if required:
-                raise ConfigError(f"{self._path}: missing required key {key!r}")
-            return default
-        return self._data.pop(key)
-
-    def number(self, key: str, required: bool = True,
-               default: float | None = None) -> float | None:
-        value = self.take(key, required, default)
+            raise ConfigError(f"{self.path}: missing required key {key!r}")
+        value = self._data.pop(key)
         if value is None:
-            return None
+            raise ConfigError(f"{self.path}.{key}: null is not allowed; omit "
+                              "an optional key to use its default")
+        return value
+
+    def value(self, key: str, unit: Any = None) -> Any:
+        """``key`` read as ``unit`` (see the module docstring)."""
+        value = self.take(key)
+        where = f"{self.path}.{key}"
+        if unit in _KIND_NAMES:
+            if not isinstance(value, unit):
+                raise ConfigError(f"{where}: expected {_KIND_NAMES[unit]}")
+            return value
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._path}.{key}: expected a number")
-        return float(value)
+            raise ConfigError(f"{where}: expected a number")
+        if unit is int:
+            if not float(value).is_integer():
+                raise ConfigError(f"{where}: expected an integer")
+            return int(value)
+        return _UNITS[unit][0](float(value)) if unit else float(value)
 
-    def string(self, key: str, required: bool = True,
-               default: str | None = None) -> str | None:
-        value = self.take(key, required, default)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"{self._path}.{key}: expected a string")
-        return value
-
-    def boolean(self, key: str, required: bool = True,
-                default: bool | None = None) -> bool | None:
-        value = self.take(key, required, default)
-        if value is None:
-            return None
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self._path}.{key}: expected a boolean")
-        return value
-
-    def child(self, key: str, required: bool = True) -> "_Node | None":
-        value = self.take(key, required)
-        if value is None:
-            return None
-        return _Node(value, f"{self._path}.{key}")
+    def child(self, key: str) -> "_Node":
+        return _Node(self.take(key), f"{self.path}.{key}")
 
     def finish(self) -> None:
         if self._data:
             extra = ", ".join(sorted(self._data))
-            raise ConfigError(f"{self._path}: unknown key(s): {extra}")
+            raise ConfigError(f"{self.path}: unknown key(s): {extra}")
 
 
-def _wrap_config_error(section: str, fn: Callable[[], Any]) -> Any:
+def _fields(node: _Node, table: _Table) -> dict:
+    """SI values of the keys of ``table`` present in ``node``, by field; an
+    absent optional key is left out, so the model default applies."""
+    return {field: node.value(key, unit)
+            for key, field, unit, required in table
+            if required or key in node}
+
+
+def _read(node: _Node, build: Callable[..., Any], table: _Table,
+          **fixed: Any) -> Any:
+    """``build(**fixed, **fields)``; then any key left in ``node`` is an
+    error."""
     try:
-        return fn()
+        value = build(**fixed, **_fields(node, table))
     except ConfigError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
-def _scene_from(node: _Node) -> SceneGeometry:
-    scene = SceneGeometry(
-        range_m=node.number("range_m", required=False, default=100.0),
-        incidence_angle_rad=math.radians(
-            node.number("incidence_angle_deg", required=False, default=0.0)),
-        elevation_angle_rad=math.radians(
-            node.number("elevation_angle_deg", required=False, default=0.0)),
-        sun_angle_rad=math.radians(
-            node.number("sun_angle_deg", required=False, default=0.0)),
-    )
+        raise ConfigError(f"{node.path}: {exc}") from None
     node.finish()
-    return scene
+    return value
 
 
-def _atmosphere_from(node: _Node) -> AtmosphereModel:
-    mode = node.string("mode")
-    if mode == "fixed_transmittance":
-        atm = AtmosphereModel(
-            mode=mode,
-            one_way_transmittance=node.number("one_way_transmittance_pct") / 100.0)
-    else:
-        atm = AtmosphereModel(
-            mode=mode,
-            extinction_coeff_per_m=node.number("extinction_coeff_per_m"))
-    node.finish()
-    return atm
+def _select(node: _Node, key: str, tables: dict[str, _Table]) -> str:
+    kind = node.value(key, str)
+    if kind not in tables:
+        raise ConfigError(f"{node.path}.{key}: unknown {key} {kind!r}; "
+                          f"expected one of {', '.join(tables)}")
+    return kind
 
 
-def _optics_from(node: _Node) -> ReceiverOptics:
-    optics = ReceiverOptics(
-        aperture_radius_m=node.number("aperture_radius_m"),
-        focal_length_m=node.number("focal_length_m"),
-        detector_radius_m=node.number("detector_radius_mm") / 1000.0,
-        laser_efficiency=node.number("laser_efficiency_pct") / 100.0,
-        sun_efficiency=node.number("sun_efficiency_pct") / 100.0,
-        aperture_model=node.string("aperture_model", required=False,
-                                   default="constant"),
-    )
-    node.finish()
-    return optics
-
-
-def _target_from(node: _Node) -> TargetModel:
-    target = TargetModel(
-        reflectivity=node.number("reflectivity_pct") / 100.0,
-        extends_beyond_spot=node.boolean("extends_beyond_spot",
-                                         required=False, default=True),
-    )
-    node.finish()
-    return target
-
-
-def _laser_from(node: _Node) -> LaserParams:
-    laser = LaserParams(
-        peak_power_w=node.number("peak_power_w"),
-        wavelength_m=node.number("wavelength_nm") * 1e-9,
-        pulse_fwhm_s=node.number("pulse_fwhm_ns") * 1e-9,
-        repetition_hz=node.number("repetition_khz", required=False,
-                                  default=0.0) * 1e3,
-    )
-    node.finish()
-    return laser
-
-
-def _solar_from(node: _Node, base_dir: str) -> SolarModel:
-    mode = node.string("mode")
-    if mode == "direct_irradiance":
-        solar = SolarModel(
-            mode=mode,
-            in_band_irradiance_w_m2=node.number("in_band_irradiance_w_m2"))
-    elif mode == "illuminance_scaled":
-        solar = SolarModel(
-            mode=mode,
-            illuminance_klux=node.number("illuminance_klux"),
-            reference_illuminance_klux=node.number("reference_illuminance_klux",
-                                                   required=False, default=100.0),
-            reference_irradiance_w_m2=node.number("reference_irradiance_w_m2",
-                                                  required=False, default=29.4),
-        )
-    elif mode == "spectrum_integral":
-        rows = node.take("spectrum", required=False)
-        csv_path = node.string("spectrum_csv", required=False)
-        if (rows is None) == (csv_path is None):
-            raise ConfigError(
-                "solar: spectrum_integral needs exactly one of "
-                "'spectrum' or 'spectrum_csv'")
-        if csv_path is not None:
-            rows = load_spectrum_csv(os.path.join(base_dir, csv_path))
-        else:
-            try:
-                rows = tuple((float(a), float(b), float(c)) for a, b, c in rows)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "solar.spectrum: expected rows of "
-                    "[wavelength_nm, irradiance_w_m2_nm, transmittance]") from None
-        solar = SolarModel(mode=mode, spectrum_table=rows)
-    else:
-        raise ConfigError(f"solar.mode: unknown mode {mode!r}")
-    node.finish()
-    return solar
-
-
-def _tdc_from(node: _Node) -> TdcPolicy:
-    policy = TdcPolicy(
-        tnr=node.number("tnr"),
-        window_s=node.number("window_us") * 1e-6,
-        bandwidth_hz=node.number("bandwidth_mhz") * 1e6,
-    )
-    # legacy key: r_max is where SNR = tnr, i.e. detection probability 0.5
-    if node.number("limit_detection_prob", required=False, default=0.5) != 0.5:
-        raise ConfigError("limit_detection_prob: only 0.5 is supported; r_max "
-                          "is the range of 50 % detection probability")
-    node.finish()
-    return policy
-
-
-def _detector_from(node: _Node, laser: LaserParams) -> DetectorChoice:
-    kind = node.string("type")
-    if kind == "apd":
-        mode = node.string("excess_noise_mode", required=False,
-                           default="power_law")
-        params = ApdParams(
-            gain=node.number("gain"),
-            quantum_efficiency=node.number("quantum_efficiency_pct") / 100.0,
-            wavelength_m=laser.wavelength_m,
-            excess_noise_index=node.number("excess_noise_index",
-                                           required=False, default=0.3),
-            electron_ionization_rate=node.number("electron_ionization_rate",
-                                                 required=False),
-            excess_noise_mode=mode,
-            surface_dark_current_a=node.number("surface_dark_current_na",
-                                               required=False, default=0.0) * 1e-9,
-            bulk_dark_current_a=node.number("bulk_dark_current_na",
-                                            required=False, default=0.0) * 1e-9,
-            load_resistance_ohm=node.number("load_resistance_ohm"),
-            temperature_k=node.number("temperature_k", required=False,
-                                      default=300.0),
-            amplifier_noise_a=node.number("amplifier_noise_na",
-                                          required=False, default=0.0) * 1e-9,
-        )
-        node.finish()
-        return ApdChoice(params=params)
-    if kind == "sipm":
-        params = SipmParams(
-            n_pixels=node.number("n_pixels"),
-            pde=node.number("pde_pct") / 100.0,
-            dead_time_s=node.number("dead_time_ns") * 1e-9,
-            dark_count_rate_cps=node.number("dark_count_rate_cps",
-                                            required=False, default=0.0),
-        )
-        snr_mode = node.string("snr_mode", required=False, default="analytic")
-        mc_node = node.child("mc", required=False)
-        mc = None
-        if mc_node is not None:
-            mc = SipmMcConfig(
-                n_trials=int(mc_node.number("n_trials", required=False,
-                                            default=1000)),
-                time_step_s=mc_node.number(
-                    "time_step_ns", required=False,
-                    default=params.dead_time_s * 1e9 / 60.0) * 1e-9,
-                pulse_shape=mc_node.string("pulse_shape", required=False,
-                                           default="rectangular"),
-                seed=int(mc_node.number("seed", required=False, default=0)),
-                warmup_s=mc_node.number(
-                    "warmup_ns", required=False,
-                    default=10.0 * params.dead_time_s * 1e9) * 1e-9,
-                n_noise_periods=int(mc_node.number("n_noise_periods",
-                                                   required=False, default=20)),
-            )
-            mc_node.finish()
-        node.finish()
-        return SipmChoice(params=params, snr_mode=snr_mode, mc=mc)
-    raise ConfigError(f"detector.type: unknown type {kind!r}")
+def _spectrum_table(node: _Node, base_dir: str) -> tuple:
+    """The spectrum_integral rows, inline or from a CSV file."""
+    if ("spectrum" in node) == ("spectrum_csv" in node):
+        raise ConfigError(f"{node.path}: spectrum_integral needs exactly "
+                          "one of 'spectrum' or 'spectrum_csv'")
+    if "spectrum_csv" in node:
+        return load_spectrum_csv(
+            os.path.join(base_dir, node.value("spectrum_csv", str)))
+    try:
+        return tuple((float(a), float(b), float(c))
+                     for a, b, c in node.take("spectrum"))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{node.path}.spectrum: expected rows of "
+            "[wavelength_nm, irradiance_w_m2_nm, transmittance]") from None
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     """Build a validated configuration from a raw scenario dictionary."""
     root = _Node(data, "scenario")
-    version = root.number("schema_version")
+    version = root.value("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {version:g}")
-    scene = _wrap_config_error("scene", lambda: _scene_from(root.child("scene")))
-    atmosphere = _wrap_config_error(
-        "atmosphere", lambda: _atmosphere_from(root.child("atmosphere")))
-    optics = _wrap_config_error("optics", lambda: _optics_from(root.child("optics")))
-    target = _wrap_config_error("target", lambda: _target_from(root.child("target")))
-    laser = _wrap_config_error("laser", lambda: _laser_from(root.child("laser")))
-    solar = _wrap_config_error(
-        "solar", lambda: _solar_from(root.child("solar"), base_dir))
-    policy = _wrap_config_error("tdc", lambda: _tdc_from(root.child("tdc")))
-    bandwidth = root.number("bandwidth_mhz") * 1e6
-    detector = _wrap_config_error(
-        "detector", lambda: _detector_from(root.child("detector"), laser))
-    root.finish()
-    return ScenarioConfig(scene=scene, atmosphere=atmosphere, optics=optics,
-                          target=target, laser=laser, solar=solar, tdc=policy,
-                          detector=detector, bandwidth_hz=bandwidth)
+    scene = _read(root.child("scene"), SceneGeometry, _SCENE)
+    node = root.child("atmosphere")
+    mode = _select(node, "mode", _ATMOSPHERE)
+    atmosphere = _read(node, AtmosphereModel, _ATMOSPHERE[mode], mode=mode)
+    optics = _read(root.child("optics"), ReceiverOptics, _OPTICS)
+    target = _read(root.child("target"), TargetModel, _TARGET)
+    laser = _read(root.child("laser"), LaserParams, _LASER)
+
+    node = root.child("solar")
+    mode = _select(node, "mode", _SOLAR)
+    spectrum = ({"spectrum_table": _spectrum_table(node, base_dir)}
+                if mode == "spectrum_integral" else {})
+    solar = _read(node, SolarModel, _SOLAR[mode], mode=mode, **spectrum)
+
+    node = root.child("tdc")
+    # legacy key: r_max is where SNR = tnr, i.e. detection probability 0.5
+    if "limit_detection_prob" in node \
+            and node.value("limit_detection_prob") != 0.5:
+        raise ConfigError(f"{node.path}.limit_detection_prob: only 0.5 is "
+                          "supported; r_max is the range of 50 % detection "
+                          "probability")
+    policy = _read(node, TdcPolicy, _TDC)
+
+    node = root.child("detector")
+    kind = _select(node, "type", _DETECTOR)
+    if kind == "apd":
+        detector: DetectorChoice = ApdChoice(params=_read(
+            node, ApdParams, _DETECTOR[kind], wavelength_m=laser.wavelength_m))
+    else:
+        mc_node = node.child("mc") if "mc" in node else None
+        choice = _fields(node, _SIPM_CHOICE)
+        params = _read(node, SipmParams, _DETECTOR[kind])
+        if mc_node is not None:
+            base = SipmMcConfig.for_dead_time(params.dead_time_s)
+            choice["mc"] = _read(mc_node, partial(replace, base), _MC)
+        detector = SipmChoice(params=params, **choice)
+    return _read(root, ScenarioConfig, _TOP, scene=scene,
+                 atmosphere=atmosphere, optics=optics, target=target,
+                 laser=laser, solar=solar, tdc=policy, detector=detector)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file.
+
+    A model warning raised while loading (the SiPM dark load) is reported
+    against ``path``, the file that set the offending values.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     try:
-        return config_from_dict(data, base_dir=os.path.dirname(path) or ".")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = config_from_dict(data, os.path.dirname(path) or ".")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, path, 0)
+    return config
 
 
-def _pretty_inverse(si_value: float, factor: float,
-                    forward: Callable[[float], float] | None = None) -> float:
-    """Invert ``si = file / factor`` and round for readability when the
-    rounded file value converts back to exactly the same SI value."""
-    raw = si_value * factor
-    fwd = forward if forward is not None else (lambda v: v / factor)
-    rounded = round(raw, 10)
-    return rounded if fwd(rounded) == si_value else raw
+def _file_value(value: Any, unit: Any) -> Any:
+    """SI value to file units that reads back to exactly ``value``: rounded
+    for readability when possible, else the converted value or its float
+    neighbour toward ``value`` (one step suffices for every unit here)."""
+    if unit not in _UNITS:
+        return value
+    to_si, from_si = _UNITS[unit]
+    raw = from_si(value)
+    toward = math.inf if to_si(raw) < value else -math.inf
+    for candidate in (round(raw, 10), raw, math.nextafter(raw, toward)):
+        if to_si(candidate) == value:
+            return candidate
+    return raw
 
 
-def _deg_out(rad: float) -> float:
-    raw = math.degrees(rad)
-    rounded = round(raw, 10)
-    return rounded if math.radians(rounded) == rad else raw
+def _write(obj: Any, table: _Table, base: Any = None, **head: Any) -> dict:
+    """``head``, then the fields of ``table`` in file units; a field that is
+    None or equal to its value in ``base`` is left out."""
+    out = dict(head)
+    for key, field, unit, _ in table:
+        value = getattr(obj, field)
+        if value is None or (base is not None
+                             and value == getattr(base, field)):
+            continue
+        out[key] = _file_value(value, unit)
+    return out
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Serialize a configuration back to the documented file schema."""
-    scene = {
-        "range_m": config.scene.range_m,
-        "incidence_angle_deg": _deg_out(config.scene.incidence_angle_rad),
-        "elevation_angle_deg": _deg_out(config.scene.elevation_angle_rad),
-        "sun_angle_deg": _deg_out(config.scene.sun_angle_rad),
-    }
-    atm = config.atmosphere
-    if atm.mode == "fixed_transmittance":
-        atmosphere = {"mode": atm.mode,
-                      "one_way_transmittance_pct":
-                          _pretty_inverse(atm.one_way_transmittance, 100.0)}
-    else:
-        atmosphere = {"mode": atm.mode,
-                      "extinction_coeff_per_m": atm.extinction_coeff_per_m}
-    optics = {
-        "aperture_radius_m": config.optics.aperture_radius_m,
-        "focal_length_m": config.optics.focal_length_m,
-        "detector_radius_mm": _pretty_inverse(config.optics.detector_radius_m,
-                                              1000.0),
-        "laser_efficiency_pct": _pretty_inverse(config.optics.laser_efficiency,
-                                                100.0),
-        "sun_efficiency_pct": _pretty_inverse(config.optics.sun_efficiency,
-                                              100.0),
-        "aperture_model": config.optics.aperture_model,
-    }
-    target = {
-        "reflectivity_pct": _pretty_inverse(config.target.reflectivity, 100.0),
-        "extends_beyond_spot": config.target.extends_beyond_spot,
-    }
-    laser = {
-        "peak_power_w": config.laser.peak_power_w,
-        "wavelength_nm": _pretty_inverse(config.laser.wavelength_m, 1e9,
-                                         lambda v: v * 1e-9),
-        "pulse_fwhm_ns": _pretty_inverse(config.laser.pulse_fwhm_s, 1e9,
-                                         lambda v: v * 1e-9),
-        "repetition_khz": _pretty_inverse(config.laser.repetition_hz, 1e-3,
-                                          lambda v: v * 1e3),
-    }
-    sol = config.solar
-    if sol.mode == "direct_irradiance":
-        solar = {"mode": sol.mode,
-                 "in_band_irradiance_w_m2": sol.in_band_irradiance_w_m2}
-    elif sol.mode == "illuminance_scaled":
-        solar = {"mode": sol.mode,
-                 "illuminance_klux": sol.illuminance_klux,
-                 "reference_illuminance_klux": sol.reference_illuminance_klux,
-                 "reference_irradiance_w_m2": sol.reference_irradiance_w_m2}
-    else:
-        solar = {"mode": sol.mode,
-                 "spectrum": [list(row) for row in sol.spectrum_table]}
-    policy = {
-        "tnr": config.tdc.tnr,
-        "window_us": _pretty_inverse(config.tdc.window_s, 1e6,
-                                     lambda v: v * 1e-6),
-        "bandwidth_mhz": _pretty_inverse(config.tdc.bandwidth_hz, 1e-6,
-                                         lambda v: v * 1e6),
-    }
-    detector = _detector_to_dict(config.detector)
+    atm, sol, det = config.atmosphere, config.solar, config.detector
+    solar = _write(sol, _SOLAR[sol.mode], mode=sol.mode)
+    if sol.mode == "spectrum_integral":
+        solar["spectrum"] = [list(row) for row in sol.spectrum_table]
+    kind = "apd" if isinstance(det, ApdChoice) else "sipm"
+    detector = _write(det.params, _DETECTOR[kind], type=kind)
+    if kind == "sipm":
+        detector.update(_write(det, _SIPM_CHOICE))
+        if det.mc is not None:
+            # dead-time defaults may have no exact file value; omit them
+            base = SipmMcConfig.for_dead_time(det.params.dead_time_s)
+            detector["mc"] = _write(det.mc, _MC, base)
     return {
         "schema_version": SCHEMA_VERSION,
-        "scene": scene,
-        "atmosphere": atmosphere,
-        "optics": optics,
-        "target": target,
-        "laser": laser,
+        "scene": _write(config.scene, _SCENE),
+        "atmosphere": _write(atm, _ATMOSPHERE[atm.mode], mode=atm.mode),
+        "optics": _write(config.optics, _OPTICS),
+        "target": _write(config.target, _TARGET),
+        "laser": _write(config.laser, _LASER),
         "solar": solar,
-        "tdc": policy,
-        "bandwidth_mhz": _pretty_inverse(config.bandwidth_hz, 1e-6,
-                                         lambda v: v * 1e6),
+        "tdc": _write(config.tdc, _TDC),
+        **_write(config, _TOP),
         "detector": detector,
     }
-
-
-def _detector_to_dict(detector: DetectorChoice) -> dict:
-    if isinstance(detector, ApdChoice):
-        p = detector.params
-        out = {
-            "type": "apd",
-            "gain": p.gain,
-            "quantum_efficiency_pct": _pretty_inverse(p.quantum_efficiency,
-                                                      100.0),
-            "excess_noise_mode": p.excess_noise_mode,
-            "excess_noise_index": p.excess_noise_index,
-            "surface_dark_current_na": _pretty_inverse(
-                p.surface_dark_current_a, 1e9, lambda v: v * 1e-9),
-            "bulk_dark_current_na": _pretty_inverse(
-                p.bulk_dark_current_a, 1e9, lambda v: v * 1e-9),
-            "load_resistance_ohm": p.load_resistance_ohm,
-            "temperature_k": p.temperature_k,
-            "amplifier_noise_na": _pretty_inverse(
-                p.amplifier_noise_a, 1e9, lambda v: v * 1e-9),
-        }
-        if p.electron_ionization_rate is not None:
-            out["electron_ionization_rate"] = p.electron_ionization_rate
-        return out
-    p = detector.params
-    out = {
-        "type": "sipm",
-        "n_pixels": p.n_pixels,
-        "pde_pct": _pretty_inverse(p.pde, 100.0),
-        "dead_time_ns": _pretty_inverse(p.dead_time_s, 1e9, lambda v: v * 1e-9),
-        "dark_count_rate_cps": p.dark_count_rate_cps,
-        "snr_mode": detector.snr_mode,
-    }
-    if detector.mc is not None:
-        mc = detector.mc
-        out["mc"] = {
-            "n_trials": mc.n_trials,
-            "time_step_ns": _pretty_inverse(mc.time_step_s, 1e9,
-                                            lambda v: v * 1e-9),
-            "pulse_shape": mc.pulse_shape,
-            "seed": mc.seed,
-            "warmup_ns": _pretty_inverse(mc.warmup_s, 1e9, lambda v: v * 1e-9),
-            "n_noise_periods": mc.n_noise_periods,
-        }
-    return out
 
 
 def save_scenario(config: ScenarioConfig, path: str) -> None:

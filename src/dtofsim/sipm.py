@@ -123,8 +123,9 @@ class SipmMcConfig:
     n_noise_periods: int = 20
 
     def __post_init__(self) -> None:
-        if not self.n_trials >= 1:
-            raise ConfigError("n_trials must be >= 1")
+        # the standard error needs at least two trials
+        if not self.n_trials >= 2:
+            raise ConfigError("n_trials must be >= 2")
         if not self.time_step_s > 0:
             raise ConfigError("time_step_s must be > 0")
         if self.pulse_shape not in PULSE_SHAPES:
@@ -133,6 +134,8 @@ class SipmMcConfig:
             raise ConfigError("warmup_s must be >= 0")
         if not self.n_noise_periods >= 2:
             raise ConfigError("n_noise_periods must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @classmethod
     def for_dead_time(cls, dead_time_s: float, seed: int = 0,

@@ -211,6 +211,22 @@ class TestExitCodes:
         assert code == 1
         assert "limit_detection_prob" in err and "50 %" in err
 
+    @pytest.mark.parametrize("key", ["peak_power_w", "repetition_khz"])
+    def test_null_value_is_1(self, tmp_path, capsys, key):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["laser"][key] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and f"laser.{key}: null" in err
+
+    def test_negative_seed_is_1(self, capsys):
+        code, _, err = run_cli(capsys, "range", "--detector", "sipm",
+                               "--seed", "-5")
+        assert code == 1
+        assert "seed must be >= 0" in err
+
 
 def test_import_loads_no_scipy():
     probe = ("import sys, dtofsim; "

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtofsim import ConfigError
 from dtofsim.ranging import snr_at_range
-from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
-                              table1_preset)
+from dtofsim.scenario import (config_from_dict, load_scenario, save_scenario,
+                              scenario_to_dict, table1_preset)
 from dtofsim.sipm import SipmMcConfig
 from dtofsim.sweeps import (SweepResult, SweepSpec, csv_lines, emit_csv,
                             emit_svg, make_grid, run_sweep)
@@ -95,6 +99,114 @@ class TestRoundTrip:
         assert load_scenario(str(path2)) == loaded
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _spectrum_rows(wavelengths):
+    return st.tuples(*[st.tuples(st.just(wl), _floats(0.0, 2.0),
+                                 _floats(0.0, 1.0)).map(list)
+                       for wl in sorted(wavelengths)]).map(list)
+
+
+_ATMOSPHERES = st.one_of(
+    st.fixed_dictionaries({"mode": st.just("fixed_transmittance"),
+                           "one_way_transmittance_pct": _floats(1e-3, 100.0)}),
+    st.fixed_dictionaries({"mode": st.just("extinction"),
+                           "extinction_coeff_per_m": _floats(0.0, 0.1)}))
+_SOLARS = st.one_of(
+    st.fixed_dictionaries({"mode": st.just("direct_irradiance"),
+                           "in_band_irradiance_w_m2": _floats(0.0, 100.0)}),
+    st.fixed_dictionaries(
+        {"mode": st.just("illuminance_scaled"),
+         "illuminance_klux": _floats(0.0, 150.0)},
+        optional={"reference_illuminance_klux": _floats(1.0, 150.0),
+                  "reference_irradiance_w_m2": _floats(0.0, 100.0)}),
+    st.fixed_dictionaries(
+        {"mode": st.just("spectrum_integral"),
+         "spectrum": st.lists(_floats(300.0, 2000.0), min_size=2, max_size=5,
+                              unique=True).flatmap(_spectrum_rows)}))
+_APD_COMMON = {"type": st.just("apd"), "gain": _floats(1.0, 300.0),
+               "quantum_efficiency_pct": _floats(1e-3, 100.0),
+               "load_resistance_ohm": _floats(1.0, 1e6)}
+_APD_OPTIONAL = {"excess_noise_index": _floats(0.0, 1.0),
+                 "surface_dark_current_na": _floats(0.0, 10.0),
+                 "bulk_dark_current_na": _floats(0.0, 10.0),
+                 "temperature_k": _floats(1.0, 500.0),
+                 "amplifier_noise_na": _floats(0.0, 10.0)}
+_MC_BLOCKS = st.fixed_dictionaries({}, optional={
+    "n_trials": st.integers(2, 5000), "time_step_ns": _floats(1e-3, 10.0),
+    "pulse_shape": st.sampled_from(["rectangular", "gaussian"]),
+    "seed": st.integers(0, 2 ** 63), "warmup_ns": _floats(0.0, 1e3),
+    "n_noise_periods": st.integers(2, 100)})
+_DETECTORS = st.one_of(
+    st.fixed_dictionaries({**_APD_COMMON,
+                           "excess_noise_mode": st.just("power_law")},
+                          optional=_APD_OPTIONAL),
+    st.fixed_dictionaries({**_APD_COMMON,
+                           "excess_noise_mode": st.just("ionization"),
+                           "electron_ionization_rate": _floats(0.0, 1.0)},
+                          optional=_APD_OPTIONAL),
+    # dark load N * DCR * tau stays below the warning threshold
+    st.fixed_dictionaries(
+        {"type": st.just("sipm"), "n_pixels": _floats(1.0, 1000.0),
+         "pde_pct": _floats(1e-3, 100.0), "dead_time_ns": _floats(0.1, 10.0)},
+        optional={"dark_count_rate_cps": _floats(0.0, 500.0),
+                  "snr_mode": st.sampled_from(["analytic", "approx",
+                                               "monte_carlo"]),
+                  "mc": _MC_BLOCKS}))
+_SCENARIOS = st.fixed_dictionaries({
+    "schema_version": st.just(1),
+    "scene": st.fixed_dictionaries({}, optional={
+        "range_m": _floats(0.1, 1e4),
+        "incidence_angle_deg": _floats(0.0, 89.0),
+        "elevation_angle_deg": _floats(-89.0, 89.0),
+        "sun_angle_deg": _floats(0.0, 90.0)}),
+    "atmosphere": _ATMOSPHERES,
+    "optics": st.fixed_dictionaries({
+        "aperture_radius_m": _floats(1e-4, 0.5),
+        "focal_length_m": _floats(1e-3, 1.0),
+        "detector_radius_mm": _floats(1e-3, 10.0),
+        "laser_efficiency_pct": _floats(1e-3, 100.0),
+        "sun_efficiency_pct": _floats(1e-3, 100.0)},
+        optional={"aperture_model": st.sampled_from(["constant", "cosine"])}),
+    "target": st.fixed_dictionaries(
+        {"reflectivity_pct": _floats(0.0, 100.0)},
+        optional={"extends_beyond_spot": st.just(True)}),
+    "laser": st.fixed_dictionaries(
+        {"peak_power_w": _floats(1e-3, 1e3),
+         "wavelength_nm": _floats(301.0, 1999.0),
+         "pulse_fwhm_ns": _floats(0.01, 100.0)},
+        optional={"repetition_khz": _floats(0.0, 1e4)}),
+    "solar": _SOLARS,
+    "tdc": st.fixed_dictionaries({"tnr": _floats(0.1, 10.0),
+                                  "window_us": _floats(0.1, 100.0),
+                                  "bandwidth_mhz": _floats(10.0, 1e3)}),
+    "bandwidth_mhz": _floats(1.0, 1e3),
+    "detector": _DETECTORS,
+})
+
+
+class TestSchemaRoundTrip:
+    """Every schema branch: atmosphere and solar modes, APD excess-noise
+    modes, a SiPM with and without an mc block, optional keys present or
+    absent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_SCENARIOS)
+    def test_save_load_round_trip(self, data):
+        config = config_from_dict(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            first = os.path.join(tmp, "first.json")
+            second = os.path.join(tmp, "second.json")
+            save_scenario(config, first)
+            loaded = load_scenario(first)
+            assert loaded == config
+            save_scenario(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+
+
 class TestLoadValidation:
     def write_config(self, tmp_path, mutate):
         data = scenario_to_dict(table1_preset("apd"))
@@ -143,6 +255,60 @@ class TestLoadValidation:
         config = load_scenario(path)
         assert config.solar.spectrum_table == ((890.0, 1.0, 0.5),
                                                (920.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("section,key", [
+        ("laser", "peak_power_w"), ("laser", "repetition_khz"),
+        ("scene", "range_m"), ("optics", "aperture_model"),
+        ("target", "extends_beyond_spot"), ("detector", "amplifier_noise_na")])
+    def test_null_rejected_names_key(self, tmp_path, section, key):
+        path = self.write_config(
+            tmp_path, lambda d: d[section].update({key: None}))
+        with pytest.raises(ConfigError, match=f"{section}.{key}: null"):
+            load_scenario(path)
+
+    def test_null_section_rejected(self, tmp_path):
+        path = self.write_config(tmp_path, lambda d: d.update(solar=None))
+        with pytest.raises(ConfigError, match="solar: null"):
+            load_scenario(path)
+
+    def mc_config(self, tmp_path, **mc):
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["mc"] = mc
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_trials", 2.7), ("seed", 1.5), ("n_noise_periods", 20.25),
+        ("n_trials", "64"), ("seed", True)])
+    def test_integer_keys_must_be_integral(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"mc.{key}: expected"):
+            load_scenario(self.mc_config(tmp_path, **{key: value}))
+
+    def test_integral_floats_load_as_int(self, tmp_path):
+        mc = load_scenario(self.mc_config(
+            tmp_path, n_trials=64.0, seed=7.0, n_noise_periods=12)).detector.mc
+        assert (mc.n_trials, mc.seed, mc.n_noise_periods) == (64, 7, 12)
+        assert all(type(v) is int
+                   for v in (mc.n_trials, mc.seed, mc.n_noise_periods))
+
+    @pytest.mark.parametrize("mc", [{"seed": -1}, {"n_trials": 1}])
+    def test_mc_seed_and_trial_count_checked(self, tmp_path, mc):
+        with pytest.raises(ConfigError, match="seed|n_trials"):
+            load_scenario(self.mc_config(tmp_path, **mc))
+
+    def test_empty_mc_block_is_the_default(self, tmp_path):
+        det = load_scenario(self.mc_config(tmp_path)).detector
+        assert det.mc == table1_preset("sipm").detector.mc_config()
+
+    def test_dark_load_warning_names_the_file(self, tmp_path):
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["dark_count_rate_cps"] = 1e6
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.warns(UserWarning, match="dark load") as record:
+            load_scenario(str(path))
+        assert record[0].filename == str(path)
 
 
 class TestRunSweep:

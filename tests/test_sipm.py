@@ -367,6 +367,15 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="pde"):
             SipmParams(n_pixels=400, pde=1.5, dead_time_s=6e-9)
 
+    def test_mc_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SipmMcConfig(seed=-5)
+
+    def test_mc_needs_two_trials_for_a_standard_error(self):
+        with pytest.raises(ConfigError, match="n_trials"):
+            SipmMcConfig.for_dead_time(6e-9, seed=3, n_trials=1)
+        SipmMcConfig.for_dead_time(6e-9, seed=3, n_trials=2)
+
     def test_pixel_count(self):
         with pytest.raises(ConfigError, match="n_pixels"):
             SipmParams(n_pixels=0, pde=0.22, dead_time_s=6e-9)
