@@ -62,15 +62,15 @@ class ApdParams:
                     "ionization mode requires electron_ionization_rate")
             if not 0.0 <= self.electron_ionization_rate <= 1.0:
                 raise ConfigError("electron_ionization_rate must be in [0, 1]")
-        if self.surface_dark_current_a < 0:
+        if not self.surface_dark_current_a >= 0:
             raise ConfigError("surface_dark_current_a must be >= 0")
-        if self.bulk_dark_current_a < 0:
+        if not self.bulk_dark_current_a >= 0:
             raise ConfigError("bulk_dark_current_a must be >= 0")
         if not self.load_resistance_ohm > 0:
             raise ConfigError("load_resistance_ohm must be > 0")
         if not self.temperature_k > 0:
             raise ConfigError("temperature_k must be > 0")
-        if self.amplifier_noise_a < 0:
+        if not self.amplifier_noise_a >= 0:
             raise ConfigError("amplifier_noise_a must be >= 0")
 
 

@@ -184,11 +184,15 @@ class _Node:
             return value
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: number too large") from None
         if unit is int:
-            if not float(value).is_integer():
+            if not number.is_integer():
                 raise ConfigError(f"{where}: expected an integer")
             return int(value)
-        return _UNITS[unit][0](float(value)) if unit else float(value)
+        return _UNITS[unit][0](number) if unit else number
 
     def child(self, key: str) -> "_Node":
         return _Node(self.take(key), f"{self.path}.{key}")
@@ -238,7 +242,7 @@ def _spectrum_table(node: _Node, base_dir: str) -> tuple:
     try:
         return tuple((float(a), float(b), float(c))
                      for a, b, c in node.take("spectrum"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{node.path}.spectrum: expected rows of "
             "[wavelength_nm, irradiance_w_m2_nm, transmittance]") from None
@@ -286,7 +290,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
         if mc_node is not None:
             base = SipmMcConfig.for_dead_time(params.dead_time_s)
             choice["mc"] = _read(mc_node, partial(replace, base), _MC)
-        detector = SipmChoice(params=params, **choice)
+        detector = _read(node, SipmChoice, (), params=params, **choice)
     return _read(root, ScenarioConfig, _TOP, scene=scene,
                  atmosphere=atmosphere, optics=optics, target=target,
                  laser=laser, solar=solar, tdc=policy, detector=detector)

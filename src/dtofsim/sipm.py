@@ -12,18 +12,19 @@ the baseline-subtracted fired count in the counting period at the pulse
 over the standard deviation of per-period fired counts under background
 alone.  The counting period is one over the system bandwidth.
 
-The kernel advances a batch of trials together as a (trials, pixels)
-state holding the step at which each pixel is armed again.  Each trial
-draws its uniforms from its own generator in chunks of steps, so batching
-and chunking never change a result.  One batch holds at most
-``_BLOCK_ELEMENTS`` (step, trial, pixel) hit flags, which bounds memory
-independently of the number of steps.
+The kernel samples each pixel as a renewal process: an armed pixel draws
+``E ~ Exp(1)`` and fires at the first step where its hazard (expected
+detections) summed since arming exceeds ``E``, then is dead for one dead
+time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
+random number per firing instead of one per pixel and step.  Each trial
+draws from its own generator and holds O(pixels + steps) memory.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,10 +42,9 @@ _GAUSS_FWHM_FRACTION = math.erf(math.sqrt(math.log(2.0)))
 # occupied-when-pulse-arrives approximation starts to degrade
 DARK_LOAD_WARN_THRESHOLD = 1e-2
 
-# Monte Carlo memory bound: a kernel call holds at most this many
-# (step, trial, pixel) hit flags, and batches at most _MAX_BATCH trials
-_BLOCK_ELEMENTS = 1 << 21
-_MAX_BATCH = 64
+# cap on a step's hazard, so the cumulative hazard stays finite after a
+# certain firing (p = 1); 1 - exp(-64) already rounds to 1
+_MAX_HAZARD = 64.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class SipmParams:
             raise ConfigError("pde must be in (0, 1]")
         if not self.dead_time_s > 0:
             raise ConfigError("dead_time_s must be > 0")
-        if self.dark_count_rate_cps < 0:
+        if not self.dark_count_rate_cps >= 0:
             raise ConfigError("dark_count_rate_cps must be >= 0")
         dark_load = self.n_pixels * self.dark_count_rate_cps * self.dead_time_s
         if dark_load >= DARK_LOAD_WARN_THRESHOLD:
@@ -110,9 +110,8 @@ class SipmMcConfig:
     ``n_noise_periods`` background-only counting periods per trial feed the
     noise estimate.  Trials draw independent sub-seeds from (seed, trial
     index), so results do not depend on worker count, batch size or
-    scheduling.  Trials run in batches of at most 64, and a batch draws its
-    uniforms a chunk of steps at a time, so memory stays bounded however
-    long the simulated span is.
+    scheduling.  A trial draws one exponential per pixel firing and holds
+    O(pixels + steps) memory, however long the simulated span is.
     """
 
     n_trials: int = 1000
@@ -130,7 +129,7 @@ class SipmMcConfig:
             raise ConfigError("time_step_s must be > 0")
         if self.pulse_shape not in PULSE_SHAPES:
             raise ConfigError(f"pulse_shape must be one of {PULSE_SHAPES}")
-        if self.warmup_s < 0:
+        if not self.warmup_s >= 0:
             raise ConfigError("warmup_s must be >= 0")
         if not self.n_noise_periods >= 2:
             raise ConfigError("n_noise_periods must be >= 2")
@@ -252,48 +251,47 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     return profile, half_span - period_steps // 2
 
 
-def _run_trials(rngs: list[np.random.Generator], n_pix: int,
-                dead_steps: int, p_bg: float, warm_steps: int,
-                n_noise_periods: int, period_steps: int, p_pulse: np.ndarray,
-                window_start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array realizations, one per generator, advanced together.
+def _fired_per_step(rng: np.random.Generator, cum: np.ndarray, n_pix: int,
+                    dead_steps: int) -> np.ndarray:
+    """Fired-pixel count at each step of one array realization.
 
-    Returns ``(per_period, pulse_counts)``: row ``i`` of the
-    ``(trials, n_noise_periods)`` array holds trial ``i``'s per-period
-    background counts, and entry ``i`` of ``pulse_counts`` its fired count
-    in the counting period at the pulse.  Each trial draws one uniform per
-    pixel and step from its own generator, in step order, so the result
-    does not depend on which trials share a call or on the chunk size.
+    ``cum[t]`` is the per-pixel hazard summed over the steps before ``t``.
+    A pixel armed at step ``s`` fires at the first ``t`` with ``cum[t + 1]
+    - cum[s] > E``, ``E ~ Exp(1)``, and is armed again at ``t + dead_steps
+    + 1``; all pixels start armed at step 0.
     """
-    n_trials = len(rngs)
+    total = cum.shape[0] - 1
+    ready = np.zeros(n_pix, dtype=np.int64)
+    fired = []
+    while ready.size:
+        # t is the first step with cum[t + 1] > cum[s] + E, so t >= s, and
+        # a zero-hazard step never fires; t == total is no firing
+        t = np.searchsorted(cum[1:], cum[ready] + rng.standard_exponential(
+            ready.size), side="right")
+        fired.append(t)
+        ready = t[t < total - dead_steps - 1] + (dead_steps + 1)
+    return np.bincount(np.concatenate(fired), minlength=total + 1)[:total]
+
+
+def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
+                dead_steps: int, x_bg: float, warm_steps: int,
+                n_noise_periods: int, period_steps: int, x_pulse: np.ndarray,
+                window_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array realizations, one per generator, from the per-pixel hazard
+    ``x_bg`` of a background step and ``x_pulse`` of each pulse-span step:
+    ``(per_period, pulse_counts)``, each trial's per-period background
+    counts and its fired count in the counting period at the pulse."""
     noise_steps = n_noise_periods * period_steps
-    total = warm_steps + noise_steps + p_pulse.shape[0]
-    p_steps = np.concatenate([np.full(warm_steps + noise_steps, p_bg), p_pulse])
-    chunk = min(total, max(1, _BLOCK_ELEMENTS // (n_trials * n_pix)))
-    uniforms = np.empty((chunk, n_pix))
-    hits = np.empty((chunk, n_trials, n_pix), dtype=bool)
-    armed = np.empty((n_trials, n_pix), dtype=bool)
-    # a pixel that fires at step t is armed again at t + dead_steps + 1
-    ready = np.zeros((n_trials, n_pix), dtype=np.int64)
-    counts = np.empty((total, n_trials), dtype=np.int64)
-    for t0 in range(0, total, chunk):
-        n = min(chunk, total - t0)
-        p_col = p_steps[t0:t0 + n, None]
-        for i, rng in enumerate(rngs):
-            rng.random(out=uniforms[:n])
-            np.less(uniforms[:n], p_col, out=hits[:n, i])
-        for k in range(n):
-            fired = hits[k]
-            np.less_equal(ready, t0 + k, out=armed)
-            np.logical_and(fired, armed, out=fired)
-            np.copyto(ready, t0 + k + dead_steps + 1, where=fired)
-        counts[t0:t0 + n] = np.count_nonzero(hits[:n], axis=2)
-    noise_counts = counts[warm_steps:warm_steps + noise_steps]
-    per_period = noise_counts.reshape(n_noise_periods, period_steps,
-                                      n_trials).sum(axis=1).T
+    hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
+    cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, _MAX_HAZARD))])
     window = warm_steps + noise_steps + window_start
-    pulse_counts = counts[window:window + period_steps].sum(axis=0)
-    return per_period, pulse_counts
+    per_period, pulse_counts = [], []
+    for rng in rngs:
+        counts = _fired_per_step(rng, cum, n_pix, dead_steps)
+        per_period.append(counts[warm_steps:warm_steps + noise_steps].reshape(
+            n_noise_periods, period_steps).sum(axis=1))
+        pulse_counts.append(counts[window:window + period_steps].sum())
+    return np.array(per_period), np.array(pulse_counts)
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -303,10 +301,11 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     """Trigger SNR from the time-domain dead-time simulation.
 
     Returns ``(snr_estimate, std_error)``.  The trials are split into
-    contiguous batches, about one per worker thread.  Deterministic for a
-    fixed seed regardless of ``workers``; trial ``i`` always uses the
-    sub-seed ``(seed, i)``, so estimates at different operating points
-    share random numbers.
+    contiguous batches, one per worker thread.  Deterministic for a fixed
+    seed regardless of ``workers``; trial ``i`` always uses the sub-seed
+    ``(seed, i)``, so estimates at different operating points share random
+    numbers.  The hazard kernel is exact in distribution for the per-step
+    firing law and needs O(pixels + steps) memory per trial.
     """
     if p_r < 0 or p_rs < 0:
         raise ConfigError("optical powers must be >= 0")
@@ -326,24 +325,21 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
 
     # detected-arrival rates per pixel; dark counts bypass the PDE
     rate_bg = p_rs * params.pde / (h_nu * n_pix) + params.dark_count_rate_cps
-    p_bg = -math.expm1(-rate_bg * dt)
     counts = PhotonCounts.from_powers(p_r, p_rs, pulse_fwhm_s,
                                       wavelength_m, params.dead_time_s)
     profile, window_start = _pulse_profile(mc, counts.n_s_photon,
                                            pulse_fwhm_s, period_steps)
-    p_pulse = -np.expm1(-(rate_bg * dt + profile * params.pde / n_pix))
+    x_pulse = rate_bg * dt + profile * params.pde / n_pix
 
-    # contiguous trial batches, one kernel call each; a batch shares the
-    # element budget with its chunk of steps
-    batch = max(1, min(-(-mc.n_trials // workers), _MAX_BATCH,
-                       _BLOCK_ELEMENTS // n_pix))
+    batch = -(-mc.n_trials // workers)  # contiguous, one per worker
 
     def run(first: int) -> tuple[np.ndarray, np.ndarray]:
-        rngs = [np.random.Generator(np.random.PCG64(
+        # made one at a time, so a batch never holds all its generators
+        rngs = (np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
-                for i in range(first, min(first + batch, mc.n_trials))]
-        return _run_trials(rngs, n_pix, dead_steps, p_bg, warm_steps,
-                           mc.n_noise_periods, period_steps, p_pulse,
+                for i in range(first, min(first + batch, mc.n_trials)))
+        return _run_trials(rngs, n_pix, dead_steps, rate_bg * dt, warm_steps,
+                           mc.n_noise_periods, period_steps, x_pulse,
                            window_start)
 
     firsts = range(0, mc.n_trials, batch)

@@ -63,14 +63,19 @@ def sipm_firing_mc(n_pixels: int, pde: float, q: float, trials: int,
         detected = rng.poisson(k * (pde / n_pixels))
         fired[done:done + n] = (detected > 0).sum(axis=1)
         done += n
-    x = fired.astype(float)
+    return sample_moments(fired)
+
+
+def sample_moments(x) -> dict:
+    """Sample mean and variance of ``x`` with their standard errors."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
     mean = float(x.mean())
     var = float(x.var(ddof=1))
-    se_mean = math.sqrt(var / trials)
+    se_mean = math.sqrt(var / n)
     centered = x - mean
     m4 = float((centered ** 4).mean())
-    se_var = math.sqrt(max(m4 - var * var * (trials - 3) / (trials - 1), 0.0)
-                       / trials)
+    se_var = math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
     return {"mean": mean, "var": var, "se_mean": se_mean, "se_var": se_var}
 
 
@@ -81,7 +86,7 @@ def sipm_dead_time_trial(rng: np.random.Generator, n_pix: int,
                          window_start: int) -> tuple[np.ndarray, float]:
     """One SiPM array realization, one step and one trial at a time.
 
-    The straightforward form of the library's batched dead-time kernel: it
+    The per-step Bernoulli form of the library's dead-time kernel: it
     draws the whole (steps x pixels) uniform block at once and keeps a
     per-pixel dead-time countdown.  Returns per-period background counts
     and the fired count in the counting period at the pulse.

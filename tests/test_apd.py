@@ -220,6 +220,13 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="gain"):
             replace(TABLE1_APD, gain=0.5)
 
+    @pytest.mark.parametrize("field", ["surface_dark_current_a",
+                                       "bulk_dark_current_a",
+                                       "amplifier_noise_a"])
+    def test_nan_noise_term_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
+            replace(TABLE1_APD, **{field: math.nan})
+
     def test_ionization_rate_required(self):
         with pytest.raises(ConfigError, match="ionization"):
             ApdParams(gain=80.0, quantum_efficiency=0.7, wavelength_m=905e-9,

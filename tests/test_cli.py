@@ -221,6 +221,26 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and f"laser.{key}: null" in err
 
+    def test_nan_dark_count_rate_is_1(self, tmp_path, capsys):
+        # json accepts the non-standard NaN literal
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["dark_count_rate_cps"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "dark_count_rate_cps must be >= 0" in err
+
+    def test_oversized_integer_is_1(self, tmp_path, capsys):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["laser"]["peak_power_w"] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "laser.peak_power_w" in err
+
     def test_negative_seed_is_1(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "sipm",
                                "--seed", "-5")

@@ -301,6 +301,29 @@ class TestLoadValidation:
         det = load_scenario(self.mc_config(tmp_path)).detector
         assert det.mc == table1_preset("sipm").detector.mc_config()
 
+    @pytest.mark.parametrize("section,key", [
+        ("laser", "peak_power_w"), ("detector", "mc.n_trials")])
+    def test_oversized_integer_names_key(self, tmp_path, section, key):
+        # 10**400 has no float; the float and the integer reader reject it
+        data = scenario_to_dict(table1_preset("sipm"))
+        if key.startswith("mc."):
+            data[section]["mc"] = {key[3:]: 10 ** 400}
+        else:
+            data[section][key] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{section}.{key}: number too"):
+            load_scenario(str(path))
+
+    def test_invalid_snr_mode_names_section(self, tmp_path):
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["snr_mode"] = "exact"
+        path = tmp_path / "mode.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=r"json: scenario\.detector: snr_mode must"):
+            load_scenario(str(path))
+
     def test_dark_load_warning_names_the_file(self, tmp_path):
         data = scenario_to_dict(table1_preset("sipm"))
         data["detector"]["dark_count_rate_cps"] = 1e6

@@ -2,7 +2,6 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from dtofsim.sipm import (PhotonCounts, SipmMcConfig, SipmParams,
                           fired_std, monte_carlo_snr, signal_fired,
                           trigger_snr_analytic, trigger_snr_approx)
 
-from oracles import sipm_dead_time_trial, sipm_firing_mc
+from oracles import sample_moments, sipm_dead_time_trial, sipm_firing_mc
 
 TABLE1_SIPM = SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
                          dark_count_rate_cps=2007.0)
@@ -284,8 +283,60 @@ class TestMonteCarlo:
                             self.BW, mc)
 
 
+def hazard(p):
+    """Per-step hazard whose firing probability is ``p`` (inf at p = 1)."""
+    with np.errstate(divide="ignore"):
+        return -np.log1p(-np.asarray(p, dtype=float))
+
+
 class TestKernel:
-    """The batched kernel against the per-trial loop and pinned outputs."""
+    """The hazard kernel against the per-step law, the per-step reference
+    loop and pinned outputs."""
+
+    def test_first_firing_follows_the_step_law(self):
+        # a ramped hazard, zero in the first step, and a dead time longer
+        # than the span, so each pixel fires at most once: the step of its
+        # first firing has probability prod(1 - p_j, j < t) * p_t
+        from scipy.stats import chi2
+
+        n_pix, x = 200_000, np.linspace(0.0, 0.1, 40)
+        p = -np.expm1(-x)
+        survive = np.concatenate([[1.0], np.cumprod(1.0 - p)])
+        expected = n_pix * np.append(survive[:-1] * p, survive[-1])
+        cum = np.concatenate([[0.0], np.cumsum(x)])
+        counts = sipm._fired_per_step(np.random.default_rng(2024), cum,
+                                      n_pix, dead_steps=x.size)
+        observed = np.append(counts, n_pix - counts.sum())
+        assert observed[0] == 0 and expected[0] == 0
+        stat = float((((observed - expected) ** 2)[1:] / expected[1:]).sum())
+        assert chi2.sf(stat, df=observed.size - 2) > 1e-3
+
+    @pytest.mark.parametrize("x_pulse,window_start", [
+        (np.r_[np.full(4, 0.17), np.full(2, 0.02)], 0),   # rectangular
+        (np.linspace(0.02, 0.4, 8), 1),                     # ramped
+        (np.r_[np.full(2, np.inf), np.full(4, 0.02)], 0),  # p = 1
+    ], ids=["rectangular", "ramped", "certain"])
+    def test_agrees_with_reference_statistically(self, x_pulse, window_start):
+        n_trials, n_pix, dead_steps, x_bg = 1500, 20, 5, 0.02
+        layout = (20, 6, 6)  # warm-up steps, noise periods, period steps
+        per_period, pulse_counts = sipm._run_trials(
+            [np.random.default_rng([11, i]) for i in range(n_trials)],
+            n_pix, dead_steps, x_bg, *layout, x_pulse, window_start)
+        rng = np.random.default_rng(12)
+        ref = [sipm_dead_time_trial(rng, n_pix, dead_steps,
+                                    -math.expm1(-x_bg), *layout,
+                                    -np.expm1(-x_pulse), window_start)
+               for _ in range(n_trials)]
+        samples = {
+            "period": (per_period[:, -1], [r[0][-1] for r in ref]),
+            "pulse": (pulse_counts, [r[1] for r in ref]),
+        }
+        for name, (new, old) in samples.items():
+            a, b = sample_moments(new), sample_moments(old)
+            assert abs(a["mean"] - b["mean"]) \
+                < 4 * math.hypot(a["se_mean"], b["se_mean"]), name
+            assert abs(a["var"] - b["var"]) \
+                <= 5 * math.hypot(a["se_var"], b["se_var"]), name
 
     @settings(max_examples=50, deadline=None)
     @given(n_pix=st.integers(1, 50), dead_steps=st.integers(1, 12),
@@ -293,35 +344,45 @@ class TestKernel:
            n_noise_periods=st.integers(2, 4), period_steps=st.integers(1, 8),
            pulse_extra=st.integers(0, 6), window_start=st.integers(0, 6),
            p_bg=st.floats(0.0, 0.5), p_peak=st.floats(0.0, 1.0),
-           chunk=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
-    # 24 steps in chunks of 1 and in chunks of 5, which do not divide them
+           seed=st.integers(0, 2 ** 32 - 1))
     @example(n_pix=7, dead_steps=3, n_trials=5, warm_steps=10,
              n_noise_periods=2, period_steps=4, pulse_extra=2,
-             window_start=1, p_bg=0.2, p_peak=0.9, chunk=1, seed=0)
-    @example(n_pix=7, dead_steps=3, n_trials=5, warm_steps=10,
-             n_noise_periods=2, period_steps=4, pulse_extra=2,
-             window_start=1, p_bg=0.2, p_peak=0.9, chunk=5, seed=0)
-    def test_matches_per_trial_reference(self, n_pix, dead_steps, n_trials,
-                                         warm_steps, n_noise_periods,
-                                         period_steps, pulse_extra,
-                                         window_start, p_bg, p_peak, chunk,
-                                         seed):
-        p_pulse = np.linspace(p_bg, p_peak, period_steps + pulse_extra)
+             window_start=1, p_bg=0.2, p_peak=1.0, seed=0)
+    def test_realization_invariants(self, n_pix, dead_steps, n_trials,
+                                    warm_steps, n_noise_periods,
+                                    period_steps, pulse_extra, window_start,
+                                    p_bg, p_peak, seed):
+        span = period_steps + pulse_extra
         window_start = min(window_start, pulse_extra)
-        args = (n_pix, dead_steps, p_bg, warm_steps, n_noise_periods,
-                period_steps, p_pulse, window_start)
+        layout = (warm_steps, n_noise_periods, period_steps)
 
-        def rngs():
-            return [np.random.default_rng([seed, i]) for i in range(n_trials)]
+        def run(x_bg, x_pulse):
+            rngs = [np.random.default_rng([seed, i]) for i in range(n_trials)]
+            return sipm._run_trials(rngs, n_pix, dead_steps, x_bg, *layout,
+                                    x_pulse, window_start)
 
-        with mock.patch.object(sipm, "_BLOCK_ELEMENTS",
-                               chunk * n_trials * n_pix):
-            per_period, pulse_counts = sipm._run_trials(rngs(), *args)
+        per_period, pulse_counts = run(
+            hazard(p_bg), hazard(np.linspace(p_bg, p_peak, span)))
         assert per_period.shape == (n_trials, n_noise_periods)
-        for i, rng in enumerate(rngs()):
-            ref_periods, ref_pulse = sipm_dead_time_trial(rng, *args)
-            assert per_period[i].tolist() == ref_periods.tolist()
-            assert pulse_counts[i] == ref_pulse
+        assert pulse_counts.shape == (n_trials,)
+        most = n_pix * -(-period_steps // (dead_steps + 1))
+        assert ((0 <= per_period) & (per_period <= most)).all()
+        assert ((0 <= pulse_counts) & (pulse_counts <= most)).all()
+
+        per_period, pulse_counts = run(0.0, np.zeros(span))
+        assert not per_period.any() and not pulse_counts.any()
+
+        # p = 1 everywhere: every pixel fires at each multiple of
+        # dead_steps + 1
+        per_period, pulse_counts = run(hazard(1.0), hazard(np.ones(span)))
+        fires = n_pix * (np.arange(warm_steps + n_noise_periods
+                                   * period_steps + span)
+                         % (dead_steps + 1) == 0)
+        noise = fires[warm_steps:warm_steps + n_noise_periods * period_steps]
+        window = warm_steps + n_noise_periods * period_steps + window_start
+        assert (per_period == noise.reshape(n_noise_periods, period_steps)
+                .sum(axis=1)).all()
+        assert (pulse_counts == fires[window:window + period_steps].sum()).all()
 
     def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
         det = SipmChoice(params=sipm_config.detector.params,
@@ -329,8 +390,8 @@ class TestKernel:
                          mc=SipmMcConfig.for_dead_time(6e-9, seed=11,
                                                        n_trials=8))
         result = ranging.max_range(sipm_config, det, sipm_config.tdc)
-        assert result.r_max_m == 257.4529790878296
-        assert result.snr_at_rmax == 4.991932723369429
+        assert result.r_max_m == 262.5929899215698
+        assert result.snr_at_rmax == 5.011852615418177
 
     def test_dilute_point_is_pinned(self, sipm_config):
         _, p_rs = ranging.link_powers(sipm_config, 100.0)
@@ -338,7 +399,7 @@ class TestKernel:
                           warmup_s=6e-8, n_noise_periods=30)
         assert monte_carlo_snr(sipm_config.detector.params, photons(50.0),
                                p_rs / 100.0, 6e-9, 905e-9, 1.0 / 6e-9,
-                               mc) == (8.28761982524529, 0.42395734017470516)
+                               mc) == (9.57932115428008, 0.5138895924630094)
 
     def test_memory_does_not_grow_with_steps_times_pixels(self):
         # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
@@ -366,6 +427,14 @@ class TestParamValidation:
     def test_pde_range(self):
         with pytest.raises(ConfigError, match="pde"):
             SipmParams(n_pixels=400, pde=1.5, dead_time_s=6e-9)
+
+    def test_nan_dark_count_rate_rejected(self):
+        with pytest.raises(ConfigError, match="dark_count_rate_cps"):
+            replace(TABLE1_SIPM, dark_count_rate_cps=math.nan)
+
+    def test_nan_warmup_rejected(self):
+        with pytest.raises(ConfigError, match="warmup_s"):
+            SipmMcConfig(warmup_s=math.nan)
 
     def test_mc_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="seed"):
