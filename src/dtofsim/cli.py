@@ -49,9 +49,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="detector variant of the built-in preset "
                              "(ignored when --config is given)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="Monte Carlo trial threads for SiPM monte_carlo "
-                             "evaluations (default 1)")
 
 
 def _apply_seed(det: DetectorChoice, seed: int | None) -> DetectorChoice:
@@ -129,7 +126,7 @@ def _cmd_range(args) -> None:
     lines = ["detector,r_max_m,snr_at_rmax,min_detectable_power_w,"
              "background_power_w,method"]
     for det in detectors:
-        res = max_range(config, det, config.tdc, mc_workers=args.workers)
+        res = max_range(config, det, config.tdc)
         numbers = (res.r_max_m, res.snr_at_rmax, res.min_detectable_power_w,
                    res.background_power_w)
         lines.append(",".join([det.label, *map(format_number, numbers),
@@ -141,7 +138,7 @@ def _sweep_common(args, kind: str, lo, hi, n, spacing) -> None:
     config, detectors = _resolve(args, allow_both=True)
     grid = make_grid(lo, hi, n, spacing)
     spec = SweepSpec(kind=kind, grid=grid, detectors=tuple(detectors))
-    result = run_sweep(config, spec, workers=args.workers)
+    result = run_sweep(config, spec)
     _emit_sweep(result, args)
 
 
@@ -162,7 +159,7 @@ def _cmd_sipm_response(args) -> None:
     config, _ = _resolve(args, allow_both=True)
     grid = make_grid(args.nmin, args.nmax, args.n, "log")
     spec = SweepSpec(kind="photon_response", grid=grid)
-    result = run_sweep(config, spec, workers=args.workers)
+    result = run_sweep(config, spec)
     _emit_sweep(result, args)
 
 
@@ -267,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ def link_powers(scenario: ScenarioConfig, range_m: float) -> tuple[float, float]
 
 
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
-                 range_m: float, mc_workers: int = 1) -> float:
+                 range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``."""
     if not range_m > 0:
         raise ConfigError("range_m must be > 0")
@@ -71,7 +71,7 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
         snr, _ = sipm.monte_carlo_snr(detector.params, p_r, p_rs,
                                       laser.pulse_fwhm_s, laser.wavelength_m,
                                       scenario.bandwidth_hz,
-                                      detector.mc_config(), workers=mc_workers)
+                                      detector.mc_config())
         return snr
     counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
                                            laser.wavelength_m,
@@ -98,7 +98,7 @@ def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
-              policy: TdcPolicy, mc_workers: int = 1) -> RangeResult:
+              policy: TdcPolicy) -> RangeResult:
     """Range at which the trigger SNR falls to the threshold-to-noise ratio.
 
     Bisection on a bracket grown by doubling from 100 m; raises
@@ -109,7 +109,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     is_mc = isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
 
     def f(r: float) -> float:
-        return snr_at_range(scenario, detector, r, mc_workers=mc_workers)
+        return snr_at_range(scenario, detector, r)
 
     lo = 1.0
     snr_lo = f(lo)
@@ -247,7 +247,6 @@ SENSITIVITY_PARAMS: dict[str, _Edit] = {
     "peak_power_w": _section_edit("laser", "peak_power_w"),
     "pulse_fwhm_s": _section_edit("laser", "pulse_fwhm_s"),
     "wavelength_m": _section_edit("laser", "wavelength_m"),
-    "repetition_hz": _section_edit("laser", "repetition_hz"),  # never read
     "reflectivity": _section_edit("target", "reflectivity"),
     "one_way_transmittance": _atmosphere_edit,
     "aperture_radius_m": _section_edit("optics", "aperture_radius_m"),
@@ -260,7 +259,6 @@ SENSITIVITY_PARAMS: dict[str, _Edit] = {
     "incidence_angle_rad": _section_edit("scene", "incidence_angle_rad"),
     "bandwidth_hz": _bandwidth_edit,
     "tnr": _policy_edit("tnr"),
-    "window_s": _policy_edit("window_s"),
     "gain": _detector_edit(ApdChoice, "gain"),
     "quantum_efficiency": _detector_edit(ApdChoice, "quantum_efficiency"),
     "excess_noise_index": _detector_edit(ApdChoice, "excess_noise_index"),

@@ -1,7 +1,7 @@
 """Scenario files: schema, strict loader, serializer and reference preset.
 
 Scenario files are JSON in the field units a lidar datasheet would use
-(W, kHz, ns, %, klux, mm, nA, ohm, cps, m, degrees); everything converts
+(W, MHz, ns, %, klux, mm, nA, ohm, cps, m, degrees); everything converts
 to SI on load.  Unknown keys are rejected so a typo cannot silently fall
 back to a default, and so is ``null``: an optional key that is absent
 takes the model's default.
@@ -61,8 +61,6 @@ _UNITS: dict[str, tuple[Callable[[float], float],
     "pct": (lambda v: v / 100.0, lambda v: v * 100.0),
     "mm": (lambda v: v / 1000.0, lambda v: v * 1000.0),
     "nm": _NANO, "ns": _NANO, "na": _NANO,
-    "us": (lambda v: v * 1e-6, lambda v: v * 1e6),
-    "khz": (lambda v: v * 1e3, lambda v: v * 1e-3),
     "mhz": (lambda v: v * 1e6, lambda v: v * 1e-6),
     "deg": (math.radians, math.degrees),
 }
@@ -97,7 +95,6 @@ _LASER: _Table = (
     ("peak_power_w", "peak_power_w", None, True),
     ("wavelength_nm", "wavelength_m", "nm", True),
     ("pulse_fwhm_ns", "pulse_fwhm_s", "ns", True),
-    ("repetition_khz", "repetition_hz", "khz", False),
 )
 # the spectrum_integral rows are read and written by hand
 _SOLAR: dict[str, _Table] = {
@@ -112,11 +109,7 @@ _SOLAR: dict[str, _Table] = {
     ),
     "spectrum_integral": (),
 }
-_TDC: _Table = (
-    ("tnr", "tnr", None, True),
-    ("window_us", "window_s", "us", True),
-    ("bandwidth_mhz", "bandwidth_hz", "mhz", True),
-)
+_TDC: _Table = (("tnr", "tnr", None, True),)
 _TOP: _Table = (("bandwidth_mhz", "bandwidth_hz", "mhz", True),)
 # detector parameters by type; the APD wavelength is the laser's
 _DETECTOR: dict[str, _Table] = {
@@ -149,6 +142,15 @@ _MC: _Table = (
     ("warmup_ns", "warmup_s", "ns", False),
     ("n_noise_periods", "n_noise_periods", int, False),
 )
+# keys earlier versions wrote and the model never reads, by section: each
+# is read as a number (null or a string is an error) and dropped; a key
+# with a value accepts only that value, for the reason given
+_LEGACY: dict[str, tuple[tuple[str, float | None, str], ...]] = {
+    "laser": (("repetition_khz", None, ""),),
+    "tdc": (("window_us", None, ""), ("bandwidth_mhz", None, ""),
+            ("limit_detection_prob", 0.5,
+             "r_max is the range of 50 % detection probability")),
+}
 
 _KIND_NAMES = {str: "a string", bool: "a boolean"}
 
@@ -196,6 +198,16 @@ class _Node:
 
     def child(self, key: str) -> "_Node":
         return _Node(self.take(key), f"{self.path}.{key}")
+
+    def section(self, key: str) -> "_Node":
+        """``child(key)`` with that section's ``_LEGACY`` keys dropped."""
+        node = self.child(key)
+        for old, only, why in _LEGACY.get(key, ()):
+            value = node.value(old) if old in node else only
+            if only is not None and value != only:
+                raise ConfigError(f"{node.path}.{old}: only {only:g} is "
+                                  f"supported; {why}")
+        return node
 
     def finish(self) -> None:
         if self._data:
@@ -261,7 +273,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     atmosphere = _read(node, AtmosphereModel, _ATMOSPHERE[mode], mode=mode)
     optics = _read(root.child("optics"), ReceiverOptics, _OPTICS)
     target = _read(root.child("target"), TargetModel, _TARGET)
-    laser = _read(root.child("laser"), LaserParams, _LASER)
+    laser = _read(root.section("laser"), LaserParams, _LASER)
 
     node = root.child("solar")
     mode = _select(node, "mode", _SOLAR)
@@ -269,14 +281,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
                 if mode == "spectrum_integral" else {})
     solar = _read(node, SolarModel, _SOLAR[mode], mode=mode, **spectrum)
 
-    node = root.child("tdc")
-    # legacy key: r_max is where SNR = tnr, i.e. detection probability 0.5
-    if "limit_detection_prob" in node \
-            and node.value("limit_detection_prob") != 0.5:
-        raise ConfigError(f"{node.path}.limit_detection_prob: only 0.5 is "
-                          "supported; r_max is the range of 50 % detection "
-                          "probability")
-    policy = _read(node, TdcPolicy, _TDC)
+    policy = _read(root.section("tdc"), TdcPolicy, _TDC)
 
     node = root.child("detector")
     kind = _select(node, "type", _DETECTOR)
@@ -394,11 +399,11 @@ _TABLE1_COMMON: dict = {
                "sun_efficiency_pct": 79.86, "aperture_model": "constant"},
     "target": {"reflectivity_pct": 10.0, "extends_beyond_spot": True},
     "laser": {"peak_power_w": 45.0, "wavelength_nm": 905.0,
-              "pulse_fwhm_ns": 6.0, "repetition_khz": 50.0},
+              "pulse_fwhm_ns": 6.0},
     "solar": {"mode": "illuminance_scaled", "illuminance_klux": 100.0,
               "reference_illuminance_klux": 100.0,
               "reference_irradiance_w_m2": 29.4},
-    "tdc": {"tnr": 5.0, "window_us": 4.0, "bandwidth_mhz": 167.0},
+    "tdc": {"tnr": 5.0},
     "bandwidth_mhz": 167.0,
 }
 

@@ -127,14 +127,12 @@ class LaserParams:
     peak_power_w: float
     wavelength_m: float
     pulse_fwhm_s: float
-    repetition_hz: float = 0.0  # bookkeeping only; does not enter the model
 
     def __post_init__(self) -> None:
         _require(self.peak_power_w > 0, "peak_power_w must be > 0")
         _require(self.pulse_fwhm_s > 0, "pulse_fwhm_s must be > 0")
         _require(0.3e-6 < self.wavelength_m < 2.0e-6,
                  "wavelength_m must be in (0.3e-6, 2.0e-6)")
-        _require(self.repetition_hz >= 0, "repetition_hz must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,11 @@ DARK_LOAD_WARN_THRESHOLD = 1e-2
 # cap on a step's hazard, so the cumulative hazard stays finite after a
 # certain firing (p = 1); 1 - exp(-64) already rounds to 1
 _MAX_HAZARD = 64.0
+
+# caps on the steps of one Monte Carlo trial (its arrays) and of all trials
+# of one estimate (its run time); table1 counts about 2100 and 2.1e6
+MAX_TRIAL_STEPS = 10**6
+MAX_TOTAL_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,9 @@ class SipmMcConfig:
     """Time-domain simulation controls.
 
     ``n_noise_periods`` background-only counting periods per trial feed the
-    noise estimate.  Trials draw independent sub-seeds from (seed, trial
-    index), so results do not depend on worker count, batch size or
-    scheduling.  A trial draws one exponential per pixel firing and holds
-    O(pixels + steps) memory, however long the simulated span is.
+    noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``.  A
+    trial draws one exponential per pixel firing and holds O(pixels +
+    steps) memory; ``monte_carlo_snr`` caps the steps.
     """
 
     n_trials: int = 1000
@@ -226,8 +229,8 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
                    period_steps: int) -> tuple[np.ndarray, int]:
     """Expected incident signal photons per step over the pulse span.
 
-    Returns ``(profile, window_start)``; the counting period is the
-    ``period_steps`` entries starting at ``window_start`` and is aligned so
+    Returns ``(profile, window_offset)``; the counting period is the
+    ``period_steps`` entries starting at ``window_offset`` and is aligned so
     the pulse FWHM sits inside it (rectangular: flush at the window start;
     gaussian: peak at the window center).
     """
@@ -276,7 +279,7 @@ def _fired_per_step(rng: np.random.Generator, cum: np.ndarray, n_pix: int,
 def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
                 dead_steps: int, x_bg: float, warm_steps: int,
                 n_noise_periods: int, period_steps: int, x_pulse: np.ndarray,
-                window_start: int) -> tuple[np.ndarray, np.ndarray]:
+                window_offset: int) -> tuple[np.ndarray, np.ndarray]:
     """Array realizations, one per generator, from the per-pixel hazard
     ``x_bg`` of a background step and ``x_pulse`` of each pulse-span step:
     ``(per_period, pulse_counts)``, each trial's per-period background
@@ -284,7 +287,7 @@ def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
     noise_steps = n_noise_periods * period_steps
     hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
     cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, _MAX_HAZARD))])
-    window = warm_steps + noise_steps + window_start
+    window = warm_steps + noise_steps + window_offset
     per_period, pulse_counts = [], []
     for rng in rngs:
         counts = _fired_per_step(rng, cum, n_pix, dead_steps)
@@ -300,12 +303,13 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
                     workers: int = 1) -> tuple[float, float]:
     """Trigger SNR from the time-domain dead-time simulation.
 
-    Returns ``(snr_estimate, std_error)``.  The trials are split into
-    contiguous batches, one per worker thread.  Deterministic for a fixed
-    seed regardless of ``workers``; trial ``i`` always uses the sub-seed
-    ``(seed, i)``, so estimates at different operating points share random
-    numbers.  The hazard kernel is exact in distribution for the per-step
-    firing law and needs O(pixels + steps) memory per trial.
+    Returns ``(snr_estimate, std_error)``.  Deterministic for a fixed seed;
+    trial ``i`` always uses the sub-seed ``(seed, i)``, so estimates at
+    different operating points share random numbers.  The hazard kernel is
+    exact in distribution for the per-step firing law and needs O(pixels +
+    steps) memory per trial.  A trial over ``MAX_TRIAL_STEPS`` steps, or
+    all trials over ``MAX_TOTAL_STEPS``, is a ``ConfigError``.  ``workers``
+    is ignored; the benchmark harness in ``perfbench/`` still passes it.
     """
     if p_r < 0 or p_rs < 0:
         raise ConfigError("optical powers must be >= 0")
@@ -315,6 +319,18 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
         raise ConfigError("time_step_s must be <= dead_time_s / 10")
     if mc.warmup_s < 3.0 * params.dead_time_s:
         raise ConfigError("warmup_s must be >= 3 * dead_time_s")
+    # in floats, so no count overflows; one period and four pulse widths
+    # cover the pulse span of either shape
+    trial_steps = (mc.warmup_s + (mc.n_noise_periods + 1) / bandwidth_hz
+                   + 4.0 * pulse_fwhm_s) / mc.time_step_s
+    if not trial_steps <= MAX_TRIAL_STEPS:
+        raise ConfigError(f"mc.time_step_ns, mc.n_noise_periods: a trial of "
+                          f"{trial_steps:.4g} steps exceeds the cap of "
+                          f"{MAX_TRIAL_STEPS}")
+    if not mc.n_trials * trial_steps <= MAX_TOTAL_STEPS:
+        raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
+                          f"{trial_steps:.4g} steps exceed the cap of "
+                          f"{MAX_TOTAL_STEPS}")
 
     dt = mc.time_step_s
     n_pix = int(round(params.n_pixels))
@@ -327,30 +343,19 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     rate_bg = p_rs * params.pde / (h_nu * n_pix) + params.dark_count_rate_cps
     counts = PhotonCounts.from_powers(p_r, p_rs, pulse_fwhm_s,
                                       wavelength_m, params.dead_time_s)
-    profile, window_start = _pulse_profile(mc, counts.n_s_photon,
-                                           pulse_fwhm_s, period_steps)
+    profile, window_offset = _pulse_profile(mc, counts.n_s_photon,
+                                            pulse_fwhm_s, period_steps)
     x_pulse = rate_bg * dt + profile * params.pde / n_pix
 
-    batch = -(-mc.n_trials // workers)  # contiguous, one per worker
-
-    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
-        # made one at a time, so a batch never holds all its generators
-        rngs = (np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
-                for i in range(first, min(first + batch, mc.n_trials)))
-        return _run_trials(rngs, n_pix, dead_steps, rate_bg * dt, warm_steps,
-                           mc.n_noise_periods, period_steps, x_pulse,
-                           window_start)
-
-    firsts = range(0, mc.n_trials, batch)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, firsts))
-    else:
-        results = [run(first) for first in firsts]
-
-    background = np.concatenate([r[0] for r in results]).ravel().astype(float)
-    pulse_counts = np.concatenate([r[1] for r in results]).astype(float)
+    # made one at a time, so the trials never hold all their generators
+    rngs = (np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
+            for i in range(mc.n_trials))
+    per_period, pulse_counts = _run_trials(
+        rngs, n_pix, dead_steps, rate_bg * dt, warm_steps, mc.n_noise_periods,
+        period_steps, x_pulse, window_offset)
+    background = per_period.ravel().astype(float)
+    pulse_counts = pulse_counts.astype(float)
 
     baseline = float(background.mean())
     noise_std = float(background.std(ddof=1))

@@ -22,6 +22,10 @@ SWEEP_KINDS = ("distance", "elevation", "illuminance", "photon_response")
 
 STATUS_OK = "ok"
 
+# most points a grid may have (the README's largest has 200), so that a
+# mistyped --n fails at once instead of allocating gigabytes
+MAX_GRID_POINTS = 10_000
+
 # fired-count response curve families: (pde, n_pixels, background photons)
 PHOTON_RESPONSE_FAMILIES: tuple[tuple[float, float, float], ...] = (
     (0.10, 100, 0.0),
@@ -61,8 +65,8 @@ class SweepSpec:
 
 def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[float, ...]:
     """Monotone grid with ``n`` points between ``lo`` and ``hi``."""
-    if n < 1:
-        raise ConfigError("grid size must be >= 1")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid size must be in [1, {MAX_GRID_POINTS}]")
     if n == 1:
         return (float(lo),)
     if not lo < hi:
@@ -100,9 +104,9 @@ class SweepResult:
 
 
 def _distance_point(config: ScenarioConfig, det: DetectorChoice,
-                    r: float, workers: int) -> SweepRow:
+                    r: float) -> SweepRow:
     try:
-        snr = ranging.snr_at_range(config, det, r, mc_workers=workers)
+        snr = ranging.snr_at_range(config, det, r)
     except SolverError as exc:
         return SweepRow(r, det.label, None, type(exc).__name__)
     status = STATUS_OK
@@ -116,10 +120,9 @@ def _distance_point(config: ScenarioConfig, det: DetectorChoice,
 
 
 def _max_range_point(config: ScenarioConfig, det: DetectorChoice,
-                     x: float, workers: int) -> SweepRow:
+                     x: float) -> SweepRow:
     try:
-        result = ranging.max_range(config, det, config.tdc,
-                                   mc_workers=workers)
+        result = ranging.max_range(config, det, config.tdc)
     except ranging.NoDetectionError:
         return SweepRow(x, det.label, None, "no_detection")
     except ranging.UnboundedRangeError:
@@ -158,8 +161,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
     """Evaluate a sweep point by point, in grid order.
 
-    ``workers`` is the Monte Carlo trial-thread count passed on to every
-    SiPM ``monte_carlo`` evaluation; it does not change any row.
+    ``workers`` is accepted and ignored, like ``sipm.monte_carlo_snr``'s.
     """
     if spec.kind == "photon_response":
         rows = _photon_response_rows(config, spec.grid)
@@ -174,7 +176,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     rows = []
     for x in spec.grid:
         cfg = _scenario_at(config, spec.kind, x)
-        rows.extend(point(cfg, det, x, workers) for det in spec.detectors)
+        rows.extend(point(cfg, det, x) for det in spec.detectors)
 
     labels = tuple(det.label for det in spec.detectors)
     if spec.kind == "distance":

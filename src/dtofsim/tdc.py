@@ -1,8 +1,8 @@
 """Threshold-trigger statistics for TDC-sampled pulse detection.
 
 The comparator crosses a fixed threshold set at ``tnr`` times the RMS of
-the background noise.  Within one detection window the comparator makes
-``M = round(window * bandwidth)`` comparisons; the worst case places the
+the background noise.  The caller passes in the ``M = round(window *
+bandwidth)`` comparisons of one detection window; the worst case places the
 pulse at the last one.  The false alarm tail is evaluated with ``erfc``
 to avoid cancellation (absolute error below 1e-15 for the tnr range of
 interest, far tighter than the ~1e-10 needed at tnr = 5).
@@ -18,26 +18,13 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class TdcPolicy:
-    """Trigger policy: threshold-to-noise ratio and detection window."""
+    """Trigger policy: the threshold-to-noise ratio."""
 
     tnr: float
-    window_s: float
-    bandwidth_hz: float
 
     def __post_init__(self) -> None:
         if not self.tnr > 0:
             raise ConfigError("tnr must be > 0")
-        if not self.window_s > 0:
-            raise ConfigError("window_s must be > 0")
-        if not self.bandwidth_hz > 0:
-            raise ConfigError("bandwidth_hz must be > 0")
-        if self.comparison_count < 1:
-            raise ConfigError("window_s * bandwidth_hz must round to >= 1")
-
-    @property
-    def comparison_count(self) -> int:
-        """Number of comparator decisions in one detection window."""
-        return max(1, round(self.window_s * self.bandwidth_hz))
 
 
 def false_alarm_prob(tnr: float) -> float:
@@ -47,18 +34,21 @@ def false_alarm_prob(tnr: float) -> float:
     return 0.5 * math.erfc(tnr / math.sqrt(2.0))
 
 
-def correct_detection_prob(policy: TdcPolicy, p_d: float) -> float:
+def correct_detection_prob(policy: TdcPolicy, m: int, p_d: float) -> float:
     """Probability that the first trigger in a window is the laser pulse.
 
-    Windows with no trigger at all repeat, so the result renormalizes the
-    single-window outcome over {false alarm, pulse detection}.
+    A window makes ``m`` comparisons.  Windows with no trigger at all
+    repeat, so the result renormalizes the single-window outcome over
+    {false alarm, pulse detection}.
     """
+    if not m >= 1:
+        raise ConfigError("m, the comparisons per window, must be >= 1")
     if not 0.0 <= p_d <= 1.0:
         raise ConfigError("p_d must be in [0, 1]")
     p_f = false_alarm_prob(policy.tnr)
     # quiet = (1 - p_f)^(M-1) via logs; the denominator is written as
     # (1 - quiet) + quiet * p_d to avoid cancellation when p_f is tiny
-    log_quiet = (policy.comparison_count - 1) * math.log1p(-p_f)
+    log_quiet = (m - 1) * math.log1p(-p_f)
     quiet = math.exp(log_quiet)
     numerator = quiet * p_d
     if numerator == 0.0:

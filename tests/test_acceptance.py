@@ -33,8 +33,8 @@ def report(number: int, passed: bool, message: str) -> None:
 
 def test_criterion_1_tdc_statistics():
     p_f = false_alarm_prob(5.0)
-    policy = TdcPolicy(tnr=5.0, window_s=4e-6, bandwidth_hz=1e8)
-    p_correct = correct_detection_prob(policy, 0.5)
+    # 400 comparisons: a 4 us window at 100 MHz
+    p_correct = correct_detection_prob(TdcPolicy(tnr=5.0), 400, 0.5)
     ok = p_f < 3e-7 and abs(p_correct - 0.99977) <= 1e-5
     report(1, ok, f"false alarm {p_f:.4e} < 3e-7 and single-shot correct "
                   f"probability {p_correct:.6f} = 0.99977 +- 1e-5")
@@ -168,8 +168,7 @@ def test_criterion_8_monte_carlo_vs_analytic():
     analytic = trigger_snr_analytic(params, counts)
     mc = SipmMcConfig(n_trials=600, time_step_s=1e-10, seed=20240905,
                       warmup_s=6e-8, n_noise_periods=30)
-    snr, se = monte_carlo_snr(params, p_r, p_rs, 6e-9, 905e-9, bandwidth, mc,
-                              workers=4)
+    snr, se = monte_carlo_snr(params, p_r, p_rs, 6e-9, 905e-9, bandwidth, mc)
     dilute_ok = abs(snr - analytic) < 3.0 * se
 
     # heavy background: one background photon per pixel per detection
@@ -181,8 +180,7 @@ def test_criterion_8_monte_carlo_vs_analytic():
     mc_heavy = SipmMcConfig(n_trials=400, time_step_s=1e-10, seed=20240906,
                             warmup_s=6e-8, n_noise_periods=30)
     snr_heavy, se_heavy = monte_carlo_snr(params, p_r_heavy, p_rs_heavy, 6e-9,
-                                          905e-9, bandwidth, mc_heavy,
-                                          workers=4)
+                                          905e-9, bandwidth, mc_heavy)
     heavy_ok = snr_heavy + 3.0 * se_heavy < analytic_heavy
 
     ok = dilute_ok and heavy_ok
@@ -202,9 +200,9 @@ def test_criterion_9_cli_determinism(tmp_path):
         return out.read_bytes(), proc.stdout.encode()
 
     checks = []
-    # analytic sweep; --workers only sizes the Monte Carlo trial pool
+    # analytic sweep
     sweep_args = ["sweep", "--kind", "distance", "--detector", "both",
-                  "--n", "24", "--workers", "4"]
+                  "--n", "24"]
     a = run(sweep_args, "sweep_a.csv")
     b = run(sweep_args, "sweep_b.csv")
     checks.append(a == b)

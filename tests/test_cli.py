@@ -7,6 +7,7 @@ import pytest
 from dtofsim.cli import main
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
+from dtofsim.sweeps import MAX_GRID_POINTS
 
 
 def run_cli(capsys, *argv):
@@ -72,7 +73,7 @@ class TestSweepCommands:
         for path in (a, b):
             code, _, _ = run_cli(capsys, "sweep", "--kind", "distance",
                                  "--detector", "both", "--n", "12",
-                                 "--workers", "4", "--out", str(path))
+                                 "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text(encoding="utf-8").splitlines()[0]
@@ -186,11 +187,34 @@ class TestExitCodes:
                                str(tmp_path / "missing" / "out.csv"))
         assert code == 3
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_is_1(self, capsys, workers):
-        code, _, err = run_cli(capsys, "range", "--workers", workers)
+    @pytest.mark.parametrize("argv", [
+        ["snr-curve", "--n"], ["sweep", "--kind", "elevation", "--n"],
+        ["sipm-response", "--n"], ["optimize-gain", "--out", "gain.csv",
+                                   "--curve-points"]],
+        ids=["snr-curve", "sweep", "sipm-response", "curve-points"])
+    def test_grid_over_the_cap_is_1(self, tmp_path, monkeypatch, capsys,
+                                    argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv, str(MAX_GRID_POINTS + 1))
         assert code == 1
-        assert "--workers" in err
+        assert f"grid size must be in [1, {MAX_GRID_POINTS}]" in err
+
+    @pytest.mark.parametrize("mc,key", [
+        ({"n_trials": 10**30}, "mc.n_trials"),
+        ({"time_step_ns": 1e-12}, "mc.time_step_ns")])
+    def test_monte_carlo_over_the_cap_is_1(self, tmp_path, capsys, mc, key):
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"].update(snr_mode="monte_carlo", mc=mc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1
+        assert key in err and "cap" in err
+
+    def test_workers_flag_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "range", "--workers", "2")
+        assert code == 1
+        assert "unrecognized arguments: --workers" in err
 
     def test_usage_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--kind", "bogus")
@@ -199,8 +223,10 @@ class TestExitCodes:
 
     def test_legacy_limit_detection_prob(self, tmp_path, capsys):
         # r_max is the 50 % detection point; files may keep the old key
-        # only at that value
+        # only at that value, next to the other keys earlier versions wrote
         data = scenario_to_dict(table1_preset("apd"))
+        data["laser"]["repetition_khz"] = 50.0
+        data["tdc"].update(window_us=4.0, bandwidth_mhz=167.0)
         paths = {}
         for prob in (0.5, 0.9):
             data["tdc"]["limit_detection_prob"] = prob
@@ -210,6 +236,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "range", "--config", str(paths[0.9]))
         assert code == 1
         assert "limit_detection_prob" in err and "50 %" in err
+
+    @pytest.mark.parametrize("section,key", [
+        ("laser", "repetition_khz"), ("tdc", "window_us"),
+        ("tdc", "bandwidth_mhz"), ("tdc", "limit_detection_prob")])
+    def test_legacy_key_must_be_a_number(self, tmp_path, capsys, section,
+                                         key):
+        data = scenario_to_dict(table1_preset("apd"))
+        data[section][key] = "0.5"
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1
+        assert f"{section}.{key}: expected a number" in err
 
     @pytest.mark.parametrize("key", ["peak_power_w", "repetition_khz"])
     def test_null_value_is_1(self, tmp_path, capsys, key):

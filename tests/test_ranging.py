@@ -199,11 +199,7 @@ class TestSensitivity:
         value = sensitivity(sipm_config, det, sipm_config.tdc, "sun_irradiance")
         assert value == pytest.approx(-0.25, abs=1e-3)
 
-    def test_absent_parameter_is_flat(self, sipm_config, apd_config):
-        det = self.approx_detector(sipm_config)
-        # the model never reads the repetition rate, so exactly flat
-        assert sensitivity(sipm_config, det, sipm_config.tdc,
-                           "repetition_hz") == 0.0
+    def test_absent_parameter_is_flat(self, apd_config):
         # SiPM-only knob leaves an APD scenario untouched
         assert sensitivity(apd_config, apd_config.detector, apd_config.tdc,
                            "pde") == pytest.approx(0.0, abs=1e-9)
@@ -219,8 +215,7 @@ class TestSensitivity:
                         "peak_power_w", rel_step=0.5)
 
     def test_registry_covers_reference_table(self):
-        expected = {"peak_power_w", "pulse_fwhm_s", "repetition_hz",
-                    "reflectivity", "one_way_transmittance",
+        expected = {"peak_power_w", "pulse_fwhm_s", "reflectivity", "one_way_transmittance",
                     "laser_efficiency", "aperture_radius_m", "sun_irradiance",
                     "sun_angle_rad", "sun_efficiency", "focal_length_m",
                     "bandwidth_hz", "gain", "detector_radius_m",

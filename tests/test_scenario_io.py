@@ -4,18 +4,20 @@ import os
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtofsim import ConfigError
+from dtofsim import ConfigError, scenario
 from dtofsim.ranging import snr_at_range
 from dtofsim.scenario import (config_from_dict, load_scenario, save_scenario,
                               scenario_to_dict, table1_preset)
 from dtofsim.sipm import SipmMcConfig
-from dtofsim.sweeps import (SweepResult, SweepSpec, csv_lines, emit_csv,
-                            emit_svg, make_grid, run_sweep)
+from dtofsim.sweeps import (MAX_GRID_POINTS, SweepResult, SweepSpec,
+                            csv_lines, emit_csv, emit_svg, make_grid,
+                            run_sweep)
 
 
 class TestTable1Preset:
@@ -24,7 +26,6 @@ class TestTable1Preset:
         assert config.laser.peak_power_w == 45.0
         assert config.laser.wavelength_m == pytest.approx(905e-9)
         assert config.laser.pulse_fwhm_s == pytest.approx(6e-9)
-        assert config.laser.repetition_hz == pytest.approx(50e3)
         assert config.target.reflectivity == pytest.approx(0.1)
         assert config.atmosphere.one_way_transmittance == pytest.approx(0.98)
         assert config.optics.laser_efficiency == pytest.approx(0.7206)
@@ -37,7 +38,6 @@ class TestTable1Preset:
         assert config.solar.reference_irradiance_w_m2 == 29.4
         assert config.bandwidth_hz == pytest.approx(167e6)
         assert config.tdc.tnr == 5.0
-        assert config.tdc.window_s == pytest.approx(4e-6)
 
     def test_apd_block(self):
         det = table1_preset("apd").detector
@@ -177,11 +177,12 @@ _SCENARIOS = st.fixed_dictionaries({
         {"peak_power_w": _floats(1e-3, 1e3),
          "wavelength_nm": _floats(301.0, 1999.0),
          "pulse_fwhm_ns": _floats(0.01, 100.0)},
-        optional={"repetition_khz": _floats(0.0, 1e4)}),
+        optional={"repetition_khz": _floats(0.0, 1e4)}),  # legacy
     "solar": _SOLARS,
-    "tdc": st.fixed_dictionaries({"tnr": _floats(0.1, 10.0),
-                                  "window_us": _floats(0.1, 100.0),
-                                  "bandwidth_mhz": _floats(10.0, 1e3)}),
+    "tdc": st.fixed_dictionaries(
+        {"tnr": _floats(0.1, 10.0)},
+        optional={"window_us": _floats(0.1, 100.0),  # legacy
+                  "bandwidth_mhz": _floats(10.0, 1e3)}),
     "bandwidth_mhz": _floats(1.0, 1e3),
     "detector": _DETECTORS,
 })
@@ -205,6 +206,19 @@ class TestSchemaRoundTrip:
             save_scenario(loaded, second)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
+
+    def test_readme_schema_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        start = text.index("| section | keys (units) |")
+        table = text[start:text.index("\n\n", start)]
+        tables = [scenario._SCENE, *scenario._ATMOSPHERE.values(),
+                  scenario._OPTICS, scenario._TARGET, scenario._LASER,
+                  *scenario._SOLAR.values(), scenario._TDC, scenario._TOP,
+                  *scenario._DETECTOR.values(), scenario._SIPM_CHOICE,
+                  scenario._MC]
+        keys = {row[0] for rows in tables for row in rows}
+        assert sorted(k for k in keys if f"`{k}`" not in table) == []
 
 
 class TestLoadValidation:
@@ -345,10 +359,17 @@ class TestRunSweep:
         assert row.status == "ok"
 
     def test_row_count_is_grid_times_detectors(self, apd_config, sipm_config):
+        # the sipm_mc series runs the Monte Carlo at every grid point
+        mc = SipmMcConfig(n_trials=4, time_step_s=1e-10, seed=5,
+                          warmup_s=6e-8, n_noise_periods=4)
+        mc_det = replace(sipm_config.detector, snr_mode="monte_carlo", mc=mc,
+                         label="sipm_mc")
         spec = SweepSpec(kind="distance", grid=make_grid(50.0, 300.0, 7),
-                         detectors=(apd_config.detector, sipm_config.detector))
+                         detectors=(apd_config.detector, sipm_config.detector,
+                                    mc_det))
         result = run_sweep(apd_config, spec)
-        assert len(result.rows) == 7 * 2
+        assert len(result.rows) == 7 * 3
+        assert all(r.value is not None for r in result.rows)
 
     def test_apd_curve_above_sipm_at_full_sun(self, apd_config, sipm_config):
         spec = SweepSpec(kind="distance", grid=make_grid(50.0, 400.0, 15),
@@ -410,19 +431,6 @@ class TestRunSweep:
         result = run_sweep(weak, spec)
         assert all(r.status == "no_detection" and r.value is None
                    for r in result.rows)
-
-    def test_workers_do_not_change_rows(self, apd_config, sipm_config):
-        # workers reaches the Monte Carlo trial pool of the sipm_mc series
-        mc = SipmMcConfig(n_trials=4, time_step_s=1e-10, seed=5,
-                          warmup_s=6e-8, n_noise_periods=4)
-        mc_det = replace(sipm_config.detector, snr_mode="monte_carlo", mc=mc,
-                         label="sipm_mc")
-        spec = SweepSpec(kind="distance", grid=make_grid(50.0, 300.0, 9),
-                         detectors=(apd_config.detector, sipm_config.detector,
-                                    mc_det))
-        serial = run_sweep(apd_config, spec)
-        assert all(r.value is not None for r in serial.rows)
-        assert serial == run_sweep(apd_config, spec, workers=4)
 
 
 class TestEmitters:
@@ -494,6 +502,13 @@ class TestGrid:
     def test_rejects_inverted(self):
         with pytest.raises(ConfigError):
             make_grid(10.0, 1.0, 5)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_size_cap(self, spacing):
+        assert len(make_grid(1.0, 2.0, MAX_GRID_POINTS, spacing)) \
+            == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
+            make_grid(1.0, 2.0, MAX_GRID_POINTS + 1, spacing)
 
     def test_spec_requires_monotone_grid(self, apd_config):
         with pytest.raises(ConfigError, match="increasing"):

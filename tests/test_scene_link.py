@@ -21,7 +21,7 @@ TABLE1_SCENE = SceneGeometry(range_m=100.0, sun_angle_rad=math.pi / 3)
 TABLE1_ATM = AtmosphereModel(one_way_transmittance=0.98)
 TABLE1_TARGET = TargetModel(reflectivity=0.1)
 TABLE1_LASER = LaserParams(peak_power_w=45.0, wavelength_m=905e-9,
-                           pulse_fwhm_s=6e-9, repetition_hz=50e3)
+                           pulse_fwhm_s=6e-9)
 TABLE1_SOLAR = SolarModel(in_band_irradiance_w_m2=29.4)
 
 

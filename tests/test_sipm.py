@@ -227,18 +227,6 @@ class TestMonteCarlo:
                 self.BW, mc)
         assert monte_carlo_snr(*args) == monte_carlo_snr(*args)
 
-    def test_worker_count_does_not_change_results(self):
-        # 61 trials split unevenly over 3 and 4 workers; 130 exceed one batch
-        configs = [self.quick_mc()] + [
-            replace(self.quick_mc(n_trials=n), n_noise_periods=2)
-            for n in (61, 130)]
-        for mc in configs:
-            args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
-                    self.BW, mc)
-            serial = monte_carlo_snr(*args)
-            for workers in (3, 4):
-                assert monte_carlo_snr(*args, workers=workers) == serial
-
     def test_seed_changes_results(self):
         args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
                 self.BW)
@@ -258,8 +246,7 @@ class TestMonteCarlo:
         counts = PhotonCounts.from_powers(p_r, p_rs, 6e-9, 905e-9, 6e-9)
         analytic = trigger_snr_analytic(TABLE1_SIPM, counts)
         snr, se = monte_carlo_snr(TABLE1_SIPM, p_r, p_rs, 6e-9, 905e-9,
-                                  self.BW, self.quick_mc(n_trials=150),
-                                  workers=4)
+                                  self.BW, self.quick_mc(n_trials=150))
         assert abs(snr - analytic) < 3 * se
 
     def test_gaussian_pulse_shape_runs(self):
@@ -274,6 +261,35 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="time_step"):
             monte_carlo_snr(TABLE1_SIPM, 0.0, P_RS_REF, 6e-9, 905e-9,
                             self.BW, mc)
+
+    # quick_mc at self.BW counts 600 warm-up steps, 60 per noise period,
+    # one more period and 4 * 60 for the pulse: 900 + 60 n for n periods
+    @pytest.mark.parametrize("change,key", [
+        ({"n_noise_periods": 16652}, "mc.n_noise_periods"),  # 1000020 steps
+        ({"time_step_s": 2.05e-13}, "mc.time_step_ns"),  # 1024390 steps
+        ({"time_step_s": 1e-21}, "mc.time_step_ns"),
+        ({"n_noise_periods": 10**30}, "mc.n_noise_periods"),
+        ({"n_trials": 476191}, "mc.n_trials"),  # 476191 * 2100 > 1e9
+        ({"n_trials": 10**30}, "mc.n_trials"),
+    ], ids=["noise-periods", "time-step", "time-step-1e-21",
+            "noise-periods-1e30", "trials", "trials-1e30"])
+    def test_size_over_a_cap_is_rejected(self, change, key):
+        mc = replace(self.quick_mc(), **change)
+        with pytest.raises(ConfigError, match=f"{key}.*cap"):
+            monte_carlo_snr(TABLE1_SIPM, photons(50.0), P_RS_REF / 100,
+                            6e-9, 905e-9, self.BW, mc)
+
+    def test_size_under_the_caps_runs(self, monkeypatch):
+        args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
+                self.BW)
+        # 999960 steps in a trial, just under MAX_TRIAL_STEPS
+        mc = replace(self.quick_mc(n_trials=2), n_noise_periods=16651)
+        assert monte_carlo_snr(*args, mc)[0] > 0
+        # MAX_TOTAL_STEPS scaled down to between 4 and 5 trials of 2100 steps
+        monkeypatch.setattr(sipm, "MAX_TOTAL_STEPS", 4.5 * 2100)
+        assert monte_carlo_snr(*args, self.quick_mc(n_trials=4))[0] > 0
+        with pytest.raises(ConfigError, match="mc.n_trials"):
+            monte_carlo_snr(*args, self.quick_mc(n_trials=5))
 
     def test_warmup_guard(self):
         mc = SipmMcConfig(n_trials=10, time_step_s=1e-10, seed=0,

@@ -9,7 +9,8 @@ from dtofsim import ConfigError, TdcPolicy, correct_detection_prob, \
 
 from oracles import gaussian_tail_quad, tdc_trigger_mc
 
-POLICY_REF = TdcPolicy(tnr=5.0, window_s=4e-6, bandwidth_hz=1e8)
+POLICY_REF = TdcPolicy(tnr=5.0)
+M_REF = 400  # comparisons in a 4 us window at 100 MHz
 
 
 class TestFalseAlarmProb:
@@ -41,51 +42,50 @@ class TestFalseAlarmProb:
 
 class TestCorrectDetectionProb:
     def test_reference_policy(self):
-        assert correct_detection_prob(POLICY_REF, 0.5) == pytest.approx(
-            0.99977, abs=1e-5)
+        assert correct_detection_prob(POLICY_REF, M_REF, 0.5) == \
+            pytest.approx(0.99977, abs=1e-5)
 
     def test_no_false_alarms_always_triggers(self):
-        policy = TdcPolicy(tnr=40.0, window_s=4e-6, bandwidth_hz=1e8)
+        policy = TdcPolicy(tnr=40.0)
         assert false_alarm_prob(policy.tnr) == 0.0
         for p_d in (0.01, 0.5, 1.0):
-            assert correct_detection_prob(policy, p_d) == 1.0
+            assert correct_detection_prob(policy, M_REF, p_d) == 1.0
 
     def test_single_comparison(self):
-        policy = TdcPolicy(tnr=5.0, window_s=1e-8, bandwidth_hz=1e8)
-        assert policy.comparison_count == 1
-        assert correct_detection_prob(policy, 0.5) == 1.0
-        assert correct_detection_prob(policy, 0.0) == 0.0
+        assert correct_detection_prob(POLICY_REF, 1, 0.5) == 1.0
+        assert correct_detection_prob(POLICY_REF, 1, 0.0) == 0.0
+
+    def test_zero_comparisons_rejected(self):
+        with pytest.raises(ConfigError, match="comparisons"):
+            correct_detection_prob(POLICY_REF, 0, 0.5)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_in_detection_prob(self, a, b):
         lo, hi = sorted((a, b))
-        assert correct_detection_prob(POLICY_REF, lo) <= \
-            correct_detection_prob(POLICY_REF, hi) + 1e-15
+        assert correct_detection_prob(POLICY_REF, M_REF, lo) <= \
+            correct_detection_prob(POLICY_REF, M_REF, hi) + 1e-15
 
     @given(st.integers(min_value=1, max_value=12),
            st.floats(min_value=0.05, max_value=0.95))
     def test_monotone_in_comparisons(self, doublings, p_d):
-        policy_small = TdcPolicy(tnr=3.0, window_s=1e-8, bandwidth_hz=1e8)
-        policy_large = TdcPolicy(tnr=3.0, window_s=1e-8 * 2 ** doublings,
-                                 bandwidth_hz=1e8)
-        assert correct_detection_prob(policy_large, p_d) <= \
-            correct_detection_prob(policy_small, p_d) + 1e-15
+        policy = TdcPolicy(tnr=3.0)
+        assert correct_detection_prob(policy, 2 ** doublings, p_d) <= \
+            correct_detection_prob(policy, 1, p_d) + 1e-15
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_bounds(self, p_d):
         p_f = false_alarm_prob(POLICY_REF.tnr)
-        quiet = (1.0 - p_f) ** (POLICY_REF.comparison_count - 1)
-        value = correct_detection_prob(POLICY_REF, p_d)
+        quiet = (1.0 - p_f) ** (M_REF - 1)
+        value = correct_detection_prob(POLICY_REF, M_REF, p_d)
         assert quiet * p_d - 1e-15 <= value <= 1.0
 
     def test_against_trigger_race_simulation(self):
         # repeated-window race with 1e6 trials; agreement within 3 SE
-        policy = TdcPolicy(tnr=3.0, window_s=1e-6, bandwidth_hz=1e8)
-        assert policy.comparison_count == 100
+        # 100 comparisons: a 1 us window at 100 MHz
         p_f = false_alarm_prob(3.0)
         mc, se = tdc_trigger_mc(p_f, 100, 0.5, trials=1_000_000, seed=20240905)
-        predicted = correct_detection_prob(policy, 0.5)
+        predicted = correct_detection_prob(TdcPolicy(tnr=3.0), 100, 0.5)
         assert abs(predicted - mc) < 3 * se
 
 
@@ -104,14 +104,6 @@ class TestMinDetectableSignal:
 
 
 class TestPolicyValidation:
-    def test_comparison_count_rounds(self):
-        policy = TdcPolicy(tnr=5.0, window_s=4e-6, bandwidth_hz=1e8)
-        assert policy.comparison_count == 400
-
-    def test_zero_window_rejected(self):
-        with pytest.raises(ConfigError):
-            TdcPolicy(tnr=5.0, window_s=0.0, bandwidth_hz=1e8)
-
     def test_negative_tnr_rejected(self):
         with pytest.raises(ConfigError):
             false_alarm_prob(-1.0)
