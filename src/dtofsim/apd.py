@@ -163,8 +163,8 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     scan brackets the global optimum before the golden-section contraction.
     """
     lo, hi = gain_bounds
-    if not (lo >= 1.0 and lo < hi):
-        raise ConfigError("gain_bounds must satisfy 1 <= lo < hi")
+    if not (lo >= 1.0 and lo < hi < math.inf):
+        raise ConfigError("gain_bounds must satisfy 1 <= lo < hi < inf")
 
     def snr_at(gain: float) -> float:
         return trigger_snr(replace(params, gain=gain), p_r, p_rs, bandwidth_hz)

@@ -103,13 +103,21 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
     Bisection on a bracket grown by doubling from 100 m; raises
     ``NoDetectionError`` when the SNR is below threshold already at 1 m and
-    ``UnboundedRangeError`` when it stays above threshold at 100 km.
+    ``UnboundedRangeError`` when it stays above threshold at 100 km.  An
+    SNR that is not a number (the scenario's values overflow the noise
+    model) is a ``ConfigError``; an infinite one, the noiseless limit,
+    counts as above threshold.
     """
     tnr = policy.tnr
     is_mc = isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
 
     def f(r: float) -> float:
-        return snr_at_range(scenario, detector, r)
+        snr = snr_at_range(scenario, detector, r)
+        # NaN compares false both ways, so it would steer the bisection
+        if math.isnan(snr):
+            raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
+                              "the scenario's values overflow the model")
+        return snr
 
     lo = 1.0
     snr_lo = f(lo)

@@ -190,6 +190,9 @@ class _Node:
             number = float(value)
         except OverflowError:
             raise ConfigError(f"{where}: number too large") from None
+        # json reads NaN, Infinity and overflowing literals such as 1e400
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: {number!r} is not a finite number")
         if unit is int:
             if not number.is_integer():
                 raise ConfigError(f"{where}: expected an integer")
@@ -227,8 +230,9 @@ def _read(node: _Node, build: Callable[..., Any], table: _Table,
           **fixed: Any) -> Any:
     """``build(**fixed, **fields)``; then any key left in ``node`` is an
     error."""
+    fields = _fields(node, table)  # its errors already name the key
     try:
-        value = build(**fixed, **_fields(node, table))
+        value = build(**fixed, **fields)
     except ConfigError as exc:
         raise ConfigError(f"{node.path}: {exc}") from None
     node.finish()

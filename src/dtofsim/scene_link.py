@@ -169,6 +169,9 @@ class SolarModel:
         else:
             _require(len(self.spectrum_table) >= 2,
                      "spectrum_table needs at least 2 rows")
+            _require(all(math.isfinite(v) for row in self.spectrum_table
+                         for v in row),
+                     "spectrum_table values must be finite")
             last = -math.inf
             for wl, irr, t in self.spectrum_table:
                 _require(wl > last,

@@ -18,6 +18,9 @@ detections) summed since arming exceeds ``E``, then is dead for one dead
 time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
 random number per firing instead of one per pixel and step.  Each trial
 draws from its own generator and holds O(pixels + steps) memory.
+
+Only the Monte Carlo uses numpy, and it imports numpy on first use, so
+the analytic model and ``import dtofsim`` start without it.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, SipmSaturationError
 from .physconst import photon_energy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PULSE_SHAPES = ("rectangular", "gaussian")
 
@@ -234,6 +239,8 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     the pulse FWHM sits inside it (rectangular: flush at the window start;
     gaussian: peak at the window center).
     """
+    import numpy as np
+
     dt = mc.time_step_s
     if mc.pulse_shape == "rectangular":
         # flat envelope carrying the attributed photon budget over one FWHM
@@ -263,6 +270,8 @@ def _fired_per_step(rng: np.random.Generator, cum: np.ndarray, n_pix: int,
     - cum[s] > E``, ``E ~ Exp(1)``, and is armed again at ``t + dead_steps
     + 1``; all pixels start armed at step 0.
     """
+    import numpy as np
+
     total = cum.shape[0] - 1
     ready = np.zeros(n_pix, dtype=np.int64)
     fired = []
@@ -284,6 +293,8 @@ def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
     ``x_bg`` of a background step and ``x_pulse`` of each pulse-span step:
     ``(per_period, pulse_counts)``, each trial's per-period background
     counts and its fired count in the counting period at the pulse."""
+    import numpy as np
+
     noise_steps = n_noise_periods * period_steps
     hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
     cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, _MAX_HAZARD))])
@@ -311,6 +322,8 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     all trials over ``MAX_TOTAL_STEPS``, is a ``ConfigError``.  ``workers``
     is ignored; the benchmark harness in ``perfbench/`` still passes it.
     """
+    import numpy as np
+
     if p_r < 0 or p_rs < 0:
         raise ConfigError("optical powers must be >= 0")
     if not bandwidth_hz > 0:

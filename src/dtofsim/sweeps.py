@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import ranging, sipm
 from .detectors import DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError
@@ -64,18 +62,36 @@ class SweepSpec:
 
 
 def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[float, ...]:
-    """Monotone grid with ``n`` points between ``lo`` and ``hi``."""
+    """Monotone grid with ``n`` points between ``lo`` and ``hi``.
+
+    Equal to ``np.linspace`` or ``np.geomspace`` point for point.  A linear
+    grid repeats ``np.linspace``'s arithmetic in Python, so only log
+    spacing imports numpy.
+    """
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"grid size must be in [1, {MAX_GRID_POINTS}]")
+    lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"grid bounds lo={lo!r} and hi={hi!r} must be "
+                          "finite, and so must their difference")
     if n == 1:
-        return (float(lo),)
+        return (lo,)
     if not lo < hi:
         raise ConfigError("grid requires lo < hi")
     if spacing == "linear":
-        return tuple(float(x) for x in np.linspace(lo, hi, n))
+        span, div = hi - lo, n - 1
+        step = span / div
+        if step == 0.0:
+            # a subnormal span: np.linspace scales i / div by the span
+            return (*(i / div * span + lo for i in range(div)), hi)
+        return (*(i * step + lo for i in range(div)), hi)
     if spacing == "log":
         if lo <= 0:
             raise ConfigError("log grid requires lo > 0")
+        # 10.0 ** x in Python differs from np.geomspace by one ULP at some
+        # points (libm's pow is not numpy's power), so log grids keep numpy
+        import numpy as np
+
         return tuple(float(x) for x in np.geomspace(lo, hi, n))
     raise ConfigError("spacing must be 'linear' or 'log'")
 

@@ -7,7 +7,7 @@ import pytest
 from dtofsim.cli import main
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
-from dtofsim.sweeps import MAX_GRID_POINTS
+from dtofsim.sweeps import MAX_GRID_POINTS, format_number
 
 
 def run_cli(capsys, *argv):
@@ -269,7 +269,7 @@ class TestExitCodes:
         assert "NaN" in path.read_text(encoding="utf-8")
         code, out, err = run_cli(capsys, "range", "--config", str(path))
         assert code == 1 and out == ""
-        assert "dark_count_rate_cps must be >= 0" in err
+        assert "detector.dark_count_rate_cps: nan is not a finite number" in err
 
     def test_oversized_integer_is_1(self, tmp_path, capsys):
         data = scenario_to_dict(table1_preset("apd"))
@@ -280,11 +280,89 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "laser.peak_power_w" in err
 
+    @pytest.mark.parametrize("section,key,value,reason", [
+        ("detector", "gain", 1e300, "not a number"),
+        (None, "bandwidth_mhz", 1e305, "not a number"),
+        ("optics", "aperture_radius_m", 1e200, "overflowed"),
+        ("detector", "excess_noise_index", 1000, "overflowed")])
+    def test_overflowing_model_is_1(self, tmp_path, capsys, section, key,
+                                    value, reason):
+        # finite values whose SNR overflows to NaN or raises OverflowError
+        data = scenario_to_dict(table1_preset("apd"))
+        (data[section] if section else data)[key] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and reason in err
+
+    @pytest.mark.parametrize("section,key", [
+        ("detector", "gain"), (None, "bandwidth_mhz"),
+        ("optics", "aperture_radius_m")])
+    def test_infinity_is_1(self, tmp_path, capsys, section, key):
+        data = scenario_to_dict(table1_preset("apd"))
+        (data[section] if section else data)[key] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        where = f"{section}.{key}" if section else key
+        assert f"{where}: inf is not a finite number" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["snr-curve", "--rmax", "inf"], "hi=inf must be finite"),
+        (["snr-curve", "--rmin", "nan"], "lo=nan and hi=500.0 must be finite"),
+        (["optimize-gain", "--gain-max", "inf"], "gain_bounds must satisfy"),
+        (["optimize-gain", "--gain-max", "nan"], "gain_bounds must satisfy")])
+    def test_non_finite_bound_is_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_negative_seed_is_1(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "sipm",
                                "--seed", "-5")
         assert code == 1
         assert "seed must be >= 0" in err
+
+
+def test_analytic_commands_load_no_numpy():
+    # numpy is a large share of a command's start-up; only the Monte Carlo
+    # and log-spaced grids import it
+    probe = """
+import contextlib, io, sys
+import dtofsim
+from dtofsim.cli import main
+loaded = ["import dtofsim"] if "numpy" in sys.modules else []
+for argv in (["range", "--detector", "apd"], ["range", "--detector", "sipm"],
+             ["snr-curve"], ["sweep", "--kind", "distance"],
+             ["sensitivity", "--param", "all"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code or "numpy" in sys.modules:
+        loaded.append(f"{' '.join(argv)} (exit {code})")
+print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_monte_carlo_range_in_a_fresh_process(tmp_path):
+    # the lazily imported Monte Carlo gives the pinned table1 value of
+    # tests/test_sipm.py::test_table1_monte_carlo_range_is_pinned
+    data = scenario_to_dict(table1_preset("sipm"))
+    data["detector"].update(snr_mode="monte_carlo",
+                            mc={"n_trials": 8, "seed": 11})
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "dtofsim.cli", "range",
+                           "--config", str(path)],
+                          capture_output=True, text=True, check=True)
+    cells = proc.stdout.splitlines()[1].split(",")
+    assert cells[:3] == ["sipm", format_number(262.5929899215698),
+                         format_number(5.011852615418177)]
 
 
 def test_import_loads_no_scipy():

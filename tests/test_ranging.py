@@ -89,6 +89,27 @@ class TestMaxRange:
         with pytest.raises(UnboundedRangeError):
             max_range(strong, strong.detector, strong.tdc)
 
+    def test_noiseless_sipm_is_unbounded(self, sipm_config):
+        # no sunlight and no dark counts: the analytic SNR is the infinite
+        # noiseless sentinel at every range, which stays an answer
+        dark = replace(with_illuminance(sipm_config, 0.0),
+                       detector=replace(sipm_config.detector, params=replace(
+                           sipm_config.detector.params,
+                           dark_count_rate_cps=0.0)))
+        assert snr_at_range(dark, dark.detector, 1e4) == math.inf
+        with pytest.raises(UnboundedRangeError):
+            max_range(dark, dark.detector, dark.tdc)
+
+    def test_nan_snr_is_a_config_error(self, apd_config):
+        # gain**2 overflows to inf, and the no-echo signal shot-noise term
+        # of the noise budget is then 0 * inf
+        huge = replace(apd_config, detector=replace(
+            apd_config.detector, params=replace(apd_config.detector.params,
+                                                gain=1e300)))
+        assert math.isnan(snr_at_range(huge, huge.detector, 1.0))
+        with pytest.raises(ConfigError, match="not a number"):
+            max_range(huge, huge.detector, huge.tdc)
+
     def test_monotone_scene_responses(self, apd_config):
         base = max_range(apd_config, apd_config.detector, apd_config.tdc).r_max_m
         for factor in (1.2, 1.5, 2.0):

@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtofsim import ConfigError, scenario
@@ -329,6 +331,40 @@ class TestLoadValidation:
         with pytest.raises(ConfigError, match=f"{section}.{key}: number too"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("detector", "gain", math.inf), (None, "bandwidth_mhz", math.inf),
+        ("optics", "aperture_radius_m", -math.inf),
+        ("scene", "range_m", math.inf), ("tdc", "tnr", math.nan),
+        ("laser", "repetition_khz", math.inf)])
+    def test_non_finite_number_names_key(self, tmp_path, section, key,
+                                          value):
+        # json reads the non-standard NaN, Infinity and -Infinity literals
+        path = self.write_config(tmp_path, lambda d: (
+            d[section] if section else d).update({key: value}))
+        where = f"scenario.{section}.{key}" if section else f"scenario.{key}"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"json: {where}: {value!r} is not a finite number")):
+            load_scenario(path)
+
+    def test_overflowing_literal_names_key(self, tmp_path):
+        # json reads 1e400 as inf
+        path = Path(self.write_config(tmp_path, lambda d: None))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"peak_power_w": 45.0',
+                                     '"peak_power_w": 1e400'),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match="laser.peak_power_w: inf is not a finite"):
+            load_scenario(str(path))
+
+    def test_non_finite_spectrum_rejected(self, tmp_path):
+        path = self.write_config(tmp_path, lambda d: d.update(solar={
+            "mode": "spectrum_integral",
+            "spectrum": [[890.0, math.inf, 0.5], [920.0, 1.0, 0.5]]}))
+        with pytest.raises(ConfigError,
+                           match="solar: spectrum_table values must be finite"):
+            load_scenario(path)
+
     def test_invalid_snr_mode_names_section(self, tmp_path):
         data = scenario_to_dict(table1_preset("sipm"))
         data["detector"]["snr_mode"] = "exact"
@@ -494,10 +530,50 @@ class TestEmitters:
         assert lines[1].split(",")[1] == ""
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 class TestGrid:
     def test_log_grid(self):
         grid = make_grid(1.0, 100.0, 3, "log")
         assert grid == pytest.approx((1.0, 10.0, 100.0))
+
+    @pytest.mark.parametrize("lo,hi,n", [
+        (25.0, 500.0, 96), (-60.0, 60.0, 49), (50.0, 300.0, 26)])
+    def test_linear_grid_is_linspace_on_readme_grids(self, lo, hi, n):
+        assert _bits(make_grid(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(2, 300))
+    @example(lo=0.0, hi=5e-324, n=4)  # a span whose step rounds to zero
+    @example(lo=-1.0, hi=0.0, n=7)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_grid_is_linspace(self, lo, hi, n):
+        assume(lo < hi and math.isfinite(hi - lo))
+        with np.errstate(over="ignore"):  # i * step may pass the float range
+            expected = np.linspace(lo, hi, n)
+        assert _bits(make_grid(lo, hi, n)) == _bits(expected)
+
+    @pytest.mark.parametrize("lo,hi,n", [
+        (0.1, 100.0, 50), (1.0, 1e5, 81), (1.0, 1000.0, 200)])
+    def test_log_grid_is_geomspace(self, lo, hi, n):
+        assert _bits(make_grid(lo, hi, n, "log")) \
+            == _bits(np.geomspace(lo, hi, n))
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_one_and_two_points(self, spacing):
+        assert make_grid(3.0, 7.0, 1, spacing) == (3.0,)
+        assert make_grid(3.0, 3.0, 1, spacing) == (3.0,)
+        assert make_grid(3.0, 7.0, 2, spacing) == (3.0, 7.0)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (25.0, math.inf), (-math.inf, 500.0), (math.nan, 500.0),
+        (25.0, math.nan), (-1e308, 1e308)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make_grid(lo, hi, 5)
 
     def test_rejects_inverted(self):
         with pytest.raises(ConfigError):
