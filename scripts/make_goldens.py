@@ -18,8 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dtofsim.scenario import save_scenario, table1_preset  # noqa: E402
-from dtofsim.sweeps import (SweepSpec, emit_csv, emit_svg, make_grid,  # noqa: E402
-                            run_sweep)
+from dtofsim.sweeps import (SWEEP_KINDS, SweepSpec, emit_csv,  # noqa: E402
+                            emit_svg, make_grid, run_sweep)
 
 CONFIG_DIR = os.path.join(ROOT, "configs")
 GOLDEN_DIR = os.path.join(ROOT, "goldens")
@@ -43,20 +43,17 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
         save_scenario(config, path)
         written.append(path)
 
+    # each sweep on its kind's default grid, the one the CLI uses
     sweeps = {
-        "distance_snr": (apd, SweepSpec(
-            kind="distance", grid=make_grid(25.0, 500.0, 96),
-            detectors=(apd.detector, sipm.detector))),
-        "elevation_rmax": (apd_cos, SweepSpec(
-            kind="elevation", grid=make_grid(-60.0, 60.0, 49),
-            detectors=(apd_cos.detector, sipm_cos.detector))),
-        "illuminance_rmax": (apd, SweepSpec(
-            kind="illuminance", grid=make_grid(0.1, 100.0, 50, "log"),
-            detectors=(apd.detector, sipm.detector))),
-        "sipm_response": (sipm, SweepSpec(
-            kind="photon_response", grid=make_grid(1.0, 1e5, 81, "log"))),
+        "distance_snr": (apd, "distance", (apd.detector, sipm.detector)),
+        "elevation_rmax": (apd_cos, "elevation",
+                           (apd_cos.detector, sipm_cos.detector)),
+        "illuminance_rmax": (apd, "illuminance", (apd.detector, sipm.detector)),
+        "sipm_response": (sipm, "photon_response", ()),
     }
-    for name, (config, spec) in sweeps.items():
+    for name, (config, kind, detectors) in sweeps.items():
+        spec = SweepSpec(kind=kind, grid=make_grid(*SWEEP_KINDS[kind].grid),
+                         detectors=detectors)
         result = run_sweep(config, spec)
         csv_path = os.path.join(golden_dir, f"{name}.csv")
         svg_path = os.path.join(golden_dir, f"{name}.svg")

@@ -17,15 +17,8 @@ from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError
 from .ranging import SENSITIVITY_PARAMS, max_range, sensitivity
 from .scenario import ScenarioConfig, load_scenario, save_scenario, table1_preset
-from .sweeps import (SweepSpec, emit_csv, emit_svg, format_number, make_grid,
-                     run_sweep)
-
-_SWEEP_DEFAULTS = {
-    # kind: (lo, hi, n, spacing)
-    "distance": (25.0, 500.0, 96, "linear"),
-    "elevation": (-60.0, 60.0, 49, "linear"),
-    "illuminance": (0.1, 100.0, 50, "log"),
-}
+from .sweeps import (SWEEP_KINDS, SweepSpec, emit_csv, emit_svg,
+                     format_number, make_grid, run_sweep)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -36,19 +29,40 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", action="append", default=[],
-                        help="scenario file; repeat to sweep several detectors "
-                             "over the first file's scene")
+class _AppendOnce(argparse.Action):
+    """``action="append"`` for a flag that may be given only once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest):
+            parser.error(f"argument {option_string}: may be given only once")
+        setattr(namespace, self.dest, [values])
+
+
+def _add_scenario(parser: argparse.ArgumentParser, config_action,
+                  detectors: tuple[str, ...] = ("apd", "sipm"),
+                  seed: bool = True) -> None:
+    """``--config`` and ``--detector``, which exclude each other; ``--seed``."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--config", action=config_action, default=[],
+                       help="scenario file" if config_action is _AppendOnce
+                       else "scenario file; repeat to add each file's "
+                            "detector on the first file's scene")
+    # the default is None, not "apd": argparse sees no conflict when the
+    # given value is the default object itself
+    group.add_argument("--detector", choices=detectors,
+                       help="detector variant of the built-in preset "
+                            "(default apd)")
+    if seed:
+        parser.add_argument("--seed", type=int,
+                            help="override the Monte Carlo seed")
+
+
+def _add_output(parser: argparse.ArgumentParser, formats: bool = False) -> None:
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "svg"), default="csv",
-                        help="output file format (default csv)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the Monte Carlo seed")
-    parser.add_argument("--detector", choices=("apd", "sipm", "both"),
-                        default=None,
-                        help="detector variant of the built-in preset "
-                             "(ignored when --config is given)")
+    if formats:
+        parser.add_argument("--format", choices=("csv", "svg"), default="csv",
+                            help="output file format (default csv; svg "
+                                 "needs --out)")
 
 
 def _apply_seed(det: DetectorChoice, seed: int | None) -> DetectorChoice:
@@ -57,29 +71,29 @@ def _apply_seed(det: DetectorChoice, seed: int | None) -> DetectorChoice:
     return replace(det, mc=replace(det.mc_config(), seed=seed))
 
 
-def _resolve(args, allow_both: bool = False) \
+def _resolve(paths: list[str], detector: str | None, seed: int | None = None) \
         -> tuple[ScenarioConfig, list[DetectorChoice]]:
-    """Scenario plus detector list from --config/--detector flags."""
-    if args.config:
-        if args.detector is not None:
-            raise ConfigError("--detector applies to the built-in preset; "
-                              "a scenario file already names its detector")
-        configs = [load_scenario(p) for p in args.config]
-        detectors = [_apply_seed(c.detector, args.seed) for c in configs]
+    """Scenario plus detector list from scenario files or a preset variant."""
+    if paths:
+        configs = [load_scenario(p) for p in paths]
+        detectors = [_apply_seed(c.detector, seed) for c in configs]
         labels = [d.label for d in detectors]
         if len(set(labels)) != len(labels):
             detectors = [replace(d, label=f"{d.label}{i}") if labels.count(d.label) > 1
                          else d for i, d in enumerate(detectors)]
         return configs[0], detectors
-    choice = args.detector or "apd"
-    if choice == "both":
-        if not allow_both:
-            raise ConfigError("--detector both needs a sweep-style command")
-        base = table1_preset("apd")
-        dets = [table1_preset("apd").detector, table1_preset("sipm").detector]
-        return base, [_apply_seed(d, args.seed) for d in dets]
-    base = table1_preset(choice)
-    return base, [_apply_seed(base.detector, args.seed)]
+    base = table1_preset("sipm" if detector == "sipm" else "apd")
+    dets = [base.detector]
+    if detector == "both":
+        dets.append(table1_preset("sipm").detector)
+    return base, [_apply_seed(d, seed) for d in dets]
+
+
+def _grid(kind: str, lo, hi, n, spacing=None) -> tuple[float, ...]:
+    """The grid from the given bounds, each absent one from the kind's."""
+    given = (lo, hi, n, spacing)
+    return make_grid(*(default if value is None else value
+                       for value, default in zip(given, SWEEP_KINDS[kind].grid)))
 
 
 def _write_lines(lines: list[str], path: str | None) -> None:
@@ -91,11 +105,12 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_sweep(result, args) -> None:
-    failures = [r for r in result.rows
-                if r.status in ("no_detection", "unbounded")
-                or r.value is None]
-    if len(failures) == len(result.rows):
+def _emit_sweep(args, config: ScenarioConfig, spec: SweepSpec) -> None:
+    """Run the sweep and write it to --out, or as CSV to stdout."""
+    if args.format == "svg" and args.out is None:
+        raise ConfigError("--format svg needs --out")
+    result = run_sweep(config, spec)
+    if all(r.value is None for r in result.rows):
         raise SolverError("the solver failed at every grid point")
     if args.out is None:
         _write_lines(sweeps.csv_lines(result), None)
@@ -108,10 +123,7 @@ def _emit_sweep(result, args) -> None:
 def _cmd_preset(args) -> None:
     if args.name != "table1":
         raise ConfigError(f"unknown preset {args.name!r}")
-    det = args.detector or "apd"
-    if det == "both":
-        raise ConfigError("preset writes one scenario file; pick apd or sipm")
-    config = table1_preset(det)
+    config = table1_preset(args.detector)
     if args.out is None:
         import json
 
@@ -122,7 +134,7 @@ def _cmd_preset(args) -> None:
 
 
 def _cmd_range(args) -> None:
-    config, detectors = _resolve(args)
+    config, detectors = _resolve(args.config, args.detector, args.seed)
     lines = ["detector,r_max_m,snr_at_rmax,min_detectable_power_w,"
              "background_power_w,method"]
     for det in detectors:
@@ -134,41 +146,24 @@ def _cmd_range(args) -> None:
     _write_lines(lines, args.out)
 
 
-def _sweep_common(args, kind: str, lo, hi, n, spacing) -> None:
-    config, detectors = _resolve(args, allow_both=True)
-    grid = make_grid(lo, hi, n, spacing)
-    spec = SweepSpec(kind=kind, grid=grid, detectors=tuple(detectors))
-    result = run_sweep(config, spec)
-    _emit_sweep(result, args)
-
-
-def _cmd_snr_curve(args) -> None:
-    _sweep_common(args, "distance", args.rmin, args.rmax, args.n, args.spacing)
-
-
 def _cmd_sweep(args) -> None:
-    lo, hi, n, spacing = _SWEEP_DEFAULTS[args.kind]
-    lo = args.min if args.min is not None else lo
-    hi = args.max if args.max is not None else hi
-    n = args.n if args.n is not None else n
-    spacing = args.spacing if args.spacing is not None else spacing
-    _sweep_common(args, args.kind, lo, hi, n, spacing)
+    config, detectors = _resolve(args.config, args.detector, args.seed)
+    grid = _grid(args.kind, args.min, args.max, args.n, args.spacing)
+    _emit_sweep(args, config, SweepSpec(kind=args.kind, grid=grid,
+                                        detectors=tuple(detectors)))
 
 
 def _cmd_sipm_response(args) -> None:
-    config, _ = _resolve(args, allow_both=True)
-    grid = make_grid(args.nmin, args.nmax, args.n, "log")
-    spec = SweepSpec(kind="photon_response", grid=grid)
-    result = run_sweep(config, spec)
-    _emit_sweep(result, args)
+    grid = _grid("photon_response", args.nmin, args.nmax, args.n)
+    # the response families set their own SiPM parameters
+    _emit_sweep(args, table1_preset("sipm"),
+                SweepSpec(kind="photon_response", grid=grid))
 
 
 def _cmd_optimize_gain(args) -> None:
-    config, detectors = _resolve(args)
-    apd_dets = [d for d in detectors if isinstance(d, ApdChoice)]
-    if not apd_dets:
+    config, (det,) = _resolve(args.config, args.detector)
+    if not isinstance(det, ApdChoice):
         raise ConfigError("optimize-gain needs an APD detector")
-    det = apd_dets[0]
     p_r, p_rs = ranging.link_powers(config, config.scene.range_m)
     bounds = (args.gain_min, args.gain_max)
     gain_star, snr_star = optimize_gain(det.params, p_rs,
@@ -189,8 +184,7 @@ def _cmd_optimize_gain(args) -> None:
 
 
 def _cmd_sensitivity(args) -> None:
-    config, detectors = _resolve(args)
-    det = detectors[0]
+    config, (det,) = _resolve(args.config, args.detector, args.seed)
     names = sorted(SENSITIVITY_PARAMS) if args.param == "all" else [args.param]
     lines = ["parameter,elasticity"]
     for name in names:
@@ -209,42 +203,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="write a built-in scenario file")
     p.add_argument("name", help="preset name (table1)")
-    _add_common(p)
+    p.add_argument("--detector", choices=("apd", "sipm"), default="apd",
+                   help="detector variant (default apd)")
+    _add_output(p)
     p.set_defaults(func=_cmd_preset)
 
     p = sub.add_parser("range", help="maximum detectable range")
-    _add_common(p)
+    _add_scenario(p, "append")
+    _add_output(p)
     p.set_defaults(func=_cmd_range)
 
+    # grid flags default to None, which takes the sweep kind's default grid
     p = sub.add_parser("snr-curve", help="trigger SNR versus distance")
-    _add_common(p)
-    p.add_argument("--rmin", type=float, default=25.0)
-    p.add_argument("--rmax", type=float, default=500.0)
-    p.add_argument("--n", type=int, default=96)
-    p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.set_defaults(func=_cmd_snr_curve)
+    _add_scenario(p, "append", ("apd", "sipm", "both"))
+    _add_output(p, formats=True)
+    p.add_argument("--rmin", dest="min", type=float, metavar="RMIN")
+    p.add_argument("--rmax", dest="max", type=float, metavar="RMAX")
+    p.add_argument("--n", type=int)
+    p.add_argument("--spacing", choices=("linear", "log"))
+    p.set_defaults(func=_cmd_sweep, kind="distance")
 
     p = sub.add_parser("sweep", help="distance, elevation or illuminance sweep")
-    _add_common(p)
-    p.add_argument("--kind", choices=("distance", "elevation", "illuminance"),
-                   required=True)
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--spacing", choices=("linear", "log"), default=None)
+    _add_scenario(p, "append", ("apd", "sipm", "both"))
+    _add_output(p, formats=True)
+    p.add_argument("--kind", required=True,
+                   choices=[k for k in SWEEP_KINDS if k != "photon_response"])
+    p.add_argument("--min", type=float)
+    p.add_argument("--max", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--spacing", choices=("linear", "log"))
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sipm-response",
                        help="SiPM fired-count response curve families")
-    _add_common(p)
-    p.add_argument("--nmin", type=float, default=1.0)
-    p.add_argument("--nmax", type=float, default=1e5)
-    p.add_argument("--n", type=int, default=81)
+    _add_output(p, formats=True)
+    p.add_argument("--nmin", type=float)
+    p.add_argument("--nmax", type=float)
+    p.add_argument("--n", type=int)
     p.set_defaults(func=_cmd_sipm_response)
 
     p = sub.add_parser("optimize-gain",
                        help="APD gain maximizing the trigger SNR")
-    _add_common(p)
+    _add_scenario(p, _AppendOnce, seed=False)
+    _add_output(p)
     p.add_argument("--gain-min", type=float, default=1.0)
     p.add_argument("--gain-max", type=float, default=1000.0)
     p.add_argument("--curve-points", type=int, default=200)
@@ -252,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity",
                        help="elasticity of the maximum range")
-    _add_common(p)
+    _add_scenario(p, _AppendOnce)
+    _add_output(p)
     p.add_argument("--param", default="all",
                    help="parameter name or 'all'")
     p.add_argument("--rel-step", type=float, default=1e-3)

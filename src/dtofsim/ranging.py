@@ -40,7 +40,7 @@ class RangeResult:
     snr_at_rmax: float
     min_detectable_power_w: float
     background_power_w: float
-    method: str  # "pipeline" or "closed_form"
+    method: str  # always "pipeline": the full model solved by bisection
 
 
 def link_powers(scenario: ScenarioConfig, range_m: float) -> tuple[float, float]:

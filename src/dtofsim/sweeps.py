@@ -10,13 +10,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import ranging, sipm
 from .detectors import DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig
 
-SWEEP_KINDS = ("distance", "elevation", "illuminance", "photon_response")
+
+class SweepKind(NamedTuple):
+    """What a sweep kind's output looks like and which grid it defaults to."""
+
+    x_column: str
+    value_column: str  # CSV column of one series, formatted with its label
+    log_axes: tuple[bool, bool]  # (x, y)
+    grid: tuple[float, float, int, str]  # default (lo, hi, n, spacing)
+
+
+SWEEP_KINDS: dict[str, SweepKind] = {
+    "distance": SweepKind("range_m", "snr_{}", (False, True),
+                          (25.0, 500.0, 96, "linear")),
+    "elevation": SweepKind("elevation_deg", "rmax_{}_m", (False, False),
+                           (-60.0, 60.0, 49, "linear")),
+    "illuminance": SweepKind("illuminance_klux", "rmax_{}_m", (True, False),
+                             (0.1, 100.0, 50, "log")),
+    # long format: one n_fired column, the family in curve_label
+    "photon_response": SweepKind("n_photon", "n_fired", (True, True),
+                                 (1.0, 1e5, 81, "log")),
+}
 
 STATUS_OK = "ok"
 
@@ -52,13 +73,16 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in SWEEP_KINDS:
-            raise ConfigError(f"sweep kind must be one of {SWEEP_KINDS}")
+            raise ConfigError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must not be empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         if self.kind != "photon_response" and not self.detectors:
             raise ConfigError("sweep needs at least one detector")
+        labels = [det.label for det in self.detectors]
+        if len(set(labels)) != len(labels):  # a label names a CSV column
+            raise ConfigError(f"sweep detector labels must be distinct: {labels}")
 
 
 def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -111,11 +135,8 @@ class SweepResult:
     """Long-format sweep output; one row per grid point and series."""
 
     kind: str
-    x_column: str
     series: tuple[str, ...]
     rows: tuple[SweepRow, ...]
-    value_prefix: str = ""
-    value_suffix: str = ""
     reference_level: float | None = None  # e.g. the trigger threshold
 
 
@@ -158,8 +179,7 @@ def _scenario_at(config: ScenarioConfig, kind: str, x: float) -> ScenarioConfig:
     return config
 
 
-def _photon_response_rows(config: ScenarioConfig,
-                          grid: tuple[float, ...]) -> list[SweepRow]:
+def _photon_response_rows(grid: tuple[float, ...]) -> list[SweepRow]:
     rows = []
     for pde, n_pixels, n_bg in PHOTON_RESPONSE_FAMILIES:
         params = sipm.SipmParams(n_pixels=n_pixels, pde=pde,
@@ -180,10 +200,9 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     ``workers`` is accepted and ignored, like ``sipm.monte_carlo_snr``'s.
     """
     if spec.kind == "photon_response":
-        rows = _photon_response_rows(config, spec.grid)
+        rows = _photon_response_rows(spec.grid)
         series = tuple(dict.fromkeys(r.series for r in rows))
-        return SweepResult(kind=spec.kind, x_column="n_photon", series=series,
-                           rows=tuple(rows))
+        return SweepResult(kind=spec.kind, series=series, rows=tuple(rows))
     if spec.kind == "illuminance" and config.solar.mode != "illuminance_scaled":
         raise ConfigError("illuminance sweep requires the "
                           "illuminance_scaled solar mode")
@@ -193,17 +212,10 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     for x in spec.grid:
         cfg = _scenario_at(config, spec.kind, x)
         rows.extend(point(cfg, det, x) for det in spec.detectors)
-
-    labels = tuple(det.label for det in spec.detectors)
-    if spec.kind == "distance":
-        return SweepResult(kind=spec.kind, x_column="range_m", series=labels,
-                           rows=tuple(rows), value_prefix="snr_",
-                           reference_level=config.tdc.tnr)
-    x_column = ("elevation_deg" if spec.kind == "elevation"
-                else "illuminance_klux")
-    return SweepResult(kind=spec.kind, x_column=x_column, series=labels,
-                       rows=tuple(rows), value_prefix="rmax_",
-                       value_suffix="_m")
+    reference = config.tdc.tnr if spec.kind == "distance" else None
+    return SweepResult(kind=spec.kind,
+                       series=tuple(det.label for det in spec.detectors),
+                       rows=tuple(rows), reference_level=reference)
 
 
 def format_number(value: float) -> str:
@@ -219,39 +231,25 @@ def _format_value(value: float | None) -> str:
     return "" if value is None else format_number(value)
 
 
-def csv_header(result: SweepResult) -> str:
-    if result.kind == "photon_response":
-        return "n_photon,n_fired,curve_label"
-    columns = [result.x_column]
-    columns += [f"{result.value_prefix}{label}{result.value_suffix}"
-                for label in result.series]
-    columns.append("status")
-    return ",".join(columns)
-
-
 def csv_lines(result: SweepResult) -> list[str]:
     """Render a sweep as CSV lines, header first; byte deterministic."""
-    lines = [csv_header(result)]
+    kind = SWEEP_KINDS[result.kind]
     if result.kind == "photon_response":
+        lines = [f"{kind.x_column},{kind.value_column},curve_label"]
         for row in result.rows:
             lines.append(f"{_format_value(row.x)},{_format_value(row.value)},"
                          f"{row.series}")
         return lines
-    by_x: dict[float, dict[str, SweepRow]] = {}
-    order: list[float] = []
-    for row in result.rows:
-        if row.x not in by_x:
-            by_x[row.x] = {}
-            order.append(row.x)
-        by_x[row.x][row.series] = row
-    for x in order:
-        cells = [_format_value(x)]
-        statuses = []
-        for label in result.series:
-            row = by_x[x].get(label)
-            cells.append(_format_value(row.value if row else None))
-            if row is not None and row.status != STATUS_OK:
-                statuses.append(f"{label}:{row.status}")
+    lines = [",".join([kind.x_column, *map(kind.value_column.format,
+                                           result.series), "status"])]
+    # run_sweep emits one row per series, in series order, at each grid point
+    width = len(result.series)
+    for i in range(0, len(result.rows), width):
+        group = result.rows[i:i + width]
+        cells = [_format_value(group[0].x)]
+        cells += [_format_value(row.value) for row in group]
+        statuses = [f"{row.series}:{row.status}" for row in group
+                    if row.status != STATUS_OK]
         cells.append(";".join(statuses) if statuses else STATUS_OK)
         lines.append(",".join(cells))
     return lines
@@ -274,14 +272,6 @@ _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 60
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                   "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22")
-
-# which axes are logarithmic per sweep kind
-_LOG_AXES = {
-    "distance": (False, True),
-    "elevation": (False, False),
-    "illuminance": (True, False),
-    "photon_response": (True, True),
-}
 
 
 def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -319,7 +309,8 @@ def emit_svg(result: SweepResult, path: str) -> None:
             continue
         points[row.series].append((row.x, row.value))
 
-    log_x, log_y = _LOG_AXES[result.kind]
+    kind = SWEEP_KINDS[result.kind]
+    log_x, log_y = kind.log_axes
     xs = [p[0] for series in points.values() for p in series]
     ys = [p[1] for series in points.values() for p in series]
     if result.reference_level is not None:
@@ -387,7 +378,7 @@ def emit_svg(result: SweepResult, path: str) -> None:
     parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" '
                  f'y="{_SVG_HEIGHT - 16}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13">'
-                 f'{result.x_column}</text>')
+                 f'{kind.x_column}</text>')
 
     if result.reference_level is not None and y_lo <= result.reference_level <= y_hi:
         py = sy(result.reference_level)

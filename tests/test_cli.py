@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from dtofsim.cli import main
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
 from dtofsim.sweeps import MAX_GRID_POINTS, format_number
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +53,7 @@ class TestRange:
     def test_both_detectors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "both")
         assert code == 1
-        assert "sweep" in err
+        assert "argument --detector: invalid choice: 'both'" in err
 
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "sipm.json"
@@ -65,6 +68,77 @@ class TestRange:
         code, _, err = run_cli(capsys, "range", "--config", str(path),
                                "--detector", "apd")
         assert code == 1
+
+
+class TestFlags:
+    # a flag the command does not read is a usage error, so that, say,
+    # range --format svg cannot write CSV into an .svg file
+    @pytest.mark.parametrize("argv", [
+        ["preset", "table1", "--config", "x.json"],
+        ["preset", "table1", "--format", "svg"],
+        ["preset", "table1", "--seed", "5"],
+        ["range", "--format", "svg"],
+        ["sipm-response", "--config", "x.json"],
+        ["sipm-response", "--seed", "3"],
+        ["sipm-response", "--detector", "sipm"],
+        ["optimize-gain", "--format", "svg"],
+        ["optimize-gain", "--seed", "3"],
+        ["sensitivity", "--format", "svg"]],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_flag_is_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", "result.out")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["snr-curve"], ["sweep", "--kind", "distance"], ["sipm-response"]],
+        ids=lambda argv: argv[0])
+    def test_svg_without_out_is_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--format", "svg")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--format svg needs --out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sensitivity", "optimize-gain"])
+    def test_second_config_is_1(self, tmp_path, capsys, command):
+        # these commands read one detector, so a second file is an error
+        paths = []
+        for det in ("apd", "sipm"):
+            paths.append(str(tmp_path / f"{det}.json"))
+            save_scenario(table1_preset(det), paths[-1])
+        code, out, err = run_cli(capsys, command, "--config", paths[0],
+                                 "--config", paths[1])
+        assert code == 1 and out == ""
+        assert "argument --config: may be given only once" in err
+
+
+COSINE_CONFIGS = ["--config", str(ROOT / "configs" / "table1_apd_cosine.json"),
+                  "--config", str(ROOT / "configs" / "table1_sipm_cosine.json")]
+
+
+class TestGoldens:
+    # each command given only its output path uses the default grid of
+    # its sweep kind, and so reproduces the committed goldens
+    @pytest.mark.parametrize("argv,golden", [
+        (["sweep", "--kind", "distance", "--detector", "both"],
+         "distance_snr.csv"),
+        (["sweep", "--kind", "elevation", *COSINE_CONFIGS],
+         "elevation_rmax.csv"),
+        (["sweep", "--kind", "elevation", *COSINE_CONFIGS, "--format", "svg"],
+         "elevation_rmax.svg"),
+        (["sweep", "--kind", "illuminance", "--detector", "both"],
+         "illuminance_rmax.csv"),
+        (["sipm-response"], "sipm_response.csv")],
+        ids=["distance", "elevation", "elevation-svg", "illuminance",
+             "sipm-response"])
+    def test_defaults_reproduce_golden(self, tmp_path, capsys, argv, golden):
+        out = tmp_path / golden
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (ROOT / "goldens" / golden).read_bytes()
 
 
 class TestSweepCommands:

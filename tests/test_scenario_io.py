@@ -495,8 +495,7 @@ class TestEmitters:
             "n_photon,n_fired,curve_label"
 
     def test_empty_result_is_header_only(self, tmp_path):
-        result = SweepResult(kind="distance", x_column="range_m",
-                             series=("apd",), rows=(), value_prefix="snr_")
+        result = SweepResult(kind="distance", series=("apd",), rows=())
         path = tmp_path / "empty.csv"
         emit_csv(result, str(path))
         assert path.read_text(encoding="utf-8") == "range_m,snr_apd,status\n"
@@ -585,6 +584,14 @@ class TestGrid:
             == MAX_GRID_POINTS
         with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
             make_grid(1.0, 2.0, MAX_GRID_POINTS + 1, spacing)
+
+    def test_spec_requires_distinct_labels(self, apd_config):
+        # two series named apd would share one CSV column
+        gain10 = replace(apd_config.detector, params=replace(
+            apd_config.detector.params, gain=10.0))
+        with pytest.raises(ConfigError, match="labels must be distinct"):
+            SweepSpec(kind="distance", grid=(50.0, 100.0),
+                      detectors=(apd_config.detector, gain10))
 
     def test_spec_requires_monotone_grid(self, apd_config):
         with pytest.raises(ConfigError, match="increasing"):
