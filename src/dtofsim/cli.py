@@ -136,13 +136,14 @@ def _cmd_preset(args) -> None:
 def _cmd_range(args) -> None:
     config, detectors = _resolve(args.config, args.detector, args.seed)
     lines = ["detector,r_max_m,snr_at_rmax,min_detectable_power_w,"
-             "background_power_w,method"]
+             "background_power_w,evaluations,snr_se"]
     for det in detectors:
         res = max_range(config, det, config.tdc)
         numbers = (res.r_max_m, res.snr_at_rmax, res.min_detectable_power_w,
                    res.background_power_w)
         lines.append(",".join([det.label, *map(format_number, numbers),
-                               res.method]))
+                               str(res.evaluations),
+                               format_number(res.snr_se)]))
     _write_lines(lines, args.out)
 
 
@@ -184,7 +185,7 @@ def _cmd_optimize_gain(args) -> None:
 
 
 def _cmd_sensitivity(args) -> None:
-    config, (det,) = _resolve(args.config, args.detector, args.seed)
+    config, (det,) = _resolve(args.config, args.detector)
     names = sorted(SENSITIVITY_PARAMS) if args.param == "all" else [args.param]
     lines = ["parameter,elasticity"]
     for name in names:
@@ -253,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity",
                        help="elasticity of the maximum range")
-    _add_scenario(p, _AppendOnce)
+    # no --seed: a Monte Carlo detector is rejected
+    _add_scenario(p, _AppendOnce, seed=False)
     _add_output(p)
     p.add_argument("--param", default="all",
                    help="parameter name or 'all'")

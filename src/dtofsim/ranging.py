@@ -27,6 +27,10 @@ RANGE_CAP_M = 1e5
 RANGE_WIDTH_TOL_M = 1e-3
 SNR_REL_TOL = 1e-7
 _MAX_BISECT_ITER = 200
+# a Monte Carlo bisection stops once the SNR across its bracket is at most
+# this fraction of the standard error of the latest evaluation; narrower
+# brackets would only resolve the estimator's noise
+SE_STOP_FRACTION = 0.25
 
 # fired fraction above which a sweep row is flagged as saturated
 SIPM_SATURATION_FRACTION = 0.95
@@ -40,7 +44,8 @@ class RangeResult:
     snr_at_rmax: float
     min_detectable_power_w: float
     background_power_w: float
-    method: str  # always "pipeline": the full model solved by bisection
+    evaluations: int  # SNR evaluations of the solve, bracket search included
+    snr_se: float  # Monte Carlo standard error of snr_at_rmax; 0.0 closed form
 
 
 def link_powers(scenario: ScenarioConfig, range_m: float) -> tuple[float, float]:
@@ -54,11 +59,27 @@ def link_powers(scenario: ScenarioConfig, range_m: float) -> tuple[float, float]
     return p_r, p_rs
 
 
+def _is_monte_carlo(detector: DetectorChoice) -> bool:
+    return isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
+
+
+def _monte_carlo_snr(scenario: ScenarioConfig, detector: SipmChoice,
+                     range_m: float) -> tuple[float, float]:
+    """(trigger SNR, its standard error) of the Monte Carlo at ``range_m``."""
+    p_r, p_rs = link_powers(scenario, range_m)
+    laser = scenario.laser
+    return sipm.monte_carlo_snr(detector.params, p_r, p_rs, laser.pulse_fwhm_s,
+                                laser.wavelength_m, scenario.bandwidth_hz,
+                                detector.mc_config())
+
+
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``."""
     if not range_m > 0:
         raise ConfigError("range_m must be > 0")
+    if _is_monte_carlo(detector):
+        return _monte_carlo_snr(scenario, detector, range_m)[0]
     p_r, p_rs = link_powers(scenario, range_m)
     if isinstance(detector, ApdChoice):
         return apd.trigger_snr(detector.params, p_r, p_rs,
@@ -67,12 +88,6 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
     if detector.snr_mode == "approx":
         return sipm.trigger_snr_approx(detector.params, p_r, p_rs,
                                        laser.pulse_fwhm_s, laser.wavelength_m)
-    if detector.snr_mode == "monte_carlo":
-        snr, _ = sipm.monte_carlo_snr(detector.params, p_r, p_rs,
-                                      laser.pulse_fwhm_s, laser.wavelength_m,
-                                      scenario.bandwidth_hz,
-                                      detector.mc_config())
-        return snr
     counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
                                            laser.wavelength_m,
                                            detector.params.dead_time_s)
@@ -107,12 +122,27 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     SNR that is not a number (the scenario's values overflow the noise
     model) is a ``ConfigError``; an infinite one, the noiseless limit,
     counts as above threshold.
+
+    The closed-form modes bisect to a 1 mm bracket.  The Monte Carlo stops
+    earlier, at the first evaluation after which the SNR across the
+    bracket is at most ``SE_STOP_FRACTION`` times that evaluation's
+    standard error, and returns that evaluation.  Its seed is fixed, so
+    every evaluation of one solve reads the same function of range, and
+    the result is a step of the 1 mm bisection whose bracket holds that
+    bisection's root.
     """
     tnr = policy.tnr
-    is_mc = isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
+    is_mc = _is_monte_carlo(detector)
+    evaluations = 0
+    se = 0.0
 
     def f(r: float) -> float:
-        snr = snr_at_range(scenario, detector, r)
+        nonlocal evaluations, se
+        evaluations += 1
+        if is_mc:
+            snr, se = _monte_carlo_snr(scenario, detector, r)
+        else:
+            snr = snr_at_range(scenario, detector, r)
         # NaN compares false both ways, so it would steer the bisection
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
@@ -125,10 +155,11 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
         raise NoDetectionError(
             f"SNR {snr_lo:.4g} is below the threshold {tnr:g} at {lo:g} m")
     hi = RANGE_BRACKET_START_M
-    while f(hi) >= tnr:
+    while (snr_hi := f(hi)) >= tnr:
         hi *= 2.0
         if hi >= RANGE_CAP_M:
-            if f(RANGE_CAP_M) >= tnr:
+            snr_hi = f(RANGE_CAP_M)
+            if snr_hi >= tnr:
                 raise UnboundedRangeError(
                     f"SNR stays above the threshold {tnr:g} out to "
                     f"{RANGE_CAP_M:g} m")
@@ -139,23 +170,24 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     snr_mid = f(mid)
     for _ in range(_MAX_BISECT_ITER):
         if snr_mid >= tnr:
-            lo = mid
+            lo, snr_lo = mid, snr_mid
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+            hi, snr_hi = mid, snr_mid
+        # the bracket's SNR spread is > 0, so this never fires at se = 0
+        if snr_lo - snr_hi <= SE_STOP_FRACTION * se:
+            break
         width = hi - lo
-        if width < RANGE_WIDTH_TOL_M:
-            snr_mid = f(mid)
-            if is_mc or abs(snr_mid - tnr) <= SNR_REL_TOL * tnr \
-                    or width < 1e-12 * mid:
-                break
-        else:
-            snr_mid = f(mid)
+        mid = 0.5 * (lo + hi)
+        snr_mid = f(mid)
+        if width < RANGE_WIDTH_TOL_M and (
+                is_mc or abs(snr_mid - tnr) <= SNR_REL_TOL * tnr
+                or width < 1e-12 * mid):
+            break
 
     p_r, p_rs = link_powers(scenario, mid)
     return RangeResult(r_max_m=mid, snr_at_rmax=snr_mid,
                        min_detectable_power_w=p_r, background_power_w=p_rs,
-                       method="pipeline")
+                       evaluations=evaluations, snr_se=se)
 
 
 def closed_form_max_range(scenario: ScenarioConfig,
@@ -289,8 +321,14 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
 
     Central difference of log range versus log parameter with multiplier
     exp(+-rel_step).  Parameters with a pure power-law influence return
-    their exponent; parameters absent from the model return 0.
+    their exponent; parameters absent from the model return 0.  A Monte
+    Carlo detector is a ``ConfigError``: its range scatters by far more
+    than a step of ``rel_step`` moves it, so the difference is noise.
     """
+    if _is_monte_carlo(detector):
+        raise ConfigError("sensitivity needs a closed-form SNR model; the "
+                          "Monte Carlo range's noise swamps the difference "
+                          "(use snr_mode approx or analytic)")
     if param_name not in SENSITIVITY_PARAMS:
         raise ConfigError(
             f"unknown parameter {param_name!r}; known: "

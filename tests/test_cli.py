@@ -45,10 +45,12 @@ class TestRange:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == ("detector,r_max_m,snr_at_rmax,"
-                            "min_detectable_power_w,background_power_w,method")
+                            "min_detectable_power_w,background_power_w,"
+                            "evaluations,snr_se")
         cells = lines[1].split(",")
         assert cells[0] == "apd"
         assert float(cells[1]) == pytest.approx(350.60456463121545, rel=1e-6)
+        assert cells[5:] == ["28", "0.0"]
 
     def test_both_detectors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "both")
@@ -83,7 +85,8 @@ class TestFlags:
         ["sipm-response", "--detector", "sipm"],
         ["optimize-gain", "--format", "svg"],
         ["optimize-gain", "--seed", "3"],
-        ["sensitivity", "--format", "svg"]],
+        ["sensitivity", "--format", "svg"],
+        ["sensitivity", "--seed", "3"]],
         ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_removed_flag_is_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -234,6 +237,18 @@ class TestSensitivity:
                                "--param", "warp_factor")
         assert code == 1
         assert "unknown parameter" in err
+
+    def test_monte_carlo_detector_is_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"].update(snr_mode="monte_carlo",
+                                mc={"n_trials": 8, "seed": 11})
+        (tmp_path / "mc.json").write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sensitivity", "--config", "mc.json",
+                                 "--out", "elasticities.csv")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "closed-form SNR model" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mc.json"]
 
 
 class TestExitCodes:
@@ -435,8 +450,9 @@ def test_monte_carlo_range_in_a_fresh_process(tmp_path):
                            "--config", str(path)],
                           capture_output=True, text=True, check=True)
     cells = proc.stdout.splitlines()[1].split(",")
-    assert cells[:3] == ["sipm", format_number(262.5929899215698),
-                         format_number(5.011852615418177)]
+    assert cells[:3] == ["sipm", format_number(261.28515625),
+                         format_number(5.0665149479653415)]
+    assert cells[5:] == ["12", format_number(0.48856061321182737)]
 
 
 def test_import_loads_no_scipy():

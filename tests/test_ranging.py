@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtofsim import ConfigError, NoDetectionError, UnboundedRangeError
+from dtofsim import (ConfigError, NoDetectionError, UnboundedRangeError,
+                     sipm)
 from dtofsim.detectors import SipmChoice
-from dtofsim.ranging import (SENSITIVITY_PARAMS, closed_form_max_range,
-                             link_powers, max_range, sensitivity,
-                             snr_at_range)
+from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
+                             closed_form_max_range, link_powers, max_range,
+                             sensitivity, snr_at_range)
+
+from oracles import bisect_range_1mm
 
 
 def with_peak_power(config, p_t):
@@ -17,6 +20,12 @@ def with_peak_power(config, p_t):
 
 def with_illuminance(config, klux):
     return replace(config, solar=replace(config.solar, illuminance_klux=klux))
+
+
+def monte_carlo(config, seed: int) -> SipmChoice:
+    return SipmChoice(params=config.detector.params, snr_mode="monte_carlo",
+                      mc=sipm.SipmMcConfig.for_dead_time(6e-9, seed=seed,
+                                                         n_trials=8))
 
 
 class TestSnrAtRange:
@@ -51,7 +60,7 @@ class TestMaxRange:
         res = max_range(apd_config, apd_config.detector, apd_config.tdc)
         assert res.r_max_m == pytest.approx(350.60456463121545, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
-        assert res.method == "pipeline"
+        assert (res.evaluations, res.snr_se) == (28, 0.0)
         p_r, p_rs = link_powers(apd_config, res.r_max_m)
         assert res.min_detectable_power_w == pytest.approx(p_r, rel=1e-12)
         assert res.background_power_w == pytest.approx(p_rs, rel=1e-12)
@@ -60,6 +69,7 @@ class TestMaxRange:
         res = max_range(sipm_config, sipm_config.detector, sipm_config.tdc)
         assert res.r_max_m == pytest.approx(280.8714710150478, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
+        assert (res.evaluations, res.snr_se) == (24, 0.0)
 
     def test_apd_beats_sipm_at_full_sun(self, apd_config, sipm_config):
         r_apd = max_range(apd_config, apd_config.detector, apd_config.tdc)
@@ -161,6 +171,44 @@ class TestMaxRange:
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
 
 
+class TestMonteCarloStop:
+    @pytest.mark.parametrize("seed", [0, 3, 5, 11])
+    def test_stops_on_a_step_of_the_1mm_bisection(self, sipm_config, seed):
+        det = monte_carlo(sipm_config, seed)
+        tnr = sipm_config.tdc.tnr
+        res = max_range(sipm_config, det, sipm_config.tdc)
+        root, steps = bisect_range_1mm(
+            lambda r: snr_at_range(sipm_config, det, r), tnr)
+        # a fixed seed reads the same function of range at every
+        # evaluation, so the solve is a prefix of the 1 mm bisection
+        assert res.evaluations < len(steps)
+        step = steps[res.evaluations - 1]
+        assert (step.r, step.snr) == (res.r_max_m, res.snr_at_rmax)
+        assert res.r_max_m in (step.lo, step.hi)
+        assert step.lo <= root <= step.hi
+        limit = SE_STOP_FRACTION * res.snr_se
+        assert 0.0 < step.snr_lo - step.snr_hi <= limit
+        assert abs(res.snr_at_rmax - tnr) <= limit
+
+    def test_monte_carlo_snr_sees_every_evaluation(self, sipm_config,
+                                                   monkeypatch):
+        # perfbench/mc_range.py wraps sipm.monte_carlo_snr to count trials
+        # and reads the standard error of its last call as the root's
+        calls = []
+        real = sipm.monte_carlo_snr
+
+        def spy(*args):
+            calls.append((args[1], real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sipm, "monte_carlo_snr", spy)
+        res = max_range(sipm_config, monte_carlo(sipm_config, 11),
+                        sipm_config.tdc)
+        assert len(calls) == res.evaluations
+        p_r, _ = link_powers(sipm_config, res.r_max_m)
+        assert calls[-1] == (p_r, (res.snr_at_rmax, res.snr_se))
+
+
 class TestClosedForm:
     def test_sipm_matches_approx_pipeline(self, sipm_config):
         det = replace(sipm_config.detector, snr_mode="approx")
@@ -224,6 +272,13 @@ class TestSensitivity:
         # SiPM-only knob leaves an APD scenario untouched
         assert sensitivity(apd_config, apd_config.detector, apd_config.tdc,
                            "pde") == pytest.approx(0.0, abs=1e-9)
+
+    def test_monte_carlo_is_rejected(self, sipm_config):
+        # a central difference at rel_step 1e-3 of a Monte Carlo range is
+        # noise: seeds 11 and 3 once gave 8.56 and -29.6 for reflectivity
+        det = monte_carlo(sipm_config, 11)
+        with pytest.raises(ConfigError, match="closed-form SNR model"):
+            sensitivity(sipm_config, det, sipm_config.tdc, "reflectivity")
 
     def test_unknown_parameter(self, apd_config):
         with pytest.raises(ConfigError, match="unknown parameter"):
