@@ -189,8 +189,7 @@ def _cmd_sensitivity(args) -> None:
     names = sorted(SENSITIVITY_PARAMS) if args.param == "all" else [args.param]
     lines = ["parameter,elasticity"]
     for name in names:
-        value = sensitivity(config, det, config.tdc, name,
-                            rel_step=args.rel_step)
+        value = sensitivity(config, det, config.tdc, name)
         lines.append(f"{name},{format_number(value)}")
     _write_lines(lines, args.out)
 
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--param", default="all",
                    help="parameter name or 'all'")
-    p.add_argument("--rel-step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_sensitivity)
 
     return parser

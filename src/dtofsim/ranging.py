@@ -234,83 +234,75 @@ _Edit = Callable[[ScenarioConfig, DetectorChoice, TdcPolicy, float],
                  tuple[ScenarioConfig, DetectorChoice, TdcPolicy]]
 
 
-def _section_edit(section: str, field: str) -> _Edit:
+# the scenario sections a field edit searches; ``solar`` is left to
+# _solar_edit, and ``tdc`` and ``detector`` hold copies the solver ignores
+_SECTIONS = ("scene", "atmosphere", "optics", "target", "laser")
+
+
+def _scaled(obj, name: str, f: float):
+    return replace(obj, **{name: getattr(obj, name) * f})
+
+
+def _field_edit(name: str) -> _Edit:
+    """Scale the field ``name`` in every object that declares one.
+
+    The searched objects are the scenario's sections, the scenario itself,
+    the detector's parameters and the policy; only those holding the field
+    are rebuilt, so the laser's and the APD's ``wavelength_m`` move together.
+    """
+    def holds(obj) -> bool:
+        return name in obj.__dataclass_fields__
+
     def edit(sc, det, pol, f):
-        part = getattr(sc, section)
-        part = replace(part, **{field: getattr(part, field) * f})
-        return replace(sc, **{section: part}), det, pol
-    return edit
-
-
-def _solar_edit(sc, det, pol, f):
-    solar = sc.solar
-    if solar.mode == "direct_irradiance":
-        solar = replace(solar,
-                        in_band_irradiance_w_m2=solar.in_band_irradiance_w_m2 * f)
-    elif solar.mode == "illuminance_scaled":
-        solar = replace(solar, illuminance_klux=solar.illuminance_klux * f)
-    else:
-        raise ConfigError("sun_irradiance sensitivity requires direct or "
-                          "scaled solar mode")
-    return replace(sc, solar=solar), det, pol
-
-
-def _atmosphere_edit(sc, det, pol, f):
-    atm = sc.atmosphere
-    if atm.mode == "fixed_transmittance":
-        atm = replace(atm, one_way_transmittance=atm.one_way_transmittance * f)
-    else:
-        atm = replace(atm, extinction_coeff_per_m=atm.extinction_coeff_per_m * f)
-    return replace(sc, atmosphere=atm), det, pol
-
-
-def _bandwidth_edit(sc, det, pol, f):
-    return replace(sc, bandwidth_hz=sc.bandwidth_hz * f), det, pol
-
-
-def _policy_edit(field: str) -> _Edit:
-    def edit(sc, det, pol, f):
-        return sc, det, replace(pol, **{field: getattr(pol, field) * f})
-    return edit
-
-
-def _detector_edit(cls: type, field: str) -> _Edit:
-    def edit(sc, det, pol, f):
-        if isinstance(det, cls):
-            det = replace(det, params=replace(
-                det.params, **{field: getattr(det.params, field) * f}))
+        changed = {s: _scaled(getattr(sc, s), name, f) for s in _SECTIONS
+                   if holds(getattr(sc, s))}
+        if holds(sc):
+            changed[name] = getattr(sc, name) * f
+        if changed:
+            sc = replace(sc, **changed)
+        if holds(det.params):
+            det = replace(det, params=_scaled(det.params, name, f))
+        if holds(pol):
+            pol = _scaled(pol, name, f)
         return sc, det, pol
     return edit
 
 
+def _solar_edit(sc, det, pol, f):
+    mode = sc.solar.mode
+    if mode == "direct_irradiance":
+        name = "in_band_irradiance_w_m2"
+    elif mode == "illuminance_scaled":
+        name = "illuminance_klux"
+    else:
+        raise ConfigError("sun_irradiance sensitivity requires direct or "
+                          "scaled solar mode")
+    return replace(sc, solar=_scaled(sc.solar, name, f)), det, pol
+
+
+def _atmosphere_edit(sc, det, pol, f):
+    atm = sc.atmosphere
+    name = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
+            else "extinction_coeff_per_m")
+    return replace(sc, atmosphere=_scaled(atm, name, f)), det, pol
+
+
+# parameters scaled wherever a field of their name is declared
+_FIELD_PARAMS = (
+    "peak_power_w", "pulse_fwhm_s", "wavelength_m", "reflectivity",
+    "aperture_radius_m", "focal_length_m", "detector_radius_m",
+    "laser_efficiency", "sun_efficiency", "sun_angle_rad",
+    "incidence_angle_rad", "bandwidth_hz", "tnr", "gain",
+    "quantum_efficiency", "excess_noise_index", "surface_dark_current_a",
+    "bulk_dark_current_a", "load_resistance_ohm", "temperature_k",
+    "amplifier_noise_a", "n_pixels", "pde", "dead_time_s",
+    "dark_count_rate_cps",
+)
 SENSITIVITY_PARAMS: dict[str, _Edit] = {
-    "peak_power_w": _section_edit("laser", "peak_power_w"),
-    "pulse_fwhm_s": _section_edit("laser", "pulse_fwhm_s"),
-    "wavelength_m": _section_edit("laser", "wavelength_m"),
-    "reflectivity": _section_edit("target", "reflectivity"),
-    "one_way_transmittance": _atmosphere_edit,
-    "aperture_radius_m": _section_edit("optics", "aperture_radius_m"),
-    "focal_length_m": _section_edit("optics", "focal_length_m"),
-    "detector_radius_m": _section_edit("optics", "detector_radius_m"),
-    "laser_efficiency": _section_edit("optics", "laser_efficiency"),
-    "sun_efficiency": _section_edit("optics", "sun_efficiency"),
+    **{name: _field_edit(name) for name in _FIELD_PARAMS},
+    # the field these scale depends on the mode
     "sun_irradiance": _solar_edit,
-    "sun_angle_rad": _section_edit("scene", "sun_angle_rad"),
-    "incidence_angle_rad": _section_edit("scene", "incidence_angle_rad"),
-    "bandwidth_hz": _bandwidth_edit,
-    "tnr": _policy_edit("tnr"),
-    "gain": _detector_edit(ApdChoice, "gain"),
-    "quantum_efficiency": _detector_edit(ApdChoice, "quantum_efficiency"),
-    "excess_noise_index": _detector_edit(ApdChoice, "excess_noise_index"),
-    "surface_dark_current_a": _detector_edit(ApdChoice, "surface_dark_current_a"),
-    "bulk_dark_current_a": _detector_edit(ApdChoice, "bulk_dark_current_a"),
-    "load_resistance_ohm": _detector_edit(ApdChoice, "load_resistance_ohm"),
-    "temperature_k": _detector_edit(ApdChoice, "temperature_k"),
-    "amplifier_noise_a": _detector_edit(ApdChoice, "amplifier_noise_a"),
-    "n_pixels": _detector_edit(SipmChoice, "n_pixels"),
-    "pde": _detector_edit(SipmChoice, "pde"),
-    "dead_time_s": _detector_edit(SipmChoice, "dead_time_s"),
-    "dark_count_rate_cps": _detector_edit(SipmChoice, "dark_count_rate_cps"),
+    "one_way_transmittance": _atmosphere_edit,
 }
 
 
@@ -321,9 +313,11 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
 
     Central difference of log range versus log parameter with multiplier
     exp(+-rel_step).  Parameters with a pure power-law influence return
-    their exponent; parameters absent from the model return 0.  A Monte
-    Carlo detector is a ``ConfigError``: its range scatters by far more
-    than a step of ``rel_step`` moves it, so the difference is noise.
+    their exponent.  A name that no object of this scenario, detector and
+    policy holds (a SiPM parameter for an APD, say) leaves the range
+    unchanged, so it gives 0.  A Monte Carlo detector is a
+    ``ConfigError``: its range scatters by far more than a step of
+    ``rel_step`` moves it, so the difference is noise.
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "

@@ -86,7 +86,8 @@ class TestFlags:
         ["optimize-gain", "--format", "svg"],
         ["optimize-gain", "--seed", "3"],
         ["sensitivity", "--format", "svg"],
-        ["sensitivity", "--seed", "3"]],
+        ["sensitivity", "--seed", "3"],
+        ["sensitivity", "--rel-step", "0.01"]],
         ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_removed_flag_is_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +238,25 @@ class TestSensitivity:
                                "--param", "warp_factor")
         assert code == 1
         assert "unknown parameter" in err
+
+    def test_apd_wavelength_moves_responsivity(self, capsys):
+        code, out, _ = run_cli(capsys, "sensitivity", "--detector", "apd",
+                               "--param", "wavelength_m")
+        assert code == 0
+        assert out.splitlines()[1] == "wavelength_m,0.256032356019009"
+
+    def test_sun_irradiance_of_spectrum_is_1(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        data = scenario_to_dict(table1_preset("apd"))
+        data["solar"] = {"mode": "spectrum_integral",
+                         "spectrum": [[890.0, 1.0, 0.5], [920.0, 1.0, 0.5]]}
+        (tmp_path / "spectrum.json").write_text(json.dumps(data),
+                                                encoding="utf-8")
+        code, out, err = run_cli(capsys, "sensitivity", "--config",
+                                 "spectrum.json", "--param", "sun_irradiance")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "sun_irradiance sensitivity" in err
 
     def test_monte_carlo_detector_is_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

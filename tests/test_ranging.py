@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from dtofsim import (ConfigError, NoDetectionError, UnboundedRangeError,
-                     sipm)
-from dtofsim.detectors import SipmChoice
+                     sipm, table1_preset)
+from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              closed_form_max_range, link_powers, max_range,
                              sensitivity, snr_at_range)
+from dtofsim.scenario import ScenarioConfig
+from dtofsim.scene_link import AtmosphereModel, SolarModel
+from dtofsim.tdc import TdcPolicy
 
 from oracles import bisect_range_1mm
 
@@ -235,8 +238,6 @@ class TestClosedForm:
         assert brighter == pytest.approx(base * 4.0 ** -0.25, rel=1e-9)
 
     def test_requires_fixed_transmittance(self, apd_config):
-        from dtofsim.scene_link import AtmosphereModel
-
         config = replace(apd_config,
                          atmosphere=AtmosphereModel(mode="extinction",
                                                     extinction_coeff_per_m=2e-4))
@@ -291,12 +292,68 @@ class TestSensitivity:
                         "peak_power_w", rel_step=0.5)
 
     def test_registry_covers_reference_table(self):
-        expected = {"peak_power_w", "pulse_fwhm_s", "reflectivity", "one_way_transmittance",
+        # the rows of `sensitivity --param all` are exactly these names
+        expected = {"peak_power_w", "pulse_fwhm_s", "wavelength_m",
+                    "reflectivity", "one_way_transmittance",
                     "laser_efficiency", "aperture_radius_m", "sun_irradiance",
-                    "sun_angle_rad", "sun_efficiency", "focal_length_m",
-                    "bandwidth_hz", "gain", "detector_radius_m",
-                    "quantum_efficiency", "surface_dark_current_a",
-                    "bulk_dark_current_a", "excess_noise_index",
-                    "load_resistance_ohm", "n_pixels", "pde", "dead_time_s",
-                    "dark_count_rate_cps", "tnr"}
-        assert expected <= set(SENSITIVITY_PARAMS)
+                    "sun_angle_rad", "incidence_angle_rad", "sun_efficiency",
+                    "focal_length_m", "bandwidth_hz", "gain",
+                    "detector_radius_m", "quantum_efficiency",
+                    "surface_dark_current_a", "bulk_dark_current_a",
+                    "excess_noise_index", "load_resistance_ohm",
+                    "temperature_k", "amplifier_noise_a", "n_pixels", "pde",
+                    "dead_time_s", "dark_count_rate_cps", "tnr"}
+        assert set(SENSITIVITY_PARAMS) == expected
+
+    @pytest.mark.parametrize("name", sorted(SENSITIVITY_PARAMS))
+    @pytest.mark.parametrize("det", ["apd", "sipm"])
+    def test_edit_returns_triple(self, name, det):
+        config = table1_preset(det)
+        sc, new_det, pol = SENSITIVITY_PARAMS[name](
+            config, config.detector, config.tdc, 1.01)
+        assert isinstance(sc, ScenarioConfig)
+        assert isinstance(new_det, (ApdChoice, SipmChoice))
+        assert isinstance(pol, TdcPolicy)
+
+    @pytest.mark.parametrize("variant", ["table1", "cosine", "ionization"])
+    def test_apd_wavelength_moves_responsivity(self, apd_config, variant):
+        # R = eta q lambda / (h c): the APD reads only the product of its
+        # quantum efficiency and the wavelength, so their elasticities agree
+        config = apd_config
+        if variant == "cosine":
+            config = replace(config, optics=replace(config.optics,
+                                                    aperture_model="cosine"))
+        elif variant == "ionization":
+            config = replace(config, detector=replace(
+                config.detector, params=replace(
+                    config.detector.params, excess_noise_mode="ionization",
+                    electron_ionization_rate=0.05)))
+        det = config.detector
+        wavelength = sensitivity(config, det, config.tdc, "wavelength_m")
+        eta = sensitivity(config, det, config.tdc, "quantum_efficiency")
+        assert wavelength > 0.2
+        assert wavelength == pytest.approx(eta, rel=1e-12)
+
+    def test_sipm_wavelength(self, sipm_config):
+        value = sensitivity(sipm_config, sipm_config.detector,
+                            sipm_config.tdc, "wavelength_m")
+        assert value == pytest.approx(0.17023523428338905, rel=1e-9)
+
+    def test_extinction_scales_coefficient(self, apd_config):
+        config = replace(apd_config, atmosphere=AtmosphereModel(
+            mode="extinction", one_way_transmittance=0.9,
+            extinction_coeff_per_m=1e-4))
+        edit = SENSITIVITY_PARAMS["one_way_transmittance"]
+        sc, _, _ = edit(config, config.detector, config.tdc, 2.0)
+        assert sc.atmosphere.extinction_coeff_per_m == 2e-4
+        assert sc.atmosphere.one_way_transmittance == 0.9
+        value = sensitivity(config, config.detector, config.tdc,
+                            "one_way_transmittance")
+        assert value == pytest.approx(-0.02554553841926932, rel=1e-9)
+
+    def test_sun_irradiance_needs_direct_or_scaled_solar(self, apd_config):
+        rows = tuple((wl, 1.0, 0.5) for wl in (890.0, 900.0, 910.0, 920.0))
+        config = replace(apd_config, solar=SolarModel(
+            mode="spectrum_integral", spectrum_table=rows))
+        with pytest.raises(ConfigError, match="sun_irradiance sensitivity"):
+            sensitivity(config, config.detector, config.tdc, "sun_irradiance")
