@@ -10,6 +10,7 @@ no-op unless the model changed.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from dataclasses import replace
@@ -20,10 +21,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from dtofsim.scenario import save_scenario, table1_preset  # noqa: E402
 from dtofsim.sweeps import (SWEEP_KINDS, SweepSpec, emit_csv,  # noqa: E402
                             emit_svg, make_grid, run_sweep)
-
-CONFIG_DIR = os.path.join(ROOT, "configs")
-GOLDEN_DIR = os.path.join(ROOT, "goldens")
-
 
 def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
     os.makedirs(config_dir, exist_ok=True)
@@ -63,6 +60,18 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
     return written
 
 
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description="Regenerate the example configs and golden sweeps.")
+    parser.add_argument(
+        "root", nargs="?", default=ROOT,
+        help="write configs/ and goldens/ under this directory, to compare "
+             "with the committed ones (default: the repository, in place)")
+    root = parser.parse_args(argv).root
+    for path in build_outputs(os.path.join(root, "configs"),
+                              os.path.join(root, "goldens")):
+        print(f"wrote {os.path.relpath(path, root)}")
+
+
 if __name__ == "__main__":
-    for path in build_outputs(CONFIG_DIR, GOLDEN_DIR):
-        print(f"wrote {os.path.relpath(path, ROOT)}")
+    main()

@@ -1,7 +1,7 @@
 """Maximum-range pipeline: background noise to weakest signal to range.
 
 The pipeline evaluates the trigger SNR of the composed scene and detector
-at a candidate range and bisects for the range where the SNR equals the
+at a candidate range and solves for the range where the SNR equals the
 threshold-to-noise ratio.  Closed-form range expressions for the
 photon-limited limits of both detectors serve as consistency checks; the
 pipeline is authoritative.
@@ -21,12 +21,16 @@ from .physconst import photon_energy
 from .scenario import ScenarioConfig
 from .tdc import TdcPolicy
 
-# bisection controls
+# range solver controls
 RANGE_BRACKET_START_M = 100.0
 RANGE_CAP_M = 1e5
-RANGE_WIDTH_TOL_M = 1e-3
+# a closed-form root stops on a bracket this wide in ln(range)
+LOG_RANGE_TOL = 1e-12
+# the closed-form root's SNR lies within this relative distance of the
+# threshold with a wide margin (perfbench/checks.py tests it)
 SNR_REL_TOL = 1e-7
-_MAX_BISECT_ITER = 200
+# the Monte Carlo bisection's range resolution
+RANGE_WIDTH_TOL_M = 1e-3
 # a Monte Carlo bisection stops once the SNR across its bracket is at most
 # this fraction of the standard error of the latest evaluation; narrower
 # brackets would only resolve the estimator's noise
@@ -112,24 +116,85 @@ def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
     return (n_b + n_d + n_s) / params.n_pixels
 
 
+def _log_margin(snr: float, tnr: float) -> float:
+    """ln(SNR / tnr); an SNR of 0 gives -inf and an infinite one +inf."""
+    ratio = snr / tnr
+    return math.log(ratio) if ratio > 0.0 else -math.inf
+
+
+def _brent_root(g: Callable[[float], float], a: float, fa: float, b: float,
+                fb: float, tol: float) -> float:
+    """A zero of ``g`` between ``a`` and ``b``, where fa >= 0 > fb.
+
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant
+    interpolation, safeguarded by bisection, on a bracket that always
+    holds a sign change.  An infinite endpoint value always takes the
+    bisection step, so no interpolation meets inf.  Returns the point of
+    smallest |g| once the bracket is at most about ``tol`` wide, or a
+    point where g is exactly 0.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        step_tol = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= step_tol or fb == 0.0:
+            return b
+        if (abs(e) >= step_tol and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > step_tol else math.copysign(step_tol, m)
+        fb = g(b)
+
+
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
               policy: TdcPolicy) -> RangeResult:
     """Range at which the trigger SNR falls to the threshold-to-noise ratio.
 
-    Bisection on a bracket grown by doubling from 100 m; raises
-    ``NoDetectionError`` when the SNR is below threshold already at 1 m and
+    A bracket grown by doubling from 100 m; raises ``NoDetectionError``
+    when the SNR is below threshold already at 1 m and
     ``UnboundedRangeError`` when it stays above threshold at 100 km.  An
     SNR that is not a number (the scenario's values overflow the noise
     model) is a ``ConfigError``; an infinite one, the noiseless limit,
     counts as above threshold.
 
-    The closed-form modes bisect to a 1 mm bracket.  The Monte Carlo stops
-    earlier, at the first evaluation after which the SNR across the
-    bracket is at most ``SE_STOP_FRACTION`` times that evaluation's
-    standard error, and returns that evaluation.  Its seed is fixed, so
-    every evaluation of one solve reads the same function of range, and
-    the result is a step of the 1 mm bisection whose bracket holds that
-    bisection's root.
+    The closed-form modes solve g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's
+    method on the bracket the doubling leaves, [hi / 2, hi] or [1 m,
+    100 m], to a bracket about 1e-12 wide in ln(range).  The SNR falls
+    roughly as range^-2, so g is nearly linear in u and the root takes a
+    few evaluations (6 for the table1 APD, 10 for the SiPM); the SNR at
+    ``r_max`` is the threshold to within 1e-12 relative.
+
+    The Monte Carlo bisects [1 m, hi] and stops at the first evaluation
+    after which the SNR across the bracket is at most
+    ``SE_STOP_FRACTION`` times that evaluation's standard error, or at
+    the midpoint of a bracket narrower than 1 mm, and returns that
+    evaluation.  Its seed is
+    fixed, so every evaluation of one solve reads the same function of
+    range, and the result is a step of the 1 mm bisection whose bracket
+    holds that bisection's root.
     """
     tnr = policy.tnr
     is_mc = _is_monte_carlo(detector)
@@ -143,7 +208,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
             snr, se = _monte_carlo_snr(scenario, detector, r)
         else:
             snr = snr_at_range(scenario, detector, r)
-        # NaN compares false both ways, so it would steer the bisection
+        # NaN compares false both ways, so it would steer the solver
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
                               "the scenario's values overflow the model")
@@ -154,8 +219,10 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     if snr_lo < tnr:
         raise NoDetectionError(
             f"SNR {snr_lo:.4g} is below the threshold {tnr:g} at {lo:g} m")
+    above = lo, snr_lo  # the last range with the SNR at or above tnr
     hi = RANGE_BRACKET_START_M
     while (snr_hi := f(hi)) >= tnr:
+        above = hi, snr_hi
         hi *= 2.0
         if hi >= RANGE_CAP_M:
             snr_hi = f(RANGE_CAP_M)
@@ -166,26 +233,36 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
             hi = RANGE_CAP_M
             break
 
-    mid = 0.5 * (lo + hi)
-    snr_mid = f(mid)
-    for _ in range(_MAX_BISECT_ITER):
-        if snr_mid >= tnr:
-            lo, snr_lo = mid, snr_mid
-        else:
-            hi, snr_hi = mid, snr_mid
-        # the bracket's SNR spread is > 0, so this never fires at se = 0
-        if snr_lo - snr_hi <= SE_STOP_FRACTION * se:
-            break
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        snr_mid = f(mid)
-        if width < RANGE_WIDTH_TOL_M and (
-                is_mc or abs(snr_mid - tnr) <= SNR_REL_TOL * tnr
-                or width < 1e-12 * mid):
-            break
+    if is_mc:
+        while True:
+            width = hi - lo
+            r = 0.5 * (lo + hi)
+            snr = f(r)
+            if width < RANGE_WIDTH_TOL_M:
+                break
+            if snr >= tnr:
+                lo, snr_lo = r, snr
+            else:
+                hi, snr_hi = r, snr
+            # the bracket's SNR spread is > 0, so this never fires at se = 0
+            if snr_lo - snr_hi <= SE_STOP_FRACTION * se:
+                break
+    else:
+        u_lo, u_hi = math.log(above[0]), math.log(hi)
+        # each evaluated ln(range) -> (range, SNR), the endpoints exactly
+        points = {u_lo: above, u_hi: (hi, snr_hi)}
 
-    p_r, p_rs = link_powers(scenario, mid)
-    return RangeResult(r_max_m=mid, snr_at_rmax=snr_mid,
+        def g(u: float) -> float:
+            r = math.exp(u)
+            points[u] = r, f(r)
+            return _log_margin(points[u][1], tnr)
+
+        u = _brent_root(g, u_lo, _log_margin(above[1], tnr),
+                        u_hi, _log_margin(snr_hi, tnr), LOG_RANGE_TOL)
+        r, snr = points[u]
+
+    p_r, p_rs = link_powers(scenario, r)
+    return RangeResult(r_max_m=r, snr_at_rmax=snr,
                        min_detectable_power_w=p_r, background_power_w=p_rs,
                        evaluations=evaluations, snr_se=se)
 
@@ -311,12 +388,20 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
                 rel_step: float = 1e-3) -> float:
     """Elasticity of the maximum range with respect to one parameter.
 
-    Central difference of log range versus log parameter with multiplier
-    exp(+-rel_step).  Parameters with a pure power-law influence return
-    their exponent.  A name that no object of this scenario, detector and
-    policy holds (a SiPM parameter for an APD, say) leaves the range
-    unchanged, so it gives 0.  A Monte Carlo detector is a
-    ``ConfigError``: its range scatters by far more than a step of
+    One range solve, then implicit differentiation of its root: with
+    g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
+    -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
+    ``r_max`` with multipliers exp(+-rel_step): the parameter's edit for
+    the first, the range for the second, four SNR evaluations in all.
+    The perturbed scenarios run no solve of their own, so only the base
+    solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.
+
+    Parameters with a pure power-law influence return their exponent.  A
+    name that no object of this scenario, detector and policy holds (a
+    SiPM parameter for an APD, say) leaves g unchanged, so it gives 0.0.
+    An SNR near ``r_max`` that is 0 or infinite, or one flat in range,
+    leaves the elasticity undefined: a ``ConfigError``.  So is a Monte
+    Carlo detector: its SNR scatters by far more than a step of
     ``rel_step`` moves it, so the difference is noise.
     """
     if _is_monte_carlo(detector):
@@ -330,9 +415,21 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     if not 0.0 < rel_step <= 0.1:
         raise ConfigError("rel_step must be in (0, 0.1]")
     edit = SENSITIVITY_PARAMS[param_name]
-    results = []
-    for sign in (1.0, -1.0):
-        sc, det, pol = edit(scenario, detector, policy,
-                            math.exp(sign * rel_step))
-        results.append(max_range(sc, det, pol).r_max_m)
-    return (math.log(results[0]) - math.log(results[1])) / (2.0 * rel_step)
+    r = max_range(scenario, detector, policy).r_max_m
+
+    def g(sc, det, pol, range_m):
+        return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
+
+    up, down = math.exp(rel_step), math.exp(-rel_step)
+    # both differences span 2 * rel_step, which cancels in the ratio
+    dg_r = (g(scenario, detector, policy, r * up)
+            - g(scenario, detector, policy, r * down))
+    dg_p = (g(*edit(scenario, detector, policy, up), r)
+            - g(*edit(scenario, detector, policy, down), r))
+    if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
+        raise ConfigError(
+            f"the elasticity of {param_name} is undefined at r_max "
+            f"{r:g} m: ln(SNR / tnr) there is not finite or not moved by "
+            "the range")
+    # + 0.0 turns the -0.0 of an unmoved g into 0.0
+    return -dg_p / dg_r + 0.0

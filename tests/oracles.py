@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: Gaussian
 tails come from quadrature, trigger statistics from direct stochastic
 simulation, SiPM dead-time trials from a per-trial, per-step loop,
 integrals from exact rational arithmetic, optima from exhaustive grid
-search, and range roots from a plain bisection to a 1 mm bracket.
+search, and range roots from a plain bisection to a 1 mm bracket or from
+scipy's Brent root in log range to full precision.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 
 def gaussian_tail_quad(threshold: float) -> float:
@@ -175,3 +176,18 @@ def bisect_range_1mm(snr, tnr: float) -> tuple[float, list[BisectStep]]:
         steps.append(BisectStep(mid, value, lo, snr_lo, hi, snr_hi))
         if width < 1e-3:
             return mid, steps
+
+
+def log_range_root(snr, tnr: float) -> float:
+    """Range where ``snr(r)`` falls to ``tnr``, to full precision.
+
+    The bracket is [hi / 2, hi] (or [1 m, 100 m]), hi doubled from 100 m
+    until the SNR there is below ``tnr``; scipy's ``brentq`` then solves
+    ln(snr(e^u) / tnr) = 0 in u = ln(range) to 1e-14.
+    """
+    lo, hi = 1.0, 100.0
+    while snr(hi) >= tnr:
+        lo, hi = hi, 2.0 * hi
+    u = optimize.brentq(lambda u: math.log(snr(math.exp(u)) / tnr),
+                        math.log(lo), math.log(hi), xtol=1e-14)
+    return math.exp(u)

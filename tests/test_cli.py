@@ -50,7 +50,7 @@ class TestRange:
         cells = lines[1].split(",")
         assert cells[0] == "apd"
         assert float(cells[1]) == pytest.approx(350.60456463121545, rel=1e-6)
-        assert cells[5:] == ["28", "0.0"]
+        assert cells[5:] == ["6", "0.0"]
 
     def test_both_detectors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "both")
@@ -243,7 +243,7 @@ class TestSensitivity:
         code, out, _ = run_cli(capsys, "sensitivity", "--detector", "apd",
                                "--param", "wavelength_m")
         assert code == 0
-        assert out.splitlines()[1] == "wavelength_m,0.256032356019009"
+        assert out.splitlines()[1] == "wavelength_m,0.256030198919708"
 
     def test_sun_irradiance_of_spectrum_is_1(self, tmp_path, monkeypatch,
                                              capsys):

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dtofsim import (ConfigError, NoDetectionError, UnboundedRangeError,
-                     sipm, table1_preset)
+                     ranging, sipm, table1_preset)
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              closed_form_max_range, link_powers, max_range,
@@ -14,7 +16,7 @@ from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import AtmosphereModel, SolarModel
 from dtofsim.tdc import TdcPolicy
 
-from oracles import bisect_range_1mm
+from oracles import bisect_range_1mm, log_range_root
 
 
 def with_peak_power(config, p_t):
@@ -29,6 +31,44 @@ def monte_carlo(config, seed: int) -> SipmChoice:
     return SipmChoice(params=config.detector.params, snr_mode="monte_carlo",
                       mc=sipm.SipmMcConfig.for_dead_time(6e-9, seed=seed,
                                                          n_trials=8))
+
+
+def noiseless_sipm(config, **atmosphere):
+    """No sunlight and no dark counts: the analytic SNR is infinite."""
+    config = replace(with_illuminance(config, 0.0), detector=replace(
+        config.detector, params=replace(config.detector.params,
+                                        dark_count_rate_cps=0.0)))
+    if atmosphere:
+        config = replace(config, atmosphere=AtmosphereModel(**atmosphere))
+    return config
+
+
+@st.composite
+def solvable_scenarios(draw):
+    """Solvable table1 scenarios over perfbench's design_space ranges."""
+    kind = draw(st.sampled_from(("apd", "sipm", "sipm_approx")))
+    config = table1_preset("apd" if kind == "apd" else "sipm")
+    if kind == "sipm_approx":
+        config = replace(config, detector=replace(config.detector,
+                                                  snr_mode="approx"))
+    config = replace(
+        with_illuminance(config, 10.0 ** draw(st.floats(0.0, 2.0))),
+        target=replace(config.target,
+                       reflectivity=draw(st.floats(0.05, 0.8))),
+        scene=replace(config.scene,
+                      elevation_angle_rad=draw(st.floats(-0.5, 0.5)),
+                      sun_angle_rad=draw(st.floats(0.0, 1.4))))
+    if draw(st.booleans()):
+        config = replace(config, optics=replace(config.optics,
+                                                aperture_model="cosine"))
+    if draw(st.booleans()):
+        config = replace(config, atmosphere=AtmosphereModel(
+            mode="extinction",
+            extinction_coeff_per_m=10.0 ** draw(st.floats(-4.0, -3.0))))
+    # a bright sun can hold the SiPM below threshold at 1 m, an answer
+    # (NoDetectionError) and not a root
+    assume(snr_at_range(config, config.detector, 1.0) >= config.tdc.tnr)
+    return config
 
 
 class TestSnrAtRange:
@@ -63,7 +103,7 @@ class TestMaxRange:
         res = max_range(apd_config, apd_config.detector, apd_config.tdc)
         assert res.r_max_m == pytest.approx(350.60456463121545, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
-        assert (res.evaluations, res.snr_se) == (28, 0.0)
+        assert (res.evaluations, res.snr_se) == (6, 0.0)
         p_r, p_rs = link_powers(apd_config, res.r_max_m)
         assert res.min_detectable_power_w == pytest.approx(p_r, rel=1e-12)
         assert res.background_power_w == pytest.approx(p_rs, rel=1e-12)
@@ -72,7 +112,7 @@ class TestMaxRange:
         res = max_range(sipm_config, sipm_config.detector, sipm_config.tdc)
         assert res.r_max_m == pytest.approx(280.8714710150478, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
-        assert (res.evaluations, res.snr_se) == (24, 0.0)
+        assert (res.evaluations, res.snr_se) == (10, 0.0)
 
     def test_apd_beats_sipm_at_full_sun(self, apd_config, sipm_config):
         r_apd = max_range(apd_config, apd_config.detector, apd_config.tdc)
@@ -103,15 +143,38 @@ class TestMaxRange:
             max_range(strong, strong.detector, strong.tdc)
 
     def test_noiseless_sipm_is_unbounded(self, sipm_config):
-        # no sunlight and no dark counts: the analytic SNR is the infinite
-        # noiseless sentinel at every range, which stays an answer
-        dark = replace(with_illuminance(sipm_config, 0.0),
-                       detector=replace(sipm_config.detector, params=replace(
-                           sipm_config.detector.params,
-                           dark_count_rate_cps=0.0)))
+        # the infinite noiseless sentinel at every range stays an answer
+        dark = noiseless_sipm(sipm_config)
         assert snr_at_range(dark, dark.detector, 1e4) == math.inf
         with pytest.raises(UnboundedRangeError):
             max_range(dark, dark.detector, dark.tdc)
+        far = noiseless_sipm(sipm_config, mode="extinction",
+                             extinction_coeff_per_m=1e-3)
+        with pytest.raises(UnboundedRangeError):
+            max_range(far, far.detector, far.tdc)
+
+    @pytest.mark.parametrize("extinction", [0.1, 0.01])
+    def test_noiseless_sipm_solves_where_the_signal_underflows(
+            self, sipm_config, extinction):
+        # the SNR is inf while the echo lasts and 0 once it underflows, so
+        # ln(SNR / tnr) jumps from +inf to -inf: the solver bisects onto
+        # the jump instead of interpolating to NaN
+        dark = noiseless_sipm(sipm_config, mode="extinction",
+                              extinction_coeff_per_m=extinction)
+        res = max_range(dark, dark.detector, dark.tdc)
+        assert res.snr_at_rmax in (0.0, math.inf)
+        r = res.r_max_m
+        assert snr_at_range(dark, dark.detector, r * (1 - 1e-11)) == math.inf
+        assert snr_at_range(dark, dark.detector, r * (1 + 1e-11)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(solvable_scenarios())
+    def test_root_is_at_threshold_in_few_evaluations(self, config):
+        res = max_range(config, config.detector, config.tdc)
+        snr = snr_at_range(config, config.detector, res.r_max_m)
+        assert snr == res.snr_at_rmax
+        assert abs(snr / config.tdc.tnr - 1.0) <= 1e-12
+        assert res.evaluations <= 16
 
     def test_nan_snr_is_a_config_error(self, apd_config):
         # gain**2 overflows to inf, and the no-echo signal shot-noise term
@@ -264,6 +327,69 @@ class TestSensitivity:
         value = sensitivity(sipm_config, det, sipm_config.tdc, "pde")
         assert value == pytest.approx(0.25, abs=1e-3)
 
+    @pytest.mark.parametrize("name,exponent", [("peak_power_w", 0.5),
+                                               ("bandwidth_hz", -0.25)])
+    def test_apd_power_laws_are_exact(self, apd_config, name, exponent):
+        value = sensitivity(apd_config, apd_config.detector, apd_config.tdc,
+                            name)
+        assert value == pytest.approx(exponent, abs=1e-10)
+
+    @pytest.mark.parametrize("elevation,expected", [(None, -2.4995e-5),
+                                                    (0.3, -2.5088e-5)])
+    def test_sipm_dark_count_rate(self, sipm_config, elevation, expected):
+        # a true elasticity of -2.5e-5, which the difference of two 1 mm
+        # bisections read as -4.2e-5 at table1 and as 0.0 at 0.3 rad
+        config = sipm_config
+        if elevation is not None:
+            config = replace(
+                config,
+                optics=replace(config.optics, aperture_model="cosine"),
+                scene=replace(config.scene, elevation_angle_rad=elevation))
+        value = sensitivity(config, config.detector, config.tdc,
+                            "dark_count_rate_cps")
+        assert value == pytest.approx(expected, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(solvable_scenarios(), st.sampled_from(sorted(SENSITIVITY_PARAMS)))
+    def test_implicit_matches_difference_of_solves(self, config, name):
+        # both sides carry an O(step^2) truncation error, which at 1e-3
+        # reaches 2e-5; at 1e-5 it is far below the tolerance
+        step = 1e-5
+        edit = SENSITIVITY_PARAMS[name]
+        roots = []
+        for sign in (1.0, -1.0):
+            sc, det, pol = edit(config, config.detector, config.tdc,
+                                math.exp(sign * step))
+            roots.append(log_range_root(
+                lambda r: snr_at_range(sc, det, r), pol.tnr))
+        expected = (math.log(roots[0]) - math.log(roots[1])) / (2.0 * step)
+        value = sensitivity(config, config.detector, config.tdc, name,
+                            rel_step=step)
+        assert value == pytest.approx(expected, abs=1e-8)
+
+    def test_unmoved_parameter_is_positive_zero(self, apd_config):
+        # -0.0 would print as "-0.0" in `sensitivity --param all`
+        for name in ("pde", "incidence_angle_rad"):
+            value = sensitivity(apd_config, apd_config.detector,
+                                apd_config.tdc, name)
+            assert math.copysign(1.0, value) == 1.0 and value == 0.0
+
+    def test_undefined_elasticity_is_a_config_error(self, apd_config,
+                                                    monkeypatch):
+        real = ranging.snr_at_range
+
+        def infinite_above_45_w(sc, det, r):
+            return math.inf if sc.laser.peak_power_w > 45.0 else real(sc, det, r)
+
+        def flat_at_threshold(sc, det, r):
+            return 10.0 if r < 150.0 else 5.0 if r <= 300.0 else 1.0
+
+        for fake in (infinite_above_45_w, flat_at_threshold):
+            monkeypatch.setattr(ranging, "snr_at_range", fake)
+            with pytest.raises(ConfigError, match="peak_power_w is undefined"):
+                sensitivity(apd_config, apd_config.detector, apd_config.tdc,
+                            "peak_power_w")
+
     def test_sun_elasticity(self, sipm_config):
         det = self.approx_detector(sipm_config)
         value = sensitivity(sipm_config, det, sipm_config.tdc, "sun_irradiance")
@@ -337,7 +463,7 @@ class TestSensitivity:
     def test_sipm_wavelength(self, sipm_config):
         value = sensitivity(sipm_config, sipm_config.detector,
                             sipm_config.tdc, "wavelength_m")
-        assert value == pytest.approx(0.17023523428338905, rel=1e-9)
+        assert value == pytest.approx(0.17026309398352382, rel=1e-9)
 
     def test_extinction_scales_coefficient(self, apd_config):
         config = replace(apd_config, atmosphere=AtmosphereModel(
@@ -349,7 +475,7 @@ class TestSensitivity:
         assert sc.atmosphere.one_way_transmittance == 0.9
         value = sensitivity(config, config.detector, config.tdc,
                             "one_way_transmittance")
-        assert value == pytest.approx(-0.02554553841926932, rel=1e-9)
+        assert value == pytest.approx(-0.025551224462573623, rel=1e-9)
 
     def test_sun_irradiance_needs_direct_or_scaled_solar(self, apd_config):
         rows = tuple((wl, 1.0, 0.5) for wl in (890.0, 900.0, 910.0, 920.0))
