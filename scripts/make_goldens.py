@@ -4,14 +4,18 @@
 The goldens are this pipeline's own reference values for the headline
 comparisons (SNR vs distance, range vs elevation with a cosine aperture,
 range vs illuminance, fired-count response curves); they are regression
-anchors, not externally measured truth.  Rerunning this script must be a
+anchors, not externally measured truth.  The stdout of
+``report_table1.py`` is kept beside them.  Rerunning this script must be a
 no-op unless the model changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
+import runpy
 import sys
 from dataclasses import replace
 
@@ -57,6 +61,15 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
         emit_csv(result, csv_path)
         emit_svg(result, svg_path)
         written.extend([csv_path, svg_path])
+
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        runpy.run_path(os.path.join(ROOT, "scripts", "report_table1.py"),
+                       run_name="__main__")
+    report_path = os.path.join(golden_dir, "report_table1.txt")
+    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report.getvalue())
+    written.append(report_path)
     return written
 
 

@@ -29,11 +29,12 @@ LOG_RANGE_TOL = 1e-12
 # the closed-form root's SNR lies within this relative distance of the
 # threshold with a wide margin (perfbench/checks.py tests it)
 SNR_REL_TOL = 1e-7
-# the Monte Carlo bisection's range resolution
+# a Monte Carlo root stops on a bracket this wide in range: a fixed-seed
+# SNR can jump across the threshold by more than its noise band
 RANGE_WIDTH_TOL_M = 1e-3
-# a Monte Carlo bisection stops once the SNR across its bracket is at most
-# this fraction of the standard error of the latest evaluation; narrower
-# brackets would only resolve the estimator's noise
+# a Monte Carlo evaluation whose SNR lies within this fraction of its
+# standard error of the threshold is the root; a narrower band would only
+# resolve the estimator's noise
 SE_STOP_FRACTION = 0.25
 
 # fired fraction above which a sweep row is flagged as saturated
@@ -67,38 +68,42 @@ def _is_monte_carlo(detector: DetectorChoice) -> bool:
     return isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
 
 
-def _monte_carlo_snr(scenario: ScenarioConfig, detector: SipmChoice,
-                     range_m: float) -> tuple[float, float]:
-    """(trigger SNR, its standard error) of the Monte Carlo at ``range_m``."""
+def _snr_and_se(scenario: ScenarioConfig, detector: DetectorChoice,
+                range_m: float) -> tuple[float, float]:
+    """(trigger SNR, its standard error) at ``range_m``.
+
+    The standard error is the Monte Carlo's; it is 0.0 in the closed-form
+    modes.
+    """
+    if not range_m > 0:
+        raise ConfigError("range_m must be > 0")
     p_r, p_rs = link_powers(scenario, range_m)
     laser = scenario.laser
-    return sipm.monte_carlo_snr(detector.params, p_r, p_rs, laser.pulse_fwhm_s,
-                                laser.wavelength_m, scenario.bandwidth_hz,
-                                detector.mc_config())
+    try:
+        if isinstance(detector, ApdChoice):
+            return apd.trigger_snr(detector.params, p_r, p_rs,
+                                   scenario.bandwidth_hz), 0.0
+        if detector.snr_mode == "monte_carlo":
+            return sipm.monte_carlo_snr(
+                detector.params, p_r, p_rs, laser.pulse_fwhm_s,
+                laser.wavelength_m, scenario.bandwidth_hz,
+                detector.mc_config())
+        if detector.snr_mode == "approx":
+            return sipm.trigger_snr_approx(
+                detector.params, p_r, p_rs, laser.pulse_fwhm_s,
+                laser.wavelength_m), 0.0
+        counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
+                                               laser.wavelength_m,
+                                               detector.params.dead_time_s)
+        return sipm.trigger_snr_analytic(detector.params, counts), 0.0
+    except SipmSaturationError as exc:
+        raise SipmSaturationError(f"{exc} (at range {range_m:g} m)") from exc
 
 
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``."""
-    if not range_m > 0:
-        raise ConfigError("range_m must be > 0")
-    if _is_monte_carlo(detector):
-        return _monte_carlo_snr(scenario, detector, range_m)[0]
-    p_r, p_rs = link_powers(scenario, range_m)
-    if isinstance(detector, ApdChoice):
-        return apd.trigger_snr(detector.params, p_r, p_rs,
-                               scenario.bandwidth_hz)
-    laser = scenario.laser
-    if detector.snr_mode == "approx":
-        return sipm.trigger_snr_approx(detector.params, p_r, p_rs,
-                                       laser.pulse_fwhm_s, laser.wavelength_m)
-    counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
-                                           laser.wavelength_m,
-                                           detector.params.dead_time_s)
-    try:
-        return sipm.trigger_snr_analytic(detector.params, counts)
-    except SipmSaturationError as exc:
-        raise SipmSaturationError(f"{exc} (at range {range_m:g} m)") from exc
+    return _snr_and_se(scenario, detector, range_m)[0]
 
 
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
@@ -180,86 +185,72 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     model) is a ``ConfigError``; an infinite one, the noiseless limit,
     counts as above threshold.
 
-    The closed-form modes solve g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's
+    Every mode then solves g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's
     method on the bracket the doubling leaves, [hi / 2, hi] or [1 m,
-    100 m], to a bracket about 1e-12 wide in ln(range).  The SNR falls
-    roughly as range^-2, so g is nearly linear in u and the root takes a
-    few evaluations (6 for the table1 APD, 10 for the SiPM); the SNR at
-    ``r_max`` is the threshold to within 1e-12 relative.
+    100 m].  The SNR falls roughly as range^-2, so g is nearly linear in
+    u and the root takes a few evaluations.  The closed-form modes stop
+    on a bracket about 1e-12 wide in ln(range) (6 evaluations for the
+    table1 APD, 10 for the SiPM), and the SNR at ``r_max`` is the
+    threshold to within 1e-12 relative.
 
-    The Monte Carlo bisects [1 m, hi] and stops at the first evaluation
-    after which the SNR across the bracket is at most
-    ``SE_STOP_FRACTION`` times that evaluation's standard error, or at
-    the midpoint of a bracket narrower than 1 mm, and returns that
-    evaluation.  Its seed is
-    fixed, so every evaluation of one solve reads the same function of
-    range, and the result is a step of the 1 mm bisection whose bracket
-    holds that bisection's root.
+    The Monte Carlo's seed is fixed, so every evaluation of one solve
+    reads the same function of range.  An evaluation whose SNR lies
+    within ``SE_STOP_FRACTION`` times its own standard error of the
+    threshold counts as a root (g = 0) and is returned, which takes 5 to
+    7 evaluations at table1 with 8 trials.  A fixed-seed SNR can also
+    jump across that noise band; the root then stops on a bracket 1 mm
+    wide and returns the endpoint of smaller |g|.  ``snr_se`` is the
+    standard error of the returned evaluation.
     """
     tnr = policy.tnr
     is_mc = _is_monte_carlo(detector)
     evaluations = 0
-    se = 0.0
 
-    def f(r: float) -> float:
-        nonlocal evaluations, se
+    def f(r: float) -> tuple[float, float, float]:
+        """(range, SNR, its standard error) of one evaluation."""
+        nonlocal evaluations
         evaluations += 1
-        if is_mc:
-            snr, se = _monte_carlo_snr(scenario, detector, r)
-        else:
-            snr = snr_at_range(scenario, detector, r)
+        # closed-form evaluations go through the module's snr_at_range,
+        # which profilers wrap to count them
+        snr, se = (_snr_and_se(scenario, detector, r) if is_mc
+                   else (snr_at_range(scenario, detector, r), 0.0))
         # NaN compares false both ways, so it would steer the solver
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
                               "the scenario's values overflow the model")
-        return snr
+        return r, snr, se
 
-    lo = 1.0
-    snr_lo = f(lo)
-    if snr_lo < tnr:
+    def margin(point: tuple[float, float, float]) -> float:
+        _, snr, se = point
+        # at se = 0 this is 0.0 only where _log_margin is already 0.0
+        if abs(snr - tnr) <= SE_STOP_FRACTION * se:
+            return 0.0
+        return _log_margin(snr, tnr)
+
+    above = f(1.0)  # the last range with the SNR at or above tnr
+    if above[1] < tnr:
         raise NoDetectionError(
-            f"SNR {snr_lo:.4g} is below the threshold {tnr:g} at {lo:g} m")
-    above = lo, snr_lo  # the last range with the SNR at or above tnr
+            f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
     hi = RANGE_BRACKET_START_M
-    while (snr_hi := f(hi)) >= tnr:
-        above = hi, snr_hi
-        hi *= 2.0
+    while (at_hi := f(hi))[1] >= tnr:
         if hi >= RANGE_CAP_M:
-            snr_hi = f(RANGE_CAP_M)
-            if snr_hi >= tnr:
-                raise UnboundedRangeError(
-                    f"SNR stays above the threshold {tnr:g} out to "
-                    f"{RANGE_CAP_M:g} m")
-            hi = RANGE_CAP_M
-            break
+            raise UnboundedRangeError(
+                f"SNR stays above the threshold {tnr:g} out to "
+                f"{RANGE_CAP_M:g} m")
+        above = at_hi
+        hi = min(2.0 * hi, RANGE_CAP_M)
 
-    if is_mc:
-        while True:
-            width = hi - lo
-            r = 0.5 * (lo + hi)
-            snr = f(r)
-            if width < RANGE_WIDTH_TOL_M:
-                break
-            if snr >= tnr:
-                lo, snr_lo = r, snr
-            else:
-                hi, snr_hi = r, snr
-            # the bracket's SNR spread is > 0, so this never fires at se = 0
-            if snr_lo - snr_hi <= SE_STOP_FRACTION * se:
-                break
-    else:
-        u_lo, u_hi = math.log(above[0]), math.log(hi)
-        # each evaluated ln(range) -> (range, SNR), the endpoints exactly
-        points = {u_lo: above, u_hi: (hi, snr_hi)}
+    u_lo, u_hi = math.log(above[0]), math.log(hi)
+    # each evaluated ln(range) -> (range, SNR, SE), the endpoints exactly
+    points = {u_lo: above, u_hi: at_hi}
 
-        def g(u: float) -> float:
-            r = math.exp(u)
-            points[u] = r, f(r)
-            return _log_margin(points[u][1], tnr)
+    def g(u: float) -> float:
+        points[u] = f(math.exp(u))
+        return margin(points[u])
 
-        u = _brent_root(g, u_lo, _log_margin(above[1], tnr),
-                        u_hi, _log_margin(snr_hi, tnr), LOG_RANGE_TOL)
-        r, snr = points[u]
+    tol = RANGE_WIDTH_TOL_M / hi if is_mc else LOG_RANGE_TOL
+    u = _brent_root(g, u_lo, margin(above), u_hi, margin(at_hi), tol)
+    r, snr, se = points[u]
 
     p_r, p_rs = link_powers(scenario, r)
     return RangeResult(r_max_m=r, snr_at_rmax=snr,

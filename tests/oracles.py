@@ -4,15 +4,14 @@ Everything here deliberately avoids the library's own code paths: Gaussian
 tails come from quadrature, trigger statistics from direct stochastic
 simulation, SiPM dead-time trials from a per-trial, per-step loop,
 integrals from exact rational arithmetic, optima from exhaustive grid
-search, and range roots from a plain bisection to a 1 mm bracket or from
-scipy's Brent root in log range to full precision.
+search, and range roots from scipy's Brent root in log range to full
+precision.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -135,47 +134,6 @@ def grid_argmax(fn, lo: float, hi: float, step: float) -> tuple[float, float]:
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
-
-
-class BisectStep(NamedTuple):
-    """One SNR evaluation of a range bisection and the bracket after it."""
-
-    r: float
-    snr: float
-    lo: float
-    snr_lo: float
-    hi: float
-    snr_hi: float
-
-
-def bisect_range_1mm(snr, tnr: float) -> tuple[float, list[BisectStep]]:
-    """Range where ``snr(r)`` falls to ``tnr``: (root, steps).
-
-    The bracket is [1 m, hi], hi doubled from 100 m until the SNR there is
-    below ``tnr`` (no 100 km cap).  Bisection then runs until it evaluates
-    the midpoint of a bracket narrower than 1 mm, which is the root.
-    ``steps`` holds every evaluation, the bracket search included, with
-    the bracket as it stands after it.
-    """
-    lo, snr_lo = 1.0, snr(1.0)
-    steps = [BisectStep(lo, snr_lo, lo, snr_lo, math.nan, math.nan)]
-    hi = 100.0
-    while True:
-        snr_hi = snr(hi)
-        steps.append(BisectStep(hi, snr_hi, lo, snr_lo, hi, snr_hi))
-        if snr_hi < tnr:
-            break
-        hi *= 2.0
-    while True:
-        mid, width = 0.5 * (lo + hi), hi - lo
-        value = snr(mid)
-        if value >= tnr:
-            lo, snr_lo = mid, value
-        else:
-            hi, snr_hi = mid, value
-        steps.append(BisectStep(mid, value, lo, snr_lo, hi, snr_hi))
-        if width < 1e-3:
-            return mid, steps
 
 
 def log_range_root(snr, tnr: float) -> float:

@@ -470,9 +470,9 @@ def test_monte_carlo_range_in_a_fresh_process(tmp_path):
                            "--config", str(path)],
                           capture_output=True, text=True, check=True)
     cells = proc.stdout.splitlines()[1].split(",")
-    assert cells[:3] == ["sipm", format_number(261.28515625),
-                         format_number(5.0665149479653415)]
-    assert cells[5:] == ["12", format_number(0.48856061321182737)]
+    assert cells[:3] == ["sipm", format_number(263.6997429917595),
+                         format_number(4.984521449144594)]
+    assert cells[5:] == ["5", format_number(0.4883109590918528)]
 
 
 def test_import_loads_no_scipy():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dtofsim import (ConfigError, NoDetectionError, UnboundedRangeError,
-                     ranging, sipm, table1_preset)
+from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
+                     UnboundedRangeError, ranging, sipm, table1_preset)
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              closed_form_max_range, link_powers, max_range,
@@ -16,7 +16,7 @@ from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import AtmosphereModel, SolarModel
 from dtofsim.tdc import TdcPolicy
 
-from oracles import bisect_range_1mm, log_range_root
+from oracles import log_range_root
 
 
 def with_peak_power(config, p_t):
@@ -239,22 +239,58 @@ class TestMaxRange:
 
 class TestMonteCarloStop:
     @pytest.mark.parametrize("seed", [0, 3, 5, 11])
-    def test_stops_on_a_step_of_the_1mm_bisection(self, sipm_config, seed):
+    def test_stops_inside_the_noise_band(self, sipm_config, seed):
         det = monte_carlo(sipm_config, seed)
         tnr = sipm_config.tdc.tnr
         res = max_range(sipm_config, det, sipm_config.tdc)
-        root, steps = bisect_range_1mm(
-            lambda r: snr_at_range(sipm_config, det, r), tnr)
         # a fixed seed reads the same function of range at every
-        # evaluation, so the solve is a prefix of the 1 mm bisection
-        assert res.evaluations < len(steps)
-        step = steps[res.evaluations - 1]
-        assert (step.r, step.snr) == (res.r_max_m, res.snr_at_rmax)
-        assert res.r_max_m in (step.lo, step.hi)
-        assert step.lo <= root <= step.hi
-        limit = SE_STOP_FRACTION * res.snr_se
-        assert 0.0 < step.snr_lo - step.snr_hi <= limit
-        assert abs(res.snr_at_rmax - tnr) <= limit
+        # evaluation, so the returned point re-evaluates to itself
+        assert snr_at_range(sipm_config, det, res.r_max_m) == res.snr_at_rmax
+        assert abs(res.snr_at_rmax - tnr) <= SE_STOP_FRACTION * res.snr_se
+        assert res.evaluations <= 8
+
+    @pytest.mark.parametrize("low", [-0.5, -1.5])
+    def test_jump_across_the_noise_band_stops_at_1mm(self, sipm_config,
+                                                     monkeypatch, low):
+        # the SNR steps from tnr + 1 to tnr + low at 250 m, far wider than
+        # the noise band, so no evaluation lands in it; each ``low`` makes
+        # a different side of the jump the nearer one
+        tnr = sipm_config.tdc.tnr
+        p_jump, _ = link_powers(sipm_config, 250.0)
+
+        def fake_se(p_r):
+            return 0.1 * math.sqrt(p_jump / p_r)
+
+        def fake(params, p_r, *args):
+            return (tnr + 1.0 if p_r > p_jump else tnr + low), fake_se(p_r)
+
+        monkeypatch.setattr(sipm, "monte_carlo_snr", fake)
+        res = max_range(sipm_config, monte_carlo(sipm_config, 0),
+                        sipm_config.tdc)
+        assert abs(res.r_max_m - 250.0) <= 1e-3
+        assert res.evaluations <= 30
+        assert res.snr_at_rmax == min(tnr + 1.0, tnr + low,
+                                      key=lambda snr: abs(snr - tnr))
+        assert res.snr_se == fake_se(res.min_detectable_power_w)
+
+    def test_saturation_names_its_range(self, sipm_config):
+        # no sunlight and no dark counts: the background-only counts of
+        # the Monte Carlo never fluctuate
+        dark = noiseless_sipm(sipm_config)
+        det = monte_carlo(dark, 0)
+        with pytest.raises(SipmSaturationError,
+                           match=r"no fluctuation.*\(at range 1 m\)"):
+            max_range(dark, det, dark.tdc)
+        with pytest.raises(SipmSaturationError, match=r"\(at range 50 m\)"):
+            snr_at_range(dark, det, 50.0)
+        # the analytic model's dark occupancy overfills the array
+        with pytest.warns(UserWarning, match="dark load"):
+            flooded = replace(sipm_config, detector=replace(
+                sipm_config.detector, params=replace(
+                    sipm_config.detector.params, dark_count_rate_cps=1e12)))
+        with pytest.raises(SipmSaturationError,
+                           match=r"exceeds.*\(at range 1 m\)"):
+            max_range(flooded, flooded.detector, flooded.tdc)
 
     def test_monte_carlo_snr_sees_every_evaluation(self, sipm_config,
                                                    monkeypatch):
