@@ -3,7 +3,9 @@
 Signal is the multiplied photocurrent at the echo peak.  Noise is the RMS
 of the no-echo photocurrent: background shot noise, dark-current shot
 noise (surface term unmultiplied, bulk term multiplied), Johnson noise of
-the load, and a lumped amplifier term, all mutually independent.
+the load, and a lumped amplifier term, all mutually independent; their
+variance, a * M**2 * F(M) + c in the gain M, gives the SNR-optimal gain
+in closed form (Agrawal, Fiber-Optic Communication Systems, ch. 4).
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ from .errors import ConfigError
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
 
 EXCESS_NOISE_MODES = ("power_law", "ionization")
-
-# golden-section settings: coarse scan to bracket, then contract to a
-# relative width of GAIN_TOL
-GAIN_SCAN_POINTS = 64
-GAIN_TOL = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -159,35 +155,31 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     """Gain that maximizes the trigger SNR, and the SNR there.
 
     The SNR is linear in ``p_r``, so the argmax does not depend on it; the
-    returned SNR is evaluated at the given ``p_r``.  A coarse log-spaced
-    scan brackets the global optimum before the golden-section contraction.
+    returned SNR is evaluated at the given ``p_r``.  With the no-echo
+    variance a * G + c, G = M**2 * F(M), the SNR peaks where a * (M * G' -
+    2 * G) = 2 * c: x * M**(2 + x) or k * M**3 + (1 - k) * M = 2 * c / a
+    (power law, ionization).  Both grow with M, so the optimum is that
+    root clamped to ``gain_bounds``; with x = 0 or a = 0 the SNR only rises.
     """
     lo, hi = gain_bounds
     if not (lo >= 1.0 and lo < hi < math.inf):
         raise ConfigError("gain_bounds must satisfy 1 <= lo < hi < inf")
-
-    def snr_at(gain: float) -> float:
-        return trigger_snr(replace(params, gain=gain), p_r, p_rs, bandwidth_hz)
-
-    scan = [lo * (hi / lo) ** (i / (GAIN_SCAN_POINTS - 1))
-            for i in range(GAIN_SCAN_POINTS)]
-    values = [snr_at(g) for g in scan]
-    best = max(range(GAIN_SCAN_POINTS), key=values.__getitem__)
-    a = scan[max(best - 1, 0)]
-    b = scan[min(best + 1, GAIN_SCAN_POINTS - 1)]
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = snr_at(c), snr_at(d)
-    while (b - a) > GAIN_TOL * max(1.0, 0.5 * (a + b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = snr_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = snr_at(d)
-    gain_star = 0.5 * (a + b)
-    gain_star = min(max(gain_star, gain_bounds[0]), gain_bounds[1])
-    return gain_star, snr_at(gain_star)
+    noise_sigma(params, p_rs, 0.0, bandwidth_hz)  # its checks precede any root
+    two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
+    a = two_e_bw * (responsivity(params.wavelength_m, params.quantum_efficiency)
+                    * p_rs + params.bulk_dark_current_a)
+    c = (two_e_bw * params.surface_dark_current_a
+         + 4.0 * BOLTZMANN * params.temperature_k * bandwidth_hz
+         / params.load_resistance_ohm + params.amplifier_noise_a ** 2)
+    ratio = 2.0 * c / a if a > 0.0 else math.inf
+    x, k = params.excess_noise_index, params.electron_ionization_rate
+    if params.excess_noise_mode == "power_law":
+        gain = (ratio / x) ** (1.0 / (2.0 + x)) if x > 0.0 else hi
+    elif k in (0.0, 1.0):
+        gain = ratio ** (1.0 / (1.0 + 2.0 * k))  # M or M**3 = ratio
+    else:
+        # the cubic's real root; s = sqrt((1 - k) / (3 * k)), finite for tiny k
+        s = math.sqrt((1.0 - k) / 3.0) / math.sqrt(k)
+        gain = 2.0 * s * math.sinh(math.asinh(1.5 * ratio / (s * (1.0 - k))) / 3.0)
+    gain = min(max(gain, lo), hi)
+    return gain, trigger_snr(replace(params, gain=gain), p_r, p_rs, bandwidth_hz)

@@ -270,10 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        # float ** and math functions raise it where the model's numbers
-        # exceed the float range
-        print(f"error: a number overflowed: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # float ** and math functions overflow past the float range, and a
+        # division fails where its divisor underflowed to 0
+        print(f"error: a number overflowed or underflowed: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -182,8 +182,8 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     when the SNR is below threshold already at 1 m and
     ``UnboundedRangeError`` when it stays above threshold at 100 km.  An
     SNR that is not a number (the scenario's values overflow the noise
-    model) is a ``ConfigError``; an infinite one, the noiseless limit,
-    counts as above threshold.
+    model) is a ``ConfigError``.  An infinite one at 1 m, the noiseless
+    limit, is ``UnboundedRangeError``: noise never grows with range.
 
     Every mode then solves g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's
     method on the bracket the doubling leaves, [hi / 2, hi] or [1 m,
@@ -231,6 +231,8 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     if above[1] < tnr:
         raise NoDetectionError(
             f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
+    if above[1] == math.inf:
+        raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
     hi = RANGE_BRACKET_START_M
     while (at_hi := f(hi))[1] >= tnr:
         if hi >= RANGE_CAP_M:

@@ -316,6 +316,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -188,25 +188,28 @@ def load_spectrum_csv(path: str) -> tuple[tuple[float, float, float], ...]:
     rows strictly increasing in wavelength.
     """
     rows: list[tuple[float, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh.readlines())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty spectrum file") from None
+    if tuple(h.strip() for h in header) != SPECTRUM_CSV_HEADER:
+        raise ConfigError(
+            f"{path}: spectrum header must be "
+            f"{','.join(SPECTRUM_CSV_HEADER)!r}, got {','.join(header)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty spectrum file") from None
-        if tuple(h.strip() for h in header) != SPECTRUM_CSV_HEADER:
-            raise ConfigError(
-                f"{path}: spectrum header must be "
-                f"{','.join(SPECTRUM_CSV_HEADER)!r}, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
+            rows.append((float(row[0]), float(row[1]), float(row[2])))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
     if len(rows) < 2:
         raise ConfigError(f"{path}: spectrum table needs at least 2 rows")
     return tuple(rows)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from dtofsim import ConfigError
 from dtofsim.apd import (ApdParams, excess_noise_factor, noise_sigma,
@@ -24,6 +25,26 @@ TABLE1_APD = ApdParams(gain=80.0, quantum_efficiency=0.7, wavelength_m=905e-9,
                        excess_noise_index=0.3, surface_dark_current_a=1e-10,
                        bulk_dark_current_a=1e-10, load_resistance_ohm=1e4,
                        temperature_k=300.0)
+
+
+@st.composite
+def operating_points(draw):
+    """(params, background power, bandwidth) in either excess-noise mode."""
+    if draw(st.booleans()):
+        mode = {"excess_noise_index": draw(st.floats(0.0, 1.0))}
+    else:
+        mode = {"excess_noise_mode": "ionization",
+                "electron_ionization_rate": draw(st.floats(0.0, 1.0))}
+    params = replace(
+        TABLE1_APD, gain=draw(st.floats(1.0, 1000.0)),
+        quantum_efficiency=draw(st.floats(0.01, 1.0)),
+        wavelength_m=draw(st.floats(400e-9, 1700e-9)),
+        surface_dark_current_a=draw(st.floats(0.0, 1e-8)),
+        bulk_dark_current_a=draw(st.floats(0.0, 1e-8)),
+        load_resistance_ohm=draw(st.floats(1e2, 1e6)),
+        temperature_k=draw(st.floats(1.0, 400.0)),
+        amplifier_noise_a=draw(st.floats(0.0, 1e-7)), **mode)
+    return params, draw(st.floats(0.0, 1e-5)), draw(st.floats(1e6, 1e9))
 
 
 class TestResponsivity:
@@ -168,7 +189,55 @@ class TestOptimizeGain:
                            bulk_dark_current_a=0.0, load_resistance_ohm=1e30,
                            temperature_k=1e-9)
         gain_star, _ = optimize_gain(params, P_RS_REF, BW_REF, (2.0, 500.0))
-        assert gain_star == pytest.approx(2.0, abs=1e-3)
+        assert gain_star == 2.0
+
+    @pytest.mark.parametrize("params,p_rs", [
+        (replace(TABLE1_APD, excess_noise_index=0.0), P_RS_REF),
+        (replace(TABLE1_APD, bulk_dark_current_a=0.0), 0.0),
+        (replace(TABLE1_APD, bulk_dark_current_a=0.0,
+                 excess_noise_mode="ionization",
+                 electron_ionization_rate=0.5), 0.0)],
+        ids=["no_excess_noise", "no_multiplied_noise",
+             "no_multiplied_noise_ionization"])
+    def test_rising_snr_takes_the_upper_bound(self, params, p_rs):
+        # without excess noise, or without multiplied noise, the SNR only
+        # rises with the gain
+        gain_star, _ = optimize_gain(params, p_rs, BW_REF, (1.0, 1000.0))
+        assert gain_star == 1000.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(operating_points())
+    def test_no_echo_variance_is_a_m2f_plus_c(self, point):
+        # the closed-form optimum holds for this shape only; a noise term
+        # that breaks it must fail here, not move the optimum
+        params, p_rs, bw = point
+        two_e_bw = 2.0 * ELEMENTARY_CHARGE * bw
+        a = two_e_bw * (responsivity(params.wavelength_m,
+                                     params.quantum_efficiency) * p_rs
+                        + params.bulk_dark_current_a)
+        c = (two_e_bw * params.surface_dark_current_a
+             + 4.0 * BOLTZMANN * params.temperature_k * bw
+             / params.load_resistance_ohm + params.amplifier_noise_a ** 2)
+        m2f = params.gain ** 2 * excess_noise_factor(params)
+        total = noise_sigma(params, p_rs, 0.0, bw).total_a
+        assert total ** 2 == pytest.approx(a * m2f + c, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operating_points(), st.floats(1.0, 100.0),
+           st.floats(1.01, 1000.0))
+    def test_at_least_the_bounded_search(self, point, lo, span):
+        params, p_rs, bw = point
+        hi = lo * span
+
+        def snr(gain):
+            return trigger_snr(replace(params, gain=gain), P_R_REF, p_rs, bw)
+
+        gain_star, snr_star = optimize_gain(params, p_rs, bw, (lo, hi),
+                                            p_r=P_R_REF)
+        assert lo <= gain_star <= hi and snr_star == snr(gain_star)
+        found = optimize.minimize_scalar(lambda g: -snr(g), bounds=(lo, hi),
+                                         method="bounded")
+        assert snr_star >= (1.0 - 1e-12) * snr(float(found.x))
 
     def test_matches_grid_search_with_unmultiplied_noise_only(self):
         params = replace(TABLE1_APD, bulk_dark_current_a=0.0)
@@ -183,7 +252,7 @@ class TestOptimizeGain:
         gain_star, snr_star = optimize_gain(TABLE1_APD, P_RS_REF, BW_REF,
                                             (1.0, 1000.0), p_r=P_R_REF)
         # closed-form stationary point of the power-law SNR, frozen
-        assert gain_star == pytest.approx(30.872884934785773, abs=0.01)
+        assert gain_star == pytest.approx(30.872884934785773, rel=1e-12)
         grid_star, _ = grid_argmax(
             lambda g: trigger_snr(replace(TABLE1_APD, gain=g), P_R_REF,
                                   P_RS_REF, BW_REF), 1.0, 1000.0, 0.01)
@@ -213,6 +282,18 @@ class TestOptimizeGain:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ConfigError):
             optimize_gain(TABLE1_APD, P_RS_REF, BW_REF, (100.0, 10.0))
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"excess_noise_mode": "ionization",
+             "electron_ionization_rate": 0.5}], ids=["power_law", "ionization"])
+    @pytest.mark.parametrize("p_rs,bw,message", [
+        (-1e-9, BW_REF, "optical powers must be >= 0"),
+        (P_RS_REF, 0.0, "bandwidth_hz must be > 0"),
+        (P_RS_REF, -BW_REF, "bandwidth_hz must be > 0")],
+        ids=["negative_background", "zero_bandwidth", "negative_bandwidth"])
+    def test_invalid_noise_inputs_rejected(self, mode, p_rs, bw, message):
+        with pytest.raises(ConfigError, match=message):
+            optimize_gain(replace(TABLE1_APD, **mode), p_rs, bw)
 
 
 class TestParamValidation:

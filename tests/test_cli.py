@@ -203,9 +203,8 @@ class TestOptimizeGain:
     def test_prints_optimum(self, capsys):
         code, out, _ = run_cli(capsys, "optimize-gain", "--detector", "apd")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("gain_opt,")
-        assert float(lines[0].split(",")[1]) == pytest.approx(30.87, abs=0.05)
+        # the closed-form optimum of the table1 APD at 100 m
+        assert out == "gain_opt,30.8728849347858\nsnr_opt,66.6650861695896\n"
 
     def test_curve_output(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
@@ -428,6 +427,37 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("broken", ["scenario", "spectrum"])
+    def test_non_utf8_file_is_1(self, tmp_path, capsys, broken):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["solar"] = {"mode": "spectrum_integral",
+                         "spectrum_csv": "spectrum.csv"}
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,irradiance_w_m2_nm,transmittance\n"
+                            "890,1.0,0.5\n920,1.0,0.5\n", encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        bad = path if broken == "scenario" else spectrum
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+    def test_deeply_nested_json_is_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: maximum recursion depth")
+
+    def test_underflowing_range_is_1(self, capsys):
+        # range**2 underflows to 0 in the echo power's denominator
+        code, out, err = run_cli(capsys, "snr-curve", "--rmin", "1e-320",
+                                 "--rmax", "1e-319", "--n", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: a number overflowed or underflowed")
 
     def test_negative_seed_is_1(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "sipm",
