@@ -142,10 +142,8 @@ class TestMaxRange:
         with pytest.raises(UnboundedRangeError):
             max_range(strong, strong.detector, strong.tdc)
 
-    def test_noiseless_sipm_is_unbounded(self, sipm_config, monkeypatch):
-        # no noise at 1 m means none at any range: the SNR is infinite
-        # wherever an echo arrives and 0 only where the echo power
-        # underflows (past 3 km at 0.1 /m), which marks no detection limit
+    @staticmethod
+    def _assert_unbounded_after_1m(dark, monkeypatch):
         real = ranging.snr_at_range
         ranges = []
 
@@ -154,15 +152,27 @@ class TestMaxRange:
             return real(sc, det, r)
 
         monkeypatch.setattr(ranging, "snr_at_range", spy)
-        for atmosphere in ({}, *({"mode": "extinction",
-                                  "extinction_coeff_per_m": ext}
-                                 for ext in (1e-3, 0.01, 0.1))):
-            dark = noiseless_sipm(sipm_config, **atmosphere)
-            assert real(dark, dark.detector, 1e3) == math.inf
-            ranges.clear()
-            with pytest.raises(UnboundedRangeError, match="infinite at 1 m"):
-                max_range(dark, dark.detector, dark.tdc)
-            assert ranges == [1.0]
+        assert real(dark, dark.detector, 1e3) == math.inf
+        with pytest.raises(UnboundedRangeError, match="infinite at 1 m"):
+            max_range(dark, dark.detector, dark.tdc)
+        assert ranges == [1.0]
+
+    def test_noiseless_sipm_is_unbounded(self, sipm_config, monkeypatch):
+        # no noise at 1 m means none at any range: the SNR is infinite
+        # wherever an echo arrives
+        for atmosphere in ({}, {"mode": "extinction",
+                                "extinction_coeff_per_m": 1e-3}):
+            self._assert_unbounded_after_1m(
+                noiseless_sipm(sipm_config, **atmosphere), monkeypatch)
+
+    @pytest.mark.parametrize("extinction", [0.1, 0.01])
+    def test_noiseless_sipm_is_unbounded_where_the_signal_underflows(
+            self, sipm_config, monkeypatch, extinction):
+        # the SNR drops from inf to 0 only where the echo power underflows
+        # (past 3 km at 0.1 /m), which marks no detection limit
+        dark = noiseless_sipm(sipm_config, mode="extinction",
+                              extinction_coeff_per_m=extinction)
+        self._assert_unbounded_after_1m(dark, monkeypatch)
 
     @settings(max_examples=60, deadline=None)
     @given(solvable_scenarios())
