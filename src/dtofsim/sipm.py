@@ -16,8 +16,12 @@ The kernel samples each pixel as a renewal process: an armed pixel draws
 ``E ~ Exp(1)`` and fires at the first step where its hazard (expected
 detections) summed since arming exceeds ``E``, then is dead for one dead
 time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
-random number per firing instead of one per pixel and step.  Each trial
-draws from its own generator and holds O(pixels + steps) memory.
+random number per firing instead of one per pixel and step.  Before the
+pulse the hazard is constant, so the firing step has a closed form; each
+closed-form step is checked against the search it replaces, which finds
+the rest.  Each trial draws from its own generator.  Trials run in
+batches of up to ``_BATCH_SLOTS`` pixels (one trial of a larger array),
+and a batch holds O(its pixels + steps) memory.
 
 Only the Monte Carlo uses numpy, and it imports numpy on first use, so
 the analytic model and ``import dtofsim`` start without it.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable
+from itertools import islice
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,6 +59,10 @@ _MAX_HAZARD = 64.0
 # of one estimate (its run time); table1 counts about 2100 and 2.1e6
 MAX_TRIAL_STEPS = 10**6
 MAX_TOTAL_STEPS = 10**9
+
+# pixel slots one batch of Monte Carlo trials runs at once: ten trials of
+# table1's 400 pixels, one trial of an array over 4096 pixels
+_BATCH_SLOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,10 @@ class SipmMcConfig:
     """Time-domain simulation controls.
 
     ``n_noise_periods`` background-only counting periods per trial feed the
-    noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``.  A
-    trial draws one exponential per pixel firing and holds O(pixels +
-    steps) memory; ``monte_carlo_snr`` caps the steps.
+    noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``, one
+    exponential per pixel firing.  Trials run in batches of up to 4096
+    pixels, or one trial of a larger array, and a batch holds O(its pixels
+    + steps) memory; ``monte_carlo_snr`` caps the steps.
     """
 
     n_trials: int = 1000
@@ -261,28 +271,87 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     return profile, half_span - period_steps // 2
 
 
-def _fired_per_step(rng: np.random.Generator, cum: np.ndarray, n_pix: int,
-                    dead_steps: int) -> np.ndarray:
-    """Fired-pixel count at each step of one array realization.
+def _fired_per_step(rngs: list[np.random.Generator], cum: np.ndarray,
+                    n_pix: int, dead_steps: int, x_bg: float,
+                    step_bin: np.ndarray) -> np.ndarray:
+    """Fired-pixel counts of a batch of array realizations, one per
+    generator, summed into the bin ``step_bin[t]`` of each firing step ``t``:
+    an array of shape ``(len(rngs), step_bin.max() + 1)``.
 
-    ``cum[t]`` is the per-pixel hazard summed over the steps before ``t``.
-    A pixel armed at step ``s`` fires at the first ``t`` with ``cum[t + 1]
-    - cum[s] > E``, ``E ~ Exp(1)``, and is armed again at ``t + dead_steps
-    + 1``; all pixels start armed at step 0.
+    ``cum[t]`` is the per-pixel hazard summed over the steps before ``t``,
+    and ``step_bin[cum.size - 1]`` takes the firings that never happen.  A
+    pixel armed at step ``s`` fires at the first ``t`` with ``cum[t + 1] >
+    cum[s] + E``, ``E ~ Exp(1)``, and is armed again at ``t + dead_steps +
+    1``; all pixels start armed at step 0.  Each generator draws the ``E``
+    of its own armed pixels, in pixel order, once per round, so a trial's
+    counts do not depend on the batch it runs in.
+
+    Where every step from 0 on has the hazard ``x_bg``, that ``t`` is
+    ``floor((cum[s] + E) / x_bg)`` up to the rounding of ``cum``.  Each
+    such candidate is kept only if it passes the search's own test, and
+    the rest are searched, so the counts do not depend on ``x_bg``; 0
+    searches every key.
     """
     import numpy as np
 
     total = cum.shape[0] - 1
-    ready = np.zeros(n_pix, dtype=np.int64)
-    fired = []
-    while ready.size:
-        # t is the first step with cum[t + 1] > cum[s] + E, so t >= s, and
-        # a zero-hazard step never fires; t == total is no firing
-        t = np.searchsorted(cum[1:], cum[ready] + rng.standard_exponential(
-            ready.size), side="right")
-        fired.append(t)
-        ready = t[t < total - dead_steps - 1] + (dead_steps + 1)
-    return np.bincount(np.concatenate(fired), minlength=total + 1)[:total]
+    last = total - dead_steps - 1
+    n_bins = int(step_bin.max()) + 1
+    x = min(x_bg, _MAX_HAZARD)
+    # per-batch buffers, so a round allocates only the steps it searches
+    size = len(rngs) * n_pix
+    ready = np.zeros(size, dtype=np.int64)
+    owner = np.repeat(np.arange(len(rngs), dtype=np.int64) * n_bins, n_pix)
+    spare = np.empty(size, dtype=np.int64)
+    t = np.empty(size, dtype=np.int64)
+    key = np.empty(size)
+    scratch = np.empty(size)
+    hit = np.empty(size, dtype=bool)
+    miss = np.empty(size, dtype=bool)
+    counts = np.zeros(len(rngs) * n_bins, dtype=np.int64)
+    marks = np.arange(len(rngs) + 1) * n_bins
+    n = size
+    while n:
+        s, k, f, tn = ready[:n], key[:n], scratch[:n], t[:n]
+        h, m = hit[:n], miss[:n]
+        bounds = owner[:n].searchsorted(marks).tolist()  # trials' slots
+        for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+            if hi > lo:
+                rng.standard_exponential(out=k[lo:hi])
+        cum.take(s, out=f)
+        np.add(f, k, out=k)  # the key cum[s] + E
+        if x > 0.0:
+            # capped at x * total, so the quotient stays finite
+            np.minimum(k, x * total, out=f)
+            np.divide(f, x, out=f)
+            np.copyto(tn, f, casting="unsafe")  # floor, as f >= 0
+            np.minimum(tn, total - 1, out=tn)
+            cum.take(tn, out=f)
+            np.less_equal(f, k, out=h)
+            tn += 1
+            cum.take(tn, out=f)
+            tn -= 1
+            np.less(k, f, out=m)
+            np.logical_and(h, m, out=h)
+            np.logical_not(h, out=m)
+        else:
+            m[...] = True
+        # t is the first step with cum[t + 1] > key, so t >= s, and a
+        # zero-hazard step never fires; t == total is no firing
+        n_miss = int(np.count_nonzero(m))
+        k.compress(m, out=f[:n_miss])
+        np.place(tn, m, cum[1:].searchsorted(f[:n_miss], side="right"))
+        step_bin.take(tn, out=spare[:n])
+        spare[:n] += owner[:n]
+        counts += np.bincount(spare[:n], minlength=counts.size)
+        np.less(tn, last, out=h)
+        n_ready = int(np.count_nonzero(h))
+        tn.compress(h, out=ready[:n_ready])
+        ready[:n_ready] += dead_steps + 1
+        owner[:n].compress(h, out=spare[:n_ready])
+        owner, spare = spare, owner
+        n = n_ready
+    return counts.reshape(len(rngs), n_bins)
 
 
 def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
@@ -292,20 +361,27 @@ def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
     """Array realizations, one per generator, from the per-pixel hazard
     ``x_bg`` of a background step and ``x_pulse`` of each pulse-span step:
     ``(per_period, pulse_counts)``, each trial's per-period background
-    counts and its fired count in the counting period at the pulse."""
+    counts and its fired count in the counting period at the pulse.  The
+    trials run in batches of at most ``_BATCH_SLOTS`` pixels (one trial if
+    the array is larger)."""
     import numpy as np
 
     noise_steps = n_noise_periods * period_steps
     hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
     cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, _MAX_HAZARD))])
     window = warm_steps + noise_steps + window_offset
-    per_period, pulse_counts = [], []
-    for rng in rngs:
-        counts = _fired_per_step(rng, cum, n_pix, dead_steps)
-        per_period.append(counts[warm_steps:warm_steps + noise_steps].reshape(
-            n_noise_periods, period_steps).sum(axis=1))
-        pulse_counts.append(counts[window:window + period_steps].sum())
-    return np.array(per_period), np.array(pulse_counts)
+    # bins: the noise periods, the counting period at the pulse, and the
+    # other steps with the never-fired mark cum.size - 1
+    step_bin = np.full(cum.size, n_noise_periods + 1)
+    step_bin[warm_steps:warm_steps + noise_steps] = (
+        np.arange(noise_steps) // period_steps)
+    step_bin[window:window + period_steps] = n_noise_periods
+    rngs = iter(rngs)
+    per_batch = max(1, _BATCH_SLOTS // n_pix)
+    counts = np.concatenate([
+        _fired_per_step(batch, cum, n_pix, dead_steps, x_bg, step_bin)
+        for batch in iter(lambda: list(islice(rngs, per_batch)), [])])
+    return counts[:, :n_noise_periods], counts[:, n_noise_periods]
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -316,9 +392,10 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
 
     Returns ``(snr_estimate, std_error)``.  Deterministic for a fixed seed;
     trial ``i`` always uses the sub-seed ``(seed, i)``, so estimates at
-    different operating points share random numbers.  The hazard kernel is
-    exact in distribution for the per-step firing law and needs O(pixels +
-    steps) memory per trial.  A trial over ``MAX_TRIAL_STEPS`` steps, or
+    different operating points share random numbers, and the batching of
+    trials does not change them.  The hazard kernel is exact in
+    distribution for the per-step firing law and needs O(pixels + steps)
+    memory per batch of trials.  A trial over ``MAX_TRIAL_STEPS`` steps, or
     all trials over ``MAX_TOTAL_STEPS``, is a ``ConfigError``.  ``workers``
     is ignored; the benchmark harness in ``perfbench/`` still passes it.
     """

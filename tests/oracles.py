@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: Gaussian
 tails come from quadrature, trigger statistics from direct stochastic
-simulation, SiPM dead-time trials from a per-trial, per-step loop,
+simulation, SiPM dead-time trials from a per-trial, per-step loop or a
+per-trial binary search of the cumulative hazard,
 integrals from exact rational arithmetic, optima from exhaustive grid
 search, and range roots from scipy's Brent root in log range to full
 precision.
@@ -111,6 +112,42 @@ def sipm_dead_time_trial(rng: np.random.Generator, n_pix: int,
     window = warm_steps + noise_steps + window_start
     pulse_count = float(counts[window:window + period_steps].sum())
     return per_period, pulse_count
+
+
+def sipm_searched_trials(rngs, n_pix: int, dead_steps: int, x_bg: float,
+                         warm_steps: int, n_noise_periods: int,
+                         period_steps: int, x_pulse: np.ndarray,
+                         window_start: int, max_hazard: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """SiPM array realizations, one trial at a time, every firing found by
+    a binary search of the cumulative hazard.
+
+    The same random numbers, in the same order, as the library's batched
+    kernel, so its counts must equal these bit for bit.  A pixel armed at
+    step ``s`` draws ``E ~ Exp(1)`` and fires at the first ``t`` with
+    ``cum[t + 1] > cum[s] + E``.  Returns each trial's per-period
+    background counts and its fired count in the counting period at the
+    pulse.
+    """
+    noise_steps = n_noise_periods * period_steps
+    hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
+    cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, max_hazard))])
+    total = cum.shape[0] - 1
+    window = warm_steps + noise_steps + window_start
+    per_period, pulse_counts = [], []
+    for rng in rngs:
+        ready = np.zeros(n_pix, dtype=np.int64)
+        fired = []
+        while ready.size:
+            t = np.searchsorted(cum[1:], cum[ready] + rng.standard_exponential(
+                ready.size), side="right")
+            fired.append(t)
+            ready = t[t < total - dead_steps - 1] + (dead_steps + 1)
+        counts = np.bincount(np.concatenate(fired), minlength=total + 1)
+        per_period.append(counts[warm_steps:warm_steps + noise_steps].reshape(
+            n_noise_periods, period_steps).sum(axis=1))
+        pulse_counts.append(counts[window:window + period_steps].sum())
+    return np.array(per_period), np.array(pulse_counts)
 
 
 def exact_trapezoid(rows: list[tuple[float, float, float]]) -> float:

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from dtofsim.sipm import (PhotonCounts, SipmMcConfig, SipmParams,
                           fired_std, monte_carlo_snr, signal_fired,
                           trigger_snr_analytic, trigger_snr_approx)
 
-from oracles import sample_moments, sipm_dead_time_trial, sipm_firing_mc
+from oracles import (sample_moments, sipm_dead_time_trial, sipm_firing_mc,
+                     sipm_searched_trials)
 
 TABLE1_SIPM = SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
                          dark_count_rate_cps=2007.0)
@@ -320,12 +322,36 @@ class TestKernel:
         survive = np.concatenate([[1.0], np.cumprod(1.0 - p)])
         expected = n_pix * np.append(survive[:-1] * p, survive[-1])
         cum = np.concatenate([[0.0], np.cumsum(x)])
-        counts = sipm._fired_per_step(np.random.default_rng(2024), cum,
-                                      n_pix, dead_steps=x.size)
+        counts = sipm._fired_per_step([np.random.default_rng(2024)], cum,
+                                      n_pix, x.size, 0.0,
+                                      np.arange(x.size + 1))[0, :-1]
         observed = np.append(counts, n_pix - counts.sum())
         assert observed[0] == 0 and expected[0] == 0
         stat = float((((observed - expected) ** 2)[1:] / expected[1:]).sum())
         assert chi2.sf(stat, df=observed.size - 2) > 1e-3
+
+    def test_first_firing_under_a_constant_background_follows_the_step_law(
+            self):
+        # the closed form: a constant hazard for 30 steps, then a ramped
+        # pulse span; about 2200 pixels fire first on the last background
+        # step and 70 % of the rest inside the pulse
+        from scipy.stats import chi2
+
+        n_pix, x_bg = 200_000, 0.02
+        x = np.r_[np.full(30, x_bg), np.linspace(0.02, 0.1, 20)]
+        p = -np.expm1(-x)
+        survive = np.concatenate([[1.0], np.cumprod(1.0 - p)])
+        expected = n_pix * np.append(survive[:-1] * p, survive[-1])
+        cum = np.concatenate([[0.0], np.cumsum(x)])
+        step_bin = np.arange(x.size + 1)
+        observed = sipm._fired_per_step([np.random.default_rng(2025)], cum,
+                                        n_pix, x.size, x_bg, step_bin)[0]
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, df=observed.size - 1) > 1e-3
+        # and exactly the firings a search of every key finds
+        searched = sipm._fired_per_step([np.random.default_rng(2025)], cum,
+                                        n_pix, x.size, 0.0, step_bin)[0]
+        assert (observed == searched).all()
 
     @pytest.mark.parametrize("x_pulse,window_start", [
         (np.r_[np.full(4, 0.17), np.full(2, 0.02)], 0),   # rectangular
@@ -354,16 +380,24 @@ class TestKernel:
             assert abs(a["var"] - b["var"]) \
                 <= 5 * math.hypot(a["se_var"], b["se_var"]), name
 
+    # array realizations: pixels, dead time, trials, layout and hazards
+    REALIZATIONS = dict(
+        n_pix=st.integers(1, 50), dead_steps=st.integers(1, 12),
+        n_trials=st.integers(1, 70), warm_steps=st.integers(0, 40),
+        n_noise_periods=st.integers(2, 4), period_steps=st.integers(1, 8),
+        pulse_extra=st.integers(0, 6), window_start=st.integers(0, 6),
+        p_bg=st.floats(0.0, 0.5), p_peak=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1))
+
     @settings(max_examples=50, deadline=None)
-    @given(n_pix=st.integers(1, 50), dead_steps=st.integers(1, 12),
-           n_trials=st.integers(1, 70), warm_steps=st.integers(0, 40),
-           n_noise_periods=st.integers(2, 4), period_steps=st.integers(1, 8),
-           pulse_extra=st.integers(0, 6), window_start=st.integers(0, 6),
-           p_bg=st.floats(0.0, 0.5), p_peak=st.floats(0.0, 1.0),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(**REALIZATIONS)
     @example(n_pix=7, dead_steps=3, n_trials=5, warm_steps=10,
              n_noise_periods=2, period_steps=4, pulse_extra=2,
              window_start=1, p_bg=0.2, p_peak=1.0, seed=0)
+    # a subnormal background hazard: unguarded, the closed form overflows
+    @example(n_pix=1, dead_steps=1, n_trials=1, warm_steps=0,
+             n_noise_periods=2, period_steps=1, pulse_extra=0,
+             window_start=0, p_bg=2.225073858507203e-309, p_peak=0.0, seed=0)
     def test_realization_invariants(self, n_pix, dead_steps, n_trials,
                                     warm_steps, n_noise_periods,
                                     period_steps, pulse_extra, window_start,
@@ -400,6 +434,34 @@ class TestKernel:
                 .sum(axis=1)).all()
         assert (pulse_counts == fires[window:window + period_steps].sum()).all()
 
+    @settings(max_examples=50, deadline=None)
+    @given(**REALIZATIONS)
+    def test_batches_equal_one_trial_runs_and_the_search(
+            self, n_pix, dead_steps, n_trials, warm_steps, n_noise_periods,
+            period_steps, pulse_extra, window_start, p_bg, p_peak, seed):
+        # at least three trials in two batches, the last one partial
+        n_trials += 2
+        per_batch = n_trials // 2 + 1
+        span = period_steps + pulse_extra
+        window_start = min(window_start, pulse_extra)
+        layout = (warm_steps, n_noise_periods, period_steps)
+
+        def rngs():
+            return [np.random.default_rng([seed, i]) for i in range(n_trials)]
+
+        for x_bg, x_pulse in [
+                (hazard(p_bg), hazard(np.linspace(p_bg, p_peak, span))),
+                (0.0, np.zeros(span)),
+                (hazard(1.0), hazard(np.ones(span)))]:
+            args = (n_pix, dead_steps, x_bg, *layout, x_pulse, window_start)
+            with mock.patch.object(sipm, "_BATCH_SLOTS", per_batch * n_pix):
+                batched = sipm._run_trials(rngs(), *args)
+            single = [sipm._run_trials([rng], *args) for rng in rngs()]
+            searched = sipm_searched_trials(rngs(), *args, sipm._MAX_HAZARD)
+            for got, one, ref in zip(batched, zip(*single), searched):
+                assert (got == np.concatenate(one)).all()
+                assert (got == ref).all()
+
     def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
         det = SipmChoice(params=sipm_config.detector.params,
                          snr_mode="monte_carlo",
@@ -419,6 +481,39 @@ class TestKernel:
         assert monte_carlo_snr(sipm_config.detector.params, photons(50.0),
                                p_rs / 100.0, 6e-9, 905e-9, 1.0 / 6e-9,
                                mc) == (9.57932115428008, 0.5138895924630094)
+
+    def test_table1_gaussian_monte_carlo_range_is_pinned(self, sipm_config):
+        mc = replace(SipmMcConfig.for_dead_time(6e-9, seed=11, n_trials=8),
+                     pulse_shape="gaussian")
+        det = SipmChoice(params=sipm_config.detector.params,
+                         snr_mode="monte_carlo", mc=mc)
+        result = ranging.max_range(sipm_config, det, sipm_config.tdc)
+        assert result.r_max_m == 255.92189943486395
+        assert result.snr_at_rmax == 4.969875944321247
+        assert result.snr_se == 0.5945515038173725
+        assert result.evaluations == 6
+
+    def test_heavy_point_is_pinned(self, sipm_config):
+        # one background photon per pixel per dead time
+        params = sipm_config.detector.params
+        mc = SipmMcConfig(n_trials=64, time_step_s=1e-10, seed=7,
+                          warmup_s=6e-8, n_noise_periods=30)
+        assert monte_carlo_snr(params, photons(700.0),
+                               params.n_pixels / params.pde * H_NU / 6e-9,
+                               6e-9, 905e-9, 1.0 / 6e-9,
+                               mc) == (4.298260028701259, 0.13897157007459668)
+
+    def test_1600_pixel_point_is_pinned(self, sipm_config):
+        # a batch holds two of these trials, so batches split the 24
+        base = sipm_config.detector.params
+        params = replace(base, n_pixels=1600,
+                         dark_count_rate_cps=base.dark_count_rate_cps / 4)
+        _, p_rs = ranging.link_powers(sipm_config, 100.0)
+        mc = SipmMcConfig(n_trials=24, time_step_s=1e-10, seed=7,
+                          warmup_s=6e-8, n_noise_periods=30)
+        assert monte_carlo_snr(params, photons(200.0), p_rs / 100.0, 6e-9,
+                               905e-9, 1.0 / 6e-9,
+                               mc) == (34.604487270016335, 1.3736582763652025)
 
     def test_memory_does_not_grow_with_steps_times_pixels(self):
         # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
