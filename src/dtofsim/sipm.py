@@ -21,7 +21,7 @@ pulse the hazard is constant, so the firing step has a closed form; each
 closed-form step is checked against the search it replaces, which finds
 the rest.  Each trial draws from its own generator.  Trials run in
 batches of up to ``_BATCH_SLOTS`` pixels (one trial of a larger array),
-and a batch holds O(its pixels + steps) memory.
+and a batch holds memory for its pixels and one step grid.
 
 Only the Monte Carlo uses numpy, and it imports numpy on first use, so
 the analytic model and ``import dtofsim`` start without it.
@@ -59,6 +59,9 @@ _MAX_HAZARD = 64.0
 # of one estimate (its run time); table1 counts about 2100 and 2.1e6
 MAX_TRIAL_STEPS = 10**6
 MAX_TOTAL_STEPS = 10**9
+# cap on the pixels of one Monte Carlo array, which set a batch's memory;
+# one trial of 10**6 pixels peaks at about 82 MB
+MAX_PIXELS = 10**6
 
 # pixel slots one batch of Monte Carlo trials runs at once: ten trials of
 # table1's 400 pixels, one trial of an array over 4096 pixels
@@ -129,7 +132,7 @@ class SipmMcConfig:
     noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``, one
     exponential per pixel firing.  Trials run in batches of up to 4096
     pixels, or one trial of a larger array, and a batch holds O(its pixels
-    + steps) memory; ``monte_carlo_snr`` caps the steps.
+    + steps) memory; ``monte_carlo_snr`` caps the steps and the pixels.
     """
 
     n_trials: int = 1000
@@ -289,8 +292,8 @@ def _fired_per_step(rngs: list[np.random.Generator], cum: np.ndarray,
     Where every step from 0 on has the hazard ``x_bg``, that ``t`` is
     ``floor((cum[s] + E) / x_bg)`` up to the rounding of ``cum``.  Each
     such candidate is kept only if it passes the search's own test, and
-    the rest are searched, so the counts do not depend on ``x_bg``; 0
-    searches every key.
+    the rest are searched, so the counts do not depend on ``x_bg``.  At
+    ``x_bg`` 0 there is no closed form, and every key is searched.
     """
     import numpy as np
 
@@ -298,59 +301,32 @@ def _fired_per_step(rngs: list[np.random.Generator], cum: np.ndarray,
     last = total - dead_steps - 1
     n_bins = int(step_bin.max()) + 1
     x = min(x_bg, _MAX_HAZARD)
-    # per-batch buffers, so a round allocates only the steps it searches
-    size = len(rngs) * n_pix
-    ready = np.zeros(size, dtype=np.int64)
+    ready = np.zeros(len(rngs) * n_pix, dtype=np.int64)
     owner = np.repeat(np.arange(len(rngs), dtype=np.int64) * n_bins, n_pix)
-    spare = np.empty(size, dtype=np.int64)
-    t = np.empty(size, dtype=np.int64)
-    key = np.empty(size)
-    scratch = np.empty(size)
-    hit = np.empty(size, dtype=bool)
-    miss = np.empty(size, dtype=bool)
     counts = np.zeros(len(rngs) * n_bins, dtype=np.int64)
     marks = np.arange(len(rngs) + 1) * n_bins
-    n = size
-    while n:
-        s, k, f, tn = ready[:n], key[:n], scratch[:n], t[:n]
-        h, m = hit[:n], miss[:n]
-        bounds = owner[:n].searchsorted(marks).tolist()  # trials' slots
+    while owner.size:
+        key = np.empty(owner.size)
+        bounds = owner.searchsorted(marks).tolist()  # trials' slots
         for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
             if hi > lo:
-                rng.standard_exponential(out=k[lo:hi])
-        cum.take(s, out=f)
-        np.add(f, k, out=k)  # the key cum[s] + E
+                rng.standard_exponential(out=key[lo:hi])
+        key += cum[ready]  # the key cum[s] + E
         if x > 0.0:
-            # capped at x * total, so the quotient stays finite
-            np.minimum(k, x * total, out=f)
-            np.divide(f, x, out=f)
-            np.copyto(tn, f, casting="unsafe")  # floor, as f >= 0
-            np.minimum(tn, total - 1, out=tn)
-            cum.take(tn, out=f)
-            np.less_equal(f, k, out=h)
-            tn += 1
-            cum.take(tn, out=f)
-            tn -= 1
-            np.less(k, f, out=m)
-            np.logical_and(h, m, out=h)
-            np.logical_not(h, out=m)
+            # capped at x * total, so the quotient stays finite; the cast
+            # floors, as the quotient is >= 0
+            t = np.minimum((np.minimum(key, x * total) / x).astype(np.int64),
+                           total - 1)
+            miss = ~((cum[t] <= key) & (key < cum[t + 1]))
+            t[miss] = cum[1:].searchsorted(key[miss], side="right")
         else:
-            m[...] = True
+            t = cum[1:].searchsorted(key, side="right")
         # t is the first step with cum[t + 1] > key, so t >= s, and a
         # zero-hazard step never fires; t == total is no firing
-        n_miss = int(np.count_nonzero(m))
-        k.compress(m, out=f[:n_miss])
-        np.place(tn, m, cum[1:].searchsorted(f[:n_miss], side="right"))
-        step_bin.take(tn, out=spare[:n])
-        spare[:n] += owner[:n]
-        counts += np.bincount(spare[:n], minlength=counts.size)
-        np.less(tn, last, out=h)
-        n_ready = int(np.count_nonzero(h))
-        tn.compress(h, out=ready[:n_ready])
-        ready[:n_ready] += dead_steps + 1
-        owner[:n].compress(h, out=spare[:n_ready])
-        owner, spare = spare, owner
-        n = n_ready
+        counts += np.bincount(step_bin[t] + owner, minlength=counts.size)
+        armed = t < last
+        ready = t[armed] + dead_steps + 1
+        owner = owner[armed]
     return counts.reshape(len(rngs), n_bins)
 
 
@@ -395,9 +371,10 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     different operating points share random numbers, and the batching of
     trials does not change them.  The hazard kernel is exact in
     distribution for the per-step firing law and needs O(pixels + steps)
-    memory per batch of trials.  A trial over ``MAX_TRIAL_STEPS`` steps, or
-    all trials over ``MAX_TOTAL_STEPS``, is a ``ConfigError``.  ``workers``
-    is ignored; the benchmark harness in ``perfbench/`` still passes it.
+    memory per batch of trials.  A trial over ``MAX_TRIAL_STEPS`` steps,
+    all trials over ``MAX_TOTAL_STEPS``, or an array over ``MAX_PIXELS``
+    pixels is a ``ConfigError``.  ``workers`` is ignored; the benchmark
+    harness in ``perfbench/`` still passes it.
     """
     import numpy as np
 
@@ -421,9 +398,12 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
         raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
                           f"{trial_steps:.4g} steps exceed the cap of "
                           f"{MAX_TOTAL_STEPS}")
+    n_pix = int(round(params.n_pixels))
+    if n_pix > MAX_PIXELS:
+        raise ConfigError(f"n_pixels: an array of {n_pix} pixels exceeds the "
+                          f"cap of {MAX_PIXELS}")
 
     dt = mc.time_step_s
-    n_pix = int(round(params.n_pixels))
     dead_steps = max(1, round(params.dead_time_s / dt))
     period_steps = max(1, round(1.0 / (bandwidth_hz * dt)))
     warm_steps = round(mc.warmup_s / dt)

@@ -8,6 +8,7 @@ import pytest
 from dtofsim.cli import main
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
+from dtofsim.sipm import MAX_PIXELS
 from dtofsim.sweeps import MAX_GRID_POINTS, format_number
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -318,6 +319,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "range", "--config", str(path))
         assert code == 1
         assert key in err and "cap" in err
+
+    def test_monte_carlo_over_the_pixel_cap_is_1(self, tmp_path, capsys):
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"].update(snr_mode="monte_carlo",
+                                n_pixels=MAX_PIXELS + 1)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1
+        assert "n_pixels" in err and "cap" in err
 
     def test_workers_flag_is_gone(self, capsys):
         code, _, err = run_cli(capsys, "range", "--workers", "2")

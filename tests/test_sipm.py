@@ -293,6 +293,15 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="mc.n_trials"):
             monte_carlo_snr(*args, self.quick_mc(n_trials=5))
 
+    def test_pixels_over_the_cap_are_rejected(self):
+        params = replace(TABLE1_SIPM, n_pixels=sipm.MAX_PIXELS + 1,
+                         dark_count_rate_cps=0.0)
+        with mock.patch.object(sipm, "_run_trials") as run:
+            with pytest.raises(ConfigError, match="n_pixels.*cap"):
+                monte_carlo_snr(params, photons(50.0), P_RS_REF / 100,
+                                6e-9, 905e-9, self.BW, self.quick_mc())
+        run.assert_not_called()
+
     def test_warmup_guard(self):
         mc = SipmMcConfig(n_trials=10, time_step_s=1e-10, seed=0,
                           warmup_s=1e-8)
@@ -514,6 +523,20 @@ class TestKernel:
         assert monte_carlo_snr(params, photons(200.0), p_rs / 100.0, 6e-9,
                                905e-9, 1.0 / 6e-9,
                                mc) == (34.604487270016335, 1.3736582763652025)
+
+    def test_array_over_a_batch_is_pinned(self, sipm_config):
+        # each trial of 5000 pixels is a batch of its own; one background
+        # photon per pixel per dead time
+        base = sipm_config.detector.params
+        params = replace(base, n_pixels=5000,
+                         dark_count_rate_cps=base.dark_count_rate_cps / 20)
+        assert params.n_pixels > sipm._BATCH_SLOTS
+        mc = SipmMcConfig(n_trials=3, time_step_s=1e-10, seed=7,
+                          warmup_s=2.4e-8, n_noise_periods=6)
+        assert monte_carlo_snr(params, photons(2000.0),
+                               params.n_pixels / params.pde * H_NU / 6e-9,
+                               6e-9, 905e-9, 1.0 / 6e-9,
+                               mc) == (3.9377794229874534, 0.8841080127233489)
 
     def test_memory_does_not_grow_with_steps_times_pixels(self):
         # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
