@@ -15,7 +15,7 @@ from . import ranging, scenario, sweeps
 from .apd import optimize_gain
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError
-from .ranging import SENSITIVITY_PARAMS, max_range, sensitivity
+from .ranging import SENSITIVITY_PARAMS, declares, max_range, sensitivity
 from .scenario import ScenarioConfig, load_scenario, save_scenario, table1_preset
 from .sweeps import (SWEEP_KINDS, SweepSpec, emit_csv, emit_svg,
                      format_number, make_grid, run_sweep)
@@ -187,6 +187,13 @@ def _cmd_optimize_gain(args) -> None:
 def _cmd_sensitivity(args) -> None:
     config, (det,) = _resolve(args.config, args.detector)
     names = sorted(SENSITIVITY_PARAMS) if args.param == "all" else [args.param]
+    # --param all keeps its 0.0 rows for the other detector's parameters
+    if args.param in SENSITIVITY_PARAMS \
+            and not declares(config, det, config.tdc, args.param):
+        kind = "apd" if isinstance(det, ApdChoice) else "sipm"
+        raise ConfigError(f"no object of this scenario with its {kind} "
+                          f"detector declares {args.param!r}, so it has no "
+                          "elasticity")
     lines = ["parameter,elasticity"]
     for name in names:
         value = sensitivity(config, det, config.tdc, name)

@@ -313,6 +313,10 @@ def _scaled(obj, name: str, f: float):
     return replace(obj, **{name: getattr(obj, name) * f})
 
 
+def _holds(obj, name: str) -> bool:
+    return name in obj.__dataclass_fields__
+
+
 def _field_edit(name: str) -> _Edit:
     """Scale the field ``name`` in every object that declares one.
 
@@ -320,19 +324,16 @@ def _field_edit(name: str) -> _Edit:
     the detector's parameters and the policy; only those holding the field
     are rebuilt, so the laser's and the APD's ``wavelength_m`` move together.
     """
-    def holds(obj) -> bool:
-        return name in obj.__dataclass_fields__
-
     def edit(sc, det, pol, f):
         changed = {s: _scaled(getattr(sc, s), name, f) for s in _SECTIONS
-                   if holds(getattr(sc, s))}
-        if holds(sc):
+                   if _holds(getattr(sc, s), name)}
+        if _holds(sc, name):
             changed[name] = getattr(sc, name) * f
         if changed:
             sc = replace(sc, **changed)
-        if holds(det.params):
+        if _holds(det.params, name):
             det = replace(det, params=_scaled(det.params, name, f))
-        if holds(pol):
+        if _holds(pol, name):
             pol = _scaled(pol, name, f)
         return sc, det, pol
     return edit
@@ -376,6 +377,22 @@ SENSITIVITY_PARAMS: dict[str, _Edit] = {
 }
 
 
+def declares(scenario: ScenarioConfig, detector: DetectorChoice,
+             policy: TdcPolicy, param_name: str) -> bool:
+    """Whether ``param_name``'s sensitivity edit has a field to scale here.
+
+    A field parameter needs an object of the scenario, detector and policy
+    that declares the field, whatever its value; ``sensitivity`` gives 0.0
+    for one that none declares.  The solar and atmosphere parameters always
+    have one.  An unknown name has none.
+    """
+    if param_name not in _FIELD_PARAMS:
+        return param_name in SENSITIVITY_PARAMS
+    objs = (*(getattr(scenario, s) for s in _SECTIONS), scenario,
+            detector.params, policy)
+    return any(_holds(obj, param_name) for obj in objs)
+
+
 def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
                 policy: TdcPolicy, param_name: str,
                 rel_step: float = 1e-3) -> float:
@@ -391,11 +408,11 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
-    SiPM parameter for an APD, say) leaves g unchanged, so it gives 0.0.
-    An SNR near ``r_max`` that is 0 or infinite, or one flat in range,
-    leaves the elasticity undefined: a ``ConfigError``.  So is a Monte
-    Carlo detector: its SNR scatters by far more than a step of
-    ``rel_step`` moves it, so the difference is noise.
+    SiPM parameter for an APD, say; see ``declares``) leaves g unchanged,
+    so it gives 0.0.  An SNR near ``r_max`` that is 0 or infinite, or one
+    flat in range, leaves the elasticity undefined: a ``ConfigError``.
+    So is a Monte Carlo detector: its SNR scatters by far more than a step
+    of ``rel_step`` moves it, so the difference is noise.
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "

@@ -88,9 +88,12 @@ class SweepSpec:
 def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[float, ...]:
     """Monotone grid with ``n`` points between ``lo`` and ``hi``.
 
-    Equal to ``np.linspace`` or ``np.geomspace`` point for point.  A linear
-    grid repeats ``np.linspace``'s arithmetic in Python, so only log
-    spacing imports numpy.
+    A linear grid repeats ``np.linspace``'s arithmetic in Python and equals
+    it point for point.  A log grid raises 10 to the inner points of the
+    linear grid of the base-10 logs, clamped to the bounds, and keeps both
+    bounds exact, as ``np.geomspace`` does.  libm's ``pow`` and ``log10``
+    are not numpy's, so a point can differ from ``np.geomspace`` in its last
+    bits: by 1 ULP at a few points of each default log grid.
     """
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"grid size must be in [1, {MAX_GRID_POINTS}]")
@@ -112,11 +115,12 @@ def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[fl
     if spacing == "log":
         if lo <= 0:
             raise ConfigError("log grid requires lo > 0")
-        # 10.0 ** x in Python differs from np.geomspace by one ULP at some
-        # points (libm's pow is not numpy's power), so log grids keep numpy
-        import numpy as np
-
-        return tuple(float(x) for x in np.geomspace(lo, hi, n))
+        a, b = math.log10(lo), math.log10(hi)
+        # bounds a few ULPs apart can share one log, and 10 ** x can round
+        # past a bound (or overflow at b), so inner points are clamped
+        inner = make_grid(a, b, n)[1:-1] if a < b else (b,) * (n - 2)
+        return (lo, *(hi if x >= b else min(max(10.0 ** x, lo), hi)
+                      for x in inner), hi)
     raise ConfigError("spacing must be 'linear' or 'log'")
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dtofsim.cli import main
+from dtofsim.ranging import SENSITIVITY_PARAMS
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
 from dtofsim.sipm import MAX_PIXELS
@@ -245,6 +246,31 @@ class TestSensitivity:
         assert code == 0
         assert out.splitlines()[1] == "wavelength_m,0.256030198919708"
 
+    @pytest.mark.parametrize("detector,param", [
+        ("apd", "pde"), ("apd", "n_pixels"), ("sipm", "gain"),
+        ("sipm", "amplifier_noise_a")])
+    def test_parameter_the_detector_lacks_is_1(self, capsys, detector, param):
+        # it would read as "range does not depend on it"
+        code, out, err = run_cli(capsys, "sensitivity", "--detector",
+                                 detector, "--param", param)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert f"{detector} detector" in err and repr(param) in err
+
+    def test_zero_valued_parameter_prints_0(self, capsys):
+        # declared, and p * d ln r / dp is 0 at p = 0
+        code, out, _ = run_cli(capsys, "sensitivity", "--detector", "apd",
+                               "--param", "incidence_angle_rad")
+        assert code == 0
+        assert out.splitlines()[1] == "incidence_angle_rad,0.0"
+
+    def test_all_keeps_the_other_detectors_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "sensitivity", "--detector", "sipm")
+        assert code == 0
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert len(rows) == len(SENSITIVITY_PARAMS)
+        assert rows["gain"] == rows["amplifier_noise_a"] == "0.0"
+
     def test_sun_irradiance_of_spectrum_is_1(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.chdir(tmp_path)
@@ -477,21 +503,26 @@ class TestExitCodes:
         assert "seed must be >= 0" in err
 
 
-def test_analytic_commands_load_no_numpy():
+def test_analytic_commands_load_no_numpy(tmp_path):
     # numpy is a large share of a command's start-up; only the Monte Carlo
-    # and log-spaced grids import it
-    probe = """
+    # imports it
+    curve = str(tmp_path / "gain.csv")
+    probe = f"""
 import contextlib, io, sys
 import dtofsim
 from dtofsim.cli import main
+from dtofsim.ranging import SENSITIVITY_PARAMS
 loaded = ["import dtofsim"] if "numpy" in sys.modules else []
 for argv in (["range", "--detector", "apd"], ["range", "--detector", "sipm"],
              ["snr-curve"], ["sweep", "--kind", "distance"],
-             ["sensitivity", "--param", "all"]):
+             ["sensitivity", "--param", "all"],
+             ["sweep", "--kind", "illuminance"], ["sipm-response"],
+             ["optimize-gain", "--out", {curve!r}],
+             ["sweep", "--kind", "distance", "--spacing", "log"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code or "numpy" in sys.modules:
-        loaded.append(f"{' '.join(argv)} (exit {code})")
+        loaded.append(f"{{' '.join(argv)}} (exit {{code}})")
 print(loaded)
 """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

@@ -10,8 +10,8 @@ from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
                      UnboundedRangeError, ranging, sipm, table1_preset)
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
-                             closed_form_max_range, link_powers, max_range,
-                             sensitivity, snr_at_range)
+                             closed_form_max_range, declares, link_powers,
+                             max_range, sensitivity, snr_at_range)
 from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import AtmosphereModel, SolarModel
 from dtofsim.tdc import TdcPolicy
@@ -457,6 +457,21 @@ class TestSensitivity:
         # SiPM-only knob leaves an APD scenario untouched
         assert sensitivity(apd_config, apd_config.detector, apd_config.tdc,
                            "pde") == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("detector", ["apd", "sipm"])
+    def test_declares_what_the_edit_scales(self, detector):
+        # a name is declared exactly where its edit rebuilds some object,
+        # whatever the field's value (incidence_angle_rad is 0 at table1)
+        config = table1_preset(detector)
+        base = (config, config.detector, config.tdc)
+        for name, edit in SENSITIVITY_PARAMS.items():
+            edited = edit(*base, math.exp(1e-3))
+            assert declares(*base, name) \
+                == any(a is not b for a, b in zip(edited, base)), name
+        assert declares(*base, "incidence_angle_rad")
+        assert declares(*base, "pde") == (detector == "sipm")
+        assert declares(*base, "gain") == (detector == "apd")
+        assert not declares(*base, "warp_factor")
 
     def test_monte_carlo_is_rejected(self, sipm_config):
         # a central difference at rel_step 1e-3 of a Monte Carlo range is

@@ -2,7 +2,9 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -557,9 +559,49 @@ class TestGrid:
 
     @pytest.mark.parametrize("lo,hi,n", [
         (0.1, 100.0, 50), (1.0, 1e5, 81), (1.0, 1000.0, 200)])
-    def test_log_grid_is_geomspace(self, lo, hi, n):
-        assert _bits(make_grid(lo, hi, n, "log")) \
-            == _bits(np.geomspace(lo, hi, n))
+    def test_log_grid_is_the_python_formula(self, lo, hi, n):
+        # the default log grids: illuminance, photon response, gain curve
+        grid = make_grid(lo, hi, n, "log")
+        logs = make_grid(math.log10(lo), math.log10(hi), n)
+        assert _bits(grid) == _bits((lo, *(10.0 ** x for x in logs[1:-1]), hi))
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        # libm's pow and numpy's power may differ by an ULP or so
+        assert np.max(np.abs(np.array(grid) / np.geomspace(lo, hi, n) - 1)) \
+            <= 1e-13
+
+    @given(lo=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           hi=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           n=st.integers(2, 300))
+    @example(lo=5e-324, hi=1.7976931348623157e308, n=10000)
+    @example(lo=1e308, hi=1.7976931348623157e308, n=10000)
+    @example(lo=0.3, hi=0.30000000000000004, n=3)  # 10 ** x falls below lo
+    @example(lo=7.0, hi=7.000000000000001, n=3)  # and rises above hi
+    @example(lo=1.7976931348623155e308, hi=1.7976931348623157e308, n=3)
+    @settings(max_examples=300, deadline=None)
+    def test_log_grid_over_positive_bounds(self, lo, hi, n):
+        assume(lo < hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = make_grid(lo, hi, n, "log")
+        a, b = math.log10(lo), math.log10(hi)
+        # bounds a few ULPs apart can share a log; an inner log that reaches
+        # log10(hi) gives hi, where 10 ** x could overflow
+        logs = make_grid(a, b, n) if a < b else (b,) * n
+        assert _bits(grid) == _bits(
+            (lo, *(hi if x >= b else min(max(10.0 ** x, lo), hi)
+                   for x in logs[1:-1]), hi))
+        assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+        assert all(p <= q for p, q in zip(grid, grid[1:]))
+        with np.errstate(over="ignore"):  # geomspace computes 10 ** log10(hi)
+            reference = np.geomspace(lo, hi, n)
+        # each log may differ from numpy's by an ULP or two, and each power
+        # by an ULP; subnormal points carry no relative precision, and
+        # geomspace overflows where an inner log reaches log10(DBL_MAX)
+        tol = 4 * math.log(10) * math.ulp(max(abs(a), abs(b))) + 2 ** -50
+        normal = ((reference >= sys.float_info.min)
+                  & (reference <= sys.float_info.max))
+        assert np.all(np.abs(np.array(grid)[normal] / reference[normal] - 1)
+                      <= tol)
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_one_and_two_points(self, spacing):
