@@ -17,8 +17,8 @@ from .scenario import (ScenarioConfig, load_scenario, save_scenario,
                        table1_preset)
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
-                         background_power, echo_power, effective_aperture,
-                         fov_half_angle, one_way_transmittance,
+                         effective_aperture, fov_half_angle,
+                         one_way_transmittance, received_powers,
                          sun_equivalent_irradiance)
 from .sipm import (PhotonCounts, SipmMcConfig, SipmParams,
                    background_occupancy, dark_occupancy, fired_count,

@@ -55,13 +55,9 @@ class RangeResult:
 
 def link_powers(scenario: ScenarioConfig, range_m: float) -> tuple[float, float]:
     """(echo power, background power) at the given range, W."""
-    scene = replace(scenario.scene, range_m=range_m)
-    p_r = scene_link.echo_power(scene, scenario.atmosphere, scenario.optics,
-                                scenario.target, scenario.laser)
-    p_rs = scene_link.background_power(scene, scenario.atmosphere,
-                                       scenario.optics, scenario.target,
-                                       scenario.solar)
-    return p_r, p_rs
+    return scene_link.received_powers(
+        range_m, scenario.scene, scenario.atmosphere, scenario.optics,
+        scenario.target, scenario.laser, scenario.solar)
 
 
 def _is_monte_carlo(detector: DetectorChoice) -> bool:
@@ -75,8 +71,6 @@ def _snr_and_se(scenario: ScenarioConfig, detector: DetectorChoice,
     The standard error is the Monte Carlo's; it is 0.0 in the closed-form
     modes.
     """
-    if not range_m > 0:
-        raise ConfigError("range_m must be > 0")
     p_r, p_rs = link_powers(scenario, range_m)
     laser = scenario.laser
     try:

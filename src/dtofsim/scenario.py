@@ -312,7 +312,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     against ``path``, the file that set the offending values.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None

@@ -1,5 +1,7 @@
 """Optical link budget: echo and solar-background power at the photodetector.
 
+``received_powers`` returns both powers for one range in one call.
+
 The echo model treats the target as a Lambertian reflector larger than the
 laser spot, with the receive direction assumed equal to the emit direction.
 Background light is in-band solar irradiance reflected by the same target
@@ -189,7 +191,7 @@ def load_spectrum_csv(path: str) -> tuple[tuple[float, float, float], ...]:
     """
     rows: list[tuple[float, float, float]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh.readlines())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -237,23 +239,6 @@ def fov_half_angle(optics: ReceiverOptics) -> float:
     return math.atan(optics.detector_radius_m / optics.focal_length_m)
 
 
-def echo_power(scene: SceneGeometry, atm: AtmosphereModel,
-               optics: ReceiverOptics, target: TargetModel,
-               laser: LaserParams) -> float:
-    """Peak echo power reaching the photodetector, W.
-
-    Lambertian radiant intensity toward the receiver times the pupil solid
-    angle, with the round-trip transmittance and the receive-path laser
-    efficiency applied.  Falls off as 1/R^2 when the transmittance and
-    pupil area do not depend on range.
-    """
-    tau = one_way_transmittance(atm, scene.range_m)
-    area = effective_aperture(optics, scene.elevation_angle_rad)
-    return (tau * tau * optics.laser_efficiency * target.reflectivity
-            * laser.peak_power_w * area * math.cos(scene.incidence_angle_rad)
-            / (math.pi * scene.range_m * scene.range_m))
-
-
 def sun_equivalent_irradiance(solar: SolarModel) -> float:
     """In-band solar irradiance after the receiver filter stack, W/m^2."""
     if solar.mode == "direct_irradiance":
@@ -269,19 +254,29 @@ def sun_equivalent_irradiance(solar: SolarModel) -> float:
     return total
 
 
-def background_power(scene: SceneGeometry, atm: AtmosphereModel,
-                     optics: ReceiverOptics, target: TargetModel,
-                     solar: SolarModel) -> float:
-    """Solar background power reaching the photodetector, W.
+def received_powers(range_m: float, scene: SceneGeometry,
+                    atm: AtmosphereModel, optics: ReceiverOptics,
+                    target: TargetModel, laser: LaserParams,
+                    solar: SolarModel) -> tuple[float, float]:
+    """(peak echo power, solar background power) at the photodetector, W.
 
-    The target patch inside the field of view grows as R^2 while the pupil
-    solid angle shrinks as 1/R^2, so the result is range independent for a
-    fixed atmospheric transmittance.  A single one-way transmittance is
-    applied to the background path.
+    ``range_m`` replaces ``scene.range_m``; the scene's angles are used.
+    The echo is the Lambertian radiant intensity toward the receiver times
+    the pupil solid angle, with the round-trip transmittance and the
+    receive-path laser efficiency applied; it falls off as 1/R^2 when the
+    transmittance and pupil area do not depend on range.  For the
+    background, the target patch inside the field of view grows as R^2
+    while the pupil solid angle shrinks as 1/R^2, so it is range
+    independent at a fixed transmittance; a single one-way transmittance
+    is applied to its path.
     """
-    e_sun = sun_equivalent_irradiance(solar)
-    tau = one_way_transmittance(atm, scene.range_m)
+    tau = one_way_transmittance(atm, range_m)
     area = effective_aperture(optics, scene.elevation_angle_rad)
+    p_r = (tau * tau * optics.laser_efficiency * target.reflectivity
+           * laser.peak_power_w * area * math.cos(scene.incidence_angle_rad)
+           / (math.pi * range_m * range_m))
     fov_ratio = optics.detector_radius_m / optics.focal_length_m
-    return (e_sun * optics.sun_efficiency * tau * target.reflectivity
-            * area * fov_ratio * fov_ratio * math.cos(scene.sun_angle_rad))
+    p_rs = (sun_equivalent_irradiance(solar) * optics.sun_efficiency * tau
+            * target.reflectivity * area * fov_ratio * fov_ratio
+            * math.cos(scene.sun_angle_rad))
+    return p_r, p_rs

@@ -482,6 +482,28 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
 
+    @pytest.mark.parametrize("broken", ["scenario", "spectrum"])
+    def test_non_utf8_after_bom_is_1(self, tmp_path, capsys, broken):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["solar"] = {"mode": "spectrum_integral",
+                         "spectrum_csv": "spectrum.csv"}
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,irradiance_w_m2_nm,transmittance\n"
+                            "890,1.0,0.5\n920,1.0,0.5\n", encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, plain, _ = run_cli(capsys, "range", "--config", str(path))
+        assert code == 0
+        for f in (path, spectrum):
+            f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        assert run_cli(capsys, "range", "--config", str(path)) == (0, plain, "")
+        # a BOM does not make other bytes readable
+        bad = path if broken == "scenario" else spectrum
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_deeply_nested_json_is_1(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from dtofsim import ranging, table1_preset
+
 ROOT = Path(__file__).resolve().parent.parent
 
 spec = importlib.util.spec_from_file_location(
@@ -28,3 +30,23 @@ def test_target_binds_one_callable(span):
     # every module must hold the defining module's function, or the
     # tracer would patch a name the program does not call
     assert all(fn is bound[0] for fn in bound), f"{attr} differs by module"
+
+
+@pytest.mark.parametrize("variant", ["apd", "sipm"])
+def test_every_link_evaluation_goes_through_link_powers(monkeypatch,
+                                                        variant):
+    # the tracer's scene_link.link_powers span counts calls of this module
+    # attribute; a solve that reached the link another way would hide them
+    calls = 0
+    link_powers = ranging.link_powers
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return link_powers(*args)
+
+    monkeypatch.setattr(ranging, "link_powers", counted)
+    config = table1_preset(variant)
+    res = ranging.max_range(config, config.detector, config.tdc)
+    # one call per SNR evaluation and one for the powers at r_max
+    assert calls == res.evaluations + 1

@@ -71,6 +71,56 @@ def solvable_scenarios(draw):
     return config
 
 
+class TestLinkPowers:
+    # (echo, background) W, frozen repr values: a refactor of the link
+    # must keep every bit
+    TABLE1 = {
+        1.0: (0.0019464306750000002, 2.5099212581122918e-08),
+        100.0: (1.9464306750000004e-07, 2.5099212581122918e-08),
+        280.871471015048: (2.4673097939935464e-08, 2.5099212581122918e-08),
+        1e4: (1.946430675e-11, 2.5099212581122918e-08),
+    }
+    EXTINCTION_COSINE = {
+        1.0: (0.0017778670982706414, 2.2471613966883983e-08),
+        100.0: (1.7081526184155238e-07, 2.2026624831564787e-08),
+        280.871471015048: (2.0126668877574675e-08, 2.1236268068792117e-08),
+        1e4: (3.1279837648578623e-13, 2.9806903693374905e-09),
+    }
+
+    @pytest.mark.parametrize("variant", ["apd", "sipm"])
+    def test_table1_bits(self, variant):
+        config = table1_preset(variant)
+        for r, expected in self.TABLE1.items():
+            assert link_powers(config, r) == expected
+
+    def test_extinction_cosine_bits(self, apd_config):
+        # a cosine aperture at 0.5 rad elevation under Beer-Lambert extinction
+        config = replace(
+            apd_config, optics=replace(apd_config.optics, aperture_model="cosine"),
+            scene=replace(apd_config.scene, elevation_angle_rad=0.5),
+            atmosphere=AtmosphereModel(mode="extinction",
+                                       extinction_coeff_per_m=2.0203e-4))
+        for r, expected in self.EXTINCTION_COSINE.items():
+            assert link_powers(config, r) == expected
+
+    @pytest.mark.parametrize("mode", ["apd", "analytic", "approx",
+                                      "monte_carlo"])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_non_positive_range_rejected(self, apd_config, sipm_config,
+                                         mode, r):
+        if mode == "apd":
+            config = apd_config
+        elif mode == "monte_carlo":
+            config = replace(sipm_config, detector=monte_carlo(sipm_config, 1))
+        else:
+            config = replace(sipm_config, detector=replace(
+                sipm_config.detector, snr_mode=mode))
+        with pytest.raises(ConfigError, match="range_m must be > 0"):
+            snr_at_range(config, config.detector, r)
+        with pytest.raises(ConfigError, match="range_m must be > 0"):
+            link_powers(config, r)
+
+
 class TestSnrAtRange:
     def test_inverse_square_log_slope(self, apd_config):
         s50 = snr_at_range(apd_config, apd_config.detector, 50.0)

@@ -274,6 +274,19 @@ class TestLoadValidation:
         assert config.solar.spectrum_table == ((890.0, 1.0, 0.5),
                                                (920.0, 1.0, 0.5))
 
+    def test_utf8_bom_loads_like_plain(self, tmp_path):
+        # spreadsheets and some editors start UTF-8 files with a BOM
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,irradiance_w_m2_nm,transmittance\n"
+                            "890,1.0,0.5\n920,1.0,0.5\n", encoding="utf-8")
+        path = self.write_config(
+            tmp_path, lambda d: d.update(
+                solar={"mode": "spectrum_integral", "spectrum_csv": "spectrum.csv"}))
+        plain = load_scenario(path)
+        for f in (Path(path), spectrum):
+            f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        assert load_scenario(path) == plain
+
     @pytest.mark.parametrize("section,key", [
         ("laser", "peak_power_w"), ("laser", "repetition_khz"),
         ("scene", "range_m"), ("optics", "aperture_model"),

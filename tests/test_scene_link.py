@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from dtofsim import ConfigError
 from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                                 SceneGeometry, SolarModel, TargetModel,
-                                background_power, echo_power,
                                 effective_aperture, fov_half_angle,
                                 load_spectrum_csv, one_way_transmittance,
-                                sun_equivalent_irradiance)
+                                received_powers, sun_equivalent_irradiance)
 
 from oracles import exact_trapezoid
 
@@ -74,35 +73,32 @@ class TestEffectiveAperture:
         assert a1 <= a0 + 1e-18
 
 
+def powers(range_m=100.0, scene=TABLE1_SCENE, atm=TABLE1_ATM,
+           target=TABLE1_TARGET, laser=TABLE1_LASER, solar=TABLE1_SOLAR):
+    """(echo, background) power of the table1 link with the given parts."""
+    return received_powers(range_m, scene, atm, TABLE1_OPTICS, target, laser,
+                           solar)
+
+
 class TestEchoPower:
     def test_black_target(self):
-        target = TargetModel(reflectivity=0.0)
-        assert echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS, target,
-                          TABLE1_LASER) == 0.0
+        assert powers(target=TargetModel(reflectivity=0.0))[0] == 0.0
 
     def test_reference_scenario_value(self):
         # frozen from a 50-digit evaluation of the link equation
-        p_r = echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                         TABLE1_TARGET, TABLE1_LASER)
+        p_r, _ = powers()
         assert p_r == pytest.approx(1.946430675e-07, rel=1e-12)
 
     def test_inverse_square_doubling(self):
-        p1 = echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                        TABLE1_TARGET, TABLE1_LASER)
-        scene2 = SceneGeometry(range_m=200.0, sun_angle_rad=math.pi / 3)
-        p2 = echo_power(scene2, TABLE1_ATM, TABLE1_OPTICS, TABLE1_TARGET,
-                        TABLE1_LASER)
+        p1, _ = powers(100.0)
+        p2, _ = powers(200.0)
         assert p2 == pytest.approx(p1 / 4.0, rel=1e-12)
 
     @given(st.floats(min_value=1.0, max_value=1000.0),
            st.floats(min_value=1.0, max_value=1000.0))
     def test_inverse_square_law(self, r1, r2):
-        s1 = SceneGeometry(range_m=r1, sun_angle_rad=math.pi / 3)
-        s2 = SceneGeometry(range_m=r2, sun_angle_rad=math.pi / 3)
-        p1 = echo_power(s1, TABLE1_ATM, TABLE1_OPTICS, TABLE1_TARGET,
-                        TABLE1_LASER)
-        p2 = echo_power(s2, TABLE1_ATM, TABLE1_OPTICS, TABLE1_TARGET,
-                        TABLE1_LASER)
+        p1, _ = powers(r1)
+        p2, _ = powers(r2)
         assert p2 / p1 == pytest.approx((r1 / r2) ** 2, rel=1e-12)
 
     @given(st.floats(min_value=0.01, max_value=1.0),
@@ -110,18 +106,15 @@ class TestEchoPower:
     def test_linear_in_reflectivity_and_power(self, rho, p_t):
         laser = LaserParams(peak_power_w=p_t, wavelength_m=905e-9,
                             pulse_fwhm_s=6e-9)
-        base = echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                          TargetModel(reflectivity=rho), laser)
-        doubled_rho = echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                 TargetModel(reflectivity=min(2 * rho, 1.0)),
-                                 laser)
+        base, _ = powers(target=TargetModel(reflectivity=rho), laser=laser)
+        doubled_rho, _ = powers(
+            target=TargetModel(reflectivity=min(2 * rho, 1.0)), laser=laser)
         assert doubled_rho == pytest.approx(base * min(2 * rho, 1.0) / rho,
                                             rel=1e-12)
-        doubled_pt = echo_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                TargetModel(reflectivity=rho),
-                                LaserParams(peak_power_w=2 * p_t,
-                                            wavelength_m=905e-9,
-                                            pulse_fwhm_s=6e-9))
+        doubled_pt, _ = powers(target=TargetModel(reflectivity=rho),
+                               laser=LaserParams(peak_power_w=2 * p_t,
+                                                 wavelength_m=905e-9,
+                                                 pulse_fwhm_s=6e-9))
         assert doubled_pt == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -160,41 +153,44 @@ class TestSunEquivalentIrradiance:
 
 class TestBackgroundPower:
     def test_night(self):
-        solar = SolarModel(in_band_irradiance_w_m2=0.0)
-        assert background_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                TABLE1_TARGET, solar) == 0.0
+        assert powers(solar=SolarModel(in_band_irradiance_w_m2=0.0))[1] == 0.0
 
     def test_reference_scenario_value(self):
         # frozen from a 50-digit evaluation of the background equation
-        p_rs = background_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                TABLE1_TARGET, TABLE1_SOLAR)
+        _, p_rs = powers()
         assert p_rs == pytest.approx(2.5099212581122908e-08, rel=1e-12)
 
     def test_grazing_sun(self):
         scene = SceneGeometry(range_m=100.0, sun_angle_rad=math.pi / 2)
-        p_rs = background_power(scene, TABLE1_ATM, TABLE1_OPTICS,
-                                TABLE1_TARGET, TABLE1_SOLAR)
+        _, p_rs = powers(scene=scene)
         assert p_rs == pytest.approx(0.0, abs=1e-22)
 
     def test_range_independent_bit_identical(self):
-        values = set()
-        for r in (10.0, 100.0, 500.0):
-            scene = SceneGeometry(range_m=r, sun_angle_rad=math.pi / 3)
-            values.add(background_power(scene, TABLE1_ATM, TABLE1_OPTICS,
-                                        TABLE1_TARGET, TABLE1_SOLAR))
+        values = {powers(r)[1] for r in (10.0, 100.0, 500.0)}
         assert len(values) == 1
 
     def test_linear_in_irradiance_and_efficiency(self):
-        base = background_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                TABLE1_TARGET, TABLE1_SOLAR)
-        double_sun = background_power(
-            TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS, TABLE1_TARGET,
-            SolarModel(in_band_irradiance_w_m2=58.8))
+        _, base = powers()
+        _, double_sun = powers(solar=SolarModel(in_band_irradiance_w_m2=58.8))
         assert double_sun == pytest.approx(2 * base, rel=1e-12)
-        double_rho = background_power(TABLE1_SCENE, TABLE1_ATM, TABLE1_OPTICS,
-                                      TargetModel(reflectivity=0.2),
-                                      TABLE1_SOLAR)
+        _, double_rho = powers(target=TargetModel(reflectivity=0.2))
         assert double_rho == pytest.approx(2 * base, rel=1e-12)
+
+
+class TestExtinctionLink:
+    @given(st.floats(min_value=0.0, max_value=1e-2),
+           st.floats(min_value=1.0, max_value=1e4),
+           st.floats(min_value=1.0, max_value=1e4))
+    def test_no_power_grows_with_range(self, alpha, r1, r2):
+        # extinction only removes light: the echo falls at least as fast
+        # as 1/R^2 and the background does not rise
+        r1, r2 = sorted((r1, r2))
+        atm = AtmosphereModel(mode="extinction", extinction_coeff_per_m=alpha)
+        p1, b1 = powers(r1, atm=atm)
+        p2, b2 = powers(r2, atm=atm)
+        # p * r**2 rounds differently at each range, so allow a few ulps
+        assert p2 * r2 * r2 <= p1 * r1 * r1 * (1.0 + 1e-12)
+        assert b2 <= b1
 
 
 class TestFovHalfAngle:
