@@ -106,13 +106,10 @@ def excess_noise_factor(params: ApdParams) -> float:
     return k_e * m + (1.0 - k_e) * (2.0 - 1.0 / m)
 
 
-def noise_sigma(params: ApdParams, p_rs: float, p_r: float,
-                bandwidth_hz: float) -> NoiseBudget:
-    """Noise budget for given background and echo powers, amperes RMS.
-
-    Pass ``p_r = 0`` to obtain the no-echo noise that defines the trigger
-    SNR denominator.
-    """
+def _variances(params: ApdParams, p_rs: float, p_r: float,
+               bandwidth_hz: float) -> tuple[float, ...]:
+    """The signal, background, dark, thermal and amplifier noise
+    variances, A^2, after the input checks, and then their sum."""
     if p_rs < 0 or p_r < 0:
         raise ConfigError("optical powers must be >= 0")
     if not bandwidth_hz > 0:
@@ -127,26 +124,43 @@ def noise_sigma(params: ApdParams, p_rs: float, p_r: float,
     var_thermal = (4.0 * BOLTZMANN * params.temperature_k * bandwidth_hz
                    / params.load_resistance_ohm)
     var_amp = params.amplifier_noise_a * params.amplifier_noise_a
-    total = math.sqrt(var_signal + var_background + var_dark
-                      + var_thermal + var_amp)
+    return (var_signal, var_background, var_dark, var_thermal, var_amp,
+            var_signal + var_background + var_dark + var_thermal + var_amp)
+
+
+def noise_sigma(params: ApdParams, p_rs: float, p_r: float,
+                bandwidth_hz: float) -> NoiseBudget:
+    """Noise budget for given background and echo powers, amperes RMS.
+
+    Pass ``p_r = 0`` to obtain the no-echo noise that defines the trigger
+    SNR denominator.
+    """
+    var_signal, var_background, var_dark, var_thermal, _, var_total = \
+        _variances(params, p_rs, p_r, bandwidth_hz)
     return NoiseBudget(
         sigma_signal_a=math.sqrt(var_signal),
         sigma_background_a=math.sqrt(var_background),
         sigma_dark_a=math.sqrt(var_dark),
         sigma_thermal_a=math.sqrt(var_thermal),
         sigma_amplifier_a=params.amplifier_noise_a,
-        total_a=total,
+        total_a=math.sqrt(var_total),
     )
 
 
 def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
                 bandwidth_hz: float) -> float:
-    """Peak signal current over the no-echo noise RMS."""
-    sigma = noise_sigma(params, p_rs, 0.0, bandwidth_hz).total_a
+    """Peak signal current over the no-echo noise RMS.
+
+    The noise is ``noise_sigma(params, p_rs, 0.0, bandwidth_hz).total_a``
+    from the same sum, so the two agree bit for bit, without the budget's
+    other four square roots.  The zero signal term stays in the sum: where
+    M**2 * F(M) overflows it is 0 * inf, and the SNR is NaN, not finite.
+    """
+    var_total = _variances(params, p_rs, 0.0, bandwidth_hz)[5]
     i_s = signal_current(params, p_r)
     if i_s == 0.0:
         return 0.0
-    return i_s / sigma
+    return i_s / math.sqrt(var_total)
 
 
 def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
@@ -164,7 +178,7 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     lo, hi = gain_bounds
     if not (lo >= 1.0 and lo < hi < math.inf):
         raise ConfigError("gain_bounds must satisfy 1 <= lo < hi < inf")
-    noise_sigma(params, p_rs, 0.0, bandwidth_hz)  # its checks precede any root
+    _variances(params, p_rs, 0.0, bandwidth_hz)  # its checks precede any root
     two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
     a = two_e_bw * (responsivity(params.wavelength_m, params.quantum_efficiency)
                     * p_rs + params.bulk_dark_current_a)

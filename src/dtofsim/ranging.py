@@ -64,40 +64,43 @@ def _is_monte_carlo(detector: DetectorChoice) -> bool:
     return isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
 
 
-def _snr_and_se(scenario: ScenarioConfig, detector: DetectorChoice,
-                range_m: float) -> tuple[float, float]:
-    """(trigger SNR, its standard error) at ``range_m``.
+def _at_range(exc: SipmSaturationError, range_m: float) -> SipmSaturationError:
+    return SipmSaturationError(f"{exc} (at range {range_m:g} m)")
 
-    The standard error is the Monte Carlo's; it is 0.0 in the closed-form
-    modes.
-    """
+
+def _snr_and_se(scenario: ScenarioConfig, detector: SipmChoice,
+                range_m: float) -> tuple[float, float]:
+    """(Monte Carlo trigger SNR, its standard error) at ``range_m``."""
     p_r, p_rs = link_powers(scenario, range_m)
     laser = scenario.laser
     try:
-        if isinstance(detector, ApdChoice):
-            return apd.trigger_snr(detector.params, p_r, p_rs,
-                                   scenario.bandwidth_hz), 0.0
-        if detector.snr_mode == "monte_carlo":
-            return sipm.monte_carlo_snr(
-                detector.params, p_r, p_rs, laser.pulse_fwhm_s,
-                laser.wavelength_m, scenario.bandwidth_hz,
-                detector.mc_config())
-        if detector.snr_mode == "approx":
-            return sipm.trigger_snr_approx(
-                detector.params, p_r, p_rs, laser.pulse_fwhm_s,
-                laser.wavelength_m), 0.0
-        counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
-                                               laser.wavelength_m,
-                                               detector.params.dead_time_s)
-        return sipm.trigger_snr_analytic(detector.params, counts), 0.0
+        return sipm.monte_carlo_snr(
+            detector.params, p_r, p_rs, laser.pulse_fwhm_s,
+            laser.wavelength_m, scenario.bandwidth_hz, detector.mc_config())
     except SipmSaturationError as exc:
-        raise SipmSaturationError(f"{exc} (at range {range_m:g} m)") from exc
+        raise _at_range(exc, range_m) from exc
 
 
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``."""
-    return _snr_and_se(scenario, detector, range_m)[0]
+    if _is_monte_carlo(detector):
+        return _snr_and_se(scenario, detector, range_m)[0]
+    p_r, p_rs = link_powers(scenario, range_m)
+    if isinstance(detector, ApdChoice):
+        return apd.trigger_snr(detector.params, p_r, p_rs,
+                               scenario.bandwidth_hz)
+    laser = scenario.laser
+    if detector.snr_mode == "approx":
+        return sipm.trigger_snr_approx(detector.params, p_r, p_rs,
+                                       laser.pulse_fwhm_s, laser.wavelength_m)
+    counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
+                                           laser.wavelength_m,
+                                           detector.params.dead_time_s)
+    try:
+        return sipm.trigger_snr_analytic(detector.params, counts)
+    except SipmSaturationError as exc:
+        raise _at_range(exc, range_m) from exc
 
 
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
@@ -200,35 +203,37 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     is_mc = _is_monte_carlo(detector)
     evaluations = 0
 
-    def f(r: float) -> tuple[float, float, float]:
-        """(range, SNR, its standard error) of one evaluation."""
+    def evaluate(r: float) -> tuple[float, float, float, float]:
+        """(range, SNR, its standard error, margin) of one evaluation.
+
+        The margin is g, ln(SNR / tnr), or 0.0 within the Monte Carlo's
+        stop band around the threshold.
+        """
         nonlocal evaluations
         evaluations += 1
         # closed-form evaluations go through the module's snr_at_range,
         # which profilers wrap to count them
-        snr, se = (_snr_and_se(scenario, detector, r) if is_mc
-                   else (snr_at_range(scenario, detector, r), 0.0))
+        if is_mc:
+            snr, se = _snr_and_se(scenario, detector, r)
+        else:
+            snr, se = snr_at_range(scenario, detector, r), 0.0
         # NaN compares false both ways, so it would steer the solver
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
                               "the scenario's values overflow the model")
-        return r, snr, se
-
-    def margin(point: tuple[float, float, float]) -> float:
-        _, snr, se = point
-        # at se = 0 this is 0.0 only where _log_margin is already 0.0
+        # at se = 0 the band holds only snr == tnr, where g is 0.0 already
         if abs(snr - tnr) <= SE_STOP_FRACTION * se:
-            return 0.0
-        return _log_margin(snr, tnr)
+            return r, snr, se, 0.0
+        return r, snr, se, _log_margin(snr, tnr)
 
-    above = f(1.0)  # the last range with the SNR at or above tnr
+    above = evaluate(1.0)  # the last range with the SNR at or above tnr
     if above[1] < tnr:
         raise NoDetectionError(
             f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
     if above[1] == math.inf:
         raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
     hi = RANGE_BRACKET_START_M
-    while (at_hi := f(hi))[1] >= tnr:
+    while (at_hi := evaluate(hi))[1] >= tnr:
         if hi >= RANGE_CAP_M:
             raise UnboundedRangeError(
                 f"SNR stays above the threshold {tnr:g} out to "
@@ -237,16 +242,16 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
         hi = min(2.0 * hi, RANGE_CAP_M)
 
     u_lo, u_hi = math.log(above[0]), math.log(hi)
-    # each evaluated ln(range) -> (range, SNR, SE), the endpoints exactly
+    # each evaluated ln(range) -> its evaluation, the endpoints exactly
     points = {u_lo: above, u_hi: at_hi}
 
     def g(u: float) -> float:
-        points[u] = f(math.exp(u))
-        return margin(points[u])
+        point = points[u] = evaluate(math.exp(u))
+        return point[3]
 
     tol = RANGE_WIDTH_TOL_M / hi if is_mc else LOG_RANGE_TOL
-    u = _brent_root(g, u_lo, margin(above), u_hi, margin(at_hi), tol)
-    r, snr, se = points[u]
+    u = _brent_root(g, u_lo, above[3], u_hi, at_hi[3], tol)
+    r, snr, se, _ = points[u]
 
     p_r, p_rs = link_powers(scenario, r)
     return RangeResult(r_max_m=r, snr_at_rmax=snr,

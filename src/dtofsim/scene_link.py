@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -146,6 +146,10 @@ class SolarModel:
                         over a tabulated spectrum
     illuminance_scaled  scale a reference (illuminance, irradiance) anchor
                         pair linearly to the requested illuminance
+
+    The in-band value is worked out once, when the model is built (for a
+    spectrum, one integration per model), and is no part of equality,
+    ``repr``, ``replace`` or the scenario file.
     """
 
     mode: str = "direct_irradiance"
@@ -154,6 +158,7 @@ class SolarModel:
     illuminance_klux: float = 0.0
     reference_illuminance_klux: float = 100.0
     reference_irradiance_w_m2: float = 29.4
+    _in_band_w_m2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(self.mode in SOLAR_MODES,
@@ -161,6 +166,7 @@ class SolarModel:
         if self.mode == "direct_irradiance":
             _require(self.in_band_irradiance_w_m2 >= 0,
                      "in_band_irradiance_w_m2 must be >= 0")
+            in_band = self.in_band_irradiance_w_m2
         elif self.mode == "illuminance_scaled":
             _require(self.illuminance_klux >= 0,
                      "illuminance_klux must be >= 0")
@@ -168,6 +174,8 @@ class SolarModel:
                      "reference_illuminance_klux must be > 0")
             _require(self.reference_irradiance_w_m2 >= 0,
                      "reference_irradiance_w_m2 must be >= 0")
+            in_band = (self.reference_irradiance_w_m2 * self.illuminance_klux
+                       / self.reference_illuminance_klux)
         else:
             _require(len(self.spectrum_table) >= 2,
                      "spectrum_table needs at least 2 rows")
@@ -181,6 +189,8 @@ class SolarModel:
                 _require(irr >= 0, "spectrum irradiance must be >= 0")
                 _require(0.0 <= t <= 1.0, "spectrum transmittance must be in [0, 1]")
                 last = wl
+            in_band = _spectrum_integral(self.spectrum_table)
+        object.__setattr__(self, "_in_band_w_m2", in_band)
 
 
 def load_spectrum_csv(path: str) -> tuple[tuple[float, float, float], ...]:
@@ -239,19 +249,17 @@ def fov_half_angle(optics: ReceiverOptics) -> float:
     return math.atan(optics.detector_radius_m / optics.focal_length_m)
 
 
-def sun_equivalent_irradiance(solar: SolarModel) -> float:
-    """In-band solar irradiance after the receiver filter stack, W/m^2."""
-    if solar.mode == "direct_irradiance":
-        return solar.in_band_irradiance_w_m2
-    if solar.mode == "illuminance_scaled":
-        return (solar.reference_irradiance_w_m2
-                * solar.illuminance_klux / solar.reference_illuminance_klux)
-    # trapezoidal integration of irradiance * transmittance on the table grid
+def _spectrum_integral(table: tuple[tuple[float, float, float], ...]) -> float:
+    """Trapezoidal integral of irradiance * transmittance on the table grid."""
     total = 0.0
-    table = solar.spectrum_table
     for (wl0, e0, t0), (wl1, e1, t1) in zip(table, table[1:]):
         total += 0.5 * (e0 * t0 + e1 * t1) * (wl1 - wl0)
     return total
+
+
+def sun_equivalent_irradiance(solar: SolarModel) -> float:
+    """In-band solar irradiance after the receiver filter stack, W/m^2."""
+    return solar._in_band_w_m2
 
 
 def received_powers(range_m: float, scene: SceneGeometry,

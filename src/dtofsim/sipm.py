@@ -169,11 +169,31 @@ def _per_photon_exponent(params: SipmParams) -> float:
     return math.expm1(-params.pde / params.n_pixels)
 
 
+def _fired(n_armed: float, n_photon: float, exponent: float) -> float:
+    """Expected number of ``n_armed`` pixels fired by ``n_photon`` photons
+    spread over the array; ``exponent`` is ``_per_photon_exponent``."""
+    return n_armed * -math.expm1(n_photon * exponent)
+
+
+def _signal_fired(params: SipmParams, n_s_photon: float, n_b: float,
+                  n_d: float, exponent: float) -> float:
+    available = params.n_pixels - n_b - n_d
+    if available < 0:
+        raise SipmSaturationError(
+            f"background plus dark occupancy {n_b + n_d:.4g} exceeds the "
+            f"{params.n_pixels:g}-pixel array")
+    return _fired(available, n_s_photon, exponent)
+
+
+def _dark_mean(params: SipmParams) -> float:
+    return params.n_pixels * params.dark_count_rate_cps * params.dead_time_s
+
+
 def fired_count(params: SipmParams, n_photon: float) -> float:
     """Expected number of pixels fired by ``n_photon`` incident photons."""
     if n_photon < 0:
         raise ConfigError("n_photon must be >= 0")
-    return params.n_pixels * -math.expm1(n_photon * _per_photon_exponent(params))
+    return _fired(params.n_pixels, n_photon, _per_photon_exponent(params))
 
 
 def fired_std(params: SipmParams, n_photon: float) -> float:
@@ -191,19 +211,15 @@ def background_occupancy(params: SipmParams, counts: PhotonCounts) -> float:
 
 def dark_occupancy(params: SipmParams) -> tuple[float, float]:
     """(mean, std) of dark counts per dead time; Poisson, so std = sqrt(mean)."""
-    n_d = params.n_pixels * params.dark_count_rate_cps * params.dead_time_s
+    n_d = _dark_mean(params)
     return n_d, math.sqrt(n_d)
 
 
 def signal_fired(params: SipmParams, counts: PhotonCounts,
                  n_b: float, n_d: float) -> float:
     """Pixels fired by the pulse given ``n_b + n_d`` already occupied."""
-    available = params.n_pixels - n_b - n_d
-    if available < 0:
-        raise SipmSaturationError(
-            f"background plus dark occupancy {n_b + n_d:.4g} exceeds the "
-            f"{params.n_pixels:g}-pixel array")
-    return available * -math.expm1(counts.n_s_photon * _per_photon_exponent(params))
+    return _signal_fired(params, counts.n_s_photon, n_b, n_d,
+                         _per_photon_exponent(params))
 
 
 def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
@@ -211,12 +227,15 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
 
     Returns ``inf`` in the noiseless limit (no background, no dark counts)
     with a nonzero signal; sweep outputs flag such rows as ``noiseless``.
+    Equal bit for bit to the composition of ``background_occupancy``,
+    ``dark_occupancy`` and ``signal_fired``, with the per-photon exponent
+    computed once.
     """
-    n_b = background_occupancy(params, counts)
-    n_d, _ = dark_occupancy(params)
-    n_s = signal_fired(params, counts, n_b, n_d)
-    variance = (n_b * math.exp(counts.n_b_photon * _per_photon_exponent(params))
-                + n_d)
+    exponent = _per_photon_exponent(params)
+    n_b = _fired(params.n_pixels, counts.n_b_photon, exponent)
+    n_d = _dark_mean(params)
+    n_s = _signal_fired(params, counts.n_s_photon, n_b, n_d, exponent)
+    variance = n_b * math.exp(counts.n_b_photon * exponent) + n_d
     if n_s == 0.0:
         return 0.0
     if variance == 0.0:

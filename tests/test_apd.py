@@ -180,6 +180,52 @@ class TestTriggerSnr:
         got = trigger_snr(params, P_R_REF, p_rs, BW_REF)
         assert got == pytest.approx(expected, rel=1e-10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_current_over_noise_budget_bit_for_bit(self, data):
+        # trigger_snr sums the noise budget's variances itself; the gain,
+        # excess-noise index and bandwidth reach values where M**2 * F(M)
+        # or the whole budget overflows
+        if data.draw(st.booleans()):
+            mode = {"excess_noise_index": data.draw(st.floats(0.0, 1000.0))}
+        else:
+            mode = {"excess_noise_mode": "ionization",
+                    "electron_ionization_rate": data.draw(st.floats(0.0, 1.0))}
+        params = replace(
+            TABLE1_APD, gain=data.draw(st.floats(1.0, 1e300)),
+            amplifier_noise_a=data.draw(st.floats(0.0, 1e-7)), **mode)
+        p_r = data.draw(st.floats(0.0, 1e300))
+        p_rs = data.draw(st.floats(0.0, 1e300))
+        bw = data.draw(st.floats(1e-3, 1e305))
+        try:
+            expected = (signal_current(params, p_r)
+                        / noise_sigma(params, p_rs, 0.0, bw).total_a)
+        except OverflowError as exc:  # gain**x beyond the float range
+            with pytest.raises(OverflowError, match=str(exc)):
+                trigger_snr(params, p_r, p_rs, bw)
+            return
+        got = trigger_snr(params, p_r, p_rs, bw)
+        if signal_current(params, p_r) == 0.0:
+            assert got.hex() == "0x0.0p+0"
+        elif math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("p_r,p_rs,bw,message", [
+        (-1.0, -1.0, 0.0, "optical powers must be >= 0"),
+        (P_R_REF, -1.0, BW_REF, "optical powers must be >= 0"),
+        (-1.0, P_RS_REF, 0.0, "bandwidth_hz must be > 0"),
+        (P_R_REF, P_RS_REF, -BW_REF, "bandwidth_hz must be > 0"),
+        (-1.0, P_RS_REF, BW_REF, "p_r must be >= 0")],
+        ids=["background_first", "negative_background", "bandwidth_second",
+             "negative_bandwidth", "negative_echo"])
+    def test_invalid_inputs_rejected_in_order(self, p_r, p_rs, bw, message):
+        # the background power is checked first, then the bandwidth, then
+        # the echo power
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            trigger_snr(TABLE1_APD, p_r, p_rs, bw)
+
 
 class TestOptimizeGain:
     def test_pure_optical_noise_prefers_lower_bound(self):

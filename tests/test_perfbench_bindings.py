@@ -2,16 +2,20 @@
 
 ``perfbench/tracer.py`` replaces each listed module attribute with a
 wrapper; a name one of those modules stops importing would crash every
-traced run, so every binding is checked here.
+traced run, so every binding is checked here, and so is that a range
+solve calls them through those attributes.  The benchmark's own output
+checks run here too, on two passes of each in-process workload.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from dtofsim import ranging, table1_preset
+from dtofsim import apd, ranging, sipm, table1_preset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +54,54 @@ def test_every_link_evaluation_goes_through_link_powers(monkeypatch,
     res = ranging.max_range(config, config.detector, config.tdc)
     # one call per SNR evaluation and one for the powers at r_max
     assert calls == res.evaluations + 1
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("variant,snr_mode,module,attr", [
+    ("apd", None, apd, "trigger_snr"),
+    ("sipm", "analytic", sipm, "trigger_snr_analytic"),
+    ("sipm", "approx", sipm, "trigger_snr_approx")])
+def test_every_snr_evaluation_goes_through_the_traced_names(
+        monkeypatch, variant, snr_mode, module, attr):
+    # the tracer counts a solve's evaluations as calls of
+    # ranging.snr_at_range and times each detector model by its module
+    # attribute; a solver that reached them another way would hide them
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ranging, "snr_at_range")
+    _count_calls(monkeypatch, calls, module, attr)
+    config = table1_preset(variant)
+    det = config.detector
+    if snr_mode is not None:
+        det = replace(det, snr_mode=snr_mode)
+    res = ranging.max_range(config, det, config.tdc)
+    assert calls == {"snr_at_range": res.evaluations, attr: res.evaluations}
+
+
+@pytest.mark.parametrize("workload", ["design_space", "mc_range"])
+def test_benchmark_output_checks_pass(monkeypatch, workload):
+    # two passes of the workload with every output check of the
+    # benchmark, set up as perfbench/run.py sets up its timed passes
+    monkeypatch.syspath_prepend(str(ROOT))
+    harness = importlib.import_module("perfbench.harness")
+    probes = importlib.import_module("perfbench.tracer")
+    bench = importlib.import_module(f"perfbench.{workload}")
+    tally = harness.Tally()
+    state = bench.setup(1, tally)
+    ctx = harness.Context(probes.Tracer(spans=False), tally, None)
+    try:
+        with ctx.probe.installed(bench.WORK_TARGETS):
+            for index in range(2):
+                bench.run_pass(state, index, ctx)
+    finally:
+        bench.close_state(state)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.messages

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dtofsim import ConfigError, scenario
 from dtofsim.ranging import snr_at_range
+from dtofsim.scene_link import SolarModel
 from dtofsim.scenario import (config_from_dict, load_scenario, save_scenario,
                               scenario_to_dict, table1_preset)
 from dtofsim.sipm import SipmMcConfig
@@ -84,6 +85,21 @@ class TestRoundTrip:
         save_scenario(config, str(a))
         save_scenario(config, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_spectrum_file_holds_only_the_rows(self, tmp_path):
+        # the solar model's integral, worked out when it is built, is no
+        # key of the file
+        base = table1_preset("apd")
+        rows = ((890.0, 1.0, 0.5), (920.0, 1.0, 0.5))
+        config = replace(base, solar=SolarModel(mode="spectrum_integral",
+                                                spectrum_table=rows))
+        path = tmp_path / "spectrum.json"
+        save_scenario(config, str(path))
+        expected = dict(scenario_to_dict(base), solar={
+            "mode": "spectrum_integral",
+            "spectrum": [[890.0, 1.0, 0.5], [920.0, 1.0, 0.5]]})
+        assert path.read_bytes() == (json.dumps(expected, indent=2)
+                                     + "\n").encode("utf-8")
 
     def test_round_trip_with_mc_block(self, tmp_path):
         config = table1_preset("sipm")

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtofsim import ConfigError
+from dtofsim import ConfigError, scene_link
+from dtofsim.ranging import SENSITIVITY_PARAMS, max_range, sensitivity
+from dtofsim.scenario import table1_preset
 from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                                 SceneGeometry, SolarModel, TargetModel,
                                 effective_aperture, fov_half_angle,
@@ -149,6 +152,67 @@ class TestSunEquivalentIrradiance:
         expected = exact_trapezoid(list(rows))
         got = sun_equivalent_irradiance(solar)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=40),
+           st.floats(0.01, 10.0))
+    def test_spectrum_integral_equals_the_loop_bit_for_bit(self, samples,
+                                                           step):
+        rows = tuple((300.0 + step * i, e, t)
+                     for i, (e, t) in enumerate(samples))
+        total = 0.0
+        for (wl0, e0, t0), (wl1, e1, t1) in zip(rows, rows[1:]):
+            total += 0.5 * (e0 * t0 + e1 * t1) * (wl1 - wl0)
+        solar = SolarModel(mode="spectrum_integral", spectrum_table=rows)
+        assert sun_equivalent_irradiance(solar).hex() == total.hex()
+
+    def test_stored_value_is_no_field_of_the_model(self):
+        rows = ((890.0, 1.0, 0.5), (920.0, 1.0, 0.5))
+        solar = SolarModel(mode="spectrum_integral", spectrum_table=rows)
+        assert repr(solar) == (
+            "SolarModel(mode='spectrum_integral', in_band_irradiance_w_m2=0.0, "
+            "spectrum_table=((890.0, 1.0, 0.5), (920.0, 1.0, 0.5)), "
+            "illuminance_klux=0.0, reference_illuminance_klux=100.0, "
+            "reference_irradiance_w_m2=29.4)")
+        with pytest.raises(TypeError):
+            SolarModel(mode="spectrum_integral", spectrum_table=rows,
+                       _in_band_w_m2=1.0)
+        with pytest.raises(ValueError):
+            replace(solar, _in_band_w_m2=1.0)
+        # a replaced table is integrated again; equality reads the fields
+        doubled = replace(solar, spectrum_table=tuple(
+            (wl, 2.0 * e, t) for wl, e, t in rows))
+        assert sun_equivalent_irradiance(doubled) == 30.0
+        assert replace(doubled, spectrum_table=rows) == solar
+        assert hash(replace(doubled, spectrum_table=rows)) == hash(solar)
+        scaled = replace(SolarModel(mode="illuminance_scaled"),
+                         illuminance_klux=50.0)
+        assert sun_equivalent_irradiance(scaled) == 29.4 * 50.0 / 100.0
+
+    def test_spectrum_integrated_once_per_scenario(self, monkeypatch):
+        rows = tuple((850.0 + i, 1.0 + 1e-3 * i, 0.5) for i in range(1001))
+        base = table1_preset("apd")
+        config = replace(base, solar=SolarModel(mode="spectrum_integral",
+                                                spectrum_table=rows))
+        runs = 0
+        integral = scene_link._spectrum_integral
+
+        def counted(table):
+            nonlocal runs
+            runs += 1
+            return integral(table)
+
+        monkeypatch.setattr(scene_link, "_spectrum_integral", counted)
+        det = config.detector
+        max_range(config, det, config.tdc)
+        assert len(SENSITIVITY_PARAMS) == 27
+        for name in SENSITIVITY_PARAMS:
+            try:
+                sensitivity(config, det, config.tdc, name)
+            except ConfigError as exc:  # no spectrum edit for the sun
+                assert name == "sun_irradiance", exc
+        assert runs == 0
 
 
 class TestBackgroundPower:

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -160,6 +161,52 @@ class TestTriggerSnrAnalytic:
     def test_reference_point(self):
         assert trigger_snr_analytic(TABLE1_SIPM, COUNTS_REF) == pytest.approx(
             22.70085659073763, rel=1e-11)
+
+    @staticmethod
+    def composed(params, counts):
+        """The trigger SNR composed from the public occupancy functions."""
+        n_b = background_occupancy(params, counts)
+        n_d, _ = dark_occupancy(params)
+        n_s = signal_fired(params, counts, n_b, n_d)
+        survival = math.exp(counts.n_b_photon
+                            * math.expm1(-params.pde / params.n_pixels))
+        variance = n_b * survival + n_d
+        if n_s == 0.0:
+            return 0.0
+        if variance == 0.0:
+            return math.inf
+        return n_s / math.sqrt(variance)
+
+    @pytest.mark.filterwarnings("ignore:dark load")
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 1e6), st.floats(1e-6, 1.0), st.floats(0.0, 1e11),
+           st.floats(0.0, 1e8) | st.just(math.inf),
+           st.floats(0.0, 1e8) | st.just(math.inf))
+    # no signal, the noiseless limit, and a dark load past the pixel count
+    @example(400.0, 0.22, 2007.0, 100.0, 0.0)
+    @example(400.0, 0.22, 0.0, 0.0, 50.0)
+    @example(400.0, 0.22, 2e12, 0.0, 50.0)
+    def test_equals_the_occupancy_composition_bit_for_bit(
+            self, n_pixels, pde, dcr, n_b_photon, n_s_photon):
+        params = SipmParams(n_pixels=n_pixels, pde=pde, dead_time_s=6e-9,
+                            dark_count_rate_cps=dcr)
+        counts = PhotonCounts(n_b_photon=n_b_photon, n_s_photon=n_s_photon)
+        try:
+            expected = self.composed(params, counts)
+        except SipmSaturationError as exc:
+            with pytest.raises(SipmSaturationError,
+                               match=f"^{re.escape(str(exc))}$"):
+                trigger_snr_analytic(params, counts)
+            return
+        assert trigger_snr_analytic(params, counts).hex() == expected.hex()
+
+    def test_saturation_message(self):
+        with pytest.warns(UserWarning, match="dark load"):
+            params = replace(TABLE1_SIPM, dark_count_rate_cps=2e12)
+        with pytest.raises(SipmSaturationError, match=re.escape(
+                "background plus dark occupancy 4.8e+06 exceeds the "
+                "400-pixel array")):
+            trigger_snr_analytic(params, COUNTS_REF)
 
     def test_matches_approximation_at_detection_limit(self):
         # low background (1 klux equivalent) so occupancies stay far below
