@@ -5,8 +5,9 @@ The goldens are this pipeline's own reference values for the headline
 comparisons (SNR vs distance, range vs elevation with a cosine aperture,
 range vs illuminance, fired-count response curves); they are regression
 anchors, not externally measured truth.  The stdout of
-``report_table1.py`` is kept beside them.  Rerunning this script must be a
-no-op unless the model changed.
+``report_table1.py`` and the bytes of ``dtofsim sensitivity --param all``
+for each table1 preset are kept beside them.  Rerunning this script must
+be a no-op unless the model changed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import replace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from dtofsim import cli  # noqa: E402
 from dtofsim.scenario import save_scenario, table1_preset  # noqa: E402
 from dtofsim.sweeps import (SWEEP_KINDS, SweepSpec, emit_csv,  # noqa: E402
                             emit_svg, make_grid, run_sweep)
@@ -70,6 +72,14 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.getvalue())
     written.append(report_path)
+
+    for detector in ("apd", "sipm"):
+        path = os.path.join(golden_dir, f"sensitivity_table1_{detector}.csv")
+        status = cli.main(["sensitivity", "--detector", detector,
+                           "--param", "all", "--out", path])
+        if status != 0:
+            raise RuntimeError(f"dtofsim sensitivity exited {status}")
+        written.append(path)
     return written
 
 

@@ -171,6 +171,11 @@ def _brent_root(g: Callable[[float], float], a: float, fa: float, b: float,
         fb = g(b)
 
 
+# (scenario, detector, policy, result) of the last successful max_range
+_last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy,
+                   RangeResult] | None = None
+
+
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
               policy: TdcPolicy) -> RangeResult:
     """Range at which the trigger SNR falls to the threshold-to-noise ratio.
@@ -198,7 +203,19 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     jump across that noise band; the root then stops on a bracket 1 mm
     wide and returns the endpoint of smaller |g|.  ``snr_se`` is the
     standard error of the returned evaluation.
+
+    The last successful solve is remembered: a call with the very same
+    ``scenario``, ``detector`` and ``policy`` objects (``is``, not ``==``;
+    all three are frozen) returns the earlier ``RangeResult`` itself and
+    evaluates no SNR, so its ``evaluations`` counts the solve that made
+    it.  A Monte Carlo detector carries its seed, so its solve repeats
+    too.  A solve that raises is not remembered.
     """
+    global _last_solve
+    last = _last_solve
+    if (last is not None and last[0] is scenario and last[1] is detector
+            and last[2] is policy):
+        return last[3]
     tnr = policy.tnr
     is_mc = _is_monte_carlo(detector)
     evaluations = 0
@@ -254,9 +271,11 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     r, snr, se, _ = points[u]
 
     p_r, p_rs = link_powers(scenario, r)
-    return RangeResult(r_max_m=r, snr_at_rmax=snr,
-                       min_detectable_power_w=p_r, background_power_w=p_rs,
-                       evaluations=evaluations, snr_se=se)
+    result = RangeResult(r_max_m=r, snr_at_rmax=snr,
+                         min_detectable_power_w=p_r, background_power_w=p_rs,
+                         evaluations=evaluations, snr_se=se)
+    _last_solve = (scenario, detector, policy, result)
+    return result
 
 
 def closed_form_max_range(scenario: ScenarioConfig,
@@ -403,7 +422,10 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     ``r_max`` with multipliers exp(+-rel_step): the parameter's edit for
     the first, the range for the second, four SNR evaluations in all.
     The perturbed scenarios run no solve of their own, so only the base
-    solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.
+    solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
+    base solve is a ``max_range`` call, so names asked one after another
+    of the very same objects share one solve, and each later name makes
+    only its four evaluations.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a

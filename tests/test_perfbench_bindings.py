@@ -86,6 +86,19 @@ def test_every_snr_evaluation_goes_through_the_traced_names(
     assert calls == {"snr_at_range": res.evaluations, attr: res.evaluations}
 
 
+@pytest.mark.parametrize("variant", ["apd", "sipm"])
+def test_every_sensitivity_calls_max_range(monkeypatch, variant):
+    # design_space counts its work as calls of the module attribute
+    # ranging.max_range, the solves inside sensitivity included; a
+    # sensitivity that reused a solve without that call would shrink it
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ranging, "max_range")
+    config = table1_preset(variant)
+    for name in sorted(ranging.SENSITIVITY_PARAMS):
+        ranging.sensitivity(config, config.detector, config.tdc, name)
+    assert calls["max_range"] == len(ranging.SENSITIVITY_PARAMS) == 27
+
+
 @pytest.mark.parametrize("workload", ["design_space", "mc_range"])
 def test_benchmark_output_checks_pass(monkeypatch, workload):
     # two passes of the workload with every output check of the

@@ -23,6 +23,11 @@ def with_peak_power(config, p_t):
     return replace(config, laser=replace(config.laser, peak_power_w=p_t))
 
 
+def with_gain(config, gain):
+    return replace(config, detector=replace(
+        config.detector, params=replace(config.detector.params, gain=gain)))
+
+
 def with_illuminance(config, klux):
     return replace(config, solar=replace(config.solar, illuminance_klux=klux))
 
@@ -41,6 +46,28 @@ def noiseless_sipm(config, **atmosphere):
     if atmosphere:
         config = replace(config, atmosphere=AtmosphereModel(**atmosphere))
     return config
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` with a spy; returns the list of its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def closed_form_variant(variant: str):
+    """(table1 scenario, detector) for "apd", "sipm" or "sipm_approx"."""
+    config = table1_preset("apd" if variant == "apd" else "sipm")
+    det = config.detector
+    if variant == "sipm_approx":
+        det = replace(det, snr_mode="approx")
+    return config, det
 
 
 @st.composite
@@ -236,9 +263,7 @@ class TestMaxRange:
     def test_nan_snr_is_a_config_error(self, apd_config):
         # gain**2 overflows to inf, and the no-echo signal shot-noise term
         # of the noise budget is then 0 * inf
-        huge = replace(apd_config, detector=replace(
-            apd_config.detector, params=replace(apd_config.detector.params,
-                                                gain=1e300)))
+        huge = with_gain(apd_config, 1e300)
         assert math.isnan(snr_at_range(huge, huge.detector, 1.0))
         with pytest.raises(ConfigError, match="not a number"):
             max_range(huge, huge.detector, huge.tdc)
@@ -368,6 +393,78 @@ class TestMonteCarloStop:
         assert calls[-1] == (p_r, (res.snr_at_rmax, res.snr_se))
 
 
+VARIANTS = ["apd", "sipm", "sipm_approx"]
+
+
+class TestLastSolve:
+    """max_range returns its last successful result for the same objects."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_repeat_returns_the_same_object_unevaluated(self, monkeypatch,
+                                                        variant):
+        config, det = closed_form_variant(variant)
+        first = max_range(config, det, config.tdc)
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        assert max_range(config, det, config.tdc) is first
+        assert calls == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fresh", ["scenario", "detector", "policy"])
+    def test_equal_but_distinct_objects_solve_again(self, monkeypatch,
+                                                    variant, fresh):
+        config, det = closed_form_variant(variant)
+        args = [config, det, config.tdc]
+        first = max_range(*args)
+        index = ("scenario", "detector", "policy").index(fresh)
+        args[index] = replace(args[index])
+        assert args[index] == [config, det, config.tdc][index]
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        again = max_range(*args)
+        assert again == first and again is not first
+        assert len(calls) == first.evaluations
+
+    def test_one_slot(self, monkeypatch, apd_config):
+        a = apd_config
+        b = with_peak_power(apd_config, 50.0)
+        first = max_range(a, a.detector, a.tdc)
+        max_range(b, b.detector, b.tdc)
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        again = max_range(a, a.detector, a.tdc)
+        assert again == first and again is not first
+        assert len(calls) == first.evaluations
+
+    @pytest.mark.parametrize("failing,error", [
+        # a weak laser has no detection at 1 m
+        (lambda config: with_peak_power(config, 1e-5), NoDetectionError),
+        # a gain whose square overflows gives an SNR that is not a number
+        (lambda config: with_gain(config, 1e300), ConfigError)],
+        ids=["no_detection", "nan_snr"])
+    def test_failed_solve_is_not_remembered(self, monkeypatch, apd_config,
+                                            failing, error):
+        kept = max_range(apd_config, apd_config.detector, apd_config.tdc)
+        bad = failing(apd_config)
+        counts = []
+        for _ in range(2):
+            calls = count_calls(monkeypatch, ranging, "snr_at_range")
+            with pytest.raises(error):
+                max_range(bad, bad.detector, bad.tdc)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
+        # the slot still holds the last solve that succeeded
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        assert max_range(apd_config, apd_config.detector,
+                         apd_config.tdc) is kept
+        assert calls == []
+
+    def test_monte_carlo_solve_is_remembered(self, monkeypatch, sipm_config):
+        det = monte_carlo(sipm_config, 3)
+        first = max_range(sipm_config, det, sipm_config.tdc)
+        calls = count_calls(monkeypatch, sipm, "monte_carlo_snr")
+        assert max_range(sipm_config, det, sipm_config.tdc) is first
+        assert calls == []
+
+
 class TestClosedForm:
     def test_sipm_matches_approx_pipeline(self, sipm_config):
         det = replace(sipm_config.detector, snr_mode="approx")
@@ -474,6 +571,22 @@ class TestSensitivity:
         value = sensitivity(config, config.detector, config.tdc, name,
                             rel_step=step)
         assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_names_share_one_solve(self, monkeypatch, variant):
+        # the first name solves the range; every other one reuses it and
+        # makes only its four difference evaluations
+        config, det = closed_form_variant(variant)
+        names = sorted(SENSITIVITY_PARAMS)
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        values = [sensitivity(config, det, config.tdc, name)
+                  for name in names]
+        evaluations = len(calls)
+        base = max_range(config, det, config.tdc)
+        assert evaluations == base.evaluations + 4 * len(names)
+        # a fresh copy of the scenario per name defeats the reuse
+        assert values == [sensitivity(replace(config), det, config.tdc, name)
+                          for name in names]
 
     def test_unmoved_parameter_is_positive_zero(self, apd_config):
         # -0.0 would print as "-0.0" in `sensitivity --param all`
