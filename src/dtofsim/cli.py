@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import ranging, scenario, sweeps
 from .apd import optimize_gain
-from .detectors import ApdChoice, DetectorChoice, SipmChoice
+from .detectors import ApdChoice, DetectorChoice
 from .errors import ConfigError, SolverError
 from .ranging import SENSITIVITY_PARAMS, declares, max_range, sensitivity
 from .scenario import ScenarioConfig, load_scenario, save_scenario, table1_preset
@@ -39,9 +39,8 @@ class _AppendOnce(argparse.Action):
 
 
 def _add_scenario(parser: argparse.ArgumentParser, config_action,
-                  detectors: tuple[str, ...] = ("apd", "sipm"),
-                  seed: bool = True) -> None:
-    """``--config`` and ``--detector``, which exclude each other; ``--seed``."""
+                  detectors: tuple[str, ...] = ("apd", "sipm")) -> None:
+    """``--config`` and ``--detector``, which exclude each other."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--config", action=config_action, default=[],
                        help="scenario file" if config_action is _AppendOnce
@@ -52,9 +51,6 @@ def _add_scenario(parser: argparse.ArgumentParser, config_action,
     group.add_argument("--detector", choices=detectors,
                        help="detector variant of the built-in preset "
                             "(default apd)")
-    if seed:
-        parser.add_argument("--seed", type=int,
-                            help="override the Monte Carlo seed")
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: bool = False) -> None:
@@ -65,18 +61,12 @@ def _add_output(parser: argparse.ArgumentParser, formats: bool = False) -> None:
                                  "needs --out)")
 
 
-def _apply_seed(det: DetectorChoice, seed: int | None) -> DetectorChoice:
-    if seed is None or not isinstance(det, SipmChoice):
-        return det
-    return replace(det, mc=replace(det.mc_config(), seed=seed))
-
-
-def _resolve(paths: list[str], detector: str | None, seed: int | None = None) \
+def _resolve(paths: list[str], detector: str | None) \
         -> tuple[ScenarioConfig, list[DetectorChoice]]:
     """Scenario plus detector list from scenario files or a preset variant."""
     if paths:
         configs = [load_scenario(p) for p in paths]
-        detectors = [_apply_seed(c.detector, seed) for c in configs]
+        detectors = [c.detector for c in configs]
         labels = [d.label for d in detectors]
         if len(set(labels)) != len(labels):
             detectors = [replace(d, label=f"{d.label}{i}") if labels.count(d.label) > 1
@@ -86,7 +76,7 @@ def _resolve(paths: list[str], detector: str | None, seed: int | None = None) \
     dets = [base.detector]
     if detector == "both":
         dets.append(table1_preset("sipm").detector)
-    return base, [_apply_seed(d, seed) for d in dets]
+    return base, dets
 
 
 def _grid(kind: str, lo, hi, n, spacing=None) -> tuple[float, ...]:
@@ -105,7 +95,8 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_sweep(args, config: ScenarioConfig, spec: SweepSpec) -> None:
+def _emit_sweep(args, config: ScenarioConfig | None,
+                spec: SweepSpec) -> None:
     """Run the sweep and write it to --out, or as CSV to stdout."""
     if args.format == "svg" and args.out is None:
         raise ConfigError("--format svg needs --out")
@@ -134,7 +125,7 @@ def _cmd_preset(args) -> None:
 
 
 def _cmd_range(args) -> None:
-    config, detectors = _resolve(args.config, args.detector, args.seed)
+    config, detectors = _resolve(args.config, args.detector)
     lines = ["detector,r_max_m,snr_at_rmax,min_detectable_power_w,"
              "background_power_w,evaluations,snr_se"]
     for det in detectors:
@@ -148,7 +139,7 @@ def _cmd_range(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    config, detectors = _resolve(args.config, args.detector, args.seed)
+    config, detectors = _resolve(args.config, args.detector)
     grid = _grid(args.kind, args.min, args.max, args.n, args.spacing)
     _emit_sweep(args, config, SweepSpec(kind=args.kind, grid=grid,
                                         detectors=tuple(detectors)))
@@ -157,8 +148,7 @@ def _cmd_sweep(args) -> None:
 def _cmd_sipm_response(args) -> None:
     grid = _grid("photon_response", args.nmin, args.nmax, args.n)
     # the response families set their own SiPM parameters
-    _emit_sweep(args, table1_preset("sipm"),
-                SweepSpec(kind="photon_response", grid=grid))
+    _emit_sweep(args, None, SweepSpec(kind="photon_response", grid=grid))
 
 
 def _cmd_optimize_gain(args) -> None:
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-gain",
                        help="APD gain maximizing the trigger SNR")
-    _add_scenario(p, _AppendOnce, seed=False)
+    _add_scenario(p, _AppendOnce)
     _add_output(p)
     p.add_argument("--gain-min", type=float, default=1.0)
     p.add_argument("--gain-max", type=float, default=1000.0)
@@ -260,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity",
                        help="elasticity of the maximum range")
-    # no --seed: a Monte Carlo detector is rejected
-    _add_scenario(p, _AppendOnce, seed=False)
+    _add_scenario(p, _AppendOnce)
     _add_output(p)
     p.add_argument("--param", default="all",
                    help="parameter name or 'all'")

@@ -37,9 +37,6 @@ RANGE_WIDTH_TOL_M = 1e-3
 # resolve the estimator's noise
 SE_STOP_FRACTION = 0.25
 
-# fired fraction above which a sweep row is flagged as saturated
-SIPM_SATURATION_FRACTION = 0.95
-
 
 @dataclass(frozen=True)
 class RangeResult:
@@ -81,22 +78,28 @@ def _snr_and_se(scenario: ScenarioConfig, detector: SipmChoice,
         raise _at_range(exc, range_m) from exc
 
 
+def _photon_counts(scenario: ScenarioConfig, params: sipm.SipmParams,
+                   range_m: float) -> sipm.PhotonCounts:
+    """The SiPM photon budget of the link at ``range_m``."""
+    p_r, p_rs = link_powers(scenario, range_m)
+    laser = scenario.laser
+    return sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
+                                         laser.wavelength_m,
+                                         params.dead_time_s)
+
+
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``."""
     if _is_monte_carlo(detector):
         return _snr_and_se(scenario, detector, range_m)[0]
-    p_r, p_rs = link_powers(scenario, range_m)
     if isinstance(detector, ApdChoice):
+        p_r, p_rs = link_powers(scenario, range_m)
         return apd.trigger_snr(detector.params, p_r, p_rs,
                                scenario.bandwidth_hz)
-    laser = scenario.laser
+    counts = _photon_counts(scenario, detector.params, range_m)
     if detector.snr_mode == "approx":
-        return sipm.trigger_snr_approx(detector.params, p_r, p_rs,
-                                       laser.pulse_fwhm_s, laser.wavelength_m)
-    counts = sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
-                                           laser.wavelength_m,
-                                           detector.params.dead_time_s)
+        return sipm.trigger_snr_approx(detector.params, counts)
     try:
         return sipm.trigger_snr_analytic(detector.params, counts)
     except SipmSaturationError as exc:
@@ -106,12 +109,8 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
                         range_m: float) -> float:
     """Fraction of the array fired at the pulse; near 1 means saturation."""
-    p_r, p_rs = link_powers(scenario, range_m)
     params = detector.params
-    counts = sipm.PhotonCounts.from_powers(p_r, p_rs,
-                                           scenario.laser.pulse_fwhm_s,
-                                           scenario.laser.wavelength_m,
-                                           params.dead_time_s)
+    counts = _photon_counts(scenario, params, range_m)
     n_b = sipm.background_occupancy(params, counts)
     n_d, _ = sipm.dark_occupancy(params)
     n_s = sipm.signal_fired(params, counts, n_b, n_d)
@@ -420,12 +419,23 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
     -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
     ``r_max`` with multipliers exp(+-rel_step): the parameter's edit for
-    the first, the range for the second, four SNR evaluations in all.
+    the first, the range for the second, four SNR evaluations in all
+    (five at a closed bound, below).
     The perturbed scenarios run no solve of their own, so only the base
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
     base solve is a ``max_range`` call, so names asked one after another
     of the very same objects share one solve, and each later name makes
     only its four evaluations.
+
+    A parameter at a closed bound of its domain (a transmittance or an
+    efficiency of 1, a gain or a pixel count of 1) has one edit that its
+    validation rejects with ``ConfigError``.  Its partial is then the
+    one-sided second-order difference toward the interior, with g_k the
+    margin at the parameter times exp(k * rel_step): 3g_0 - 4g_-1 + g_-2
+    at an upper bound and -3g_0 + 4g_1 - g_2 at a lower one, each
+    estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
+    evaluated, not taken as 0.  If both edits are rejected, so is the
+    name.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
@@ -452,11 +462,29 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
         return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
 
     up, down = math.exp(rel_step), math.exp(-rel_step)
-    # both differences span 2 * rel_step, which cancels in the ratio
+
+    def g_edited(k: int) -> float:
+        """g at r with the parameter times exp(k * rel_step)."""
+        return g(*edit(scenario, detector, policy, math.exp(k * rel_step)), r)
+
+    # every difference spans 2 * rel_step, which cancels in the ratio
     dg_r = (g(scenario, detector, policy, r * up)
             - g(scenario, detector, policy, r * down))
-    dg_p = (g(*edit(scenario, detector, policy, up), r)
-            - g(*edit(scenario, detector, policy, down), r))
+    try:
+        above = edit(scenario, detector, policy, up)
+    except ConfigError:
+        # a closed upper bound: one-sided, toward the interior
+        dg_p = (3.0 * g(scenario, detector, policy, r) - 4.0 * g_edited(-1)
+                + g_edited(-2))
+    else:
+        try:
+            below = edit(scenario, detector, policy, down)
+        except ConfigError:
+            # a closed lower bound
+            dg_p = (-3.0 * g(scenario, detector, policy, r)
+                    + 4.0 * g(*above, r) - g_edited(2))
+        else:
+            dg_p = g(*above, r) - g(*below, r)
     if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
         raise ConfigError(
             f"the elasticity of {param_name} is undefined at r_max "

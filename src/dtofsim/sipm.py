@@ -243,23 +243,19 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
     return n_s / math.sqrt(variance)
 
 
-def trigger_snr_approx(params: SipmParams, p_r: float, p_rs: float,
-                       pulse_fwhm_s: float, wavelength_m: float) -> float:
-    """Photon-budget approximation of the trigger SNR.
+def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
+    """Photon-budget approximation of the trigger SNR, n_s·√(pde / n_b).
 
     Valid when occupancies are far below the pixel count; then the SNR
     reduces to signal photons over root background photons times the root
-    of the detection efficiency.
+    of the detection efficiency.  Reads the same ``PhotonCounts`` as
+    ``trigger_snr_analytic``.
     """
-    if p_r < 0 or p_rs < 0:
-        raise ConfigError("optical powers must be >= 0")
-    if p_r == 0.0:
+    if counts.n_s_photon == 0.0:
         return 0.0
-    if p_rs == 0.0:
+    if counts.n_b_photon == 0.0:
         return math.inf
-    h_nu = photon_energy(wavelength_m)
-    return (p_r * pulse_fwhm_s / (2.0 * math.sqrt(h_nu * p_rs * params.dead_time_s))
-            * math.sqrt(params.pde))
+    return counts.n_s_photon * math.sqrt(params.pde / counts.n_b_photon)
 
 
 def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,

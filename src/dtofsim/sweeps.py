@@ -41,6 +41,9 @@ SWEEP_KINDS: dict[str, SweepKind] = {
 
 STATUS_OK = "ok"
 
+# fired fraction above which a SiPM distance row is flagged as saturated
+SIPM_SATURATION_FRACTION = 0.95
+
 # most points a grid may have (the README's largest has 200), so that a
 # mistyped --n fails at once instead of allocating gigabytes
 MAX_GRID_POINTS = 10_000
@@ -155,7 +158,7 @@ def _distance_point(config: ScenarioConfig, det: DetectorChoice,
         status = "noiseless"
     elif isinstance(det, SipmChoice) and det.snr_mode == "analytic":
         if (ranging.sipm_fired_fraction(config, det, r)
-                >= ranging.SIPM_SATURATION_FRACTION):
+                >= SIPM_SATURATION_FRACTION):
             status = "saturated"
     return SweepRow(r, det.label, snr, status)
 
@@ -197,11 +200,13 @@ def _photon_response_rows(grid: tuple[float, ...]) -> list[SweepRow]:
     return rows
 
 
-def run_sweep(config: ScenarioConfig, spec: SweepSpec,
+def run_sweep(config: ScenarioConfig | None, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
     """Evaluate a sweep point by point, in grid order.
 
-    ``workers`` is accepted and ignored, like ``sipm.monte_carlo_snr``'s.
+    ``photon_response`` reads no scenario, so its ``config`` may be
+    ``None``.  ``workers`` is accepted and ignored, like
+    ``sipm.monte_carlo_snr``'s.
     """
     if spec.kind == "photon_response":
         rows = _photon_response_rows(spec.grid)

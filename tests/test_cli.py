@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dtofsim import cli
 from dtofsim.cli import main
 from dtofsim.ranging import SENSITIVITY_PARAMS
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
@@ -82,6 +83,9 @@ class TestFlags:
         ["preset", "table1", "--format", "svg"],
         ["preset", "table1", "--seed", "5"],
         ["range", "--format", "svg"],
+        ["range", "--seed", "3"],
+        ["snr-curve", "--seed", "3"],
+        ["sweep", "--kind", "distance", "--seed", "3"],
         ["sipm-response", "--config", "x.json"],
         ["sipm-response", "--seed", "3"],
         ["sipm-response", "--detector", "sipm"],
@@ -194,6 +198,16 @@ class TestSweepCommands:
         assert lines[0] == "n_photon,n_fired,curve_label"
         assert len(lines) == 1 + 9 * 9  # nine photon points, nine families
 
+    def test_sipm_response_builds_no_scenario(self, monkeypatch, capsys):
+        # the response families set their own SiPM parameters
+        def no_preset(*args):
+            raise AssertionError("sipm-response built a preset")
+
+        monkeypatch.setattr(cli, "table1_preset", no_preset)
+        code, out, _ = run_cli(capsys, "sipm-response", "--n", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "n_photon,n_fired,curve_label"
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "distance",
                                "--detector", "apd", "--n", "3")
@@ -283,6 +297,22 @@ class TestSensitivity:
                                  "spectrum.json", "--param", "sun_irradiance")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "sun_irradiance sensitivity" in err
+
+    def test_parameter_at_a_closed_bound_is_0(self, tmp_path, capsys):
+        # 100 % is the atmosphere's default transmittance; its up-edit
+        # leaves (0, 1], so the one-sided difference takes over
+        data = scenario_to_dict(table1_preset("apd"))
+        data["atmosphere"]["one_way_transmittance_pct"] = 100.0
+        path = tmp_path / "clear.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "range", "--config", str(path))
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "356.000329151544"
+        code, out, err = run_cli(capsys, "sensitivity", "--config", str(path))
+        assert code == 0 and err == ""
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert len(rows) == len(SENSITIVITY_PARAMS)
+        assert 0.75 < float(rows["one_way_transmittance"]) < 0.76
 
     def test_monte_carlo_detector_is_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -517,12 +547,6 @@ class TestExitCodes:
                                  "--rmax", "1e-319", "--n", "3")
         assert code == 1 and out == ""
         assert err.startswith("error: a number overflowed or underflowed")
-
-    def test_negative_seed_is_1(self, capsys):
-        code, _, err = run_cli(capsys, "range", "--detector", "sipm",
-                               "--seed", "-5")
-        assert code == 1
-        assert "seed must be >= 0" in err
 
 
 def test_analytic_commands_load_no_numpy(tmp_path):

@@ -1,0 +1,89 @@
+"""Monotonicities the model guarantees, over drawn table1 scenarios.
+
+The draws vary what ``perfbench/harness.py``'s ``scenario_dicts`` varies
+(reflectivity, illuminance, elevation and sun angle, fixed transmittance
+against extinction, constant against cosine aperture, power-law against
+ionization excess noise) and run every closed-form detector model: the
+APD and the analytic and approx SiPM.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtofsim import NoDetectionError, UnboundedRangeError
+from dtofsim.ranging import max_range, snr_at_range
+from dtofsim.scenario import config_from_dict, scenario_to_dict, table1_preset
+
+APD = scenario_to_dict(table1_preset("apd"))
+SIPM_DETECTOR = scenario_to_dict(table1_preset("sipm"))["detector"]
+
+# each solve's root lies within about 1e-12 of the true one in ln(range),
+# so two roots may invert their order by up to twice that
+TWO_SOLVES_REL_TOL = 2e-12
+
+
+@st.composite
+def scenario_dicts(draw, extinction=st.booleans()):
+    """A table1 scenario file; ``extinction`` draws the atmosphere's mode."""
+    data = {key: dict(value) if isinstance(value, dict) else value
+            for key, value in APD.items()}
+    data["target"]["reflectivity_pct"] = draw(st.floats(5.0, 80.0))
+    data["solar"]["illuminance_klux"] = 10.0 ** draw(st.floats(0.0, 2.0))
+    data["scene"]["elevation_angle_deg"] = draw(st.floats(-30.0, 30.0))
+    data["scene"]["sun_angle_deg"] = draw(st.floats(0.0, 80.0))
+    if draw(extinction):
+        data["atmosphere"] = {"mode": "extinction", "extinction_coeff_per_m":
+                              10.0 ** draw(st.floats(-4.0, -3.0))}
+    else:
+        data["atmosphere"] = {"mode": "fixed_transmittance",
+                              "one_way_transmittance_pct":
+                                  draw(st.floats(90.0, 99.5))}
+    data["optics"]["aperture_model"] = draw(st.sampled_from(("constant",
+                                                             "cosine")))
+    kind = draw(st.sampled_from(("apd", "analytic", "approx")))
+    if kind != "apd":
+        data["detector"] = dict(SIPM_DETECTOR, snr_mode=kind)
+    elif draw(st.booleans()):
+        data["detector"]["excess_noise_index"] = draw(st.floats(0.2, 0.45))
+    else:
+        data["detector"].update(excess_noise_mode="ionization",
+                                electron_ionization_rate=draw(
+                                    st.floats(0.01, 0.1)))
+    return data
+
+
+def r_max(data: dict) -> float:
+    """The solved range, 0 where nothing is detected, inf if unbounded."""
+    config = config_from_dict(data)
+    try:
+        return max_range(config, config.detector, config.tdc).r_max_m
+    except NoDetectionError:
+        return 0.0
+    except UnboundedRangeError:
+        return math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_dicts(extinction=st.just(False)), st.floats(0.0, 4.0),
+       st.floats(0.0, 2.0))
+def test_snr_does_not_rise_with_range(data, log_r, log_factor):
+    # at a fixed transmittance the background does not depend on range,
+    # and the echo falls as 1 / r^2
+    config = config_from_dict(data)
+    near = 10.0 ** log_r
+    far = near * 10.0 ** log_factor
+    assert snr_at_range(config, config.detector, far) \
+        <= snr_at_range(config, config.detector, near)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_dicts(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_r_max_does_not_rise_with_illuminance(data, log_a, log_b):
+    # more sunlight adds background noise and nothing else
+    dim = dict(data, solar=dict(data["solar"],
+                                illuminance_klux=10.0 ** min(log_a, log_b)))
+    bright = dict(data, solar=dict(data["solar"],
+                                   illuminance_klux=10.0 ** max(log_a, log_b)))
+    assert r_max(bright) <= r_max(dim) * (1.0 + TWO_SOLVES_REL_TOL)

@@ -14,6 +14,7 @@ from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              max_range, sensitivity, snr_at_range)
 from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import AtmosphereModel, SolarModel
+from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
 from oracles import log_range_root
@@ -59,6 +60,21 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def at_bound(config, name):
+    """``config`` with the parameter ``name`` at 1.0, a closed bound of its
+    domain: transmittance, efficiencies, reflectivity, gain, pixel count."""
+    if name == "one_way_transmittance":
+        return replace(config, atmosphere=replace(config.atmosphere,
+                                                  one_way_transmittance=1.0))
+    for section in ("optics", "target"):
+        obj = getattr(config, section)
+        if name in obj.__dataclass_fields__:
+            return replace(config, **{section: replace(obj, **{name: 1.0})})
+    det = config.detector
+    return replace(config, detector=replace(
+        det, params=replace(det.params, **{name: 1.0})))
 
 
 def closed_form_variant(variant: str):
@@ -174,6 +190,20 @@ class TestSnrAtRange:
         assert snr_at_range(sipm_config, det, 100.0) == pytest.approx(
             47.63780970058583, rel=1e-11)
 
+    @pytest.mark.parametrize("mode", ["analytic", "approx"])
+    def test_one_photon_budget_per_sipm_evaluation(self, monkeypatch,
+                                                   sipm_config, mode):
+        # both closed-form SiPM modes read one PhotonCounts of the link
+        det = replace(sipm_config.detector, snr_mode=mode)
+        budgets = count_calls(monkeypatch, sipm.PhotonCounts, "from_powers")
+        for r in (1.0, 100.0, 400.0):
+            snr_at_range(sipm_config, det, r)
+        assert len(budgets) == 3
+        res = max_range(sipm_config, det, sipm_config.tdc)
+        assert len(budgets) == 3 + res.evaluations
+        ranging.sipm_fired_fraction(sipm_config, det, 100.0)
+        assert len(budgets) == 4 + res.evaluations
+
 
 class TestMaxRange:
     def test_reference_apd(self, apd_config):
@@ -190,6 +220,12 @@ class TestMaxRange:
         assert res.r_max_m == pytest.approx(280.8714710150478, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
         assert (res.evaluations, res.snr_se) == (10, 0.0)
+
+    def test_reference_sipm_approx(self, sipm_config):
+        det = replace(sipm_config.detector, snr_mode="approx")
+        res = max_range(sipm_config, det, sipm_config.tdc)
+        assert format_number(res.r_max_m) == format_number(308.6674900295973)
+        assert (res.evaluations, res.snr_se) == (6, 0.0)
 
     def test_apd_beats_sipm_at_full_sun(self, apd_config, sipm_config):
         r_apd = max_range(apd_config, apd_config.detector, apd_config.tdc)
@@ -568,6 +604,68 @@ class TestSensitivity:
 
         expected = (4.0 * difference_of_solves(step / 2.0)
                     - difference_of_solves(step)) / 3.0
+        value = sensitivity(config, config.detector, config.tdc, name,
+                            rel_step=step)
+        assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_interior_names_take_the_central_difference(self, variant):
+        # away from a bound, every name is -(g_1 - g_-1) / (g(r up) -
+        # g(r down)) bit for bit
+        config, det = closed_form_variant(variant)
+        r = max_range(config, det, config.tdc).r_max_m
+        up, down = math.exp(1e-3), math.exp(-1e-3)
+
+        def g(sc, d, pol, range_m):
+            return math.log(snr_at_range(sc, d, range_m) / pol.tnr)
+
+        dg_r = g(config, det, config.tdc, r * up) \
+            - g(config, det, config.tdc, r * down)
+        for name, edit in SENSITIVITY_PARAMS.items():
+            dg_p = g(*edit(config, det, config.tdc, up), r) \
+                - g(*edit(config, det, config.tdc, down), r)
+            assert sensitivity(config, det, config.tdc, name) \
+                == -dg_p / dg_r + 0.0, name
+
+    def test_upper_bound_power_law_is_exact(self, monkeypatch, apd_config):
+        # p_r is proportional to laser_efficiency and nothing else reads
+        # it, so r_max goes as its square root, at the bound 1 as inside
+        config = at_bound(apd_config, "laser_efficiency")
+        det = config.detector
+        max_range(config, det, config.tdc)
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        value = sensitivity(config, det, config.tdc, "laser_efficiency")
+        assert value == pytest.approx(0.5, abs=1e-8)
+        # g_0, g_-1 and g_-2, and the two range steps
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("variant,name,side", [
+        ("apd", "one_way_transmittance", -1), ("apd", "gain", 1),
+        ("apd", "reflectivity", -1), ("apd", "quantum_efficiency", -1),
+        ("sipm", "pde", -1), ("sipm", "laser_efficiency", -1)])
+    def test_closed_bound_matches_one_sided_difference_of_solves(
+            self, variant, name, side):
+        # side -1 is an upper bound (the edit may only shrink the value),
+        # +1 a lower one; the oracle mirrors the implicit rule with solves,
+        # 3 ln r_0 - 4 ln r_-1 + ln r_-2 at an upper bound, extrapolated
+        # (Richardson) to cancel its O(h^2) term
+        config = at_bound(table1_preset(variant), name)
+        step = 1e-5
+        edit = SENSITIVITY_PARAMS[name]
+        with pytest.raises(ConfigError):
+            edit(config, config.detector, config.tdc, math.exp(-side * step))
+
+        def one_sided_difference_of_solves(h: float) -> float:
+            logs = []
+            for k in (0, 1, 2):
+                sc, det, pol = edit(config, config.detector, config.tdc,
+                                    math.exp(side * k * h))
+                logs.append(math.log(log_range_root(
+                    lambda r: snr_at_range(sc, det, r), pol.tnr)))
+            return side * (-3.0 * logs[0] + 4.0 * logs[1] - logs[2]) / (2.0 * h)
+
+        expected = (4.0 * one_sided_difference_of_solves(step / 2.0)
+                    - one_sided_difference_of_solves(step)) / 3.0
         value = sensitivity(config, config.detector, config.tdc, name,
                             rel_step=step)
         assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)

@@ -490,6 +490,10 @@ class TestRunSweep:
         heavy = curve("pde=0.22,n_pixel=100,n_b_photon=1000")
         assert all(h < c for h, c in zip(heavy, clean))
 
+    def test_photon_response_reads_no_scenario(self, sipm_config):
+        spec = SweepSpec(kind="photon_response", grid=(1.0, 10.0, 100.0))
+        assert run_sweep(None, spec) == run_sweep(sipm_config, spec)
+
     def test_failed_points_recorded_not_raised(self, apd_config):
         weak = replace(apd_config,
                        laser=replace(apd_config.laser, peak_power_w=1e-5))

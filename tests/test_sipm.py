@@ -227,7 +227,8 @@ class TestTriggerSnrAnalytic:
                 hi = mid
         r_lim = 0.5 * (lo + hi)
         p_r = P_R_REF * (100.0 / r_lim) ** 2
-        approx = trigger_snr_approx(TABLE1_SIPM, p_r, p_rs, 6e-9, 905e-9)
+        approx = trigger_snr_approx(TABLE1_SIPM, PhotonCounts.from_powers(
+            p_r, p_rs, 6e-9, 905e-9, 6e-9))
         assert approx == pytest.approx(analytic(r_lim), rel=0.10)
 
     def test_gap_closes_with_pixel_count(self):
@@ -245,22 +246,22 @@ class TestTriggerSnrAnalytic:
 
 class TestTriggerSnrApprox:
     def test_no_signal(self):
-        assert trigger_snr_approx(TABLE1_SIPM, 0.0, P_RS_REF, 6e-9, 905e-9) == 0.0
+        assert trigger_snr_approx(TABLE1_SIPM, PhotonCounts.from_powers(
+            0.0, P_RS_REF, 6e-9, 905e-9, 6e-9)) == 0.0
 
     def test_reference_point(self):
-        assert trigger_snr_approx(TABLE1_SIPM, P_R_REF, P_RS_REF, 6e-9,
-                                  905e-9) == pytest.approx(
+        assert trigger_snr_approx(TABLE1_SIPM, COUNTS_REF) == pytest.approx(
             47.63780970058583, rel=1e-12)
 
     def test_inverse_root_background(self):
-        base = trigger_snr_approx(TABLE1_SIPM, P_R_REF, P_RS_REF, 6e-9, 905e-9)
-        quad = trigger_snr_approx(TABLE1_SIPM, P_R_REF, 4 * P_RS_REF, 6e-9,
-                                  905e-9)
+        base = trigger_snr_approx(TABLE1_SIPM, COUNTS_REF)
+        quad = trigger_snr_approx(TABLE1_SIPM, PhotonCounts.from_powers(
+            P_R_REF, 4 * P_RS_REF, 6e-9, 905e-9, 6e-9))
         assert quad == pytest.approx(base / 2.0, rel=1e-12)
 
     def test_dark_scene_sentinel(self):
-        assert trigger_snr_approx(TABLE1_SIPM, P_R_REF, 0.0, 6e-9,
-                                  905e-9) == math.inf
+        assert trigger_snr_approx(TABLE1_SIPM, PhotonCounts.from_powers(
+            P_R_REF, 0.0, 6e-9, 905e-9, 6e-9)) == math.inf
 
 
 class TestMonteCarlo:
