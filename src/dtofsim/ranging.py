@@ -357,15 +357,10 @@ def _field_edit(name: str) -> _Edit:
 
 
 def _solar_edit(sc, det, pol, f):
-    mode = sc.solar.mode
-    if mode == "direct_irradiance":
-        name = "in_band_irradiance_w_m2"
-    elif mode == "illuminance_scaled":
-        name = "illuminance_klux"
-    else:
-        raise ConfigError("sun_irradiance sensitivity requires direct or "
-                          "scaled solar mode")
-    return replace(sc, solar=_scaled(sc.solar, name, f)), det, pol
+    # the link reads only the in-band value, whatever the solar mode
+    e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
+    solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
+    return replace(sc, solar=solar), det, pol
 
 
 def _atmosphere_edit(sc, det, pol, f):
@@ -388,8 +383,8 @@ _FIELD_PARAMS = (
 )
 SENSITIVITY_PARAMS: dict[str, _Edit] = {
     **{name: _field_edit(name) for name in _FIELD_PARAMS},
-    # the field these scale depends on the mode
     "sun_irradiance": _solar_edit,
+    # the field this scales depends on the atmosphere's mode
     "one_way_transmittance": _atmosphere_edit,
 }
 

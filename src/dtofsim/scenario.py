@@ -87,10 +87,7 @@ _OPTICS: _Table = (
     ("sun_efficiency_pct", "sun_efficiency", "pct", True),
     ("aperture_model", "aperture_model", str, False),
 )
-_TARGET: _Table = (
-    ("reflectivity_pct", "reflectivity", "pct", True),
-    ("extends_beyond_spot", "extends_beyond_spot", bool, False),
-)
+_TARGET: _Table = (("reflectivity_pct", "reflectivity", "pct", True),)
 _LASER: _Table = (
     ("peak_power_w", "peak_power_w", None, True),
     ("wavelength_nm", "wavelength_m", "nm", True),
@@ -143,9 +140,13 @@ _MC: _Table = (
     ("n_noise_periods", "n_noise_periods", int, False),
 )
 # keys earlier versions wrote and the model never reads, by section: each
-# is read as a number (null or a string is an error) and dropped; a key
-# with a value accepts only that value, for the reason given
-_LEGACY: dict[str, tuple[tuple[str, float | None, str], ...]] = {
+# is read as a number, or as a boolean if the one value it accepts is a
+# boolean (null or a string is an error), and dropped; a key with a value
+# accepts only that value, for the reason given
+_LEGACY: dict[str, tuple[tuple[str, float | bool | None, str], ...]] = {
+    "target": (("extends_beyond_spot", True,
+                "the link model assumes the target contains the whole "
+                "laser spot"),),
     "laser": (("repetition_khz", None, ""),),
     "tdc": (("window_us", None, ""), ("bandwidth_mhz", None, ""),
             ("limit_detection_prob", 0.5,
@@ -206,10 +207,11 @@ class _Node:
         """``child(key)`` with that section's ``_LEGACY`` keys dropped."""
         node = self.child(key)
         for old, only, why in _LEGACY.get(key, ()):
-            value = node.value(old) if old in node else only
+            kind = bool if isinstance(only, bool) else None
+            value = node.value(old, kind) if old in node else only
             if only is not None and value != only:
-                raise ConfigError(f"{node.path}.{old}: only {only:g} is "
-                                  f"supported; {why}")
+                raise ConfigError(f"{node.path}.{old}: only "
+                                  f"{json.dumps(only)} is supported; {why}")
         return node
 
     def finish(self) -> None:
@@ -276,7 +278,7 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     mode = _select(node, "mode", _ATMOSPHERE)
     atmosphere = _read(node, AtmosphereModel, _ATMOSPHERE[mode], mode=mode)
     optics = _read(root.child("optics"), ReceiverOptics, _OPTICS)
-    target = _read(root.child("target"), TargetModel, _TARGET)
+    target = _read(root.section("target"), TargetModel, _TARGET)
     laser = _read(root.section("laser"), LaserParams, _LASER)
 
     node = root.child("solar")
@@ -403,7 +405,7 @@ _TABLE1_COMMON: dict = {
     "optics": {"aperture_radius_m": 0.025, "focal_length_m": 0.03,
                "detector_radius_mm": 0.1, "laser_efficiency_pct": 72.06,
                "sun_efficiency_pct": 79.86, "aperture_model": "constant"},
-    "target": {"reflectivity_pct": 10.0, "extends_beyond_spot": True},
+    "target": {"reflectivity_pct": 10.0},
     "laser": {"peak_power_w": 45.0, "wavelength_nm": 905.0,
               "pulse_fwhm_ns": 6.0},
     "solar": {"mode": "illuminance_scaled", "illuminance_klux": 100.0,

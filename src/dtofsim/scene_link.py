@@ -112,14 +112,10 @@ class TargetModel:
     """Lambertian target with diffuse reflectivity."""
 
     reflectivity: float
-    extends_beyond_spot: bool = True
 
     def __post_init__(self) -> None:
         _require(0.0 <= self.reflectivity <= 1.0,
                  "reflectivity must be in [0, 1]")
-        # the link model assumes the target fully contains the laser spot
-        _require(self.extends_beyond_spot,
-                 "extends_beyond_spot must be true for this link model")
 
 
 @dataclass(frozen=True)

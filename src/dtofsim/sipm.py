@@ -422,12 +422,12 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     dead_steps = max(1, round(params.dead_time_s / dt))
     period_steps = max(1, round(1.0 / (bandwidth_hz * dt)))
     warm_steps = round(mc.warmup_s / dt)
-    h_nu = photon_energy(wavelength_m)
-
-    # detected-arrival rates per pixel; dark counts bypass the PDE
-    rate_bg = p_rs * params.pde / (h_nu * n_pix) + params.dark_count_rate_cps
     counts = PhotonCounts.from_powers(p_r, p_rs, pulse_fwhm_s,
                                       wavelength_m, params.dead_time_s)
+
+    # detected-arrival rates per pixel; dark counts bypass the PDE
+    rate_bg = (counts.n_b_photon * params.pde / (params.dead_time_s * n_pix)
+               + params.dark_count_rate_cps)
     profile, window_offset = _pulse_profile(mc, counts.n_s_photon,
                                             pulse_fwhm_s, period_steps)
     x_pulse = rate_bg * dt + profile * params.pde / n_pix

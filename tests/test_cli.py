@@ -10,6 +10,7 @@ from dtofsim.cli import main
 from dtofsim.ranging import SENSITIVITY_PARAMS
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
+from dtofsim.scene_link import sun_equivalent_irradiance
 from dtofsim.sipm import MAX_PIXELS
 from dtofsim.sweeps import MAX_GRID_POINTS, format_number
 
@@ -66,6 +67,16 @@ class TestRange:
         code, out, _ = run_cli(capsys, "range", "--config", str(path))
         assert code == 0
         assert out.splitlines()[1].startswith("sipm,")
+
+    def test_repeated_config_labels_are_numbered(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        save_scenario(table1_preset("apd"), str(path))
+        code, out, _ = run_cli(capsys, "range", "--config", str(path),
+                               "--config", str(path))
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["apd0", "apd1"]
+        assert rows[0][len("apd0"):] == rows[1][len("apd1"):]
 
     def test_config_plus_detector_flag_rejected(self, tmp_path, capsys):
         path = tmp_path / "apd.json"
@@ -285,18 +296,34 @@ class TestSensitivity:
         assert len(rows) == len(SENSITIVITY_PARAMS)
         assert rows["gain"] == rows["amplifier_noise_a"] == "0.0"
 
-    def test_sun_irradiance_of_spectrum_is_1(self, tmp_path, monkeypatch,
+    def test_sun_irradiance_of_spectrum_is_0(self, tmp_path, monkeypatch,
                                              capsys):
+        # sun_irradiance scales the in-band irradiance in every solar mode
         monkeypatch.chdir(tmp_path)
         data = scenario_to_dict(table1_preset("apd"))
         data["solar"] = {"mode": "spectrum_integral",
-                         "spectrum": [[890.0, 1.0, 0.5], [920.0, 1.0, 0.5]]}
+                         "spectrum": [[890.0, 1.0, 0.9], [905.0, 1.1, 1.0],
+                                      [920.0, 0.9, 0.8]]}
         (tmp_path / "spectrum.json").write_text(json.dumps(data),
                                                 encoding="utf-8")
+        in_band = sun_equivalent_irradiance(
+            load_scenario("spectrum.json").solar)
+        data["solar"] = {"mode": "direct_irradiance",
+                         "in_band_irradiance_w_m2": in_band}
+        (tmp_path / "direct.json").write_text(json.dumps(data),
+                                              encoding="utf-8")
         code, out, err = run_cli(capsys, "sensitivity", "--config",
-                                 "spectrum.json", "--param", "sun_irradiance")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "sun_irradiance sensitivity" in err
+                                 "spectrum.json")
+        assert code == 0 and err == ""
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert len(rows) == len(SENSITIVITY_PARAMS) == 27
+        code, one, _ = run_cli(capsys, "sensitivity", "--config",
+                               "spectrum.json", "--param", "sun_irradiance")
+        assert code == 0
+        assert one.splitlines()[1] == f"sun_irradiance,{rows['sun_irradiance']}"
+        code, direct, _ = run_cli(capsys, "sensitivity", "--config",
+                                  "direct.json", "--param", "sun_irradiance")
+        assert code == 0 and direct == one
 
     def test_parameter_at_a_closed_bound_is_0(self, tmp_path, capsys):
         # 100 % is the atmosphere's default transmittance; its up-edit
@@ -411,6 +438,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "range", "--config", str(paths[0.9]))
         assert code == 1
         assert "limit_detection_prob" in err and "50 %" in err
+
+    def test_legacy_extends_beyond_spot_false_is_1(self, tmp_path, capsys):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["target"]["extends_beyond_spot"] = False
+        path = tmp_path / "spot.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "target.extends_beyond_spot: only true is supported" in err
 
     @pytest.mark.parametrize("section,key", [
         ("laser", "repetition_khz"), ("tdc", "window_us"),

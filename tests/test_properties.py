@@ -8,12 +8,15 @@ APD and the analytic and approx SiPM.
 """
 
 import math
+from dataclasses import replace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtofsim import NoDetectionError, UnboundedRangeError
-from dtofsim.ranging import max_range, snr_at_range
+from dtofsim.detectors import ApdChoice
+from dtofsim.ranging import max_range, sensitivity, snr_at_range
 from dtofsim.scenario import config_from_dict, scenario_to_dict, table1_preset
 
 APD = scenario_to_dict(table1_preset("apd"))
@@ -87,3 +90,54 @@ def test_r_max_does_not_rise_with_illuminance(data, log_a, log_b):
     bright = dict(data, solar=dict(data["solar"],
                                    illuminance_klux=10.0 ** max(log_a, log_b)))
     assert r_max(bright) <= r_max(dim) * (1.0 + TWO_SOLVES_REL_TOL)
+
+
+# elasticities of r_max whose sign no regime changes, by detector; each
+# may also be 0: at a parameter value of 0 (or one so small that its
+# influence underflows), and for a parameter the SNR model does not read,
+# such as the approx SiPM's n_pixels and dark_count_rate_cps
+SAME_SIGN = {
+    "common": ({"peak_power_w", "laser_efficiency", "focal_length_m",
+                "sun_angle_rad"},
+               {"sun_irradiance", "sun_efficiency", "detector_radius_m",
+                "tnr"}),
+    "apd": ({"aperture_radius_m", "wavelength_m", "quantum_efficiency",
+             "reflectivity", "load_resistance_ohm"},
+            {"surface_dark_current_a", "bulk_dark_current_a",
+             "temperature_k", "bandwidth_hz"}),
+    # n_pixels is not here: see the flip below
+    "sipm": ({"pulse_fwhm_s"}, {"dark_count_rate_cps", "dead_time_s"}),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_dicts())
+def test_elasticity_signs(data):
+    assume(0.0 < r_max(data) < math.inf)  # else there is no root to move
+    config = config_from_dict(data)
+    kind = "apd" if isinstance(config.detector, ApdChoice) else "sipm"
+    for names, sign in zip((*SAME_SIGN["common"], *SAME_SIGN[kind]),
+                           (1, -1, 1, -1)):
+        for name in sorted(names):
+            value = sensitivity(config, config.detector, config.tdc, name)
+            assert value * sign >= 0.0, name
+
+
+def with_illuminance(config, klux: float):
+    return replace(config, solar=replace(config.solar, illuminance_klux=klux))
+
+
+@pytest.mark.parametrize("name,klux,expected", [
+    # pile-up: near 300 klux a more sensitive array fires on sunlight
+    # often enough to lose more echo than it gains
+    ("pde", 250.0, 0.0313183642641848),
+    ("pde", 300.0, -0.027434357234321485),
+    # each pixel adds its dark counts, which outweigh the free pixels it
+    # adds in dim light
+    ("n_pixels", 0.3, -0.00030256513588684044),
+    ("n_pixels", 1.0, 0.003640881730291326),
+])
+def test_table1_sipm_sign_flips(name, klux, expected):
+    config = with_illuminance(table1_preset("sipm"), klux)
+    value = sensitivity(config, config.detector, config.tdc, name)
+    assert value == pytest.approx(expected, rel=1e-9)

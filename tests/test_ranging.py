@@ -13,7 +13,8 @@ from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              closed_form_max_range, declares, link_powers,
                              max_range, sensitivity, snr_at_range)
 from dtofsim.scenario import ScenarioConfig
-from dtofsim.scene_link import AtmosphereModel, SolarModel
+from dtofsim.scene_link import (AtmosphereModel, SolarModel,
+                                sun_equivalent_irradiance)
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
@@ -811,9 +812,15 @@ class TestSensitivity:
                             "one_way_transmittance")
         assert value == pytest.approx(-0.025551224462573623, rel=1e-9)
 
-    def test_sun_irradiance_needs_direct_or_scaled_solar(self, apd_config):
-        rows = tuple((wl, 1.0, 0.5) for wl in (890.0, 900.0, 910.0, 920.0))
-        config = replace(apd_config, solar=SolarModel(
-            mode="spectrum_integral", spectrum_table=rows))
-        with pytest.raises(ConfigError, match="sun_irradiance sensitivity"):
-            sensitivity(config, config.detector, config.tdc, "sun_irradiance")
+    def test_sun_irradiance_scales_in_band_irradiance_of_any_mode(
+            self, apd_config):
+        rows = ((890.0, 1.0, 0.9), (905.0, 1.1, 1.0), (920.0, 0.9, 0.8))
+        spectrum = SolarModel(mode="spectrum_integral", spectrum_table=rows)
+        direct = SolarModel(
+            in_band_irradiance_w_m2=sun_equivalent_irradiance(spectrum))
+        values = [sensitivity(config, config.detector, config.tdc,
+                              "sun_irradiance")
+                  for config in (replace(apd_config, solar=spectrum),
+                                 replace(apd_config, solar=direct))]
+        assert values[0] == values[1]
+        assert values[0] == pytest.approx(-0.24381584735793224, rel=1e-9)

@@ -414,6 +414,46 @@ class TestLoadValidation:
             load_scenario(str(path))
         assert record[0].filename == str(path)
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["atmosphere"].update(mode="fog"),
+         "unknown mode 'fog'; expected one of fixed_transmittance, "
+         "extinction"),
+        (lambda d: d.update(solar={"mode": "spectrum_integral"}),
+         "needs exactly one of 'spectrum' or 'spectrum_csv'"),
+        (lambda d: d.update(solar={"mode": "spectrum_integral",
+                                   "spectrum": [[1, 2]]}),
+         "expected rows of [wavelength_nm, irradiance_w_m2_nm, "
+         "transmittance]"),
+        (lambda d: d.update(scene=[1]), "scenario.scene: expected an object"),
+    ])
+    def test_malformed_section_names_it(self, tmp_path, mutate, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(self.write_config(tmp_path, mutate))
+
+    def spectrum_csv_config(self, tmp_path, text):
+        (tmp_path / "spectrum.csv").write_text(text, encoding="utf-8")
+        return self.write_config(tmp_path, lambda d: d.update(solar={
+            "mode": "spectrum_integral", "spectrum_csv": "spectrum.csv"}))
+
+    def test_empty_spectrum_csv_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="empty spectrum file"):
+            load_scenario(self.spectrum_csv_config(tmp_path, ""))
+
+    def test_blank_spectrum_csv_line_skipped(self, tmp_path):
+        path = self.spectrum_csv_config(
+            tmp_path, "wavelength_nm,irradiance_w_m2_nm,transmittance\n"
+                      "890,1.0,0.5\n\n920,1.0,0.5\n")
+        assert load_scenario(path).solar.spectrum_table == (
+            (890.0, 1.0, 0.5), (920.0, 1.0, 0.5))
+
+    def test_legacy_extends_beyond_spot_true_loads(self, tmp_path):
+        # earlier versions wrote it; the link model assumes it is true
+        path = self.write_config(
+            tmp_path, lambda d: d["target"].update(extends_beyond_spot=True))
+        config = load_scenario(path)
+        assert config == table1_preset("apd")
+        assert not hasattr(config.target, "extends_beyond_spot")
+
 
 class TestRunSweep:
     def test_single_point_equals_direct_call(self, apd_config):
@@ -493,6 +533,33 @@ class TestRunSweep:
     def test_photon_response_reads_no_scenario(self, sipm_config):
         spec = SweepSpec(kind="photon_response", grid=(1.0, 10.0, 100.0))
         assert run_sweep(None, spec) == run_sweep(sipm_config, spec)
+
+    def test_noiseless_and_unbounded_rows(self, sipm_config):
+        # no sunlight and no dark counts: no noise at any range
+        config = replace(
+            sipm_config,
+            solar=replace(sipm_config.solar, illuminance_klux=0.0),
+            detector=replace(sipm_config.detector, params=replace(
+                sipm_config.detector.params, dark_count_rate_cps=0.0)))
+        dets = (config.detector,)
+        distance = run_sweep(config, SweepSpec(
+            kind="distance", grid=(25.0, 100.0), detectors=dets))
+        assert [(r.value, r.status) for r in distance.rows] == [
+            (math.inf, "noiseless")] * 2
+        assert csv_lines(distance)[1] == "25.0,inf,sipm:noiseless"
+        elevation = run_sweep(config, SweepSpec(
+            kind="elevation", grid=(0.0,), detectors=dets))
+        assert [(r.value, r.status) for r in elevation.rows] == [
+            (None, "unbounded")]
+
+    def test_solver_error_rows_name_the_error(self, sipm_config):
+        config = replace(sipm_config, solar=replace(
+            sipm_config.solar, illuminance_klux=1e7))
+        for kind, x in (("distance", 25.0), ("elevation", 0.0)):
+            result = run_sweep(config, SweepSpec(
+                kind=kind, grid=(x,), detectors=(config.detector,)))
+            assert [(r.value, r.status) for r in result.rows] == [
+                (None, "SipmSaturationError")]
 
     def test_failed_points_recorded_not_raised(self, apd_config):
         weak = replace(apd_config,
