@@ -61,27 +61,20 @@ def _is_monte_carlo(detector: DetectorChoice) -> bool:
     return isinstance(detector, SipmChoice) and detector.snr_mode == "monte_carlo"
 
 
-def _at_range(exc: SipmSaturationError, range_m: float) -> SipmSaturationError:
-    return SipmSaturationError(f"{exc} (at range {range_m:g} m)")
+class SnrEstimate(float):
+    """A Monte Carlo trigger SNR that carries its standard error ``se``."""
 
+    __slots__ = ("se",)
 
-def _snr_and_se(scenario: ScenarioConfig, detector: SipmChoice,
-                range_m: float) -> tuple[float, float]:
-    """(Monte Carlo trigger SNR, its standard error) at ``range_m``."""
-    p_r, p_rs = link_powers(scenario, range_m)
-    laser = scenario.laser
-    try:
-        return sipm.monte_carlo_snr(
-            detector.params, p_r, p_rs, laser.pulse_fwhm_s,
-            laser.wavelength_m, scenario.bandwidth_hz, detector.mc_config())
-    except SipmSaturationError as exc:
-        raise _at_range(exc, range_m) from exc
+    def __new__(cls, snr: float, se: float) -> SnrEstimate:
+        estimate = super().__new__(cls, snr)
+        estimate.se = se
+        return estimate
 
 
 def _photon_counts(scenario: ScenarioConfig, params: sipm.SipmParams,
-                   range_m: float) -> sipm.PhotonCounts:
-    """The SiPM photon budget of the link at ``range_m``."""
-    p_r, p_rs = link_powers(scenario, range_m)
+                   p_r: float, p_rs: float) -> sipm.PhotonCounts:
+    """The SiPM photon budget of the link powers ``p_r`` and ``p_rs``."""
     laser = scenario.laser
     return sipm.PhotonCounts.from_powers(p_r, p_rs, laser.pulse_fwhm_s,
                                          laser.wavelength_m,
@@ -90,27 +83,35 @@ def _photon_counts(scenario: ScenarioConfig, params: sipm.SipmParams,
 
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
-    """Trigger SNR of the composed scene and detector at ``range_m``."""
-    if _is_monte_carlo(detector):
-        return _snr_and_se(scenario, detector, range_m)[0]
+    """Trigger SNR of the composed scene and detector at ``range_m``.
+
+    The one SNR dispatch: the link once, then the APD or the SiPM's
+    analytic, approx or Monte Carlo model.  A Monte Carlo SNR is a
+    ``SnrEstimate`` that carries its standard error.
+    """
+    p_r, p_rs = link_powers(scenario, range_m)
+    params = detector.params
     if isinstance(detector, ApdChoice):
-        p_r, p_rs = link_powers(scenario, range_m)
-        return apd.trigger_snr(detector.params, p_r, p_rs,
-                               scenario.bandwidth_hz)
-    counts = _photon_counts(scenario, detector.params, range_m)
-    if detector.snr_mode == "approx":
-        return sipm.trigger_snr_approx(detector.params, counts)
+        return apd.trigger_snr(params, p_r, p_rs, scenario.bandwidth_hz)
     try:
-        return sipm.trigger_snr_analytic(detector.params, counts)
+        if detector.snr_mode == "monte_carlo":
+            laser = scenario.laser
+            return SnrEstimate(*sipm.monte_carlo_snr(
+                params, p_r, p_rs, laser.pulse_fwhm_s, laser.wavelength_m,
+                scenario.bandwidth_hz, detector.mc_config()))
+        counts = _photon_counts(scenario, params, p_r, p_rs)
+        if detector.snr_mode == "approx":
+            return sipm.trigger_snr_approx(params, counts)
+        return sipm.trigger_snr_analytic(params, counts)
     except SipmSaturationError as exc:
-        raise _at_range(exc, range_m) from exc
+        raise SipmSaturationError(f"{exc} (at range {range_m:g} m)") from exc
 
 
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
                         range_m: float) -> float:
     """Fraction of the array fired at the pulse; near 1 means saturation."""
     params = detector.params
-    counts = _photon_counts(scenario, params, range_m)
+    counts = _photon_counts(scenario, params, *link_powers(scenario, range_m))
     n_b = sipm.background_occupancy(params, counts)
     n_d, _ = sipm.dark_occupancy(params)
     n_s = sipm.signal_fired(params, counts, n_b, n_d)
@@ -186,13 +187,14 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     model) is a ``ConfigError``.  An infinite one at 1 m, the noiseless
     limit, is ``UnboundedRangeError``: noise never grows with range.
 
-    Every mode then solves g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's
-    method on the bracket the doubling leaves, [hi / 2, hi] or [1 m,
-    100 m].  The SNR falls roughly as range^-2, so g is nearly linear in
-    u and the root takes a few evaluations.  The closed-form modes stop
-    on a bracket about 1e-12 wide in ln(range) (6 evaluations for the
-    table1 APD, 10 for the SiPM), and the SNR at ``r_max`` is the
-    threshold to within 1e-12 relative.
+    Every mode evaluates the module attribute ``snr_at_range`` and then
+    solves g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's method on the
+    bracket the doubling leaves, [hi / 2, hi] or [1 m, 100 m].  The SNR
+    falls roughly as range^-2, so g is nearly linear in u and the root
+    takes a few evaluations.  The closed-form modes stop on a bracket
+    about 1e-12 wide in ln(range) (6 evaluations for the table1 APD, 10
+    for the SiPM), and the SNR at ``r_max`` is the threshold to within
+    1e-12 relative.
 
     The Monte Carlo's seed is fixed, so every evaluation of one solve
     reads the same function of range.  An evaluation whose SNR lies
@@ -200,8 +202,9 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     threshold counts as a root (g = 0) and is returned, which takes 5 to
     7 evaluations at table1 with 8 trials.  A fixed-seed SNR can also
     jump across that noise band; the root then stops on a bracket 1 mm
-    wide and returns the endpoint of smaller |g|.  ``snr_se`` is the
-    standard error of the returned evaluation.
+    wide and returns the endpoint of smaller |g|.  Each Monte Carlo
+    evaluation is a ``SnrEstimate``; ``snr_se`` is the ``se`` of the
+    returned one, and ``snr_at_rmax`` its value as a plain float.
 
     The last successful solve is remembered: a call with the very same
     ``scenario``, ``detector`` and ``policy`` objects (``is``, not ``==``;
@@ -216,31 +219,23 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
             and last[2] is policy):
         return last[3]
     tnr = policy.tnr
-    is_mc = _is_monte_carlo(detector)
     evaluations = 0
 
-    def evaluate(r: float) -> tuple[float, float, float, float]:
-        """(range, SNR, its standard error, margin) of one evaluation.
-
-        The margin is g, ln(SNR / tnr), or 0.0 within the Monte Carlo's
-        stop band around the threshold.
-        """
+    def evaluate(r: float) -> tuple[float, float, float]:
+        """(range, SNR, g); g is 0.0 inside the Monte Carlo's stop band."""
         nonlocal evaluations
         evaluations += 1
-        # closed-form evaluations go through the module's snr_at_range,
-        # which profilers wrap to count them
-        if is_mc:
-            snr, se = _snr_and_se(scenario, detector, r)
-        else:
-            snr, se = snr_at_range(scenario, detector, r), 0.0
+        # every evaluation goes through the module's snr_at_range, which
+        # profilers wrap to count them
+        snr = snr_at_range(scenario, detector, r)
         # NaN compares false both ways, so it would steer the solver
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
                               "the scenario's values overflow the model")
         # at se = 0 the band holds only snr == tnr, where g is 0.0 already
-        if abs(snr - tnr) <= SE_STOP_FRACTION * se:
-            return r, snr, se, 0.0
-        return r, snr, se, _log_margin(snr, tnr)
+        if abs(snr - tnr) <= SE_STOP_FRACTION * getattr(snr, "se", 0.0):
+            return r, snr, 0.0
+        return r, snr, _log_margin(snr, tnr)
 
     above = evaluate(1.0)  # the last range with the SNR at or above tnr
     if above[1] < tnr:
@@ -263,16 +258,18 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
     def g(u: float) -> float:
         point = points[u] = evaluate(math.exp(u))
-        return point[3]
+        return point[2]
 
-    tol = RANGE_WIDTH_TOL_M / hi if is_mc else LOG_RANGE_TOL
-    u = _brent_root(g, u_lo, above[3], u_hi, at_hi[3], tol)
-    r, snr, se, _ = points[u]
+    tol = (RANGE_WIDTH_TOL_M / hi if _is_monte_carlo(detector)
+           else LOG_RANGE_TOL)
+    u = _brent_root(g, u_lo, above[2], u_hi, at_hi[2], tol)
+    r, snr, _ = points[u]
 
     p_r, p_rs = link_powers(scenario, r)
-    result = RangeResult(r_max_m=r, snr_at_rmax=snr,
+    result = RangeResult(r_max_m=r, snr_at_rmax=float(snr),
                          min_detectable_power_w=p_r, background_power_w=p_rs,
-                         evaluations=evaluations, snr_se=se)
+                         evaluations=evaluations,
+                         snr_se=getattr(snr, "se", 0.0))
     _last_solve = (scenario, detector, policy, result)
     return result
 
@@ -330,10 +327,6 @@ def _scaled(obj, name: str, f: float):
     return replace(obj, **{name: getattr(obj, name) * f})
 
 
-def _holds(obj, name: str) -> bool:
-    return name in obj.__dataclass_fields__
-
-
 def _field_edit(name: str) -> _Edit:
     """Scale the field ``name`` in every object that declares one.
 
@@ -343,14 +336,14 @@ def _field_edit(name: str) -> _Edit:
     """
     def edit(sc, det, pol, f):
         changed = {s: _scaled(getattr(sc, s), name, f) for s in _SECTIONS
-                   if _holds(getattr(sc, s), name)}
-        if _holds(sc, name):
+                   if name in getattr(sc, s).__dataclass_fields__}
+        if name in sc.__dataclass_fields__:
             changed[name] = getattr(sc, name) * f
         if changed:
             sc = replace(sc, **changed)
-        if _holds(det.params, name):
+        if name in det.params.__dataclass_fields__:
             det = replace(det, params=_scaled(det.params, name, f))
-        if _holds(pol, name):
+        if name in pol.__dataclass_fields__:
             pol = _scaled(pol, name, f)
         return sc, det, pol
     return edit
@@ -393,16 +386,16 @@ def declares(scenario: ScenarioConfig, detector: DetectorChoice,
              policy: TdcPolicy, param_name: str) -> bool:
     """Whether ``param_name``'s sensitivity edit has a field to scale here.
 
-    A field parameter needs an object of the scenario, detector and policy
-    that declares the field, whatever its value; ``sensitivity`` gives 0.0
-    for one that none declares.  The solar and atmosphere parameters always
-    have one.  An unknown name has none.
+    That is, whether the edit by a factor of 1 rebuilds the scenario, the
+    detector or the policy, whatever the field's value; ``sensitivity``
+    gives 0.0 for a name whose edit rebuilds none.  The solar and
+    atmosphere edits always rebuild theirs.  An unknown name has none.
     """
-    if param_name not in _FIELD_PARAMS:
-        return param_name in SENSITIVITY_PARAMS
-    objs = (*(getattr(scenario, s) for s in _SECTIONS), scenario,
-            detector.params, policy)
-    return any(_holds(obj, param_name) for obj in objs)
+    edit = SENSITIVITY_PARAMS.get(param_name)
+    if edit is None:
+        return False
+    base = (scenario, detector, policy)
+    return any(a is not b for a, b in zip(edit(*base, 1.0), base))
 
 
 def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,

@@ -249,7 +249,10 @@ def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
     Valid when occupancies are far below the pixel count; then the SNR
     reduces to signal photons over root background photons times the root
     of the detection efficiency.  Reads the same ``PhotonCounts`` as
-    ``trigger_snr_analytic``.
+    ``trigger_snr_analytic``.  It has no dark-count or pixel-count term:
+    with no background photons it is ``inf``, so its range raises
+    ``UnboundedRangeError`` whatever ``dark_count_rate_cps`` is, and its
+    ``n_pixels`` and ``dark_count_rate_cps`` elasticities are exactly 0.0.
     """
     if counts.n_s_photon == 0.0:
         return 0.0

@@ -4,7 +4,7 @@
 wrapper; a name one of those modules stops importing would crash every
 traced run, so every binding is checked here, and so is that a range
 solve calls them through those attributes.  The benchmark's own output
-checks run here too, on two passes of each in-process workload.
+checks run here too, on two passes of each workload.
 """
 
 import importlib
@@ -69,7 +69,8 @@ def _count_calls(monkeypatch, calls, owner, name):
 @pytest.mark.parametrize("variant,snr_mode,module,attr", [
     ("apd", None, apd, "trigger_snr"),
     ("sipm", "analytic", sipm, "trigger_snr_analytic"),
-    ("sipm", "approx", sipm, "trigger_snr_approx")])
+    ("sipm", "approx", sipm, "trigger_snr_approx"),
+    ("sipm", "monte_carlo", sipm, "monte_carlo_snr")])
 def test_every_snr_evaluation_goes_through_the_traced_names(
         monkeypatch, variant, snr_mode, module, attr):
     # the tracer counts a solve's evaluations as calls of
@@ -82,6 +83,9 @@ def test_every_snr_evaluation_goes_through_the_traced_names(
     det = config.detector
     if snr_mode is not None:
         det = replace(det, snr_mode=snr_mode)
+    if snr_mode == "monte_carlo":
+        det = replace(det, mc=sipm.SipmMcConfig.for_dead_time(
+            det.params.dead_time_s, seed=11, n_trials=8))
     res = ranging.max_range(config, det, config.tdc)
     assert calls == {"snr_at_range": res.evaluations, attr: res.evaluations}
 
@@ -99,7 +103,7 @@ def test_every_sensitivity_calls_max_range(monkeypatch, variant):
     assert calls["max_range"] == len(ranging.SENSITIVITY_PARAMS) == 27
 
 
-@pytest.mark.parametrize("workload", ["design_space", "mc_range"])
+@pytest.mark.parametrize("workload", ["cli_cold", "design_space", "mc_range"])
 def test_benchmark_output_checks_pass(monkeypatch, workload):
     # two passes of the workload with every output check of the
     # benchmark, set up as perfbench/run.py sets up its timed passes

@@ -10,8 +10,9 @@ from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
                      UnboundedRangeError, ranging, sipm, table1_preset)
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
-                             closed_form_max_range, declares, link_powers,
-                             max_range, sensitivity, snr_at_range)
+                             SnrEstimate, closed_form_max_range, declares,
+                             link_powers, max_range, sensitivity,
+                             snr_at_range)
 from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import (AtmosphereModel, SolarModel,
                                 sun_equivalent_irradiance)
@@ -228,6 +229,22 @@ class TestMaxRange:
         assert format_number(res.r_max_m) == format_number(308.6674900295973)
         assert (res.evaluations, res.snr_se) == (6, 0.0)
 
+    def test_approx_sipm_has_no_dark_count_term(self, sipm_config):
+        # with no sunlight the photon-budget approximation is noiseless
+        # whatever the dark count rate, where the analytic model is not
+        dark = with_illuminance(sipm_config, 0.0)
+        assert dark.detector.params.dark_count_rate_cps > 0.0
+        res = max_range(dark, dark.detector, dark.tdc)
+        assert format_number(res.r_max_m) == format_number(4105.3118312427105)
+        approx = replace(dark.detector, snr_mode="approx")
+        with pytest.raises(UnboundedRangeError, match="no noise"):
+            max_range(dark, approx, dark.tdc)
+        # in sunlight it has a range, which neither knob moves
+        approx = replace(sipm_config.detector, snr_mode="approx")
+        for name in ("n_pixels", "dark_count_rate_cps"):
+            assert sensitivity(sipm_config, approx, sipm_config.tdc,
+                               name) == 0.0
+
     def test_apd_beats_sipm_at_full_sun(self, apd_config, sipm_config):
         r_apd = max_range(apd_config, apd_config.detector, apd_config.tdc)
         r_sipm = max_range(sipm_config, sipm_config.detector, sipm_config.tdc)
@@ -410,6 +427,36 @@ class TestMonteCarloStop:
         with pytest.raises(SipmSaturationError,
                            match=r"exceeds.*\(at range 1 m\)"):
             max_range(flooded, flooded.detector, flooded.tdc)
+
+    def test_snr_at_range_carries_the_standard_error(self, sipm_config):
+        det = monte_carlo(sipm_config, 11)
+        snr = snr_at_range(sipm_config, det, 200.0)
+        p_r, p_rs = link_powers(sipm_config, 200.0)
+        laser = sipm_config.laser
+        expected = sipm.monte_carlo_snr(
+            det.params, p_r, p_rs, laser.pulse_fwhm_s, laser.wavelength_m,
+            sipm_config.bandwidth_hz, det.mc_config())
+        assert isinstance(snr, SnrEstimate)
+        assert (snr, snr.se) == expected
+
+    def test_result_reads_the_returned_evaluation(self, sipm_config,
+                                                  monkeypatch):
+        # snr_se is the se of the evaluation at r_max, and snr_at_rmax its
+        # value as a plain float
+        values = {}
+        real = ranging.snr_at_range
+
+        def spy(scenario, detector, range_m):
+            values[range_m] = real(scenario, detector, range_m)
+            return values[range_m]
+
+        monkeypatch.setattr(ranging, "snr_at_range", spy)
+        res = max_range(sipm_config, monte_carlo(sipm_config, 5),
+                        sipm_config.tdc)
+        root = values[res.r_max_m]
+        assert res.snr_se == root.se
+        assert res.snr_at_rmax == root
+        assert type(res.snr_at_rmax) is float
 
     def test_monte_carlo_snr_sees_every_evaluation(self, sipm_config,
                                                    monkeypatch):
@@ -639,6 +686,19 @@ class TestSensitivity:
         assert value == pytest.approx(0.5, abs=1e-8)
         # g_0, g_-1 and g_-2, and the two range steps
         assert len(calls) == 5
+
+    def test_lower_bound_evaluations(self, monkeypatch, apd_config):
+        # at a gain of 1 the edit downward is rejected: g_0, g_1 and g_2,
+        # and the two range steps
+        config = at_bound(apd_config, "gain")
+        r = max_range(config, config.detector, config.tdc).r_max_m
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        sensitivity(config, config.detector, config.tdc, "gain")
+        h = 1e-3
+        assert sorted((det.params.gain, range_m)
+                      for _, det, range_m in calls) == [
+            (1.0, r * math.exp(-h)), (1.0, r), (1.0, r * math.exp(h)),
+            (math.exp(h), r), (math.exp(2 * h), r)]
 
     @pytest.mark.parametrize("variant,name,side", [
         ("apd", "one_way_transmittance", -1), ("apd", "gain", 1),
