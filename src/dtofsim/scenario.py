@@ -28,7 +28,8 @@ from .errors import ConfigError
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
                          load_spectrum_csv)
-from .sipm import SipmMcConfig, SipmParams
+from .sipm import (DARK_LOAD_WARN_THRESHOLD, SipmMcConfig, SipmParams,
+                   dark_occupancy)
 from .tdc import TdcPolicy
 
 SCHEMA_VERSION = 1
@@ -156,6 +157,21 @@ _LEGACY: dict[str, tuple[tuple[str, float | bool | None, str], ...]] = {
 _KIND_NAMES = {str: "a string", bool: "a boolean"}
 
 
+def _number(value: Any, where: str) -> float:
+    """A JSON number as a finite float; anything else is an error naming
+    ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: number too large") from None
+    # json reads NaN, Infinity and overflowing literals such as 1e400
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: {number!r} is not a finite number")
+    return number
+
+
 class _Node:
     """One JSON object: typed reads in file units, leftover keys rejected."""
 
@@ -185,15 +201,7 @@ class _Node:
             if not isinstance(value, unit):
                 raise ConfigError(f"{where}: expected {_KIND_NAMES[unit]}")
             return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number")
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ConfigError(f"{where}: number too large") from None
-        # json reads NaN, Infinity and overflowing literals such as 1e400
-        if not math.isfinite(number):
-            raise ConfigError(f"{where}: {number!r} is not a finite number")
+        number = _number(value, where)
         if unit is int:
             if not number.is_integer():
                 raise ConfigError(f"{where}: expected an integer")
@@ -257,13 +265,15 @@ def _spectrum_table(node: _Node, base_dir: str) -> tuple:
     if "spectrum_csv" in node:
         return load_spectrum_csv(
             os.path.join(base_dir, node.value("spectrum_csv", str)))
-    try:
-        return tuple((float(a), float(b), float(c))
-                     for a, b, c in node.take("spectrum"))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"{node.path}.spectrum: expected rows of "
-            "[wavelength_nm, irradiance_w_m2_nm, transmittance]") from None
+    where, rows = f"{node.path}.spectrum", node.take("spectrum")
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == 3 for row in rows)):
+        raise ConfigError(f"{where}: expected rows of "
+                          "[wavelength_nm, irradiance_w_m2_nm, transmittance]")
+    # each cell is a number by the rule of every other scenario number
+    return tuple(tuple(_number(v, f"{where}[{i}][{j}]")
+                       for j, v in enumerate(row))
+                 for i, row in enumerate(rows))
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
@@ -310,8 +320,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
 def load_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file.
 
-    A model warning raised while loading (the SiPM dark load) is reported
-    against ``path``, the file that set the offending values.
+    A SiPM dark load ``dark_occupancy(params)[0]`` at or past
+    ``DARK_LOAD_WARN_THRESHOLD`` gets one ``UserWarning``, naming ``path``.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -321,13 +331,16 @@ def load_scenario(path: str) -> ScenarioConfig:
     except (UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = config_from_dict(data, os.path.dirname(path) or ".")
+        config = config_from_dict(data, os.path.dirname(path) or ".")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, path, 0)
+    if isinstance(config.detector, SipmChoice):
+        dark_load = dark_occupancy(config.detector.params)[0]
+        if dark_load >= DARK_LOAD_WARN_THRESHOLD:
+            warnings.warn_explicit(
+                f"dark load N*DCR*tau = {dark_load:.3g} is not small; the "
+                "static dark-occupancy treatment may be inaccurate",
+                UserWarning, path, 0)
     return config
 
 

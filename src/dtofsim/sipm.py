@@ -30,7 +30,6 @@ the analytic model and ``import dtofsim`` start without it.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable
 from itertools import islice
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ PULSE_SHAPES = ("rectangular", "gaussian")
 _GAUSS_FWHM_FRACTION = math.erf(math.sqrt(math.log(2.0)))
 
 # steady-state dark load N_pixel * dcr * dead_time above which the
-# occupied-when-pulse-arrives approximation starts to degrade
+# occupied-when-pulse-arrives approximation degrades; load_scenario warns
 DARK_LOAD_WARN_THRESHOLD = 1e-2
 
 # cap on a step's hazard, so the cumulative hazard stays finite after a
@@ -75,7 +74,8 @@ class SipmParams:
     ``pde`` is the composed photon detection efficiency (quantum efficiency
     times avalanche trigger probability times fill factor); the factors are
     not modeled separately.  ``n_pixels`` is a count but may be fractional
-    for sensitivity studies; the Monte Carlo rounds it.
+    for sensitivity studies; the Monte Carlo rounds it.  It never warns:
+    ``load_scenario`` reports a large dark load, once per file.
     """
 
     n_pixels: float
@@ -92,12 +92,6 @@ class SipmParams:
             raise ConfigError("dead_time_s must be > 0")
         if not self.dark_count_rate_cps >= 0:
             raise ConfigError("dark_count_rate_cps must be >= 0")
-        dark_load = self.n_pixels * self.dark_count_rate_cps * self.dead_time_s
-        if dark_load >= DARK_LOAD_WARN_THRESHOLD:
-            warnings.warn(
-                f"dark load N*DCR*tau = {dark_load:.3g} is not small; the "
-                "static dark-occupancy treatment may be inaccurate",
-                stacklevel=3)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,9 @@ def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[fl
     linear grid of the base-10 logs, clamped to the bounds, and keeps both
     bounds exact, as ``np.geomspace`` does.  libm's ``pow`` and ``log10``
     are not numpy's, so a point can differ from ``np.geomspace`` in its last
-    bits: by 1 ULP at a few points of each default log grid.
+    bits: by 1 ULP at a few points of each default log grid.  ``spacing``
+    and a log grid's ``lo > 0`` are checked for every ``n``; ``lo < hi``
+    only when ``n > 1``, since one point is ``(lo,)``.
     """
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"grid size must be in [1, {MAX_GRID_POINTS}]")
@@ -104,10 +106,14 @@ def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[fl
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid bounds lo={lo!r} and hi={hi!r} must be "
                           "finite, and so must their difference")
+    if n > 1 and not lo < hi:
+        raise ConfigError("grid requires lo < hi")
+    if spacing == "log" and lo <= 0:
+        raise ConfigError("log grid requires lo > 0")
+    if spacing not in ("linear", "log"):
+        raise ConfigError("spacing must be 'linear' or 'log'")
     if n == 1:
         return (lo,)
-    if not lo < hi:
-        raise ConfigError("grid requires lo < hi")
     if spacing == "linear":
         span, div = hi - lo, n - 1
         step = span / div
@@ -115,16 +121,12 @@ def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[fl
             # a subnormal span: np.linspace scales i / div by the span
             return (*(i / div * span + lo for i in range(div)), hi)
         return (*(i * step + lo for i in range(div)), hi)
-    if spacing == "log":
-        if lo <= 0:
-            raise ConfigError("log grid requires lo > 0")
-        a, b = math.log10(lo), math.log10(hi)
-        # bounds a few ULPs apart can share one log, and 10 ** x can round
-        # past a bound (or overflow at b), so inner points are clamped
-        inner = make_grid(a, b, n)[1:-1] if a < b else (b,) * (n - 2)
-        return (lo, *(hi if x >= b else min(max(10.0 ** x, lo), hi)
-                      for x in inner), hi)
-    raise ConfigError("spacing must be 'linear' or 'log'")
+    a, b = math.log10(lo), math.log10(hi)
+    # bounds a few ULPs apart can share one log, and 10 ** x can round
+    # past a bound (or overflow at b), so inner points are clamped
+    inner = make_grid(a, b, n)[1:-1] if a < b else (b,) * (n - 2)
+    return (lo, *(hi if x >= b else min(max(10.0 ** x, lo), hi)
+                  for x in inner), hi)
 
 
 @dataclass(frozen=True)
@@ -311,15 +313,20 @@ def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 
 def emit_svg(result: SweepResult, path: str) -> None:
-    """Write the sweep as a line chart; byte deterministic."""
+    """Write the sweep as a line chart; byte deterministic.
+
+    A row without a finite value, or with x <= 0 on a log x axis, is left
+    out of the chart; the CSV keeps every row.
+    """
+    kind = SWEEP_KINDS[result.kind]
+    log_x, log_y = kind.log_axes
     points: dict[str, list[tuple[float, float]]] = {s: [] for s in result.series}
     for row in result.rows:
-        if row.value is None or not math.isfinite(row.value):
+        if row.value is None or not math.isfinite(row.value) \
+                or (log_x and row.x <= 0):
             continue
         points[row.series].append((row.x, row.value))
 
-    kind = SWEEP_KINDS[result.kind]
-    log_x, log_y = kind.log_axes
     xs = [p[0] for series in points.values() for p in series]
     ys = [p[1] for series in points.values() for p in series]
     if result.reference_level is not None:
@@ -328,13 +335,12 @@ def emit_svg(result: SweepResult, path: str) -> None:
         xs, ys = [1.0, 10.0], [1.0, 10.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if log_x:
-        x_lo = max(x_lo, 1e-300)
     if log_y:
+        # y <= 0 is drawn at the axis floor: the least positive y
         y_lo = max(y_lo, min((y for y in ys if y > 0), default=1e-3))
     if x_lo == x_hi:
         x_hi = x_lo + 1.0
-    if y_lo == y_hi:
+    if y_lo >= y_hi:
         y_hi = y_lo + 1.0
 
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT

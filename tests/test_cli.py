@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +343,21 @@ class TestSensitivity:
         assert len(rows) == len(SENSITIVITY_PARAMS)
         assert 0.75 < float(rows["one_way_transmittance"]) < 0.76
 
+    @pytest.mark.parametrize("param", ["n_pixels", "all"])
+    def test_dark_load_warns_once_naming_the_file(self, tmp_path, capsys,
+                                                  param):
+        # a dark load of 0.24: the edits that rebuild SipmParams stay silent
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["dark_count_rate_cps"] = 1e5
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.warns(UserWarning) as record:
+            code, _, _ = run_cli(capsys, "sensitivity", "--config", str(path),
+                                 "--param", param)
+        assert code == 0
+        assert [(w.filename, w.lineno) for w in record
+                if "dark load" in str(w.message)] == [(str(path), 0)]
+
     def test_monte_carlo_detector_is_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         data = scenario_to_dict(table1_preset("sipm"))
@@ -583,6 +600,55 @@ class TestExitCodes:
                                  "--rmax", "1e-319", "--n", "3")
         assert code == 1 and out == ""
         assert err.startswith("error: a number overflowed or underflowed")
+
+
+def _odd_bound_argvs() -> list[list[str]]:
+    """Every grid command on odd bounds, sizes, spacings and formats."""
+    argvs = []
+    bounds = ("0", "-1", "1e-300", "1e308", "nan", "inf")
+    for lo, hi in itertools.product(bounds, repeat=2):
+        for n in ("1", "2", "5"):
+            argvs.append(["optimize-gain", "--gain-min", lo, "--gain-max", hi,
+                          "--curve-points", n])
+            for fmt in ("csv", "svg"):
+                argvs.append(["sipm-response", "--nmin", lo, "--nmax", hi,
+                              "--n", n, "--format", fmt])
+                for spacing in ("linear", "log"):
+                    grid = ["--n", n, "--spacing", spacing, "--format", fmt]
+                    argvs.append(["snr-curve", "--rmin", lo, "--rmax", hi,
+                                  *grid])
+                    argvs += [["sweep", "--kind", kind, "--min", lo,
+                               "--max", hi, *grid]
+                              for kind in ("distance", "elevation",
+                                           "illuminance")]
+    return random.Random(24).sample(argvs, 300)
+
+
+class TestNoCommandRaises:
+    # a point a log x axis cannot place (x <= 0) once crashed the SVG writer
+    def test_log_axis_leaves_out_x_at_0(self, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "illuminance", "--detector", "apd",
+            "--min", "0", "--max", "100", "--n", "5", "--spacing", "linear",
+            "--format", "svg", "--out", str(svg))
+        assert code == 0 and err == ""
+        _, points = svg.read_text(encoding="utf-8").split('polyline points="')
+        assert len(points.split('"')[0].split()) == 4  # of 5 CSV rows
+
+    def test_one_point_log_grid_checks_its_bound(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "sipm-response", "--nmin", "0",
+                               "--n", "1", "--format", "svg",
+                               "--out", str(tmp_path / "x.svg"))
+        assert code == 1 and err == "error: log grid requires lo > 0\n"
+
+    def test_odd_bounds_exit_with_a_documented_code(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        codes = {}
+        for argv in _odd_bound_argvs():
+            codes[" ".join(argv)] = main([*argv, "--out", out])
+        capsys.readouterr()
+        assert {a: c for a, c in codes.items() if c not in range(4)} == {}
 
 
 def test_analytic_commands_load_no_numpy(tmp_path):

@@ -20,9 +20,9 @@ from dtofsim.scene_link import SolarModel
 from dtofsim.scenario import (config_from_dict, load_scenario, save_scenario,
                               scenario_to_dict, table1_preset)
 from dtofsim.sipm import SipmMcConfig
-from dtofsim.sweeps import (MAX_GRID_POINTS, SweepResult, SweepSpec,
-                            csv_lines, emit_csv, emit_svg, make_grid,
-                            run_sweep)
+from dtofsim.sweeps import (MAX_GRID_POINTS, STATUS_OK, SweepResult,
+                            SweepRow, SweepSpec, csv_lines, emit_csv,
+                            emit_svg, make_grid, run_sweep)
 
 
 class TestTable1Preset:
@@ -392,8 +392,19 @@ class TestLoadValidation:
         path = self.write_config(tmp_path, lambda d: d.update(solar={
             "mode": "spectrum_integral",
             "spectrum": [[890.0, math.inf, 0.5], [920.0, 1.0, 0.5]]}))
-        with pytest.raises(ConfigError,
-                           match="solar: spectrum_table values must be finite"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "solar.spectrum[0][1]: inf is not a finite number")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("row,cell", [
+        (["900", 1.0, 0.5], "[0][0]"), ([900.0, True, 0.5], "[0][1]"),
+        ([900.0, 1.0, "1e0"], "[0][2]")])
+    def test_spectrum_cells_are_json_numbers(self, tmp_path, row, cell):
+        path = self.write_config(tmp_path, lambda d: d.update(solar={
+            "mode": "spectrum_integral",
+            "spectrum": [row, [920.0, 1.0, 0.5]]}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"solar.spectrum{cell}: expected a number")):
             load_scenario(path)
 
     def test_invalid_snr_mode_names_section(self, tmp_path):
@@ -621,6 +632,23 @@ class TestEmitters:
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 2
 
+    @pytest.mark.parametrize("value", [lambda x: 1.0 + x, lambda x: 0.0],
+                             ids=["positive", "zero"])
+    def test_svg_leaves_out_what_a_log_axis_cannot_place(self, tmp_path,
+                                                         value):
+        # x <= 0 on the log x axis is dropped; y = 0 on the log y axis is
+        # drawn at its floor, even when no y is positive; the CSV keeps
+        # every row
+        rows = tuple(SweepRow(x, "s", value(x), STATUS_OK)
+                     for x in (-1.0, 0.0, 1.0, 10.0))
+        result = SweepResult(kind="photon_response", series=("s",),
+                             rows=rows)
+        emit_svg(result, str(tmp_path / "a.svg"))
+        root = ET.fromstring((tmp_path / "a.svg").read_text(encoding="utf-8"))
+        (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len(line.get("points").split()) == 2
+        assert len(csv_lines(result)) == 1 + len(rows)
+
     def test_row_statuses_merged(self, apd_config):
         weak = replace(apd_config,
                        laser=replace(apd_config.laser, peak_power_w=1e-5))
@@ -719,6 +747,13 @@ class TestGrid:
     def test_rejects_inverted(self):
         with pytest.raises(ConfigError):
             make_grid(10.0, 1.0, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_spacing_and_log_bound_checked_for_every_size(self, n):
+        with pytest.raises(ConfigError, match="lo > 0"):
+            make_grid(0.0, 1.0, n, "log")
+        with pytest.raises(ConfigError, match="spacing must be"):
+            make_grid(0.0, 1.0, n, "bogus")
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_size_cap(self, spacing):

@@ -1,7 +1,9 @@
+import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 from dtofsim import ConfigError, SipmSaturationError, ranging, sipm
 from dtofsim.detectors import SipmChoice
 from dtofsim.physconst import photon_energy
-from dtofsim.sipm import (PhotonCounts, SipmMcConfig, SipmParams,
-                          background_occupancy, dark_occupancy, fired_count,
-                          fired_std, monte_carlo_snr, signal_fired,
-                          trigger_snr_analytic, trigger_snr_approx)
+from dtofsim.scenario import load_scenario, scenario_to_dict, table1_preset
+from dtofsim.sipm import (DARK_LOAD_WARN_THRESHOLD, PhotonCounts,
+                          SipmMcConfig, SipmParams, background_occupancy,
+                          dark_occupancy, fired_count, fired_std,
+                          monte_carlo_snr, signal_fired, trigger_snr_analytic,
+                          trigger_snr_approx)
 
 from oracles import (sample_moments, sipm_dead_time_trial, sipm_firing_mc,
                      sipm_searched_trials)
@@ -115,9 +119,13 @@ class TestOccupancies:
         assert sigma_d * sigma_d == pytest.approx(n_d, rel=1e-12, abs=1e-300)
 
     def test_dark_load_warning(self):
-        with pytest.warns(UserWarning, match="dark load"):
-            SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
-                       dark_count_rate_cps=1e7)
+        # a dark load of 24 is reported by load_scenario, never by the model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
+                                dark_count_rate_cps=1e7)
+            replace(params, n_pixels=800.0)
+        assert dark_occupancy(params)[0] >= DARK_LOAD_WARN_THRESHOLD
 
 
 class TestSignalFired:
@@ -177,7 +185,6 @@ class TestTriggerSnrAnalytic:
             return math.inf
         return n_s / math.sqrt(variance)
 
-    @pytest.mark.filterwarnings("ignore:dark load")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1.0, 1e6), st.floats(1e-6, 1.0), st.floats(0.0, 1e11),
            st.floats(0.0, 1e8) | st.just(math.inf),
@@ -201,8 +208,7 @@ class TestTriggerSnrAnalytic:
         assert trigger_snr_analytic(params, counts).hex() == expected.hex()
 
     def test_saturation_message(self):
-        with pytest.warns(UserWarning, match="dark load"):
-            params = replace(TABLE1_SIPM, dark_count_rate_cps=2e12)
+        params = replace(TABLE1_SIPM, dark_count_rate_cps=2e12)
         with pytest.raises(SipmSaturationError, match=re.escape(
                 "background plus dark occupancy 4.8e+06 exceeds the "
                 "400-pixel array")):
@@ -634,11 +640,20 @@ class TestParamValidation:
         with pytest.raises(ConfigError, match="n_pixels"):
             SipmParams(n_pixels=0, pde=0.22, dead_time_s=6e-9)
 
-    def test_dark_load_warning_names_the_caller(self):
-        with pytest.warns(UserWarning, match="dark load") as record:
+    def test_dark_load_warning_names_the_caller(self, tmp_path):
+        # the caller is the scenario file: one warning, attributed to it,
+        # while the same parameters built directly stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
                        dark_count_rate_cps=1e5)
-        assert record[0].filename == __file__
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"]["dark_count_rate_cps"] = 1e5
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.warns(UserWarning, match="dark load") as record:
+            load_scenario(str(path))
+        assert [(w.filename, w.lineno) for w in record] == [(str(path), 0)]
 
     def test_negative_photons(self):
         with pytest.raises(ConfigError):
