@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
+from .tdc import TdcPolicy, min_detectable_signal
 
 EXCESS_NOISE_MODES = ("power_law", "ionization")
 
@@ -161,6 +162,16 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
     if i_s == 0.0:
         return 0.0
     return i_s / math.sqrt(var_total)
+
+
+def _min_signal_power(params: ApdParams, p_rs: float, bandwidth_hz: float,
+                      policy: TdcPolicy) -> float:
+    """The echo power, W, whose ``trigger_snr`` at background ``p_rs`` is
+    the policy's tnr: the weakest detectable current over M * R."""
+    var_total = _variances(params, p_rs, 0.0, bandwidth_hz)[5]
+    return (min_detectable_signal(policy, math.sqrt(var_total))
+            / (responsivity(params.wavelength_m, params.quantum_efficiency)
+               * params.gain))
 
 
 def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,

@@ -1,10 +1,15 @@
 """Maximum-range pipeline: background noise to weakest signal to range.
 
-The pipeline evaluates the trigger SNR of the composed scene and detector
-at a candidate range and solves for the range where the SNR equals the
-threshold-to-noise ratio.  Closed-form range expressions for the
-photon-limited limits of both detectors serve as consistency checks; the
-pipeline is authoritative.
+The closed-form detector models (the APD, the SiPM's analytic and approx
+SNRs) take their noise from the background alone.  So the pipeline forms
+the weakest detectable echo power p_min from the background power and the
+threshold-to-noise ratio, and solves the link for the range where the
+echo falls to p_min: the minimum-detectable-power form of the lidar range
+equation (Jelalian, Laser Radar Systems, 1992).  At a fixed transmittance
+that range is sqrt(p_r(1 m) / p_min), with no iteration.  The Monte Carlo
+SNR has no such inverse, and its range is a root of the SNR in range.
+Closed-form range expressions for the photon-limited limits of both
+detectors serve as consistency checks; the pipeline is authoritative.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from .tdc import TdcPolicy
 # range solver controls
 RANGE_BRACKET_START_M = 100.0
 RANGE_CAP_M = 1e5
-# a closed-form root stops on a bracket this wide in ln(range)
-LOG_RANGE_TOL = 1e-12
-# the closed-form root's SNR lies within this relative distance of the
-# threshold with a wide margin (perfbench/checks.py tests it)
+# an inverted root under extinction stops on a bracket this wide in
+# ln(range); each step costs one p_min, so it stops at rounding
+LOG_RANGE_TOL = 1e-15
+# a closed-form root's SNR lies within about 1e-14 relative of the
+# threshold, far inside this distance (perfbench/checks.py tests it)
 SNR_REL_TOL = 1e-7
 # a Monte Carlo root stops on a bracket this wide in range: a fixed-seed
 # SNR can jump across the threshold by more than its noise band
@@ -46,7 +52,9 @@ class RangeResult:
     snr_at_rmax: float
     min_detectable_power_w: float
     background_power_w: float
-    evaluations: int  # SNR evaluations of the solve, bracket search included
+    # snr_at_range calls of the solve: 2 closed form (1 m and the root);
+    # the Monte Carlo's count its bracket search too
+    evaluations: int
     snr_se: float  # Monte Carlo standard error of snr_at_rmax; 0.0 closed form
 
 
@@ -171,6 +179,73 @@ def _brent_root(g: Callable[[float], float], a: float, fa: float, b: float,
         fb = g(b)
 
 
+def _min_signal_power(scenario: ScenarioConfig, detector: DetectorChoice,
+                      policy: TdcPolicy) -> Callable[[float], float]:
+    """p_min(p_rs): the echo power, W, at which the closed-form SNR of
+    ``detector`` reaches the policy's tnr against the background ``p_rs``.
+
+    Every closed-form SNR's noise is that of the background alone, so the
+    weakest detectable echo depends on ``p_rs`` and not on the echo.
+    """
+    params = detector.params
+    if isinstance(detector, ApdChoice):
+        bandwidth_hz = scenario.bandwidth_hz
+        return lambda p_rs: apd._min_signal_power(params, p_rs, bandwidth_hz,
+                                                  policy)
+    min_power = (sipm._min_signal_power_approx if detector.snr_mode == "approx"
+                 else sipm._min_signal_power_analytic)
+    laser = scenario.laser
+    return lambda p_rs: min_power(params, p_rs, laser.pulse_fwhm_s,
+                                  laser.wavelength_m, policy)
+
+
+def _power_margin(p_r: float, p_min: float) -> float:
+    """ln(p_r / p_min), the sign of ln(SNR / tnr); -inf with no echo, and
+    +inf where no noise makes every echo detectable."""
+    if p_r == 0.0:
+        return -math.inf
+    return _log_margin(p_r, p_min) if p_min > 0.0 else math.inf
+
+
+def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
+                    policy: TdcPolicy) -> float:
+    """The range, at least 1 m, where the echo falls to the minimum
+    detectable power; inf where it never does before ``RANGE_CAP_M``.
+
+    The link is read once, at 1 m: p_r(r) = p_r(1) t^2 / r^2 and
+    p_rs(r) = p_rs(1) t, with t = tau(r) / tau(1) the transmittance
+    relative to 1 m.  At a fixed transmittance t is 1 and the range is
+    sqrt(p_r(1) / p_min).  Under extinction, h(u) = ln(p_r / p_min) at
+    r = e^u is solved by Brent's method on the bracket the Monte Carlo's
+    SNR search takes, [hi / 2, hi] or [1 m, 100 m] with hi doubled from
+    100 m; each step costs one p_min.  A negative h at 1 m, where the SNR
+    was found at or above tnr, is rounding, and makes 1 m the root.
+    """
+    min_power = _min_signal_power(scenario, detector, policy)
+    p_r1, p_rs1 = link_powers(scenario, 1.0)
+    atm = scenario.atmosphere
+    if atm.mode == "fixed_transmittance":
+        p_min = min_power(p_rs1)
+        return max(math.sqrt(p_r1 / p_min) if p_min > 0.0 else math.inf, 1.0)
+    tau1 = scene_link.one_way_transmittance(atm, 1.0)
+
+    def h(u: float) -> float:
+        r = math.exp(u)
+        t = scene_link.one_way_transmittance(atm, r) / tau1
+        return _power_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
+
+    u_lo, h_lo = 0.0, None  # h at 1 m is needed only for [1 m, 100 m]
+    hi = RANGE_BRACKET_START_M
+    while (h_hi := h(u_hi := math.log(hi))) >= 0.0:
+        if hi >= RANGE_CAP_M:
+            return math.inf
+        u_lo, h_lo = u_hi, h_hi
+        hi = min(2.0 * hi, RANGE_CAP_M)
+    if h_lo is None:
+        h_lo = max(h(0.0), 0.0)
+    return math.exp(_brent_root(h, u_lo, h_lo, u_hi, h_hi, LOG_RANGE_TOL))
+
+
 # (scenario, detector, policy, result) of the last successful max_range
 _last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy,
                    RangeResult] | None = None
@@ -180,31 +255,36 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
               policy: TdcPolicy) -> RangeResult:
     """Range at which the trigger SNR falls to the threshold-to-noise ratio.
 
-    A bracket grown by doubling from 100 m; raises ``NoDetectionError``
-    when the SNR is below threshold already at 1 m and
-    ``UnboundedRangeError`` when it stays above threshold at 100 km.  An
-    SNR that is not a number (the scenario's values overflow the noise
-    model) is a ``ConfigError``.  An infinite one at 1 m, the noiseless
-    limit, is ``UnboundedRangeError``: noise never grows with range.
+    Every mode first evaluates the SNR at 1 m, through the module
+    attribute ``snr_at_range``.  An SNR there that is not a number (the
+    scenario's values overflow the noise model) is a ``ConfigError``; one
+    below threshold is ``NoDetectionError``; an infinite one, the
+    noiseless limit, is ``UnboundedRangeError``: noise never grows with
+    range.  A root at ``RANGE_CAP_M`` (100 km) or past it is
+    ``UnboundedRangeError`` when the SNR there is still at or above
+    threshold.
 
-    Every mode evaluates the module attribute ``snr_at_range`` and then
-    solves g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's method on the
-    bracket the doubling leaves, [hi / 2, hi] or [1 m, 100 m].  The SNR
-    falls roughly as range^-2, so g is nearly linear in u and the root
-    takes a few evaluations.  The closed-form modes stop on a bracket
-    about 1e-12 wide in ln(range) (6 evaluations for the table1 APD, 10
-    for the SiPM), and the SNR at ``r_max`` is the threshold to within
-    1e-12 relative.
+    The closed-form modes (the APD, the SiPM's analytic and approx) invert
+    the SNR: their noise does not depend on the echo, so the weakest
+    detectable echo power p_min follows from the background alone, and the
+    range is where the link's echo falls to it (``_inverted_range``; at a
+    fixed transmittance sqrt(p_r(1 m) / p_min), with no iteration).  One
+    more ``snr_at_range`` call at the root gives ``snr_at_rmax``, so a
+    closed-form solve makes 2 SNR evaluations, and its SNR at ``r_max`` is
+    the threshold to within about 1e-14 relative.
 
-    The Monte Carlo's seed is fixed, so every evaluation of one solve
-    reads the same function of range.  An evaluation whose SNR lies
-    within ``SE_STOP_FRACTION`` times its own standard error of the
-    threshold counts as a root (g = 0) and is returned, which takes 5 to
-    7 evaluations at table1 with 8 trials.  A fixed-seed SNR can also
-    jump across that noise band; the root then stops on a bracket 1 mm
-    wide and returns the endpoint of smaller |g|.  Each Monte Carlo
-    evaluation is a ``SnrEstimate``; ``snr_se`` is the ``se`` of the
-    returned one, and ``snr_at_rmax`` its value as a plain float.
+    The Monte Carlo grows a bracket by doubling from 100 m and solves
+    g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's method on the bracket the
+    doubling leaves, [hi / 2, hi] or [1 m, 100 m].  Its seed is fixed, so
+    every evaluation of one solve reads the same function of range.  An
+    evaluation whose SNR lies within ``SE_STOP_FRACTION`` times its own
+    standard error of the threshold counts as a root (g = 0) and is
+    returned, which takes 5 to 7 evaluations at table1 with 8 trials.  A
+    fixed-seed SNR can also jump across that noise band; the root then
+    stops on a bracket 1 mm wide and returns the endpoint of smaller |g|.
+    Each Monte Carlo evaluation is a ``SnrEstimate``; ``snr_se`` is the
+    ``se`` of the returned one, and ``snr_at_rmax`` its value as a plain
+    float.
 
     The last successful solve is remembered: a call with the very same
     ``scenario``, ``detector`` and ``policy`` objects (``is``, not ``==``;
@@ -237,33 +317,40 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
             return r, snr, 0.0
         return r, snr, _log_margin(snr, tnr)
 
+    def unbounded() -> UnboundedRangeError:
+        return UnboundedRangeError(f"SNR stays above the threshold {tnr:g} "
+                                   f"out to {RANGE_CAP_M:g} m")
+
     above = evaluate(1.0)  # the last range with the SNR at or above tnr
     if above[1] < tnr:
         raise NoDetectionError(
             f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
     if above[1] == math.inf:
         raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
-    hi = RANGE_BRACKET_START_M
-    while (at_hi := evaluate(hi))[1] >= tnr:
-        if hi >= RANGE_CAP_M:
-            raise UnboundedRangeError(
-                f"SNR stays above the threshold {tnr:g} out to "
-                f"{RANGE_CAP_M:g} m")
-        above = at_hi
-        hi = min(2.0 * hi, RANGE_CAP_M)
+    if not _is_monte_carlo(detector):
+        r = min(_inverted_range(scenario, detector, policy), RANGE_CAP_M)
+        _, snr, _ = evaluate(r)
+        if r == RANGE_CAP_M and snr >= tnr:
+            raise unbounded()
+    else:
+        hi = RANGE_BRACKET_START_M
+        while (at_hi := evaluate(hi))[1] >= tnr:
+            if hi >= RANGE_CAP_M:
+                raise unbounded()
+            above = at_hi
+            hi = min(2.0 * hi, RANGE_CAP_M)
 
-    u_lo, u_hi = math.log(above[0]), math.log(hi)
-    # each evaluated ln(range) -> its evaluation, the endpoints exactly
-    points = {u_lo: above, u_hi: at_hi}
+        u_lo, u_hi = math.log(above[0]), math.log(hi)
+        # each evaluated ln(range) -> its evaluation, the endpoints exactly
+        points = {u_lo: above, u_hi: at_hi}
 
-    def g(u: float) -> float:
-        point = points[u] = evaluate(math.exp(u))
-        return point[2]
+        def g(u: float) -> float:
+            point = points[u] = evaluate(math.exp(u))
+            return point[2]
 
-    tol = (RANGE_WIDTH_TOL_M / hi if _is_monte_carlo(detector)
-           else LOG_RANGE_TOL)
-    u = _brent_root(g, u_lo, above[2], u_hi, at_hi[2], tol)
-    r, snr, _ = points[u]
+        u = _brent_root(g, u_lo, above[2], u_hi, at_hi[2],
+                        RANGE_WIDTH_TOL_M / hi)
+        r, snr, _ = points[u]
 
     p_r, p_rs = link_powers(scenario, r)
     result = RangeResult(r_max_m=r, snr_at_rmax=float(snr),

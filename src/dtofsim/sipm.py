@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, SipmSaturationError
 from .physconst import photon_energy
+from .tdc import TdcPolicy, min_detectable_signal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,6 +184,15 @@ def _dark_mean(params: SipmParams) -> float:
     return params.n_pixels * params.dark_count_rate_cps * params.dead_time_s
 
 
+def _no_echo_fired(params: SipmParams, n_b_photon: float,
+                   exponent: float) -> tuple[float, float, float]:
+    """(n_b, n_d, variance): the pixels background and dark counts hold
+    fired, and the variance of the fired count without an echo."""
+    n_b = _fired(params.n_pixels, n_b_photon, exponent)
+    n_d = _dark_mean(params)
+    return n_b, n_d, n_b * math.exp(n_b_photon * exponent) + n_d
+
+
 def fired_count(params: SipmParams, n_photon: float) -> float:
     """Expected number of pixels fired by ``n_photon`` incident photons."""
     if n_photon < 0:
@@ -226,15 +236,34 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
     computed once.
     """
     exponent = _per_photon_exponent(params)
-    n_b = _fired(params.n_pixels, counts.n_b_photon, exponent)
-    n_d = _dark_mean(params)
+    n_b, n_d, variance = _no_echo_fired(params, counts.n_b_photon, exponent)
     n_s = _signal_fired(params, counts.n_s_photon, n_b, n_d, exponent)
-    variance = n_b * math.exp(counts.n_b_photon * exponent) + n_d
     if n_s == 0.0:
         return 0.0
     if variance == 0.0:
         return math.inf
     return n_s / math.sqrt(variance)
+
+
+def _min_signal_power_analytic(params: SipmParams, p_rs: float,
+                               pulse_fwhm_s: float, wavelength_m: float,
+                               policy: TdcPolicy) -> float:
+    """The echo power, W, whose ``trigger_snr_analytic`` at background
+    ``p_rs`` is the policy's tnr, in the photon budgets of
+    ``PhotonCounts.from_powers``.
+
+    The pulse must fire tnr * sqrt(variance) of the free pixels; where that
+    is all of them or more, no echo reaches the threshold and it is inf.
+    """
+    h_nu = photon_energy(wavelength_m)
+    n_b_photon = p_rs * params.dead_time_s / h_nu
+    exponent = _per_photon_exponent(params)
+    n_b, n_d, variance = _no_echo_fired(params, n_b_photon, exponent)
+    n_s = min_detectable_signal(policy, math.sqrt(variance))
+    available = params.n_pixels - n_b - n_d
+    if n_s >= available:
+        return math.inf
+    return math.log1p(-n_s / available) / exponent * 2.0 * h_nu / pulse_fwhm_s
 
 
 def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
@@ -253,6 +282,18 @@ def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
     if counts.n_b_photon == 0.0:
         return math.inf
     return counts.n_s_photon * math.sqrt(params.pde / counts.n_b_photon)
+
+
+def _min_signal_power_approx(params: SipmParams, p_rs: float,
+                             pulse_fwhm_s: float, wavelength_m: float,
+                             policy: TdcPolicy) -> float:
+    """The echo power, W, whose ``trigger_snr_approx`` at background
+    ``p_rs`` is the policy's tnr, in the photon budgets of
+    ``PhotonCounts.from_powers``."""
+    h_nu = photon_energy(wavelength_m)
+    n_b_photon = p_rs * params.dead_time_s / h_nu
+    n_s = min_detectable_signal(policy, math.sqrt(n_b_photon / params.pde))
+    return n_s * 2.0 * h_nu / pulse_fwhm_s
 
 
 def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,

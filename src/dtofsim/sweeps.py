@@ -8,7 +8,9 @@ grid point are recorded in that row's status and the sweep continues.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -285,16 +287,23 @@ _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                   "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22")
 
 
+# most labelled decades on a log axis
+MAX_LOG_TICKS = 10
+
+
 def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
+    """Tick values of an axis.  A log axis labels every decade in range, or,
+    past ``MAX_LOG_TICKS`` decades, the multiples of the first of 2, 5, 10,
+    20, 50, ... decades that leaves at most that many."""
     if log:
-        ticks = []
-        decade = math.floor(math.log10(lo))
-        while 10.0 ** decade <= hi * 1.0001:
-            value = 10.0 ** decade
-            if value >= lo * 0.9999:
-                ticks.append(value)
-            decade += 1
-        return ticks or [lo, hi]
+        # 10.0 ** 309 overflows, so the search stops at the largest decade
+        top = min(math.floor(math.log10(hi)) + 1, sys.float_info.max_10_exp)
+        decades = [d for d in range(math.floor(math.log10(lo)), top + 1)
+                   if lo * 0.9999 <= 10.0 ** d <= hi * 1.0001]
+        strides = (m * 10 ** k for k in itertools.count() for m in (1, 2, 5))
+        stride = next(s for s in strides
+                      if sum(d % s == 0 for d in decades) <= MAX_LOG_TICKS)
+        return [10.0 ** d for d in decades if d % stride == 0] or [lo, hi]
     span = hi - lo
     if span <= 0:
         return [lo]

@@ -6,7 +6,8 @@ simulation, SiPM dead-time trials from a per-trial, per-step loop or a
 per-trial binary search of the cumulative hazard,
 integrals from exact rational arithmetic, optima from exhaustive grid
 search, and range roots from scipy's Brent root in log range to full
-precision.
+precision, or from the SNR search the closed-form ranges used before the
+range solver inverted them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize
+
+from dtofsim import ranging
+from dtofsim.errors import (ConfigError, NoDetectionError,
+                            UnboundedRangeError)
 
 
 def gaussian_tail_quad(threshold: float) -> float:
@@ -186,3 +191,47 @@ def log_range_root(snr, tnr: float) -> float:
     u = optimize.brentq(lambda u: math.log(snr(math.exp(u)) / tnr),
                         math.log(lo), math.log(hi), xtol=1e-14)
     return math.exp(u)
+
+
+def searched_max_range(scenario, detector, policy) -> float:
+    """r_max of a closed-form detector, searched in range.
+
+    The closed-form ``max_range`` as it was before it inverted the SNR:
+    the SNR at 1 m, then hi doubled from 100 m until the SNR there is
+    below tnr, then ``ranging._brent_root`` on g(u) = ln(SNR(e^u) / tnr)
+    over [hi / 2, hi] (or [1 m, 100 m]) to 1e-12 in u.  It raises the
+    errors ``max_range`` raises, with their messages.
+    """
+    tnr = policy.tnr
+
+    def evaluate(r):
+        snr = ranging.snr_at_range(scenario, detector, r)
+        if math.isnan(snr):
+            raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
+                              "the scenario's values overflow the model")
+        ratio = snr / tnr
+        return r, snr, math.log(ratio) if ratio > 0.0 else -math.inf
+
+    above = evaluate(1.0)
+    if above[1] < tnr:
+        raise NoDetectionError(
+            f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
+    if above[1] == math.inf:
+        raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
+    hi = ranging.RANGE_BRACKET_START_M
+    while (at_hi := evaluate(hi))[1] >= tnr:
+        if hi >= ranging.RANGE_CAP_M:
+            raise UnboundedRangeError(
+                f"SNR stays above the threshold {tnr:g} out to "
+                f"{ranging.RANGE_CAP_M:g} m")
+        above = at_hi
+        hi = min(2.0 * hi, ranging.RANGE_CAP_M)
+    points = {math.log(above[0]): above, math.log(hi): at_hi}
+
+    def g(u):
+        point = points[u] = evaluate(math.exp(u))
+        return point[2]
+
+    u = ranging._brent_root(g, math.log(above[0]), above[2], math.log(hi),
+                            at_hi[2], 1e-12)
+    return points[u][0]

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ class TestRange:
         cells = lines[1].split(",")
         assert cells[0] == "apd"
         assert float(cells[1]) == pytest.approx(350.60456463121545, rel=1e-6)
-        assert cells[5:] == ["6", "0.0"]
+        assert cells[5:] == ["2", "0.0"]
 
     def test_both_detectors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "range", "--detector", "both")
@@ -271,7 +272,7 @@ class TestSensitivity:
         code, out, _ = run_cli(capsys, "sensitivity", "--detector", "apd",
                                "--param", "wavelength_m")
         assert code == 0
-        assert out.splitlines()[1] == "wavelength_m,0.256030198919708"
+        assert out.splitlines()[1] == "wavelength_m,0.256030198919757"
 
     @pytest.mark.parametrize("detector,param", [
         ("apd", "pde"), ("apd", "n_pixels"), ("sipm", "gain"),
@@ -336,7 +337,7 @@ class TestSensitivity:
         path.write_text(json.dumps(data), encoding="utf-8")
         code, out, _ = run_cli(capsys, "range", "--config", str(path))
         assert code == 0
-        assert out.splitlines()[1].split(",")[1] == "356.000329151544"
+        assert out.splitlines()[1].split(",")[1] == "356.000329151545"
         code, out, err = run_cli(capsys, "sensitivity", "--config", str(path))
         assert code == 0 and err == ""
         rows = dict(line.split(",") for line in out.splitlines()[1:])
@@ -635,6 +636,29 @@ class TestNoCommandRaises:
         assert code == 0 and err == ""
         _, points = svg.read_text(encoding="utf-8").split('polyline points="')
         assert len(points.split('"')[0].split()) == 4  # of 5 CSV rows
+
+    @pytest.mark.parametrize("nmin,nmax,labels", [
+        # 601 decades once wrote one label each, 917 text elements in all
+        ("1e-300", "1e300", ["1e-300", "1e-200", "1e-100", "1", "1e+100",
+                             "1e+200", "1e+300"]),
+        # the decade past 1e308 once overflowed, and the command exited 1
+        ("1", "1e308", ["1", *(f"1e+{d}" for d in range(50, 301, 50))])])
+    def test_log_axes_label_at_most_ten_decades(self, tmp_path, capsys,
+                                                nmin, nmax, labels):
+        svg = tmp_path / "wide.svg"
+        code, _, err = run_cli(capsys, "sipm-response", "--nmin", nmin,
+                               "--nmax", nmax, "--format", "svg",
+                               "--out", str(svg))
+        assert code == 0 and err == ""
+        texts = [el for el in ET.fromstring(svg.read_text(encoding="utf-8"))
+                 if el.tag.endswith("text")]
+        # x tick labels are centred, y tick labels end at the axis
+        x_ticks = [el.text for el in texts if el.get("text-anchor") == "middle"
+                   and el.get("font-size") == "11"]
+        y_ticks = [el.text for el in texts if el.get("text-anchor") == "end"]
+        assert x_ticks == labels
+        assert 2 <= len(y_ticks) <= 10
+        assert len(texts) == 2 + 9 + len(x_ticks) + len(y_ticks)
 
     def test_one_point_log_grid_checks_its_bound(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sipm-response", "--nmin", "0",

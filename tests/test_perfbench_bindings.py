@@ -52,8 +52,9 @@ def test_every_link_evaluation_goes_through_link_powers(monkeypatch,
     monkeypatch.setattr(ranging, "link_powers", counted)
     config = table1_preset(variant)
     res = ranging.max_range(config, config.detector, config.tdc)
-    # one call per SNR evaluation and one for the powers at r_max
-    assert calls == res.evaluations + 1
+    # one call per SNR evaluation, one for the link at 1 m that the
+    # inversion scales, and one for the powers at r_max
+    assert calls == res.evaluations + 2
 
 
 def _count_calls(monkeypatch, calls, owner, name):

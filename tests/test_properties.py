@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dtofsim import NoDetectionError, UnboundedRangeError
 from dtofsim.detectors import ApdChoice
-from dtofsim.ranging import max_range, sensitivity, snr_at_range
+from dtofsim.ranging import link_powers, max_range, sensitivity, snr_at_range
 from dtofsim.scenario import config_from_dict, scenario_to_dict, table1_preset
 
 APD = scenario_to_dict(table1_preset("apd"))
@@ -79,6 +79,22 @@ def test_snr_does_not_rise_with_range(data, log_r, log_factor):
     far = near * 10.0 ** log_factor
     assert snr_at_range(config, config.detector, far) \
         <= snr_at_range(config, config.detector, near)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_dicts(extinction=st.just(False)))
+def test_r_max_is_at_the_minimum_detectable_power(data):
+    # at a fixed transmittance the echo falls as 1 / r^2 and the noise
+    # stays, so the range is the link's 1 m echo over the weakest
+    # detectable one, with no search
+    assume(0.0 < r_max(data) < math.inf)
+    config = config_from_dict(data)
+    res = max_range(config, config.detector, config.tdc)
+    p_r1, _ = link_powers(config, 1.0)
+    assert res.r_max_m == pytest.approx(
+        math.sqrt(p_r1 / res.min_detectable_power_w), rel=1e-14)
+    assert abs(res.snr_at_rmax / config.tdc.tnr - 1.0) <= 1e-13
+    assert res.evaluations == 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
                      UnboundedRangeError, ranging, sipm, table1_preset)
+from dtofsim.errors import SolverError
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              SnrEstimate, closed_form_max_range, declares,
@@ -19,7 +20,7 @@ from dtofsim.scene_link import (AtmosphereModel, SolarModel,
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import log_range_root
+from oracles import log_range_root, searched_max_range
 
 
 def with_peak_power(config, p_t):
@@ -89,15 +90,16 @@ def closed_form_variant(variant: str):
 
 
 @st.composite
-def solvable_scenarios(draw):
-    """Solvable table1 scenarios over perfbench's design_space ranges."""
+def closed_form_scenarios(draw, log_klux=st.floats(0.0, 2.0)):
+    """table1 scenarios of every closed-form mode over perfbench's
+    design_space ranges, the illuminance 10 ** ``log_klux`` klux."""
     kind = draw(st.sampled_from(("apd", "sipm", "sipm_approx")))
     config = table1_preset("apd" if kind == "apd" else "sipm")
     if kind == "sipm_approx":
         config = replace(config, detector=replace(config.detector,
                                                   snr_mode="approx"))
     config = replace(
-        with_illuminance(config, 10.0 ** draw(st.floats(0.0, 2.0))),
+        with_illuminance(config, 10.0 ** draw(log_klux)),
         target=replace(config.target,
                        reflectivity=draw(st.floats(0.05, 0.8))),
         scene=replace(config.scene,
@@ -110,10 +112,15 @@ def solvable_scenarios(draw):
         config = replace(config, atmosphere=AtmosphereModel(
             mode="extinction",
             extinction_coeff_per_m=10.0 ** draw(st.floats(-4.0, -3.0))))
-    # a bright sun can hold the SiPM below threshold at 1 m, an answer
-    # (NoDetectionError) and not a root
-    assume(snr_at_range(config, config.detector, 1.0) >= config.tdc.tnr)
     return config
+
+
+def solvable_scenarios():
+    """``closed_form_scenarios`` that have a root: a bright sun can hold
+    the SiPM below threshold at 1 m, an answer (NoDetectionError)."""
+    return closed_form_scenarios().filter(
+        lambda config: snr_at_range(config, config.detector, 1.0)
+        >= config.tdc.tnr)
 
 
 class TestLinkPowers:
@@ -212,7 +219,7 @@ class TestMaxRange:
         res = max_range(apd_config, apd_config.detector, apd_config.tdc)
         assert res.r_max_m == pytest.approx(350.60456463121545, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
-        assert (res.evaluations, res.snr_se) == (6, 0.0)
+        assert (res.evaluations, res.snr_se) == (2, 0.0)
         p_r, p_rs = link_powers(apd_config, res.r_max_m)
         assert res.min_detectable_power_w == pytest.approx(p_r, rel=1e-12)
         assert res.background_power_w == pytest.approx(p_rs, rel=1e-12)
@@ -221,13 +228,13 @@ class TestMaxRange:
         res = max_range(sipm_config, sipm_config.detector, sipm_config.tdc)
         assert res.r_max_m == pytest.approx(280.8714710150478, rel=1e-6)
         assert abs(res.snr_at_rmax - 5.0) <= 1e-6 * 5.0
-        assert (res.evaluations, res.snr_se) == (10, 0.0)
+        assert (res.evaluations, res.snr_se) == (2, 0.0)
 
     def test_reference_sipm_approx(self, sipm_config):
         det = replace(sipm_config.detector, snr_mode="approx")
         res = max_range(sipm_config, det, sipm_config.tdc)
         assert format_number(res.r_max_m) == format_number(308.6674900295973)
-        assert (res.evaluations, res.snr_se) == (6, 0.0)
+        assert (res.evaluations, res.snr_se) == (2, 0.0)
 
     def test_approx_sipm_has_no_dark_count_term(self, sipm_config):
         # with no sunlight the photon-budget approximation is noiseless
@@ -474,6 +481,86 @@ class TestMonteCarloStop:
         assert len(calls) == res.evaluations
         p_r, _ = link_powers(sipm_config, res.r_max_m)
         assert calls[-1] == (p_r, (res.snr_at_rmax, res.snr_se))
+
+
+class TestInvertedRange:
+    """The closed-form solve inverts the SNR at the minimum detectable
+    power; it must find the root the SNR search found, and raise what the
+    search raised."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(closed_form_scenarios(log_klux=st.floats(-1.0, 6.0)))
+    def test_agrees_with_the_searched_solve(self, config):
+        det, policy = config.detector, config.tdc
+        try:
+            r_searched = searched_max_range(config, det, policy)
+        except SolverError as exc:
+            with pytest.raises(type(exc)) as raised:
+                max_range(config, det, policy)
+            assert str(raised.value) == str(exc)
+            return
+        res = max_range(config, det, policy)
+        assert res.r_max_m == pytest.approx(r_searched, rel=1e-11)
+        assert abs(res.snr_at_rmax / policy.tnr - 1.0) <= 1e-13
+        assert res.evaluations == 2
+
+    @pytest.mark.parametrize("case,error", [
+        # no detection at 1 m
+        ("weak_laser", NoDetectionError),
+        # the sun holds so much of the array fired that no echo reaches tnr
+        ("saturated_sipm", NoDetectionError),
+        # dark occupancy alone overfills the array
+        ("flooded_sipm", SipmSaturationError),
+        ("noiseless_sipm", UnboundedRangeError),
+        # above threshold at the 100 km cap
+        ("unbounded_fixed", UnboundedRangeError),
+        ("unbounded_extinction", UnboundedRangeError),
+        ("nan_snr", ConfigError)])
+    def test_errors_match_the_searched_solve(self, apd_config, sipm_config,
+                                             case, error):
+        strong = with_peak_power(apd_config, 5e6)
+        config = {
+            "weak_laser": with_peak_power(apd_config, 1e-5),
+            "saturated_sipm": with_illuminance(sipm_config, 3e3),
+            "flooded_sipm": replace(sipm_config, detector=replace(
+                sipm_config.detector, params=replace(
+                    sipm_config.detector.params, dark_count_rate_cps=1e12))),
+            "noiseless_sipm": noiseless_sipm(sipm_config),
+            "unbounded_fixed": strong,
+            "unbounded_extinction": replace(strong, atmosphere=AtmosphereModel(
+                mode="extinction", extinction_coeff_per_m=1e-9)),
+            "nan_snr": with_gain(apd_config, 1e300),
+        }[case]
+        with pytest.raises(error) as searched:
+            searched_max_range(config, config.detector, config.tdc)
+        with pytest.raises(error) as inverted:
+            max_range(config, config.detector, config.tdc)
+        assert type(inverted.value) is type(searched.value)
+        assert str(inverted.value) == str(searched.value)
+
+    @pytest.mark.parametrize("variant", ["apd", "sipm", "sipm_approx"])
+    def test_zero_extinction_is_full_transmittance(self, variant):
+        config, det = closed_form_variant(variant)
+        full = replace(config, atmosphere=AtmosphereModel(
+            one_way_transmittance=1.0))
+        zero = replace(config, atmosphere=AtmosphereModel(
+            mode="extinction", extinction_coeff_per_m=0.0))
+        # the extinction root is Brent's, on a bracket 1e-15 wide in ln(r)
+        assert max_range(zero, det, zero.tdc).r_max_m == pytest.approx(
+            max_range(full, det, full.tdc).r_max_m, rel=1e-14)
+
+    @pytest.mark.parametrize("atmosphere", [
+        {}, {"mode": "extinction", "extinction_coeff_per_m": 1e-3}])
+    @pytest.mark.parametrize("variant", ["apd", "sipm", "sipm_approx"])
+    def test_two_snr_evaluations(self, monkeypatch, variant, atmosphere):
+        # the 1 m checks and the root; the inversion reads the link and
+        # p_min, not the SNR
+        config, det = closed_form_variant(variant)
+        config = replace(config, atmosphere=AtmosphereModel(**atmosphere))
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        res = max_range(config, det, config.tdc)
+        assert [args[2] for args in calls] == [1.0, res.r_max_m]
+        assert res.evaluations == 2
 
 
 VARIANTS = ["apd", "sipm", "sipm_approx"]
