@@ -16,12 +16,24 @@ The kernel samples each pixel as a renewal process: an armed pixel draws
 ``E ~ Exp(1)`` and fires at the first step where its hazard (expected
 detections) summed since arming exceeds ``E``, then is dead for one dead
 time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
-random number per firing instead of one per pixel and step.  Before the
-pulse the hazard is constant, so the firing step has a closed form; each
-closed-form step is checked against the search it replaces, which finds
-the rest.  Each trial draws from its own generator.  Trials run in
-batches of up to ``_BATCH_SLOTS`` pixels (one trial of a larger array),
-and a batch holds memory for its pixels and one step grid.
+random number per firing instead of one per pixel and step.  A trial runs
+in two phases, split where the pulse span begins.  In the background
+phase (warm-up and noise periods) the hazard is a constant ``x``, so an
+armed pixel fires ``floor(E / x)`` steps later; pixels still armed, or
+armed again, when the pulse span begins carry into it, which the law's
+lack of memory allows.  The pulse phase searches the span's own summed
+hazard.  Each trial draws from its own generator, its background firings
+first and then its pulse-span firings.  Trials run in batches of up to
+``_BATCH_SLOTS`` pixels (one trial of a larger array), and a batch holds
+memory for its pixels and one step grid.
+
+``monte_carlo_snr`` remembers its last background phase: the inputs it
+read, the noise-period counts, each trial's pixels armed at each early
+step of the pulse span, and each trial's generator with its state after
+the phase.  An evaluation with the same background inputs, as at every
+range of a fixed-transmittance solve, restores those states and runs the
+pulse phase alone, so it gives the same numbers as a recompute, bit for
+bit.
 
 Only the Monte Carlo uses numpy, and it imports numpy on first use, so
 the analytic model and ``import dtofsim`` start without it.
@@ -30,8 +42,6 @@ the analytic model and ``import dtofsim`` start without it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from itertools import islice
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,12 +70,19 @@ _MAX_HAZARD = 64.0
 MAX_TRIAL_STEPS = 10**6
 MAX_TOTAL_STEPS = 10**9
 # cap on the pixels of one Monte Carlo array, which set a batch's memory;
-# one trial of 10**6 pixels peaks at about 82 MB
+# one trial of 10**6 pixels peaks at about 67 MB, interpreter and numpy
+# included
 MAX_PIXELS = 10**6
 
 # pixel slots one batch of Monte Carlo trials runs at once: ten trials of
 # table1's 400 pixels, one trial of an array over 4096 pixels
 _BATCH_SLOTS = 4096
+
+# the last background phase monte_carlo_snr ran: the inputs it read, and
+# each trial's generator, its state after the phase, its noise-period
+# counts and its pixels armed at each early step of the pulse span (about
+# 2 KB a trial at table1)
+_last_background: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -125,9 +142,11 @@ class SipmMcConfig:
 
     ``n_noise_periods`` background-only counting periods per trial feed the
     noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``, one
-    exponential per pixel firing.  Trials run in batches of up to 4096
-    pixels, or one trial of a larger array, and a batch holds O(its pixels
-    + steps) memory; ``monte_carlo_snr`` caps the steps and the pixels.
+    exponential per pixel firing: first those of its background phase
+    (warm-up and noise periods), then those of its pulse span.  Trials run
+    in batches of up to 4096 pixels, or one trial of a larger array, and a
+    batch holds O(its pixels + steps) memory; ``monte_carlo_snr`` caps the
+    steps and the pixels.
     """
 
     n_trials: int = 1000
@@ -327,90 +346,146 @@ def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,
     return profile, half_span - period_steps // 2
 
 
-def _fired_per_step(rngs: list[np.random.Generator], cum: np.ndarray,
-                    n_pix: int, dead_steps: int, x_bg: float,
-                    step_bin: np.ndarray) -> np.ndarray:
-    """Fired-pixel counts of a batch of array realizations, one per
-    generator, summed into the bin ``step_bin[t]`` of each firing step ``t``:
-    an array of shape ``(len(rngs), step_bin.max() + 1)``.
+def _exponentials(rngs: list[np.random.Generator],
+                  owner: np.ndarray) -> np.ndarray:
+    """One ``Exp(1)`` per entry of the sorted trial index ``owner``, each
+    drawn from its trial's generator, in order."""
+    import numpy as np
 
-    ``cum[t]`` is the per-pixel hazard summed over the steps before ``t``,
-    and ``step_bin[cum.size - 1]`` takes the firings that never happen.  A
-    pixel armed at step ``s`` fires at the first ``t`` with ``cum[t + 1] >
-    cum[s] + E``, ``E ~ Exp(1)``, and is armed again at ``t + dead_steps +
-    1``; all pixels start armed at step 0.  Each generator draws the ``E``
-    of its own armed pixels, in pixel order, once per round, so a trial's
-    counts do not depend on the batch it runs in.
+    key = np.empty(owner.size)
+    bounds = owner.searchsorted(np.arange(len(rngs) + 1)).tolist()
+    for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+        if hi > lo:
+            rng.standard_exponential(out=key[lo:hi])
+    return key
 
-    Where every step from 0 on has the hazard ``x_bg``, that ``t`` is
-    ``floor((cum[s] + E) / x_bg)`` up to the rounding of ``cum``.  Each
-    such candidate is kept only if it passes the search's own test, and
-    the rest are searched, so the counts do not depend on ``x_bg``.  At
-    ``x_bg`` 0 there is no closed form, and every key is searched.
+
+def _background(rngs: list[np.random.Generator], n_pix: int,
+                dead_steps: int, x_bg: float,
+                step_bin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The background phase: array realizations, one per generator, over
+    the ``step_bin.size`` steps before the pulse span, where every step has
+    the per-pixel hazard ``x_bg``.
+
+    Returns ``(counts, ready_at)``: each trial's fired pixels summed into
+    the bin ``step_bin[t]`` of each firing step ``t``, and the number of its
+    pixels armed from each step ``k`` of ``0..dead_steps`` of the pulse
+    span.  All pixels start armed at step 0.  An armed pixel draws ``E ~
+    Exp(1)`` and fires ``floor(E / x_bg)`` steps later, which is the
+    per-step law ``p = 1 - exp(-x_bg)``; it is armed again ``dead_steps +
+    1`` steps after it fires.  A pixel that does not fire before the pulse
+    span is armed at its start, as the law has no memory.  Each generator
+    draws the ``E`` of its own armed pixels, in pixel order, once per
+    round, so a trial's counts do not depend on the batch it runs in.  At
+    ``x_bg`` 0 nothing fires and nothing is drawn.
     """
     import numpy as np
 
-    total = cum.shape[0] - 1
-    last = total - dead_steps - 1
+    steps = step_bin.size
     n_bins = int(step_bin.max()) + 1
+    width = dead_steps + 1
     x = min(x_bg, _MAX_HAZARD)
-    ready = np.zeros(len(rngs) * n_pix, dtype=np.int64)
-    owner = np.repeat(np.arange(len(rngs), dtype=np.int64) * n_bins, n_pix)
-    counts = np.zeros(len(rngs) * n_bins, dtype=np.int64)
-    marks = np.arange(len(rngs) + 1) * n_bins
-    while owner.size:
-        key = np.empty(owner.size)
-        bounds = owner.searchsorted(marks).tolist()  # trials' slots
-        for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
-            if hi > lo:
-                rng.standard_exponential(out=key[lo:hi])
-        key += cum[ready]  # the key cum[s] + E
-        if x > 0.0:
-            # capped at x * total, so the quotient stays finite; the cast
-            # floors, as the quotient is >= 0
-            t = np.minimum((np.minimum(key, x * total) / x).astype(np.int64),
-                           total - 1)
-            miss = ~((cum[t] <= key) & (key < cum[t + 1]))
-            t[miss] = cum[1:].searchsorted(key[miss], side="right")
-        else:
-            t = cum[1:].searchsorted(key, side="right")
-        # t is the first step with cum[t + 1] > key, so t >= s, and a
-        # zero-hazard step never fires; t == total is no firing
-        counts += np.bincount(step_bin[t] + owner, minlength=counts.size)
-        armed = t < last
-        ready = t[armed] + dead_steps + 1
-        owner = owner[armed]
-    return counts.reshape(len(rngs), n_bins)
+    # a firing in the last ``width`` steps arms its pixel at the step k = t
+    # + width - steps of the pulse span and ends its phase: it has the bin
+    # n_bins + k of its own
+    tail = np.arange(max(0, steps - width), steps)
+    phase_bin = step_bin.copy()
+    phase_bin[tail] = n_bins + width - steps + tail
+    n_phase = n_bins + width
+    counts = np.zeros((len(rngs), n_phase), dtype=np.int64)
+    per_batch = max(1, _BATCH_SLOTS // n_pix)
+    # at x_bg 0 no pixel fires, and none draws; near 0, E / x_bg overflows
+    # to inf
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(rngs) if x > 0.0 else 0, per_batch):
+            batch = rngs[lo:lo + per_batch]
+            ready = np.zeros(len(batch) * n_pix, dtype=np.int64)
+            owner = np.repeat(np.arange(len(batch)), n_pix)
+            fired = np.zeros(len(batch) * n_phase, dtype=np.int64)
+            while owner.size:
+                wait = _exponentials(batch, owner)
+                wait /= x
+                # capped before the cast, so a quotient too large for an
+                # integer is a step past the phase
+                t = np.minimum(wait, steps, out=wait).astype(np.int64)
+                t += ready
+                # each array goes when it is done with, so a batch holds at
+                # most four arrays over its pixels
+                del wait, ready
+                fires = t < steps
+                t, owner = t[fires], owner[fires]
+                del fires
+                bins = owner * n_phase
+                bins += phase_bin[t]
+                fired += np.bincount(bins, minlength=fired.size)
+                del bins
+                t += width
+                armed = t < steps
+                ready, owner = t[armed], owner[armed]
+                del t
+            counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_phase)
+    fired, ready_at = counts[:, :n_bins], counts[:, n_bins:]
+    np.add.at(fired, (slice(None), step_bin[tail]),
+              ready_at[:, width - tail.size:])
+    # the pixels that did not fire in the tail are armed at the span's start
+    ready_at[:, 0] += n_pix - ready_at.sum(axis=1)
+    return fired, ready_at
 
 
-def _run_trials(rngs: Iterable[np.random.Generator], n_pix: int,
-                dead_steps: int, x_bg: float, warm_steps: int,
-                n_noise_periods: int, period_steps: int, x_pulse: np.ndarray,
-                window_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array realizations, one per generator, from the per-pixel hazard
-    ``x_bg`` of a background step and ``x_pulse`` of each pulse-span step:
-    ``(per_period, pulse_counts)``, each trial's per-period background
-    counts and its fired count in the counting period at the pulse.  The
-    trials run in batches of at most ``_BATCH_SLOTS`` pixels (one trial if
-    the array is larger)."""
+def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
+           dead_steps: int, x_pulse: np.ndarray,
+           step_bin: np.ndarray) -> np.ndarray:
+    """The pulse phase: each trial's fired pixels over the steps of
+    ``x_pulse``, the per-pixel hazard of each pulse-span step, summed into
+    the bin ``step_bin[t]`` of each firing step ``t``.
+
+    ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``,
+    as ``_background`` leaves them.  A pixel armed at step ``s`` draws ``E
+    ~ Exp(1)`` and fires at the first ``t`` with ``cum[t + 1] > cum[s] +
+    E``, where ``cum[t]`` is the hazard summed over the steps before
+    ``t``.  Pixels draw in the order of their ready steps, then of their
+    firings, once per round and each from its trial's generator.  Trials
+    run in the batches of ``_background``.
+    """
     import numpy as np
 
-    noise_steps = n_noise_periods * period_steps
-    hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
-    cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, _MAX_HAZARD))])
-    window = warm_steps + noise_steps + window_offset
-    # bins: the noise periods, the counting period at the pulse, and the
-    # other steps with the never-fired mark cum.size - 1
-    step_bin = np.full(cum.size, n_noise_periods + 1)
-    step_bin[warm_steps:warm_steps + noise_steps] = (
-        np.arange(noise_steps) // period_steps)
-    step_bin[window:window + period_steps] = n_noise_periods
-    rngs = iter(rngs)
-    per_batch = max(1, _BATCH_SLOTS // n_pix)
-    counts = np.concatenate([
-        _fired_per_step(batch, cum, n_pix, dead_steps, x_bg, step_bin)
-        for batch in iter(lambda: list(islice(rngs, per_batch)), [])])
-    return counts[:, :n_noise_periods], counts[:, n_noise_periods]
+    span = x_pulse.size
+    cum = np.concatenate([[0.0], np.cumsum(np.minimum(x_pulse, _MAX_HAZARD))])
+    n_bins = int(step_bin.max()) + 1
+    width = dead_steps + 1
+    # a pixel armed after the span's last step never fires in it
+    held = ready_at[:, :span]
+    per_batch = max(1, _BATCH_SLOTS // int(ready_at[0].sum()))
+    offsets = np.tile(np.arange(held.shape[1]), per_batch)
+    counts = np.zeros((len(rngs), n_bins), dtype=np.int64)
+    for lo in range(0, len(rngs), per_batch):
+        batch, armed_at = rngs[lo:lo + per_batch], held[lo:lo + per_batch]
+        ready = np.repeat(offsets[:armed_at.size], armed_at.ravel())
+        owner = np.repeat(np.arange(len(batch)), armed_at.sum(axis=1))
+        fired = np.zeros(len(batch) * n_bins, dtype=np.int64)
+        while owner.size:
+            key = _exponentials(batch, owner)
+            key += cum[ready]  # the key cum[s] + E
+            # a key past the span's summed hazard never fires in it, as most
+            # of a weak pulse's do not; the others fire at the first step t
+            # with cum[t + 1] > key, so t >= s, and never on a zero-hazard
+            # step
+            fires = key < cum[-1]
+            t = cum[1:].searchsorted(key[fires], side="right")
+            owner = owner[fires]
+            # each array goes when it is done with, so a batch holds at
+            # most four arrays over its pixels
+            del key, ready, fires
+            bins = owner * n_bins
+            bins += step_bin[t]
+            fired += np.bincount(bins, minlength=fired.size)
+            del bins
+            t += width
+            armed = t < span
+            ready, owner = t[armed], owner[armed]
+            del t
+        counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_bins)
+    return counts
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -422,7 +497,14 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     Returns ``(snr_estimate, std_error)``.  Deterministic for a fixed seed;
     trial ``i`` always uses the sub-seed ``(seed, i)``, so estimates at
     different operating points share random numbers, and the batching of
-    trials does not change them.  The hazard kernel is exact in
+    trials does not change them.  Each trial draws its background phase
+    first and its pulse span second, so evaluations whose background
+    inputs are equal (pixels, dead time, background hazard, warm-up, noise
+    periods and their length, seed and trial count) share that phase
+    exactly: the last one is remembered, and a repeat restores each
+    trial's generator state and runs the pulse span alone, with the same
+    result as a recompute; what is remembered takes about 2 KB a trial.
+    The hazard kernel is exact in
     distribution for the per-step firing law and needs O(pixels + steps)
     memory per batch of trials.  A trial over ``MAX_TRIAL_STEPS`` steps,
     all trials over ``MAX_TOTAL_STEPS``, or an array over ``MAX_PIXELS``
@@ -431,7 +513,8 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     """
     import numpy as np
 
-    if p_r < 0 or p_rs < 0:
+    # NaN fails both tests
+    if not (p_r >= 0 and p_rs >= 0):
         raise ConfigError("optical powers must be >= 0")
     if not bandwidth_hz > 0:
         raise ConfigError("bandwidth_hz must be > 0")
@@ -470,13 +553,34 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
                                             pulse_fwhm_s, period_steps)
     x_pulse = rate_bg * dt + profile * params.pde / n_pix
 
-    # made one at a time, so the trials never hold all their generators
-    rngs = (np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
-            for i in range(mc.n_trials))
-    per_period, pulse_counts = _run_trials(
-        rngs, n_pix, dead_steps, rate_bg * dt, warm_steps, mc.n_noise_periods,
-        period_steps, x_pulse, window_offset)
+    x_bg = rate_bg * dt
+    n_noise = mc.n_noise_periods
+    global _last_background
+    key = (n_pix, dead_steps, x_bg, warm_steps, n_noise, period_steps,
+           mc.seed, mc.n_trials)
+    if _last_background is not None and _last_background[0] == key:
+        _, rngs, states, per_period, ready_at = _last_background
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+    else:
+        rngs = [np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(entropy=mc.seed, spawn_key=(i,))))
+                for i in range(mc.n_trials)]
+        # bins: the noise periods, and one more for the warm-up
+        step_bin = np.concatenate([
+            np.full(warm_steps, n_noise),
+            np.arange(n_noise * period_steps) // period_steps])
+        counts, ready_at = _background(rngs, n_pix, dead_steps, x_bg,
+                                       step_bin)
+        per_period = counts[:, :n_noise]
+        _last_background = (key, rngs,
+                            [rng.bit_generator.state for rng in rngs],
+                            per_period, ready_at)
+    # bin 1 is the counting period at the pulse
+    pulse_bin = np.zeros(x_pulse.size, dtype=np.int64)
+    pulse_bin[window_offset:window_offset + period_steps] = 1
+    pulse_counts = _pulse(rngs, ready_at, dead_steps, x_pulse,
+                          pulse_bin)[:, 1]
     background = per_period.ravel().astype(float)
     pulse_counts = pulse_counts.astype(float)
 

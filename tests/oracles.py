@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: Gaussian
 tails come from quadrature, trigger statistics from direct stochastic
 simulation, SiPM dead-time trials from a per-trial, per-step loop or a
-per-trial binary search of the cumulative hazard,
+per-trial run of the two-phase kernel with a binary search of the pulse
+span's cumulative hazard,
 integrals from exact rational arithmetic, optima from exhaustive grid
 search, and range roots from scipy's Brent root in log range to full
 precision, or from the SNR search the closed-form ranges used before the
@@ -119,37 +120,57 @@ def sipm_dead_time_trial(rng: np.random.Generator, n_pix: int,
     return per_period, pulse_count
 
 
-def sipm_searched_trials(rngs, n_pix: int, dead_steps: int, x_bg: float,
-                         warm_steps: int, n_noise_periods: int,
-                         period_steps: int, x_pulse: np.ndarray,
-                         window_start: int, max_hazard: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """SiPM array realizations, one trial at a time, every firing found by
-    a binary search of the cumulative hazard.
+def sipm_two_phase_trials(rngs, n_pix: int, dead_steps: int, x_bg: float,
+                          warm_steps: int, n_noise_periods: int,
+                          period_steps: int, x_pulse: np.ndarray,
+                          window_start: int, max_hazard: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """SiPM array realizations, one trial at a time, in two phases.
 
-    The same random numbers, in the same order, as the library's batched
-    kernel, so its counts must equal these bit for bit.  A pixel armed at
-    step ``s`` draws ``E ~ Exp(1)`` and fires at the first ``t`` with
-    ``cum[t + 1] > cum[s] + E``.  Returns each trial's per-period
-    background counts and its fired count in the counting period at the
-    pulse.
+    The same random numbers, in the same order, as the library's kernel,
+    so its counts must equal these bit for bit.  Every step before the
+    pulse span has the hazard ``x = min(x_bg, max_hazard)``: a pixel armed
+    at step ``s`` draws ``E ~ Exp(1)`` and fires at ``s + floor(E / x)``
+    if that step is before the span (none fires at ``x`` 0, and none
+    draws).  A pixel still armed at the span's start, or armed again in
+    it, draws ``E`` in the order of its ready step ``s`` and fires at the
+    first ``t`` with ``cum[t + 1] > cum[s] + E``, a binary search of the
+    span's cumulative hazard.  Either way it is dead for ``dead_steps``
+    steps after firing.  Returns each trial's per-period background counts
+    and its fired count in the counting period at the pulse.
     """
     noise_steps = n_noise_periods * period_steps
-    hazard = np.concatenate([np.full(warm_steps + noise_steps, x_bg), x_pulse])
-    cum = np.concatenate([[0.0], np.cumsum(np.minimum(hazard, max_hazard))])
-    total = cum.shape[0] - 1
-    window = warm_steps + noise_steps + window_start
+    start = warm_steps + noise_steps  # the pulse span's first step
+    x = min(x_bg, max_hazard)
+    span = x_pulse.shape[0]
+    cum = np.concatenate([[0.0], np.cumsum(np.minimum(x_pulse, max_hazard))])
+    window = start + window_start
     per_period, pulse_counts = [], []
     for rng in rngs:
+        fired = []  # firing steps from the first background step
         ready = np.zeros(n_pix, dtype=np.int64)
-        fired = []
+        in_span = []  # steps of the span at which pixels are armed
+        if not x > 0.0:
+            in_span, ready = [ready], ready[:0]
+        while ready.size:
+            with np.errstate(over="ignore"):
+                wait = np.floor(rng.standard_exponential(ready.size) / x)
+            fires = wait < start - ready
+            in_span.append(np.zeros(np.count_nonzero(~fires), dtype=np.int64))
+            t = ready[fires] + wait[fires].astype(np.int64)
+            fired.append(t)
+            ready = t + dead_steps + 1
+            in_span.append(ready[ready >= start] - start)
+            ready = ready[ready < start]
+        ready = np.sort(np.concatenate(in_span))
+        ready = ready[ready < span]
         while ready.size:
             t = np.searchsorted(cum[1:], cum[ready] + rng.standard_exponential(
                 ready.size), side="right")
-            fired.append(t)
-            ready = t[t < total - dead_steps - 1] + (dead_steps + 1)
-        counts = np.bincount(np.concatenate(fired), minlength=total + 1)
-        per_period.append(counts[warm_steps:warm_steps + noise_steps].reshape(
+            fired.append(start + t)
+            ready = t[t < span - dead_steps - 1] + (dead_steps + 1)
+        counts = np.bincount(np.concatenate(fired), minlength=start + span + 1)
+        per_period.append(counts[warm_steps:start].reshape(
             n_noise_periods, period_steps).sum(axis=1))
         pulse_counts.append(counts[window:window + period_steps].sum())
     return np.array(per_period), np.array(pulse_counts)

@@ -714,9 +714,9 @@ def test_monte_carlo_range_in_a_fresh_process(tmp_path):
                            "--config", str(path)],
                           capture_output=True, text=True, check=True)
     cells = proc.stdout.splitlines()[1].split(",")
-    assert cells[:3] == ["sipm", format_number(263.6997429917595),
-                         format_number(4.984521449144594)]
-    assert cells[5:] == ["5", format_number(0.4883109590918528)]
+    assert cells[:3] == ["sipm", format_number(268.49897835809765),
+                         format_number(4.9615374636132215)]
+    assert cells[5:] == ["6", format_number(0.6290533473687543)]
 
 
 def test_import_loads_no_scipy():

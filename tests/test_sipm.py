@@ -23,7 +23,7 @@ from dtofsim.sipm import (DARK_LOAD_WARN_THRESHOLD, PhotonCounts,
                           trigger_snr_approx)
 
 from oracles import (sample_moments, sipm_dead_time_trial, sipm_firing_mc,
-                     sipm_searched_trials)
+                     sipm_two_phase_trials)
 
 TABLE1_SIPM = SipmParams(n_pixels=400, pde=0.22, dead_time_s=6e-9,
                          dark_count_rate_cps=2007.0)
@@ -350,11 +350,20 @@ class TestMonteCarlo:
     def test_pixels_over_the_cap_are_rejected(self):
         params = replace(TABLE1_SIPM, n_pixels=sipm.MAX_PIXELS + 1,
                          dark_count_rate_cps=0.0)
-        with mock.patch.object(sipm, "_run_trials") as run:
+        with mock.patch.object(sipm, "_background") as run:
             with pytest.raises(ConfigError, match="n_pixels.*cap"):
                 monte_carlo_snr(params, photons(50.0), P_RS_REF / 100,
                                 6e-9, 905e-9, self.BW, self.quick_mc())
         run.assert_not_called()
+
+    @pytest.mark.parametrize("p_r,p_rs", [(math.nan, P_RS_REF),
+                                          (photons(50.0), math.nan),
+                                          (-1.0, P_RS_REF)],
+                             ids=["nan-echo", "nan-background", "negative"])
+    def test_powers_must_be_numbers_at_least_0(self, p_r, p_rs):
+        with pytest.raises(ConfigError, match="optical powers"):
+            monte_carlo_snr(TABLE1_SIPM, p_r, p_rs, 6e-9, 905e-9, self.BW,
+                            self.quick_mc())
 
     def test_warmup_guard(self):
         mc = SipmMcConfig(n_trials=10, time_step_s=1e-10, seed=0,
@@ -368,6 +377,28 @@ def hazard(p):
     """Per-step hazard whose firing probability is ``p`` (inf at p = 1)."""
     with np.errstate(divide="ignore"):
         return -np.log1p(-np.asarray(p, dtype=float))
+
+
+def run_trials(rngs, n_pix, dead_steps, x_bg, warm_steps, n_noise_periods,
+               period_steps, x_pulse, window_start, replay=False):
+    """The kernel's background and pulse phases in ``monte_carlo_snr``'s
+    layout: each trial's per-period background counts and its fired count
+    in the counting period at the pulse.  With ``replay`` the pulse phase
+    runs again from the generator states the background phase left, as on
+    a remembered background, and the second run's counts are returned."""
+    step_bin = np.r_[np.full(warm_steps, n_noise_periods),
+                     np.arange(n_noise_periods * period_steps) // period_steps]
+    per_period, ready_at = sipm._background(rngs, n_pix, dead_steps, x_bg,
+                                            step_bin)
+    states = [rng.bit_generator.state for rng in rngs]
+    pulse_bin = np.zeros(x_pulse.size, dtype=np.int64)
+    pulse_bin[window_start:window_start + period_steps] = 1
+    for _ in range(1 + replay):
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        pulse_counts = sipm._pulse(rngs, ready_at, dead_steps, x_pulse,
+                                   pulse_bin)[:, 1]
+    return per_period[:, :n_noise_periods], pulse_counts
 
 
 class TestKernel:
@@ -384,10 +415,10 @@ class TestKernel:
         p = -np.expm1(-x)
         survive = np.concatenate([[1.0], np.cumprod(1.0 - p)])
         expected = n_pix * np.append(survive[:-1] * p, survive[-1])
-        cum = np.concatenate([[0.0], np.cumsum(x)])
-        counts = sipm._fired_per_step([np.random.default_rng(2024)], cum,
-                                      n_pix, x.size, 0.0,
-                                      np.arange(x.size + 1))[0, :-1]
+        ready_at = np.zeros((1, x.size + 1), dtype=np.int64)
+        ready_at[0, 0] = n_pix
+        counts = sipm._pulse([np.random.default_rng(2024)], ready_at, x.size,
+                             x, np.arange(x.size))[0]
         observed = np.append(counts, n_pix - counts.sum())
         assert observed[0] == 0 and expected[0] == 0
         stat = float((((observed - expected) ** 2)[1:] / expected[1:]).sum())
@@ -405,16 +436,21 @@ class TestKernel:
         p = -np.expm1(-x)
         survive = np.concatenate([[1.0], np.cumprod(1.0 - p)])
         expected = n_pix * np.append(survive[:-1] * p, survive[-1])
-        cum = np.concatenate([[0.0], np.cumsum(x)])
-        step_bin = np.arange(x.size + 1)
-        observed = sipm._fired_per_step([np.random.default_rng(2025)], cum,
-                                        n_pix, x.size, x_bg, step_bin)[0]
+        rngs = [np.random.default_rng(2025)]
+        background, ready_at = sipm._background(rngs, n_pix, x.size, x_bg,
+                                                np.arange(30))
+        pulse = sipm._pulse(rngs, ready_at, x.size, x[30:], np.arange(20))
+        observed = np.r_[background[0], pulse[0]]
+        observed = np.append(observed, n_pix - observed.sum())
         stat = float(((observed - expected) ** 2 / expected).sum())
         assert chi2.sf(stat, df=observed.size - 1) > 1e-3
-        # and exactly the firings a search of every key finds
-        searched = sipm._fired_per_step([np.random.default_rng(2025)], cum,
-                                        n_pix, x.size, 0.0, step_bin)[0]
-        assert (observed == searched).all()
+        # and exactly the firings of the one-trial reference: one noise
+        # period per background step, and the first pulse step
+        per_step, first = sipm_two_phase_trials(
+            [np.random.default_rng(2025)], n_pix, x.size, x_bg, 0, 30, 1,
+            x[30:], 0, sipm._MAX_HAZARD)
+        assert (per_step[0] == observed[:30]).all()
+        assert first[0] == observed[30]
 
     @pytest.mark.parametrize("x_pulse,window_start", [
         (np.r_[np.full(4, 0.17), np.full(2, 0.02)], 0),   # rectangular
@@ -424,7 +460,7 @@ class TestKernel:
     def test_agrees_with_reference_statistically(self, x_pulse, window_start):
         n_trials, n_pix, dead_steps, x_bg = 1500, 20, 5, 0.02
         layout = (20, 6, 6)  # warm-up steps, noise periods, period steps
-        per_period, pulse_counts = sipm._run_trials(
+        per_period, pulse_counts = run_trials(
             [np.random.default_rng([11, i]) for i in range(n_trials)],
             n_pix, dead_steps, x_bg, *layout, x_pulse, window_start)
         rng = np.random.default_rng(12)
@@ -471,8 +507,8 @@ class TestKernel:
 
         def run(x_bg, x_pulse):
             rngs = [np.random.default_rng([seed, i]) for i in range(n_trials)]
-            return sipm._run_trials(rngs, n_pix, dead_steps, x_bg, *layout,
-                                    x_pulse, window_start)
+            return run_trials(rngs, n_pix, dead_steps, x_bg, *layout,
+                              x_pulse, window_start)
 
         per_period, pulse_counts = run(
             hazard(p_bg), hazard(np.linspace(p_bg, p_peak, span)))
@@ -518,12 +554,18 @@ class TestKernel:
                 (hazard(1.0), hazard(np.ones(span)))]:
             args = (n_pix, dead_steps, x_bg, *layout, x_pulse, window_start)
             with mock.patch.object(sipm, "_BATCH_SLOTS", per_batch * n_pix):
-                batched = sipm._run_trials(rngs(), *args)
-            single = [sipm._run_trials([rng], *args) for rng in rngs()]
-            searched = sipm_searched_trials(rngs(), *args, sipm._MAX_HAZARD)
-            for got, one, ref in zip(batched, zip(*single), searched):
+                batched = run_trials(rngs(), *args)
+                # the pulse phase again from the states the background
+                # left, as on a remembered background
+                replayed = run_trials(rngs(), *args, replay=True)
+            single = [run_trials([rng], *args) for rng in rngs()]
+            reference = sipm_two_phase_trials(rngs(), *args,
+                                              sipm._MAX_HAZARD)
+            for got, again, one, ref in zip(batched, replayed, zip(*single),
+                                            reference):
                 assert (got == np.concatenate(one)).all()
                 assert (got == ref).all()
+                assert (again == ref).all()
 
     def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
         det = SipmChoice(params=sipm_config.detector.params,
@@ -531,11 +573,11 @@ class TestKernel:
                          mc=SipmMcConfig.for_dead_time(6e-9, seed=11,
                                                        n_trials=8))
         result = ranging.max_range(sipm_config, det, sipm_config.tdc)
-        assert result.r_max_m == 263.6997429917595
-        assert result.snr_at_rmax == 4.984521449144594
-        assert result.snr_se == 0.4883109590918528
-        # the doubling search's 4 and one Brent step into the noise band
-        assert result.evaluations == 5
+        assert result.r_max_m == 268.49897835809765
+        assert result.snr_at_rmax == 4.9615374636132215
+        assert result.snr_se == 0.6290533473687543
+        # the doubling search's 4 and two Brent steps into the noise band
+        assert result.evaluations == 6
 
     def test_dilute_point_is_pinned(self, sipm_config):
         _, p_rs = ranging.link_powers(sipm_config, 100.0)
@@ -543,7 +585,7 @@ class TestKernel:
                           warmup_s=6e-8, n_noise_periods=30)
         assert monte_carlo_snr(sipm_config.detector.params, photons(50.0),
                                p_rs / 100.0, 6e-9, 905e-9, 1.0 / 6e-9,
-                               mc) == (9.57932115428008, 0.5138895924630094)
+                               mc) == (8.671654878441638, 0.37863321461354166)
 
     def test_table1_gaussian_monte_carlo_range_is_pinned(self, sipm_config):
         mc = replace(SipmMcConfig.for_dead_time(6e-9, seed=11, n_trials=8),
@@ -551,10 +593,10 @@ class TestKernel:
         det = SipmChoice(params=sipm_config.detector.params,
                          snr_mode="monte_carlo", mc=mc)
         result = ranging.max_range(sipm_config, det, sipm_config.tdc)
-        assert result.r_max_m == 255.92189943486395
-        assert result.snr_at_rmax == 4.969875944321247
-        assert result.snr_se == 0.5945515038173725
-        assert result.evaluations == 6
+        assert result.r_max_m == 248.04687531250997
+        assert result.snr_at_rmax == 4.98988100810687
+        assert result.snr_se == 0.35735163110169865
+        assert result.evaluations == 8
 
     def test_heavy_point_is_pinned(self, sipm_config):
         # one background photon per pixel per dead time
@@ -564,7 +606,7 @@ class TestKernel:
         assert monte_carlo_snr(params, photons(700.0),
                                params.n_pixels / params.pde * H_NU / 6e-9,
                                6e-9, 905e-9, 1.0 / 6e-9,
-                               mc) == (4.298260028701259, 0.13897157007459668)
+                               mc) == (4.238064611079913, 0.1355915582417493)
 
     def test_1600_pixel_point_is_pinned(self, sipm_config):
         # a batch holds two of these trials, so batches split the 24
@@ -576,7 +618,7 @@ class TestKernel:
                           warmup_s=6e-8, n_noise_periods=30)
         assert monte_carlo_snr(params, photons(200.0), p_rs / 100.0, 6e-9,
                                905e-9, 1.0 / 6e-9,
-                               mc) == (34.604487270016335, 1.3736582763652025)
+                               mc) == (33.75152854222562, 1.6706303210013753)
 
     def test_array_over_a_batch_is_pinned(self, sipm_config):
         # each trial of 5000 pixels is a batch of its own; one background
@@ -590,19 +632,24 @@ class TestKernel:
         assert monte_carlo_snr(params, photons(2000.0),
                                params.n_pixels / params.pde * H_NU / 6e-9,
                                6e-9, 905e-9, 1.0 / 6e-9,
-                               mc) == (3.9377794229874534, 0.8841080127233489)
+                               mc) == (4.138643516920243, 0.882027237482425)
 
     def test_memory_does_not_grow_with_steps_times_pixels(self):
         # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
-        # alone would take more than 330 MB
+        # alone would take more than 330 MB; then another echo on the
+        # remembered background
         probe = (
             "import resource\n"
+            "from dtofsim import sipm\n"
             "from dtofsim.sipm import SipmMcConfig, SipmParams, "
             "monte_carlo_snr\n"
             "params = SipmParams(n_pixels=1e6, pde=0.22, dead_time_s=6e-9)\n"
             "mc = SipmMcConfig(n_trials=4, time_step_s=6e-10, seed=1, "
             "warmup_s=1.8e-8, n_noise_periods=2)\n"
             "monte_carlo_snr(params, 1e-6, 1e-6, 6e-9, 905e-9, 1 / 6e-10, mc)\n"
+            "remembered = sipm._last_background\n"
+            "monte_carlo_snr(params, 2e-6, 1e-6, 6e-9, 905e-9, 1 / 6e-10, mc)\n"
+            "assert sipm._last_background is remembered\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         # Linux carries ru_maxrss across exec, so the probe starts from a
         # bare interpreter, not from this process and its own peak
@@ -612,6 +659,124 @@ class TestKernel:
         proc = subprocess.run([sys.executable, "-c", launch, probe],
                               capture_output=True, text=True, check=True)
         assert int(proc.stdout) / 1024 < 150.0  # ru_maxrss is in KiB
+
+
+class TestRememberedBackground:
+    """Evaluations that share a background phase run it once."""
+
+    @staticmethod
+    def spy_on_the_background(monkeypatch):
+        """Forget the remembered background; count background phases."""
+        monkeypatch.setattr(sipm, "_last_background", None)
+        background = mock.Mock(wraps=sipm._background)
+        monkeypatch.setattr(sipm, "_background", background)
+        return background
+
+    @pytest.mark.parametrize("pulse_shape", sipm.PULSE_SHAPES)
+    @pytest.mark.parametrize("n_pixels", [400, 5000],
+                             ids=["400-pixels", "5000-pixels"])
+    def test_a_hit_equals_a_recompute(self, monkeypatch, pulse_shape,
+                                      n_pixels):
+        # 12 trials: batches of ten trials of 400 pixels, or of one of 5000
+        params = replace(TABLE1_SIPM, n_pixels=n_pixels)
+        mc = SipmMcConfig(n_trials=12, time_step_s=1e-10, seed=5,
+                          warmup_s=6e-8, n_noise_periods=6,
+                          pulse_shape=pulse_shape)
+
+        def at(n_s):
+            return monte_carlo_snr(params, photons(n_s), P_RS_REF, 6e-9,
+                                   905e-9, 1.0 / 6e-9, mc)
+
+        background = self.spy_on_the_background(monkeypatch)
+        first = at(50.0)
+        hit = at(80.0)
+        assert at(50.0) == first
+        assert background.call_count == 1
+        monkeypatch.setattr(sipm, "_last_background", None)
+        assert at(80.0) == hit
+        assert background.call_count == 2
+
+    @pytest.mark.parametrize("base,change", [
+        ({}, {"n_trials": 13}), ({}, {"seed": 6}), ({}, {"warmup_s": 7e-8}),
+        ({}, {"n_noise_periods": 7}), ({}, {"dead_time_s": 6.5e-9}),
+        ({}, {"p_rs": P_RS_REF / 2}), ({}, {"bandwidth_hz": 1.0 / 5e-9}),
+        # dark counts alone: the same per-pixel hazard on another array
+        ({"p_rs": 0.0, "dark_count_rate_cps": 2e7},
+         {"p_rs": 0.0, "dark_count_rate_cps": 2e7, "n_pixels": 401})],
+        ids=["trials", "seed", "warm-up", "noise-periods", "dead-time",
+             "background", "bandwidth", "pixels"])
+    def test_another_background_is_recomputed(self, monkeypatch, base,
+                                              change):
+        # every input the background phase reads is part of its key
+        def at(n_trials=12, seed=5, warmup_s=6e-8, n_noise_periods=6,
+               n_pixels=400, dead_time_s=6e-9, dark_count_rate_cps=2007.0,
+               p_rs=P_RS_REF, bandwidth_hz=1.0 / 6e-9):
+            params = SipmParams(n_pixels=n_pixels, pde=0.22,
+                                dead_time_s=dead_time_s,
+                                dark_count_rate_cps=dark_count_rate_cps)
+            mc = SipmMcConfig(n_trials=n_trials, time_step_s=1e-10,
+                              seed=seed, warmup_s=warmup_s,
+                              n_noise_periods=n_noise_periods)
+            return monte_carlo_snr(params, photons(50.0), p_rs, 6e-9,
+                                   905e-9, bandwidth_hz, mc)
+
+        at(**base)
+        changed = at(**change)
+        monkeypatch.setattr(sipm, "_last_background", None)
+        assert at(**change) == changed
+
+    def test_a_table1_solve_runs_the_background_once(self, monkeypatch,
+                                                     sipm_config):
+        background = self.spy_on_the_background(monkeypatch)
+        det = SipmChoice(params=sipm_config.detector.params,
+                         snr_mode="monte_carlo",
+                         mc=SipmMcConfig.for_dead_time(6e-9, seed=11,
+                                                       n_trials=8))
+        result = ranging.max_range(sipm_config, det, sipm_config.tdc)
+        assert result.evaluations > 1
+        assert background.call_count == 1
+
+    def test_an_extinction_solve_equals_one_without_memory(
+            self, monkeypatch, sipm_config):
+        # the background power changes with range, so every evaluation
+        # runs its own background phase
+        config = replace(sipm_config, atmosphere=replace(
+            sipm_config.atmosphere, mode="extinction",
+            extinction_coeff_per_m=1e-3))
+
+        def solve():
+            det = SipmChoice(params=config.detector.params,
+                             snr_mode="monte_carlo",
+                             mc=SipmMcConfig.for_dead_time(6e-9, seed=11,
+                                                           n_trials=8))
+            return ranging.max_range(config, det, config.tdc)
+
+        background = self.spy_on_the_background(monkeypatch)
+        remembered = solve()
+        assert background.call_count == remembered.evaluations
+        real = sipm.monte_carlo_snr
+
+        def forgetful(*args, **kwargs):
+            monkeypatch.setattr(sipm, "_last_background", None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sipm, "monte_carlo_snr", forgetful)
+        assert solve() == remembered
+
+    @pytest.mark.parametrize("layout", [(600, 20, 60), (0, 2, 30)],
+                             ids=["table1", "60-steps"])
+    def test_a_vanishing_background_fires_nothing(self, layout):
+        # min(E, x * steps) / x rounds to steps - 1 at x 1e-300 for some
+        # step counts (60, not table1's 1800), which would fire every
+        # pixel on the last background step
+        warm_steps, n_noise_periods, period_steps = layout
+        step_bin = np.r_[np.full(warm_steps, n_noise_periods),
+                         np.arange(n_noise_periods * period_steps)
+                         // period_steps]
+        rngs = [np.random.default_rng([3, i]) for i in range(8)]
+        counts, ready_at = sipm._background(rngs, 400, 60, 1e-300, step_bin)
+        assert not counts.any()
+        assert (ready_at[:, 0] == 400).all() and not ready_at[:, 1:].any()
 
 
 class TestParamValidation:
