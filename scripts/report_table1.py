@@ -12,8 +12,18 @@ sys.path.insert(0, os.path.join(
 
 from dtofsim import table1_preset  # noqa: E402
 from dtofsim.apd import optimize_gain  # noqa: E402
-from dtofsim.ranging import (closed_form_max_range, link_powers, max_range,  # noqa: E402
-                             snr_at_range)
+from dtofsim.detectors import SipmChoice  # noqa: E402
+from dtofsim.ranging import link_powers, max_range, snr_at_range  # noqa: E402
+
+
+def photon_limited(det):
+    """The detector with only photon noise: the approx SiPM SNR, or an APD
+    without dark currents or amplifier noise and with thermal noise gone."""
+    if isinstance(det, SipmChoice):
+        return replace(det, snr_mode="approx")
+    return replace(det, params=replace(
+        det.params, surface_dark_current_a=0.0, bulk_dark_current_a=0.0,
+        amplifier_noise_a=0.0, load_resistance_ohm=1e300))
 
 
 def main() -> None:
@@ -27,7 +37,8 @@ def main() -> None:
         det = config.detector
         snr = snr_at_range(config, det, 100.0)
         result = max_range(config, det, config.tdc)
-        closed = closed_form_max_range(config, det)
+        limited = replace(config, detector=photon_limited(det))
+        closed = max_range(limited, limited.detector, limited.tdc).r_max_m
         print(f"[{det.label}]")
         print(f"  trigger SNR at 100 m:     {snr:8.3f}")
         print(f"  max range (pipeline):     {result.r_max_m:8.2f} m")

@@ -11,8 +11,7 @@ from .apd import (ApdParams, NoiseBudget, excess_noise_factor, noise_sigma,
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import (ConfigError, NoDetectionError, SipmSaturationError,
                      SolverError, UnboundedRangeError)
-from .ranging import (RangeResult, closed_form_max_range, max_range,
-                      sensitivity, snr_at_range)
+from .ranging import RangeResult, max_range, sensitivity, snr_at_range
 from .scenario import (ScenarioConfig, load_scenario, save_scenario,
                        table1_preset)
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,

@@ -81,6 +81,9 @@ class SweepSpec:
             raise ConfigError(f"sweep kind must be one of {tuple(SWEEP_KINDS)}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must not be empty")
+        # NaN compares false both ways, so the order check cannot catch it
+        if not all(map(math.isfinite, self.grid)):
+            raise ConfigError(f"sweep grid must be finite: {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         if self.kind != "photon_response" and not self.detectors:

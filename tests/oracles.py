@@ -8,7 +8,9 @@ span's cumulative hazard,
 integrals from exact rational arithmetic, optima from exhaustive grid
 search, and range roots from scipy's Brent root in log range to full
 precision, or from the SNR search the closed-form ranges used before the
-range solver inverted them.
+range solver inverted them.  The photon-limited range of each detector is
+the link equation inverted by hand; it borrows only the library's
+aperture, in-band irradiance, excess-noise and photon-energy helpers.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, optimize
 
-from dtofsim import ranging
+from dtofsim import apd, ranging, scene_link
+from dtofsim.detectors import ApdChoice, DetectorChoice
 from dtofsim.errors import (ConfigError, NoDetectionError,
                             UnboundedRangeError)
+from dtofsim.physconst import photon_energy
+from dtofsim.scenario import ScenarioConfig
 
 
 def gaussian_tail_quad(threshold: float) -> float:
@@ -256,3 +261,41 @@ def searched_max_range(scenario, detector, policy) -> float:
     u = ranging._brent_root(g, math.log(above[0]), above[2], math.log(hi),
                             at_hi[2], 1e-12)
     return points[u][0]
+
+
+def closed_form_max_range(scenario: ScenarioConfig,
+                          detector: DetectorChoice) -> float:
+    """Photon-limited maximum range in closed form, m.
+
+    Derived by inverting the photon-limited trigger SNR against the link
+    equations at a fixed atmospheric transmittance.  For the APD this drops
+    the dark, thermal and amplifier terms; for the SiPM it is the exact
+    inverse of the photon-budget SNR approximation.
+    """
+    if scenario.atmosphere.mode != "fixed_transmittance":
+        raise ConfigError(
+            "closed-form range requires a fixed_transmittance atmosphere")
+    scene = scenario.scene
+    optics = scenario.optics
+    tau = scenario.atmosphere.one_way_transmittance
+    area = scene_link.effective_aperture(optics, scene.elevation_angle_rad)
+    e_sun = scene_link.sun_equivalent_irradiance(scenario.solar)
+    h_nu = photon_energy(scenario.laser.wavelength_m)
+    tnr = scenario.tdc.tnr
+    cos_theta = math.cos(scene.incidence_angle_rad)
+    cos_sun = math.cos(scene.sun_angle_rad)
+    common = (tau ** 1.5 * optics.laser_efficiency * cos_theta
+              * scenario.laser.peak_power_w * optics.focal_length_m
+              / (math.pi * tnr * optics.detector_radius_m))
+    if isinstance(detector, ApdChoice):
+        p = detector.params
+        quartic = (p.quantum_efficiency * scenario.target.reflectivity * area
+                   / (2.0 * h_nu * scenario.bandwidth_hz
+                      * apd.excess_noise_factor(p) * e_sun
+                      * optics.sun_efficiency * cos_sun))
+        return math.sqrt(common) * quartic ** 0.25
+    p = detector.params
+    quartic = (p.pde * scenario.target.reflectivity * area
+               / (h_nu * p.dead_time_s * e_sun
+                  * optics.sun_efficiency * cos_sun))
+    return math.sqrt(common * scenario.laser.pulse_fwhm_s / 2.0) * quartic ** 0.25

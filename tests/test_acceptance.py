@@ -14,13 +14,12 @@ from dtofsim import (TdcPolicy, correct_detection_prob, false_alarm_prob,
                      table1_preset)
 from dtofsim.apd import optimize_gain, trigger_snr
 from dtofsim.physconst import photon_energy
-from dtofsim.ranging import (closed_form_max_range, max_range, sensitivity,
-                             snr_at_range)
+from dtofsim.ranging import max_range, sensitivity, snr_at_range
 from dtofsim.scenario import save_scenario, scenario_to_dict
 from dtofsim.sipm import (PhotonCounts, SipmMcConfig, SipmParams, fired_count,
                           fired_std, monte_carlo_snr, trigger_snr_analytic)
 
-from oracles import grid_argmax, sipm_firing_mc
+from oracles import closed_form_max_range, grid_argmax, sipm_firing_mc
 
 P_RS_REF = 2.5099212581122908e-08
 H_NU = photon_energy(905e-9)

@@ -11,9 +11,8 @@ from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
 from dtofsim.errors import SolverError
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
-                             SnrEstimate, closed_form_max_range, declares,
-                             link_powers, max_range, sensitivity,
-                             snr_at_range)
+                             SnrEstimate, declares, link_powers, max_range,
+                             sensitivity, snr_at_range)
 from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import (AtmosphereModel, SolarModel,
                                 sun_equivalent_irradiance)
@@ -34,6 +33,16 @@ def with_gain(config, gain):
 
 def with_illuminance(config, klux):
     return replace(config, solar=replace(config.solar, illuminance_klux=klux))
+
+
+def photon_limited(detector):
+    """The detector with only photon noise: the approx SiPM SNR, or an APD
+    without dark currents or amplifier noise and with thermal noise gone."""
+    if isinstance(detector, SipmChoice):
+        return replace(detector, snr_mode="approx")
+    return replace(detector, params=replace(
+        detector.params, surface_dark_current_a=0.0, bulk_dark_current_a=0.0,
+        amplifier_noise_a=0.0, load_resistance_ohm=1e300))
 
 
 def monte_carlo(config, seed: int) -> SipmChoice:
@@ -636,36 +645,17 @@ class TestLastSolve:
 
 
 class TestClosedForm:
-    def test_sipm_matches_approx_pipeline(self, sipm_config):
-        det = replace(sipm_config.detector, snr_mode="approx")
-        pipeline = max_range(sipm_config, det, sipm_config.tdc).r_max_m
-        closed = closed_form_max_range(sipm_config, sipm_config.detector)
-        assert closed == pytest.approx(308.66749002959745, rel=1e-12)
-        assert pipeline == pytest.approx(closed, rel=1e-6)
+    """The pipeline's photon-limited ranges: the approx SiPM and an APD
+    without dark, thermal or amplifier noise."""
 
-    def test_apd_matches_photon_limited_pipeline(self, apd_config):
-        params = replace(apd_config.detector.params,
-                         surface_dark_current_a=0.0, bulk_dark_current_a=0.0,
-                         load_resistance_ohm=1e12, amplifier_noise_a=0.0)
-        det = replace(apd_config.detector, params=params)
-        config = replace(apd_config, detector=det)
-        pipeline = max_range(config, det, config.tdc).r_max_m
-        closed = closed_form_max_range(config, det)
-        assert closed == pytest.approx(352.7512405430188, rel=1e-12)
-        assert pipeline == pytest.approx(closed, rel=0.01)
-
-    def test_sun_exponent(self, sipm_config):
-        base = closed_form_max_range(sipm_config, sipm_config.detector)
-        brighter = closed_form_max_range(with_illuminance(sipm_config, 400.0),
-                                         sipm_config.detector)
-        assert brighter == pytest.approx(base * 4.0 ** -0.25, rel=1e-9)
-
-    def test_requires_fixed_transmittance(self, apd_config):
-        config = replace(apd_config,
-                         atmosphere=AtmosphereModel(mode="extinction",
-                                                    extinction_coeff_per_m=2e-4))
-        with pytest.raises(ConfigError):
-            closed_form_max_range(config, config.detector)
+    def test_sun_exponent(self, apd_config, sipm_config):
+        for config in (sipm_config, apd_config):
+            config = replace(config, detector=photon_limited(config.detector))
+            base = max_range(config, config.detector, config.tdc).r_max_m
+            brighter = with_illuminance(config, 400.0)
+            r_400 = max_range(brighter, brighter.detector,
+                              brighter.tdc).r_max_m
+            assert r_400 == pytest.approx(base * 4.0 ** -0.25, rel=1e-9)
 
 
 class TestSensitivity:

@@ -774,3 +774,10 @@ class TestGrid:
         with pytest.raises(ConfigError, match="increasing"):
             SweepSpec(kind="distance", grid=(2.0, 1.0),
                       detectors=(apd_config.detector,))
+
+    @pytest.mark.parametrize("grid", [(1.0, math.nan, 3.0), (math.nan,),
+                                      (1.0, math.inf)])
+    def test_spec_requires_finite_grid(self, grid):
+        # a NaN point passes the order check and writes nan CSV rows
+        with pytest.raises(ConfigError, match="must be finite"):
+            SweepSpec(kind="photon_response", grid=grid)
