@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domains
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
 from .tdc import TdcPolicy, min_detectable_signal
 
@@ -40,35 +40,18 @@ class ApdParams:
     temperature_k: float = 300.0
     amplifier_noise_a: float = 0.0
 
+    _DOMAINS = domains(
+        gain=">= 1", quantum_efficiency="in (0, 1]", wavelength_m="> 0",
+        excess_noise_mode=EXCESS_NOISE_MODES, excess_noise_index=">= 0",
+        electron_ionization_rate="in [0, 1]", surface_dark_current_a=">= 0",
+        bulk_dark_current_a=">= 0", load_resistance_ohm="> 0",
+        temperature_k="> 0", amplifier_noise_a=">= 0")
     def __post_init__(self) -> None:
-        if not self.gain >= 1:
-            raise ConfigError("gain must be >= 1")
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ConfigError("quantum_efficiency must be in (0, 1]")
-        if not self.wavelength_m > 0:
-            raise ConfigError("wavelength_m must be > 0")
-        if self.excess_noise_mode not in EXCESS_NOISE_MODES:
+        check_domains(self)
+        if (self.excess_noise_mode == "ionization"
+                and self.electron_ionization_rate is None):
             raise ConfigError(
-                f"excess_noise_mode must be one of {EXCESS_NOISE_MODES}")
-        if self.excess_noise_mode == "power_law":
-            if not self.excess_noise_index >= 0:
-                raise ConfigError("excess_noise_index must be >= 0")
-        else:
-            if self.electron_ionization_rate is None:
-                raise ConfigError(
-                    "ionization mode requires electron_ionization_rate")
-            if not 0.0 <= self.electron_ionization_rate <= 1.0:
-                raise ConfigError("electron_ionization_rate must be in [0, 1]")
-        if not self.surface_dark_current_a >= 0:
-            raise ConfigError("surface_dark_current_a must be >= 0")
-        if not self.bulk_dark_current_a >= 0:
-            raise ConfigError("bulk_dark_current_a must be >= 0")
-        if not self.load_resistance_ohm > 0:
-            raise ConfigError("load_resistance_ohm must be > 0")
-        if not self.temperature_k > 0:
-            raise ConfigError("temperature_k must be > 0")
-        if not self.amplifier_noise_a >= 0:
-            raise ConfigError("amplifier_noise_a must be >= 0")
+                "ionization mode requires electron_ionization_rate")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import apd, sipm
-from .errors import ConfigError
+from .errors import check_domains, domains
 
 SIPM_SNR_MODES = ("analytic", "approx", "monte_carlo")
 
@@ -28,9 +28,8 @@ class SipmChoice:
     mc: sipm.SipmMcConfig | None = None
     label: str = "sipm"
 
-    def __post_init__(self) -> None:
-        if self.snr_mode not in SIPM_SNR_MODES:
-            raise ConfigError(f"snr_mode must be one of {SIPM_SNR_MODES}")
+    _DOMAINS = domains(snr_mode=SIPM_SNR_MODES)
+    __post_init__ = check_domains
 
     def mc_config(self) -> sipm.SipmMcConfig:
         if self.mc is not None:

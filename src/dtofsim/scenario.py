@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from .apd import ApdParams
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domains
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
                          load_spectrum_csv)
@@ -49,9 +49,8 @@ class ScenarioConfig:
     detector: DetectorChoice
     bandwidth_hz: float
 
-    def __post_init__(self) -> None:
-        if not self.bandwidth_hz > 0:
-            raise ConfigError("bandwidth_hz must be > 0")
+    _DOMAINS = domains(bandwidth_hz="> 0")
+    __post_init__ = check_domains
 
 
 _NANO = (lambda v: v * 1e-9, lambda v: v * 1e9)

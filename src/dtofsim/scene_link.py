@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domains
 
 APERTURE_MODELS = ("constant", "cosine")
 ATMOSPHERE_MODES = ("fixed_transmittance", "extinction")
@@ -45,15 +45,11 @@ class SceneGeometry:
     elevation_angle_rad: float = 0.0
     sun_angle_rad: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require(self.range_m > 0, "range_m must be > 0")
-        _require(0.0 <= self.incidence_angle_rad < math.pi / 2,
-                 "incidence_angle_rad must be in [0, pi/2)")
-        _require(abs(self.elevation_angle_rad) < math.pi / 2,
-                 "elevation_angle_rad must be in (-pi/2, pi/2)")
-        # inclusive upper bound: a grazing sun contributes zero power
-        _require(0.0 <= self.sun_angle_rad <= math.pi / 2,
-                 "sun_angle_rad must be in [0, pi/2]")
+    # inclusive upper sun angle: a grazing sun contributes zero power
+    _DOMAINS = domains(range_m="> 0", incidence_angle_rad="in [0, pi/2)",
+                       elevation_angle_rad="in (-pi/2, pi/2)",
+                       sun_angle_rad="in [0, pi/2]")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -64,15 +60,12 @@ class AtmosphereModel:
     one_way_transmittance: float = 1.0
     extinction_coeff_per_m: float = 0.0
 
+    _DOMAINS = domains(one_way_transmittance="in (0, 1]",
+                       extinction_coeff_per_m=">= 0")
     def __post_init__(self) -> None:
         _require(self.mode in ATMOSPHERE_MODES,
                  f"atmosphere mode must be one of {ATMOSPHERE_MODES}")
-        if self.mode == "fixed_transmittance":
-            _require(0.0 < self.one_way_transmittance <= 1.0,
-                     "one_way_transmittance must be in (0, 1]")
-        else:
-            _require(self.extinction_coeff_per_m >= 0.0,
-                     "extinction_coeff_per_m must be >= 0")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -95,16 +88,11 @@ class ReceiverOptics:
     sun_efficiency: float = 1.0
     aperture_model: str = "constant"
 
-    def __post_init__(self) -> None:
-        _require(self.aperture_radius_m > 0, "aperture_radius_m must be > 0")
-        _require(self.focal_length_m > 0, "focal_length_m must be > 0")
-        _require(self.detector_radius_m > 0, "detector_radius_m must be > 0")
-        _require(0.0 < self.laser_efficiency <= 1.0,
-                 "laser_efficiency must be in (0, 1]")
-        _require(0.0 < self.sun_efficiency <= 1.0,
-                 "sun_efficiency must be in (0, 1]")
-        _require(self.aperture_model in APERTURE_MODELS,
-                 f"aperture_model must be one of {APERTURE_MODELS}")
+    _DOMAINS = domains(aperture_radius_m="> 0", focal_length_m="> 0",
+                       detector_radius_m="> 0", laser_efficiency="in (0, 1]",
+                       sun_efficiency="in (0, 1]",
+                       aperture_model=APERTURE_MODELS)
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -113,9 +101,8 @@ class TargetModel:
 
     reflectivity: float
 
-    def __post_init__(self) -> None:
-        _require(0.0 <= self.reflectivity <= 1.0,
-                 "reflectivity must be in [0, 1]")
+    _DOMAINS = domains(reflectivity="in [0, 1]")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -126,11 +113,9 @@ class LaserParams:
     wavelength_m: float
     pulse_fwhm_s: float
 
-    def __post_init__(self) -> None:
-        _require(self.peak_power_w > 0, "peak_power_w must be > 0")
-        _require(self.pulse_fwhm_s > 0, "pulse_fwhm_s must be > 0")
-        _require(0.3e-6 < self.wavelength_m < 2.0e-6,
-                 "wavelength_m must be in (0.3e-6, 2.0e-6)")
+    _DOMAINS = domains(peak_power_w="> 0", pulse_fwhm_s="> 0",
+                       wavelength_m="in (0.3e-6, 2.0e-6)")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -156,20 +141,16 @@ class SolarModel:
     reference_irradiance_w_m2: float = 29.4
     _in_band_w_m2: float = field(init=False, repr=False, compare=False)
 
+    _DOMAINS = domains(in_band_irradiance_w_m2=">= 0", illuminance_klux=">= 0",
+                       reference_illuminance_klux="> 0",
+                       reference_irradiance_w_m2=">= 0")
     def __post_init__(self) -> None:
         _require(self.mode in SOLAR_MODES,
                  f"solar mode must be one of {SOLAR_MODES}")
+        check_domains(self)
         if self.mode == "direct_irradiance":
-            _require(self.in_band_irradiance_w_m2 >= 0,
-                     "in_band_irradiance_w_m2 must be >= 0")
             in_band = self.in_band_irradiance_w_m2
         elif self.mode == "illuminance_scaled":
-            _require(self.illuminance_klux >= 0,
-                     "illuminance_klux must be >= 0")
-            _require(self.reference_illuminance_klux > 0,
-                     "reference_illuminance_klux must be > 0")
-            _require(self.reference_irradiance_w_m2 >= 0,
-                     "reference_irradiance_w_m2 must be >= 0")
             in_band = (self.reference_irradiance_w_m2 * self.illuminance_klux
                        / self.reference_illuminance_klux)
         else:

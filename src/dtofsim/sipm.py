@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, SipmSaturationError
+from .errors import (ConfigError, SipmSaturationError, check_domains,
+                     domains)
 from .physconst import photon_energy
 from .tdc import TdcPolicy, min_detectable_signal
 
@@ -101,15 +102,9 @@ class SipmParams:
     dead_time_s: float
     dark_count_rate_cps: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not self.n_pixels >= 1:
-            raise ConfigError("n_pixels must be >= 1")
-        if not 0.0 < self.pde <= 1.0:
-            raise ConfigError("pde must be in (0, 1]")
-        if not self.dead_time_s > 0:
-            raise ConfigError("dead_time_s must be > 0")
-        if not self.dark_count_rate_cps >= 0:
-            raise ConfigError("dark_count_rate_cps must be >= 0")
+    _DOMAINS = domains(n_pixels=">= 1", pde="in (0, 1]", dead_time_s="> 0",
+                       dark_count_rate_cps=">= 0")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -156,20 +151,11 @@ class SipmMcConfig:
     warmup_s: float = 6e-8
     n_noise_periods: int = 20
 
-    def __post_init__(self) -> None:
-        # the standard error needs at least two trials
-        if not self.n_trials >= 2:
-            raise ConfigError("n_trials must be >= 2")
-        if not self.time_step_s > 0:
-            raise ConfigError("time_step_s must be > 0")
-        if self.pulse_shape not in PULSE_SHAPES:
-            raise ConfigError(f"pulse_shape must be one of {PULSE_SHAPES}")
-        if not self.warmup_s >= 0:
-            raise ConfigError("warmup_s must be >= 0")
-        if not self.n_noise_periods >= 2:
-            raise ConfigError("n_noise_periods must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+    # the standard error needs at least two trials
+    _DOMAINS = domains(n_trials=">= 2", time_step_s="> 0",
+                       pulse_shape=PULSE_SHAPES, warmup_s=">= 0",
+                       n_noise_periods=">= 2", seed=">= 0")
+    __post_init__ = check_domains
 
     @classmethod
     def for_dead_time(cls, dead_time_s: float, seed: int = 0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domains
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,8 @@ class TdcPolicy:
 
     tnr: float
 
-    def __post_init__(self) -> None:
-        if not self.tnr > 0:
-            raise ConfigError("tnr must be > 0")
+    _DOMAINS = domains(tnr="> 0")
+    __post_init__ = check_domains
 
 
 def false_alarm_prob(tnr: float) -> float:

@@ -101,7 +101,7 @@ def test_criterion_5_closed_form_consistency():
 
     apd_config = table1_preset("apd")
     params = replace(apd_config.detector.params, surface_dark_current_a=0.0,
-                     bulk_dark_current_a=0.0, load_resistance_ohm=1e12,
+                     bulk_dark_current_a=0.0, load_resistance_ohm=1e300,
                      amplifier_noise_a=0.0)
     det_pl = replace(apd_config.detector, params=params)
     config_pl = replace(apd_config, detector=det_pl)
@@ -109,9 +109,9 @@ def test_criterion_5_closed_form_consistency():
     closed_apd = closed_form_max_range(config_pl, det_pl)
     gap_apd = abs(pipeline_apd / closed_apd - 1.0)
 
-    ok = gap_sipm <= 1e-6 and gap_apd <= 0.01
+    ok = gap_sipm <= 1e-12 and gap_apd <= 1e-12
     report(5, ok, f"closed-form range vs pipeline: SiPM gap {gap_sipm:.2e} "
-                  f"<= 1e-6, photon-limited APD gap {gap_apd:.2e} <= 1e-2")
+                  f"<= 1e-12, photon-limited APD gap {gap_apd:.2e} <= 1e-12")
 
 
 def test_criterion_6_sensitivity_exponents():

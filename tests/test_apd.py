@@ -343,10 +343,6 @@ class TestOptimizeGain:
 
 
 class TestParamValidation:
-    def test_gain_below_one(self):
-        with pytest.raises(ConfigError, match="gain"):
-            replace(TABLE1_APD, gain=0.5)
-
     @pytest.mark.parametrize("field", ["surface_dark_current_a",
                                        "bulk_dark_current_a",
                                        "amplifier_noise_a"])

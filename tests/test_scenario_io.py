@@ -14,15 +14,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dtofsim import ConfigError, scenario
+from dtofsim import (ConfigError, apd, cli, detectors, scenario, scene_link,
+                     sipm, tdc)
+from dtofsim.apd import ApdParams
+from dtofsim.detectors import SipmChoice
 from dtofsim.ranging import snr_at_range
-from dtofsim.scene_link import SolarModel
-from dtofsim.scenario import (config_from_dict, load_scenario, save_scenario,
-                              scenario_to_dict, table1_preset)
-from dtofsim.sipm import SipmMcConfig
+from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
+                                SceneGeometry, SolarModel, TargetModel)
+from dtofsim.scenario import (ScenarioConfig, config_from_dict, load_scenario,
+                              save_scenario, scenario_to_dict, table1_preset)
+from dtofsim.sipm import SipmMcConfig, SipmParams
 from dtofsim.sweeps import (MAX_GRID_POINTS, STATUS_OK, SweepResult,
                             SweepRow, SweepSpec, csv_lines, emit_csv,
                             emit_svg, make_grid, run_sweep)
+from dtofsim.tdc import TdcPolicy
 
 
 class TestTable1Preset:
@@ -464,6 +469,130 @@ class TestLoadValidation:
         config = load_scenario(path)
         assert config == table1_preset("apd")
         assert not hasattr(config.target, "extends_beyond_spot")
+
+
+# Every field of every _DOMAINS table is probed at each finite bound, one
+# ULP either side, +-inf and NaN (a name set: each name and one outsider),
+# with its mode active.  domain_outcomes.json holds each probe's outcome
+# under the hand-written checks the tables replaced: "ok" or the
+# ConfigError message.  A field it does not list is held to its table.
+_RECORDED = json.loads(
+    (Path(__file__).parent / "domain_outcomes.json").read_text("utf-8"))
+# outcomes that differ from the record on purpose: the old seed check,
+# ``seed < 0``, let NaN through
+_CHANGED = {("SipmMcConfig.seed", "nan"): "seed must be >= 0"}
+_APD, _SIPM = table1_preset("apd"), table1_preset("sipm")
+_BASES = {
+    ScenarioConfig: _APD, SceneGeometry: _APD.scene,
+    AtmosphereModel: _APD.atmosphere, ReceiverOptics: _APD.optics,
+    TargetModel: _APD.target, LaserParams: _APD.laser, SolarModel: _APD.solar,
+    TdcPolicy: _APD.tdc, ApdParams: _APD.detector.params,
+    SipmParams: _SIPM.detector.params, SipmChoice: _SIPM.detector,
+    SipmMcConfig: SipmMcConfig(),
+}
+# fields that only another mode than the base's reads, with that mode
+_MODES = {"extinction_coeff_per_m": {"mode": "extinction"},
+          "in_band_irradiance_w_m2": {"mode": "direct_irradiance"},
+          "electron_ionization_rate": {"excess_noise_mode": "ionization"}}
+_DOMAIN_ROWS = {f"{cls.__name__}.{row[0]}": (cls, row)
+                for cls in _BASES for row in cls._DOMAINS}
+
+
+def _probes(row) -> list:
+    name, text, lo, hi, lo_closed, hi_closed, names = row
+    if names is not None:
+        return [*names, "bogus"]
+    values = [v for b in (lo, hi) if math.isfinite(b)
+              for v in (math.nextafter(b, -math.inf), b,
+                        math.nextafter(b, math.inf))]
+    return [*values, -math.inf, math.inf, math.nan]
+
+
+def _declared(row, value) -> str:
+    """The outcome the table row states for ``value``."""
+    name, text, lo, hi, lo_closed, hi_closed, names = row
+    if names is not None:
+        inside = value in names
+    else:
+        inside = ((lo <= value if lo_closed else lo < value)
+                  and (value <= hi if hi_closed else value < hi))
+    return "ok" if inside else f"{name} must be {text}"
+
+
+def _outcome(cls, name, value, **mode) -> str:
+    try:
+        replace(_BASES[cls], **mode, **{name: value})
+    except ConfigError as exc:
+        return str(exc)
+    return "ok"
+
+
+class TestDomains:
+    def test_every_table_has_a_base(self):
+        modules = (apd, detectors, scenario, scene_link, sipm, tdc)
+        declared = {obj for module in modules for obj in vars(module).values()
+                    if isinstance(obj, type) and "_DOMAINS" in vars(obj)}
+        assert declared == set(_BASES)
+
+    def test_recorded_fields_keep_their_probes(self):
+        # a moved bound or a dropped field shows here, not as a new field
+        assert {key: [repr(v) for v in _probes(row)]
+                for key, (_, row) in _DOMAIN_ROWS.items()
+                if key in _RECORDED} == {
+            key: list(probes) for key, probes in _RECORDED.items()}
+
+    @pytest.mark.parametrize("key", sorted(_DOMAIN_ROWS))
+    def test_probe_outcomes(self, key):
+        cls, row = _DOMAIN_ROWS[key]
+        name, recorded = row[0], _RECORDED.get(key, {})
+        for value in _probes(row):
+            expected = (_CHANGED.get((key, repr(value)))
+                        or recorded.get(repr(value)) or _declared(row, value))
+            outcome = _outcome(cls, name, value, **_MODES.get(name, {}))
+            assert outcome == expected, (key, value)
+
+    @pytest.mark.parametrize("cls,fields,message", [
+        (AtmosphereModel, {"mode": "extinction", "one_way_transmittance": 1.5},
+         "one_way_transmittance must be in (0, 1]"),
+        (SolarModel, {"mode": "direct_irradiance", "illuminance_klux": -1.0},
+         "illuminance_klux must be >= 0"),
+        (ApdParams, {"electron_ionization_rate": 5.0},
+         "electron_ionization_rate must be in [0, 1]"),
+        (ApdParams, {"excess_noise_mode": "ionization",
+                     "electron_ionization_rate": 0.5,
+                     "excess_noise_index": -1.0},
+         "excess_noise_index must be >= 0"),
+    ])
+    def test_a_field_its_mode_does_not_read_is_checked(self, cls, fields,
+                                                       message):
+        with pytest.raises(ConfigError) as info:
+            replace(_BASES[cls], **fields)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"electron_ionization_rate": 5},
+         "electron_ionization_rate must be in [0, 1]"),
+        ({"excess_noise_mode": "ionization", "electron_ionization_rate": 0.5,
+          "excess_noise_index": -1}, "excess_noise_index must be >= 0"),
+    ])
+    def test_inactive_mode_key_in_a_file_exits_1(self, tmp_path, capsys,
+                                                 fields, message):
+        data = scenario_to_dict(_APD)
+        data["detector"].update(fields)
+        path = tmp_path / "apd.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["range", "--config", str(path)]) == 1
+        assert f"scenario.detector: {message}" in capsys.readouterr().err
+
+    def test_nan_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SipmMcConfig(seed=math.nan)
+
+    def test_none_passes_only_a_none_default(self):
+        params = _APD.detector.params
+        assert replace(params, electron_ionization_rate=None) == params
+        with pytest.raises(TypeError):
+            replace(params, gain=None)
 
 
 class TestRunSweep:

@@ -273,24 +273,6 @@ class TestFovHalfAngle:
         assert fov_half_angle(optics) == pytest.approx(0.0, abs=1e-10)
 
 
-class TestValidation:
-    def test_reflectivity_bounds(self):
-        with pytest.raises(ConfigError, match="reflectivity"):
-            TargetModel(reflectivity=1.5)
-
-    def test_negative_range(self):
-        with pytest.raises(ConfigError, match="range_m"):
-            SceneGeometry(range_m=-1.0)
-
-    def test_wavelength_window(self):
-        with pytest.raises(ConfigError, match="wavelength"):
-            LaserParams(peak_power_w=1.0, wavelength_m=10e-6, pulse_fwhm_s=1e-9)
-
-    def test_transmittance_range(self):
-        with pytest.raises(ConfigError, match="transmittance"):
-            AtmosphereModel(one_way_transmittance=1.2)
-
-
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "spectrum.csv"
