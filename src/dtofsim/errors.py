@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and the parameter domains.
 
 Each parameter class declares its fields' domains once, in a ``_DOMAINS``
-table from ``domains``, which ``check_domains`` enforces.  Checks that
-span fields or modes stay code in the class.
+table from ``domains``, and its counts in a ``_WHOLE`` tuple, which
+``check_domains`` enforces.  Checks that span fields or modes stay code in
+the class.
 """
 
 from __future__ import annotations
@@ -60,14 +61,23 @@ def domains(**specs: str | tuple[str, ...]) -> tuple[tuple, ...]:
 
 def check_domains(obj) -> None:
     """Raise ``ConfigError("<field> must be <text>")`` for the first field
-    of ``obj``'s ``_DOMAINS`` outside its domain."""
+    of ``obj``'s ``_DOMAINS`` outside its domain, then ``ConfigError(
+    "<field> must be a whole number")`` for the first of its ``_WHOLE``
+    fields that is not one; a whole number such as 8.0 is stored as an
+    int."""
     for name, text, lo, hi, lo_closed, hi_closed, names in obj._DOMAINS:
         value = getattr(obj, name)
-        if names is not None:
+        if value is None:  # passes only where it is the default
+            ok = obj.__dataclass_fields__[name].default is None
+        elif names is not None:
             ok = value in names
-        else:  # None passes where it is the default; elsewhere TypeError
-            ok = (value is None is obj.__dataclass_fields__[name].default
-                  or lo < value < hi or value == lo and lo_closed
+        else:
+            ok = (lo < value < hi or value == lo and lo_closed
                   or value == hi and hi_closed)
         if not ok:
             raise ConfigError(f"{name} must be {text}")
+    for name in getattr(obj, "_WHOLE", ()):
+        value = getattr(obj, name)
+        if not (isinstance(value, int) or float(value).is_integer()):
+            raise ConfigError(f"{name} must be a whole number")
+        object.__setattr__(obj, name, int(value))

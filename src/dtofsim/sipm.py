@@ -22,10 +22,8 @@ phase (warm-up and noise periods) the hazard is a constant ``x``, so an
 armed pixel fires ``floor(E / x)`` steps later; pixels still armed, or
 armed again, when the pulse span begins carry into it, which the law's
 lack of memory allows.  The pulse phase searches the span's own summed
-hazard.  Each trial draws from its own generator, its background firings
-first and then its pulse-span firings.  Trials run in batches of up to
-``_BATCH_SLOTS`` pixels (one trial of a larger array), and a batch holds
-memory for its pixels and one step grid.
+hazard.  Both phases run in ``_renewal``, which states the draw order,
+the batches and their memory.
 
 ``monte_carlo_snr`` remembers its last background phase: the inputs it
 read, the noise-period counts, each trial's pixels armed at each early
@@ -76,13 +74,11 @@ MAX_TOTAL_STEPS = 10**9
 MAX_PIXELS = 10**6
 
 # pixel slots one batch of Monte Carlo trials runs at once: ten trials of
-# table1's 400 pixels, one trial of an array over 4096 pixels
+# table1's 400 pixels, one trial of a larger array
 _BATCH_SLOTS = 4096
 
-# the last background phase monte_carlo_snr ran: the inputs it read, and
-# each trial's generator, its state after the phase, its noise-period
-# counts and its pixels armed at each early step of the pulse span (about
-# 2 KB a trial at table1)
+# the last background phase monte_carlo_snr ran, as the module docstring
+# describes (about 2 KB a trial at table1)
 _last_background: tuple | None = None
 
 
@@ -138,10 +134,9 @@ class SipmMcConfig:
     ``n_noise_periods`` background-only counting periods per trial feed the
     noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``, one
     exponential per pixel firing: first those of its background phase
-    (warm-up and noise periods), then those of its pulse span.  Trials run
-    in batches of up to 4096 pixels, or one trial of a larger array, and a
-    batch holds O(its pixels + steps) memory; ``monte_carlo_snr`` caps the
-    steps and the pixels.
+    (warm-up and noise periods), then those of its pulse span, each in the
+    order ``_renewal`` states.  ``monte_carlo_snr`` caps the steps and the
+    pixels.
     """
 
     n_trials: int = 1000
@@ -155,6 +150,7 @@ class SipmMcConfig:
     _DOMAINS = domains(n_trials=">= 2", time_step_s="> 0",
                        pulse_shape=PULSE_SHAPES, warmup_s=">= 0",
                        n_noise_periods=">= 2", seed=">= 0")
+    _WHOLE = ("n_trials", "n_noise_periods", "seed")
     __post_init__ = check_domains
 
     @classmethod
@@ -346,6 +342,52 @@ def _exponentials(rngs: list[np.random.Generator],
     return key
 
 
+def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
+             dead_steps: int, fire, step_bin: np.ndarray) -> np.ndarray:
+    """Each trial's pixel firings over the ``step_bin.size`` steps of a
+    phase, summed into the bin ``step_bin[t]`` of each firing step ``t``.
+
+    ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``.
+    Each round, every armed pixel draws ``E ~ Exp(1)``, and ``fire(key,
+    ready)`` turns the draws of the pixels armed at steps ``ready`` into
+    ``(t, fires)``: the firing steps of those that fire in the phase, and
+    the mask that picks them.  A pixel fired at ``t`` is armed again at
+    ``t + dead_steps + 1``.  Each generator draws for its own armed pixels
+    in the order of their ready steps, then of their firings, so a trial's
+    counts do not depend on its batch.  Trials run in batches of up to
+    ``_BATCH_SLOTS`` pixels (one trial of a larger array).  A batch holds
+    memory for its pixels and one step grid: each array goes when it is
+    done with, so a round holds at most four arrays over its pixels.
+    """
+    import numpy as np
+
+    steps, n_bins = step_bin.size, int(step_bin.max()) + 1
+    width = dead_steps + 1
+    held = ready_at[:, :steps]
+    per_batch = max(1, _BATCH_SLOTS // max(1, int(ready_at[0].sum())))
+    offsets = np.tile(np.arange(held.shape[1]), per_batch)
+    counts = np.zeros((len(rngs), n_bins), dtype=np.int64)
+    for lo in range(0, len(rngs), per_batch):
+        batch, armed_at = rngs[lo:lo + per_batch], held[lo:lo + per_batch]
+        ready = np.repeat(offsets[:armed_at.size], armed_at.ravel())
+        owner = np.repeat(np.arange(len(batch)), armed_at.sum(axis=1))
+        fired = np.zeros(len(batch) * n_bins, dtype=np.int64)
+        while owner.size:
+            t, fires = fire(_exponentials(batch, owner), ready)
+            owner = owner[fires]
+            del ready, fires
+            bins = owner * n_bins
+            bins += step_bin[t]
+            fired += np.bincount(bins, minlength=fired.size)
+            del bins
+            t += width
+            armed = t < steps
+            ready, owner = t[armed], owner[armed]
+            del t
+        counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_bins)
+    return counts
+
+
 def _background(rngs: list[np.random.Generator], n_pix: int,
                 dead_steps: int, x_bg: float,
                 step_bin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +398,11 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     Returns ``(counts, ready_at)``: each trial's fired pixels summed into
     the bin ``step_bin[t]`` of each firing step ``t``, and the number of its
     pixels armed from each step ``k`` of ``0..dead_steps`` of the pulse
-    span.  All pixels start armed at step 0.  An armed pixel draws ``E ~
-    Exp(1)`` and fires ``floor(E / x_bg)`` steps later, which is the
-    per-step law ``p = 1 - exp(-x_bg)``; it is armed again ``dead_steps +
-    1`` steps after it fires.  A pixel that does not fire before the pulse
-    span is armed at its start, as the law has no memory.  Each generator
-    draws the ``E`` of its own armed pixels, in pixel order, once per
-    round, so a trial's counts do not depend on the batch it runs in.  At
-    ``x_bg`` 0 nothing fires and nothing is drawn.
+    span.  All pixels start armed at step 0; in ``_renewal`` one armed at
+    ``s`` fires at ``s + floor(E / x_bg)``, the per-step law ``p = 1 -
+    exp(-x_bg)``, and one that does not fire before the pulse span is armed
+    at its start, as the law has no memory.  At ``x_bg`` 0 nothing fires
+    and nothing is drawn.
     """
     import numpy as np
 
@@ -377,39 +416,22 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     tail = np.arange(max(0, steps - width), steps)
     phase_bin = step_bin.copy()
     phase_bin[tail] = n_bins + width - steps + tail
-    n_phase = n_bins + width
-    counts = np.zeros((len(rngs), n_phase), dtype=np.int64)
-    per_batch = max(1, _BATCH_SLOTS // n_pix)
-    # at x_bg 0 no pixel fires, and none draws; near 0, E / x_bg overflows
-    # to inf
+
+    def fire(wait, ready):
+        wait /= x
+        # capped before the cast, so a quotient too large for an integer
+        # is a step past the phase
+        t = np.minimum(wait, steps, out=wait).astype(np.int64)
+        del wait
+        t += ready
+        fires = t < steps
+        return t[fires], fires
+
+    # at x_bg 0 no pixel is armed, so none draws; near 0, E / x_bg
+    # overflows to inf
+    armed = np.full((len(rngs), 1), n_pix if x > 0.0 else 0)
     with np.errstate(over="ignore"):
-        for lo in range(0, len(rngs) if x > 0.0 else 0, per_batch):
-            batch = rngs[lo:lo + per_batch]
-            ready = np.zeros(len(batch) * n_pix, dtype=np.int64)
-            owner = np.repeat(np.arange(len(batch)), n_pix)
-            fired = np.zeros(len(batch) * n_phase, dtype=np.int64)
-            while owner.size:
-                wait = _exponentials(batch, owner)
-                wait /= x
-                # capped before the cast, so a quotient too large for an
-                # integer is a step past the phase
-                t = np.minimum(wait, steps, out=wait).astype(np.int64)
-                t += ready
-                # each array goes when it is done with, so a batch holds at
-                # most four arrays over its pixels
-                del wait, ready
-                fires = t < steps
-                t, owner = t[fires], owner[fires]
-                del fires
-                bins = owner * n_phase
-                bins += phase_bin[t]
-                fired += np.bincount(bins, minlength=fired.size)
-                del bins
-                t += width
-                armed = t < steps
-                ready, owner = t[armed], owner[armed]
-                del t
-            counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_phase)
+        counts = _renewal(rngs, armed, dead_steps, fire, phase_bin)
     fired, ready_at = counts[:, :n_bins], counts[:, n_bins:]
     np.add.at(fired, (slice(None), step_bin[tail]),
               ready_at[:, width - tail.size:])
@@ -423,55 +445,25 @@ def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
            step_bin: np.ndarray) -> np.ndarray:
     """The pulse phase: each trial's fired pixels over the steps of
     ``x_pulse``, the per-pixel hazard of each pulse-span step, summed into
-    the bin ``step_bin[t]`` of each firing step ``t``.
-
-    ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``,
-    as ``_background`` leaves them.  A pixel armed at step ``s`` draws ``E
-    ~ Exp(1)`` and fires at the first ``t`` with ``cum[t + 1] > cum[s] +
-    E``, where ``cum[t]`` is the hazard summed over the steps before
-    ``t``.  Pixels draw in the order of their ready steps, then of their
-    firings, once per round and each from its trial's generator.  Trials
-    run in the batches of ``_background``.
+    the bin ``step_bin[t]`` of each firing step ``t``, from the ``ready_at``
+    ``_background`` leaves.  In ``_renewal`` a pixel armed at ``s`` fires at
+    the first ``t`` with ``cum[t + 1] > cum[s] + E``, where ``cum[t]`` is
+    the hazard summed over the steps before ``t``.
     """
     import numpy as np
 
-    span = x_pulse.size
     cum = np.concatenate([[0.0], np.cumsum(np.minimum(x_pulse, _MAX_HAZARD))])
-    n_bins = int(step_bin.max()) + 1
-    width = dead_steps + 1
-    # a pixel armed after the span's last step never fires in it
-    held = ready_at[:, :span]
-    per_batch = max(1, _BATCH_SLOTS // int(ready_at[0].sum()))
-    offsets = np.tile(np.arange(held.shape[1]), per_batch)
-    counts = np.zeros((len(rngs), n_bins), dtype=np.int64)
-    for lo in range(0, len(rngs), per_batch):
-        batch, armed_at = rngs[lo:lo + per_batch], held[lo:lo + per_batch]
-        ready = np.repeat(offsets[:armed_at.size], armed_at.ravel())
-        owner = np.repeat(np.arange(len(batch)), armed_at.sum(axis=1))
-        fired = np.zeros(len(batch) * n_bins, dtype=np.int64)
-        while owner.size:
-            key = _exponentials(batch, owner)
-            key += cum[ready]  # the key cum[s] + E
-            # a key past the span's summed hazard never fires in it, as most
-            # of a weak pulse's do not; the others fire at the first step t
-            # with cum[t + 1] > key, so t >= s, and never on a zero-hazard
-            # step
-            fires = key < cum[-1]
-            t = cum[1:].searchsorted(key[fires], side="right")
-            owner = owner[fires]
-            # each array goes when it is done with, so a batch holds at
-            # most four arrays over its pixels
-            del key, ready, fires
-            bins = owner * n_bins
-            bins += step_bin[t]
-            fired += np.bincount(bins, minlength=fired.size)
-            del bins
-            t += width
-            armed = t < span
-            ready, owner = t[armed], owner[armed]
-            del t
-        counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_bins)
-    return counts
+
+    def fire(key, ready):
+        key += cum[ready]  # the key cum[s] + E
+        # a key past the span's summed hazard never fires in it, as most of
+        # a weak pulse's do not; the others fire at the first step t with
+        # cum[t + 1] > key, so t >= s, and never on a zero-hazard step
+        fires = key < cum[-1]
+        key = key[fires]
+        return cum[1:].searchsorted(key, side="right"), fires
+
+    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -482,20 +474,15 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
 
     Returns ``(snr_estimate, std_error)``.  Deterministic for a fixed seed;
     trial ``i`` always uses the sub-seed ``(seed, i)``, so estimates at
-    different operating points share random numbers, and the batching of
-    trials does not change them.  Each trial draws its background phase
-    first and its pulse span second, so evaluations whose background
-    inputs are equal (pixels, dead time, background hazard, warm-up, noise
-    periods and their length, seed and trial count) share that phase
-    exactly: the last one is remembered, and a repeat restores each
-    trial's generator state and runs the pulse span alone, with the same
-    result as a recompute; what is remembered takes about 2 KB a trial.
-    The hazard kernel is exact in
-    distribution for the per-step firing law and needs O(pixels + steps)
-    memory per batch of trials.  A trial over ``MAX_TRIAL_STEPS`` steps,
-    all trials over ``MAX_TOTAL_STEPS``, or an array over ``MAX_PIXELS``
-    pixels is a ``ConfigError``.  ``workers`` is ignored; the benchmark
-    harness in ``perfbench/`` still passes it.
+    different operating points share random numbers.  Evaluations whose
+    background inputs are equal (pixels, dead time, background hazard,
+    warm-up, noise periods and their length, seed and trial count) share
+    that phase exactly, as the module docstring describes.  The hazard
+    kernel is exact in distribution for the per-step firing law, and
+    ``_renewal`` states its draw order, batches and memory.  A trial over
+    ``MAX_TRIAL_STEPS`` steps, all trials over ``MAX_TOTAL_STEPS``, or an
+    array over ``MAX_PIXELS`` pixels is a ``ConfigError``.  ``workers`` is
+    ignored; the benchmark harness in ``perfbench/`` still passes it.
     """
     import numpy as np
 

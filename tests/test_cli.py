@@ -427,7 +427,8 @@ class TestExitCodes:
                                 n_pixels=MAX_PIXELS + 1)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        code, _, err = run_cli(capsys, "range", "--config", str(path))
+        with pytest.warns(UserWarning, match="dark load"):
+            code, _, err = run_cli(capsys, "range", "--config", str(path))
         assert code == 1
         assert "n_pixels" in err and "cap" in err
 

@@ -479,8 +479,15 @@ class TestLoadValidation:
 _RECORDED = json.loads(
     (Path(__file__).parent / "domain_outcomes.json").read_text("utf-8"))
 # outcomes that differ from the record on purpose: the old seed check,
-# ``seed < 0``, let NaN through
-_CHANGED = {("SipmMcConfig.seed", "nan"): "seed must be >= 0"}
+# ``seed < 0``, let NaN through, and the old checks let a count that is
+# not a whole number through to fail inside numpy
+_CHANGED = {("SipmMcConfig.seed", "nan"): "seed must be >= 0",
+            **{(f"SipmMcConfig.{name}", value): f"{name} must be a whole number"
+               for name, value in [
+                   ("n_trials", "2.0000000000000004"), ("n_trials", "inf"),
+                   ("n_noise_periods", "2.0000000000000004"),
+                   ("n_noise_periods", "inf"),
+                   ("seed", "5e-324"), ("seed", "inf")]}}
 _APD, _SIPM = table1_preset("apd"), table1_preset("sipm")
 _BASES = {
     ScenarioConfig: _APD, SceneGeometry: _APD.scene,
@@ -591,8 +598,9 @@ class TestDomains:
     def test_none_passes_only_a_none_default(self):
         params = _APD.detector.params
         assert replace(params, electron_ionization_rate=None) == params
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError) as info:
             replace(params, gain=None)
+        assert str(info.value) == "gain must be >= 1"
 
 
 class TestRunSweep:

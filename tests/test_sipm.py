@@ -277,11 +277,15 @@ class TestMonteCarlo:
         return SipmMcConfig(n_trials=n_trials, time_step_s=1e-10, seed=seed,
                             warmup_s=6e-8, n_noise_periods=20)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
+        # the second call runs the background phase again rather than
+        # restoring it, so both phases are checked for repeatability
         mc = self.quick_mc()
         args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
                 self.BW, mc)
-        assert monte_carlo_snr(*args) == monte_carlo_snr(*args)
+        first = monte_carlo_snr(*args)
+        monkeypatch.setattr(sipm, "_last_background", None)
+        assert monte_carlo_snr(*args) == first
 
     def test_seed_changes_results(self):
         args = (TABLE1_SIPM, photons(50.0), P_RS_REF / 100, 6e-9, 905e-9,
@@ -364,6 +368,33 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="optical powers"):
             monte_carlo_snr(TABLE1_SIPM, p_r, p_rs, 6e-9, 905e-9, self.BW,
                             self.quick_mc())
+
+    @staticmethod
+    def mc_snr_at_100_m(sipm_config, **counts):
+        mc = replace(SipmMcConfig.for_dead_time(6e-9, seed=3, n_trials=8),
+                     **{"n_noise_periods": 8, **counts})
+        det = replace(sipm_config.detector, snr_mode="monte_carlo", mc=mc)
+        return ranging.snr_at_range(sipm_config, det, 100.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_trials", 2.5), ("n_trials", 2.0000000000000004),
+        ("n_trials", math.inf), ("n_noise_periods", 2.5),
+        ("n_noise_periods", 20.5), ("n_noise_periods", math.inf),
+        ("seed", 2.5), ("seed", 5e-324), ("seed", math.inf)])
+    def test_counts_must_be_whole_numbers(self, sipm_config, field, value):
+        with pytest.raises(ConfigError) as info:
+            self.mc_snr_at_100_m(sipm_config, **{field: value})
+        assert str(info.value) == f"{field} must be a whole number"
+
+    @pytest.mark.parametrize("field", ["n_trials", "n_noise_periods", "seed"])
+    def test_a_whole_float_count_runs_as_an_int(self, monkeypatch,
+                                                sipm_config, field):
+        assert type(getattr(replace(SipmMcConfig(), **{field: 8.0}),
+                            field)) is int
+        as_float = self.mc_snr_at_100_m(sipm_config, **{field: 8.0})
+        monkeypatch.setattr(sipm, "_last_background", None)
+        as_int = self.mc_snr_at_100_m(sipm_config, **{field: 8})
+        assert (as_float, as_float.se) == (as_int, as_int.se)
 
     def test_warmup_guard(self):
         mc = SipmMcConfig(n_trials=10, time_step_s=1e-10, seed=0,
@@ -780,27 +811,6 @@ class TestRememberedBackground:
 
 
 class TestParamValidation:
-    def test_pde_range(self):
-        with pytest.raises(ConfigError, match="pde"):
-            SipmParams(n_pixels=400, pde=1.5, dead_time_s=6e-9)
-
-    def test_nan_dark_count_rate_rejected(self):
-        with pytest.raises(ConfigError, match="dark_count_rate_cps"):
-            replace(TABLE1_SIPM, dark_count_rate_cps=math.nan)
-
-    def test_nan_warmup_rejected(self):
-        with pytest.raises(ConfigError, match="warmup_s"):
-            SipmMcConfig(warmup_s=math.nan)
-
-    def test_mc_seed_must_be_non_negative(self):
-        with pytest.raises(ConfigError, match="seed"):
-            SipmMcConfig(seed=-5)
-
-    def test_mc_needs_two_trials_for_a_standard_error(self):
-        with pytest.raises(ConfigError, match="n_trials"):
-            SipmMcConfig.for_dead_time(6e-9, seed=3, n_trials=1)
-        SipmMcConfig.for_dead_time(6e-9, seed=3, n_trials=2)
-
     def test_pixel_count(self):
         with pytest.raises(ConfigError, match="n_pixels"):
             SipmParams(n_pixels=0, pde=0.22, dead_time_s=6e-9)
