@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the committed example configs and golden sweep outputs.
+"""Regenerate the committed example configs and golden outputs.
 
 The goldens are this pipeline's own reference values for the headline
 comparisons (SNR vs distance, range vs elevation with a cosine aperture,
-range vs illuminance, fired-count response curves); they are regression
-anchors, not externally measured truth.  The stdout of
-``report_table1.py`` and the bytes of ``dtofsim sensitivity --param all``
-for each table1 preset are kept beside them.  Rerunning this script must
-be a no-op unless the model changed.
+range vs illuminance, fired-count response curves, range elasticities);
+they are regression anchors, not externally measured truth.  Each golden
+is the bytes that one ``dtofsim`` command writes with ``--out``; the
+table below is the one recipe for each file.  The two cosine-aperture
+configs are the presets with ``aperture_model="cosine"``, and
+``report_table1.txt`` is the stdout of ``report_table1.py``.  Rerunning
+this script must be a no-op unless the model changed.
 """
 
 from __future__ import annotations
@@ -25,44 +27,49 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dtofsim import cli  # noqa: E402
 from dtofsim.scenario import save_scenario, table1_preset  # noqa: E402
-from dtofsim.sweeps import (SWEEP_KINDS, SweepSpec, emit_csv,  # noqa: E402
-                            emit_svg, make_grid, run_sweep)
+
+
+def commands(config_dir: str, golden_dir: str) -> list[tuple[str, list[str]]]:
+    """(output file, ``dtofsim`` argv without ``--out``) for each file the
+    CLI writes; each sweep runs on its kind's default grid."""
+    cosine = []
+    for det in ("apd", "sipm"):
+        cosine += ["--config", os.path.join(config_dir, f"table1_{det}_cosine.json")]
+    table = [(os.path.join(config_dir, f"table1_{det}.json"),
+              ["preset", "table1", "--detector", det]) for det in ("apd", "sipm")]
+    sweeps = {
+        "distance_snr": ["sweep", "--kind", "distance", "--detector", "both"],
+        "elevation_rmax": ["sweep", "--kind", "elevation", *cosine],
+        "illuminance_rmax": ["sweep", "--kind", "illuminance", "--detector", "both"],
+        "sipm_response": ["sipm-response"],
+    }
+    for name, argv in sweeps.items():
+        for fmt in ("csv", "svg"):
+            table.append((os.path.join(golden_dir, f"{name}.{fmt}"),
+                          [*argv, "--format", fmt]))
+    for det in ("apd", "sipm"):
+        table.append((os.path.join(golden_dir, f"sensitivity_table1_{det}.csv"),
+                      ["sensitivity", "--detector", det, "--param", "all"]))
+    return table
+
 
 def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
     os.makedirs(config_dir, exist_ok=True)
     os.makedirs(golden_dir, exist_ok=True)
     written = []
 
-    apd = table1_preset("apd")
-    sipm = table1_preset("sipm")
-    cosine = {"aperture_model": "cosine"}
-    apd_cos = replace(apd, optics=replace(apd.optics, **cosine))
-    sipm_cos = replace(sipm, optics=replace(sipm.optics, **cosine))
-
-    for name, config in (("table1_apd", apd), ("table1_sipm", sipm),
-                         ("table1_apd_cosine", apd_cos),
-                         ("table1_sipm_cosine", sipm_cos)):
-        path = os.path.join(config_dir, f"{name}.json")
-        save_scenario(config, path)
+    for det in ("apd", "sipm"):
+        config = table1_preset(det)
+        path = os.path.join(config_dir, f"table1_{det}_cosine.json")
+        save_scenario(replace(config, optics=replace(
+            config.optics, aperture_model="cosine")), path)
         written.append(path)
 
-    # each sweep on its kind's default grid, the one the CLI uses
-    sweeps = {
-        "distance_snr": (apd, "distance", (apd.detector, sipm.detector)),
-        "elevation_rmax": (apd_cos, "elevation",
-                           (apd_cos.detector, sipm_cos.detector)),
-        "illuminance_rmax": (apd, "illuminance", (apd.detector, sipm.detector)),
-        "sipm_response": (sipm, "photon_response", ()),
-    }
-    for name, (config, kind, detectors) in sweeps.items():
-        spec = SweepSpec(kind=kind, grid=make_grid(*SWEEP_KINDS[kind].grid),
-                         detectors=detectors)
-        result = run_sweep(config, spec)
-        csv_path = os.path.join(golden_dir, f"{name}.csv")
-        svg_path = os.path.join(golden_dir, f"{name}.svg")
-        emit_csv(result, csv_path)
-        emit_svg(result, svg_path)
-        written.extend([csv_path, svg_path])
+    for path, argv in commands(config_dir, golden_dir):
+        status = cli.main([*argv, "--out", path])
+        if status != 0:
+            raise RuntimeError(f"dtofsim {' '.join(argv)} exited {status}")
+        written.append(path)
 
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
@@ -72,20 +79,12 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.getvalue())
     written.append(report_path)
-
-    for detector in ("apd", "sipm"):
-        path = os.path.join(golden_dir, f"sensitivity_table1_{detector}.csv")
-        status = cli.main(["sensitivity", "--detector", detector,
-                           "--param", "all", "--out", path])
-        if status != 0:
-            raise RuntimeError(f"dtofsim sensitivity exited {status}")
-        written.append(path)
     return written
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
-        description="Regenerate the example configs and golden sweeps.")
+        description="Regenerate the example configs and golden outputs.")
     parser.add_argument(
         "root", nargs="?", default=ROOT,
         help="write configs/ and goldens/ under this directory, to compare "

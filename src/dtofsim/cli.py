@@ -8,15 +8,17 @@ stdout and files alike, is byte deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 
-from . import ranging, scenario, sweeps
+from . import ranging, sweeps
 from .apd import optimize_gain
 from .detectors import ApdChoice, DetectorChoice
 from .errors import ConfigError, SolverError
 from .ranging import SENSITIVITY_PARAMS, declares, max_range, sensitivity
-from .scenario import ScenarioConfig, load_scenario, save_scenario, table1_preset
+from .scenario import (ScenarioConfig, load_scenario, scenario_to_dict,
+                       table1_preset)
 from .sweeps import (SWEEP_KINDS, SweepSpec, emit_csv, emit_svg,
                      format_number, make_grid, run_sweep)
 
@@ -115,13 +117,7 @@ def _cmd_preset(args) -> None:
     if args.name != "table1":
         raise ConfigError(f"unknown preset {args.name!r}")
     config = table1_preset(args.detector)
-    if args.out is None:
-        import json
-
-        sys.stdout.write(json.dumps(scenario.scenario_to_dict(config), indent=2))
-        sys.stdout.write("\n")
-    else:
-        save_scenario(config, args.out)
+    _write_lines([json.dumps(scenario_to_dict(config), indent=2)], args.out)
 
 
 def _cmd_range(args) -> None:

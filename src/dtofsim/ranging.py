@@ -92,7 +92,10 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
     The one SNR dispatch: the link once, then the APD or the SiPM's
     analytic, approx or Monte Carlo model.  A Monte Carlo SNR is a
-    ``SnrEstimate`` that carries its standard error.
+    ``SnrEstimate`` that carries its standard error.  ``max_range``
+    inverts each closed-form mode through its p_min, which
+    ``_min_signal_power`` picks, so a new closed-form mode is added there
+    too.
     """
     p_r, p_rs = link_powers(scenario, range_m)
     params = detector.params

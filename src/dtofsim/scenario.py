@@ -344,9 +344,12 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def _file_value(value: Any, unit: Any) -> Any:
-    """SI value to file units that reads back to exactly ``value``: rounded
-    for readability when possible, else the converted value or its float
-    neighbour toward ``value`` (one step suffices for every unit here)."""
+    """SI value to file units: rounded for readability when that reads back
+    to exactly ``value``, else the converted value or its float neighbour
+    toward ``value``, whichever does.  A value loaded from a file always
+    has such a file value.  A value built in code may have none (2-14 % of
+    random floats, by unit); then the converted value is written, and it
+    reads back a unit in the last place away from ``value``."""
     if unit not in _UNITS:
         return value
     to_si, from_si = _UNITS[unit]

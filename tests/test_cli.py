@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +15,6 @@ from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
 from dtofsim.scene_link import sun_equivalent_irradiance
 from dtofsim.sipm import MAX_PIXELS
 from dtofsim.sweeps import MAX_GRID_POINTS, format_number
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -34,11 +31,15 @@ class TestPreset:
         assert code == 0
         assert load_scenario(str(out)) == table1_preset("apd")
 
-    def test_stdout_mode(self, capsys):
+    def test_stdout_mode(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "preset", "table1", "--detector", "sipm")
         assert code == 0
         data = json.loads(out)
         assert data["detector"]["type"] == "sipm"
+        # stdout holds the bytes of the saved scenario file
+        path = tmp_path / "sipm.json"
+        save_scenario(table1_preset("sipm"), str(path))
+        assert out == path.read_text(encoding="utf-8")
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "preset", "fig9")
@@ -137,32 +138,6 @@ class TestFlags:
                                  "--config", paths[1])
         assert code == 1 and out == ""
         assert "argument --config: may be given only once" in err
-
-
-COSINE_CONFIGS = ["--config", str(ROOT / "configs" / "table1_apd_cosine.json"),
-                  "--config", str(ROOT / "configs" / "table1_sipm_cosine.json")]
-
-
-class TestGoldens:
-    # each command given only its output path uses the default grid of
-    # its sweep kind, and so reproduces the committed goldens
-    @pytest.mark.parametrize("argv,golden", [
-        (["sweep", "--kind", "distance", "--detector", "both"],
-         "distance_snr.csv"),
-        (["sweep", "--kind", "elevation", *COSINE_CONFIGS],
-         "elevation_rmax.csv"),
-        (["sweep", "--kind", "elevation", *COSINE_CONFIGS, "--format", "svg"],
-         "elevation_rmax.svg"),
-        (["sweep", "--kind", "illuminance", "--detector", "both"],
-         "illuminance_rmax.csv"),
-        (["sipm-response"], "sipm_response.csv")],
-        ids=["distance", "elevation", "elevation-svg", "illuminance",
-             "sipm-response"])
-    def test_defaults_reproduce_golden(self, tmp_path, capsys, argv, golden):
-        out = tmp_path / golden
-        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
-        assert code == 0
-        assert out.read_bytes() == (ROOT / "goldens" / golden).read_bytes()
 
 
 class TestSweepCommands:
@@ -549,6 +524,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("rows,message", [
+        ("890,1.0\n920,1.0,0.5\n", ":2: expected 3 columns"),
+        ("890,1.0,0.5\n920,bright,0.5\n", ":3: non-numeric value"),
+        ("890,1.0,0.5\n", ": spectrum table needs at least 2 rows")],
+        ids=["two-columns", "non-numeric", "one-row"])
+    def test_malformed_spectrum_csv_is_1(self, tmp_path, capsys, rows,
+                                         message):
+        data = scenario_to_dict(table1_preset("apd"))
+        data["solar"] = {"mode": "spectrum_integral",
+                         "spectrum_csv": "spectrum.csv"}
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,irradiance_w_m2_nm,transmittance\n"
+                            + rows, encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "range", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"{spectrum}{message}" in err
 
     @pytest.mark.parametrize("broken", ["scenario", "spectrum"])
     def test_non_utf8_file_is_1(self, tmp_path, capsys, broken):

@@ -1,4 +1,7 @@
-"""The committed golden outputs must match a fresh regeneration bit for bit."""
+"""The committed configs and goldens must match a fresh regeneration bit
+for bit.  The regeneration runs the ``dtofsim`` command of each file
+(``make_goldens.commands``) in process, so every CLI-made file is also a
+check of that command's bytes."""
 
 import importlib.util
 import os

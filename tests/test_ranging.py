@@ -443,6 +443,17 @@ class TestMonteCarloStop:
                            match=r"exceeds.*\(at range 1 m\)"):
             max_range(flooded, flooded.detector, flooded.tdc)
 
+    def test_above_threshold_at_the_cap_is_unbounded(self, sipm_config):
+        # the doubling bracket reaches 100 km with the SNR still above tnr
+        strong = with_peak_power(sipm_config, 1e12)
+        det = SipmChoice(params=strong.detector.params, snr_mode="monte_carlo",
+                         mc=sipm.SipmMcConfig.for_dead_time(6e-9, seed=3,
+                                                            n_trials=4))
+        with pytest.raises(UnboundedRangeError,
+                           match="stays above the threshold 5 out to 100000 m"):
+            max_range(strong, det, strong.tdc)
+        assert snr_at_range(strong, det, ranging.RANGE_CAP_M) >= strong.tdc.tnr
+
     def test_snr_at_range_carries_the_standard_error(self, sipm_config):
         det = monte_carlo(sipm_config, 11)
         snr = snr_at_range(sipm_config, det, 200.0)

@@ -91,6 +91,23 @@ class TestRoundTrip:
         save_scenario(config, str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_value_built_in_code_may_read_back_a_ulp_away(self, tmp_path):
+        # 0.22·e^0.002 has no percentage that converts back to it exactly
+        pde = 0.22 * math.exp(0.002)
+        assert pde == 0.22044044029348006
+        base = table1_preset("sipm")
+        params = replace(base.detector.params, pde=pde)
+        config = replace(base, detector=replace(base.detector, params=params))
+        assert scenario_to_dict(config)["detector"]["pde_pct"] \
+            == 22.044044029348004
+        path = tmp_path / "pde.json"
+        save_scenario(config, str(path))
+        loaded = load_scenario(str(path))
+        assert loaded.detector.params.pde == 0.22044044029348003
+        assert loaded.detector.params.pde == math.nextafter(pde, 0.0)
+        save_scenario(loaded, str(path))
+        assert load_scenario(str(path)) == loaded
+
     def test_spectrum_file_holds_only_the_rows(self, tmp_path):
         # the solar model's integral, worked out when it is built, is no
         # key of the file
@@ -441,6 +458,10 @@ class TestLoadValidation:
          "expected rows of [wavelength_nm, irradiance_w_m2_nm, "
          "transmittance]"),
         (lambda d: d.update(scene=[1]), "scenario.scene: expected an object"),
+        (lambda d: d["atmosphere"].update(mode=5),
+         "scenario.atmosphere.mode: expected a string"),
+        (lambda d: d["target"].update(extends_beyond_spot="yes"),
+         "scenario.target.extends_beyond_spot: expected a boolean"),
     ])
     def test_malformed_section_names_it(self, tmp_path, mutate, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -911,6 +932,14 @@ class TestGrid:
         with pytest.raises(ConfigError, match="increasing"):
             SweepSpec(kind="distance", grid=(2.0, 1.0),
                       detectors=(apd_config.detector,))
+
+    @pytest.mark.parametrize("kind,grid,message", [
+        ("range", (1.0,), "sweep kind must be one of"),
+        ("distance", (), "sweep grid must not be empty"),
+        ("distance", (50.0, 100.0), "sweep needs at least one detector")])
+    def test_spec_rejects_malformed(self, kind, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(kind=kind, grid=grid)
 
     @pytest.mark.parametrize("grid", [(1.0, math.nan, 3.0), (math.nan,),
                                       (1.0, math.inf)])
