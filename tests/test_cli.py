@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
 from dtofsim.scene_link import sun_equivalent_irradiance
 from dtofsim.sipm import MAX_PIXELS
 from dtofsim.sweeps import MAX_GRID_POINTS, format_number
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +141,33 @@ class TestFlags:
                                  "--config", paths[1])
         assert code == 1 and out == ""
         assert "argument --config: may be given only once" in err
+
+
+COSINE_CONFIGS = ["--config", str(ROOT / "configs" / "table1_apd_cosine.json"),
+                  "--config", str(ROOT / "configs" / "table1_sipm_cosine.json")]
+
+
+class TestGoldens:
+    # each command given only its output path uses the default grid and
+    # format of its sweep kind, and so reproduces the committed goldens
+    # (make_goldens passes --format explicitly, so this pins the defaults)
+    @pytest.mark.parametrize("argv,golden", [
+        (["sweep", "--kind", "distance", "--detector", "both"],
+         "distance_snr.csv"),
+        (["sweep", "--kind", "elevation", *COSINE_CONFIGS],
+         "elevation_rmax.csv"),
+        (["sweep", "--kind", "elevation", *COSINE_CONFIGS, "--format", "svg"],
+         "elevation_rmax.svg"),
+        (["sweep", "--kind", "illuminance", "--detector", "both"],
+         "illuminance_rmax.csv"),
+        (["sipm-response"], "sipm_response.csv")],
+        ids=["distance", "elevation", "elevation-svg", "illuminance",
+             "sipm-response"])
+    def test_defaults_reproduce_golden(self, tmp_path, capsys, argv, golden):
+        out = tmp_path / golden
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (ROOT / "goldens" / golden).read_bytes()
 
 
 class TestSweepCommands:
