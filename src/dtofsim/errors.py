@@ -3,13 +3,15 @@
 Each parameter class declares its fields' domains once, in a ``_DOMAINS``
 table from ``domains``, and its counts in a ``_WHOLE`` tuple, which
 ``check_domains`` enforces.  Checks that span fields or modes stay code in
-the class.
+the class.  ``copy_with`` is ``dataclasses.replace`` for these classes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
+from functools import cache
 
 
 class ConfigError(ValueError):
@@ -81,3 +83,23 @@ def check_domains(obj) -> None:
         if not (isinstance(value, int) or float(value).is_integer()):
             raise ConfigError(f"{name} must be a whole number")
         object.__setattr__(obj, name, int(value))
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def copy_with(obj, **changes):
+    """``dataclasses.replace(obj, **changes)`` of a frozen dataclass, with
+    the same value or error, without its keyword call: each field is set
+    in declaration order, as ``__init__`` does (not through ``__dict__``,
+    which slows later reads), then the class's own ``__post_init__`` runs;
+    it recomputes an ``init=False`` field."""
+    new = object.__new__(type(obj))
+    for name in _field_names(type(obj)):
+        object.__setattr__(new, name, changes[name] if name in changes
+                           else getattr(obj, name))
+    if hasattr(new, "__post_init__"):
+        new.__post_init__()
+    return new

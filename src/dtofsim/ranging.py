@@ -13,13 +13,13 @@ SNR has no such inverse, and its range is a root of the SNR in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import apd, scene_link, sipm
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import (ConfigError, NoDetectionError, SipmSaturationError,
-                     UnboundedRangeError)
+                     UnboundedRangeError, copy_with)
 from .scenario import ScenarioConfig
 from .tdc import TdcPolicy
 
@@ -246,9 +246,10 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
     return math.exp(_brent_root(h, u_lo, h_lo, u_hi, h_hi, LOG_RANGE_TOL))
 
 
-# (scenario, detector, policy, result) of the last successful max_range
-_last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy,
-                   RangeResult] | None = None
+# (scenario, detector, policy, result, range partials) of the last
+# successful max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step
+_last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
+                   dict[float, float]] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -292,7 +293,8 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     all three are frozen) returns the earlier ``RangeResult`` itself and
     evaluates no SNR, so its ``evaluations`` counts the solve that made
     it.  A Monte Carlo detector carries its seed, so its solve repeats
-    too.  A solve that raises is not remembered.
+    too.  A solve that raises is not remembered.  ``sensitivity`` keeps
+    its range partial at ``r_max`` with the solve, one per ``rel_step``.
     """
     global _last_solve
     last = _last_solve
@@ -358,7 +360,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
                          min_detectable_power_w=p_r, background_power_w=p_rs,
                          evaluations=evaluations,
                          snr_se=getattr(snr, "se", 0.0))
-    _last_solve = (scenario, detector, policy, result)
+    _last_solve = (scenario, detector, policy, result, {})
     return result
 
 
@@ -374,7 +376,7 @@ _SECTIONS = ("scene", "atmosphere", "optics", "target", "laser")
 
 
 def _scaled(obj, name: str, f: float):
-    return replace(obj, **{name: getattr(obj, name) * f})
+    return copy_with(obj, **{name: getattr(obj, name) * f})
 
 
 def _field_edit(name: str) -> _Edit:
@@ -390,9 +392,9 @@ def _field_edit(name: str) -> _Edit:
         if name in sc.__dataclass_fields__:
             changed[name] = getattr(sc, name) * f
         if changed:
-            sc = replace(sc, **changed)
+            sc = copy_with(sc, **changed)
         if name in det.params.__dataclass_fields__:
-            det = replace(det, params=_scaled(det.params, name, f))
+            det = copy_with(det, params=_scaled(det.params, name, f))
         if name in pol.__dataclass_fields__:
             pol = _scaled(pol, name, f)
         return sc, det, pol
@@ -403,14 +405,14 @@ def _solar_edit(sc, det, pol, f):
     # the link reads only the in-band value, whatever the solar mode
     e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
     solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
-    return replace(sc, solar=solar), det, pol
+    return copy_with(sc, solar=solar), det, pol
 
 
 def _atmosphere_edit(sc, det, pol, f):
     atm = sc.atmosphere
     name = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
             else "extinction_coeff_per_m")
-    return replace(sc, atmosphere=_scaled(atm, name, f)), det, pol
+    return copy_with(sc, atmosphere=_scaled(atm, name, f)), det, pol
 
 
 # parameters scaled wherever a field of their name is declared
@@ -461,9 +463,10 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     (five at a closed bound, below).
     The perturbed scenarios run no solve of their own, so only the base
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
-    base solve is a ``max_range`` call, so names asked one after another
-    of the very same objects share one solve, and each later name makes
-    only its four evaluations.
+    base solve is a ``max_range`` call, which also keeps the range partial
+    of each ``rel_step`` once evaluated without an error, whatever its
+    value.  So names asked one after another of the very same objects
+    share both, and each later name makes only its parameter evaluations.
 
     A parameter at a closed bound of its domain (a transmittance or an
     efficiency of 1, a gain or a pixel count of 1) has one edit that its
@@ -494,7 +497,9 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     if not 0.0 < rel_step <= 0.1:
         raise ConfigError("rel_step must be in (0, 0.1]")
     edit = SENSITIVITY_PARAMS[param_name]
-    r = max_range(scenario, detector, policy).r_max_m
+    solve = max_range(scenario, detector, policy)
+    r, last = solve.r_max_m, _last_solve
+    range_partials = last[4] if last is not None and last[3] is solve else {}
 
     def g(sc, det, pol, range_m):
         return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
@@ -506,7 +511,9 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
         return g(*edit(scenario, detector, policy, math.exp(k * rel_step)), r)
 
     # every difference spans 2 * rel_step, which cancels in the ratio
-    dg_r = (g(scenario, detector, policy, r * up)
+    if (dg_r := range_partials.get(rel_step)) is None:
+        dg_r = range_partials[rel_step] = (
+            g(scenario, detector, policy, r * up)
             - g(scenario, detector, policy, r * down))
     try:
         above = edit(scenario, detector, policy, up)

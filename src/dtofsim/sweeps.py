@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ranging, sipm
 from .detectors import DetectorChoice, SipmChoice
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, copy_with
 from .scenario import ScenarioConfig
 
 
@@ -186,10 +186,11 @@ def _max_range_point(config: ScenarioConfig, det: DetectorChoice,
 def _scenario_at(config: ScenarioConfig, kind: str, x: float) -> ScenarioConfig:
     """The scenario with the swept quantity set to grid value ``x``."""
     if kind == "elevation":
-        return replace(config, scene=replace(
+        return copy_with(config, scene=copy_with(
             config.scene, elevation_angle_rad=math.radians(x)))
     if kind == "illuminance":
-        return replace(config, solar=replace(config.solar, illuminance_klux=x))
+        return copy_with(config,
+                         solar=copy_with(config.solar, illuminance_klux=x))
     return config
 
 

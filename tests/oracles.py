@@ -11,11 +11,15 @@ precision, or from the SNR search the closed-form ranges used before the
 range solver inverted them.  The photon-limited range of each detector is
 the link equation inverted by hand; it borrows only the library's
 aperture, in-band irradiance, excess-noise and photon-energy helpers.
+Elasticities come from the sensitivity algorithm as it was before it
+remembered the range partial: four SNR evaluations per name, edits by
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -299,3 +303,88 @@ def closed_form_max_range(scenario: ScenarioConfig,
                / (h_nu * p.dead_time_s * e_sun
                   * optics.sun_efficiency * cos_sun))
     return math.sqrt(common * scenario.laser.pulse_fwhm_s / 2.0) * quartic ** 0.25
+
+
+def _replace_scaled(obj, name: str, f: float):
+    return replace(obj, **{name: getattr(obj, name) * f})
+
+
+def reference_edit(name: str, sc, det, pol, f: float):
+    """``ranging.SENSITIVITY_PARAMS[name]`` through ``dataclasses.replace``:
+    the named field times ``f`` in every object that declares it, the
+    in-band solar irradiance, or the atmosphere's field of its mode."""
+    if name == "sun_irradiance":
+        e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
+        solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
+        return replace(sc, solar=solar), det, pol
+    if name == "one_way_transmittance":
+        atm = sc.atmosphere
+        field = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
+                 else "extinction_coeff_per_m")
+        return replace(sc, atmosphere=_replace_scaled(atm, field, f)), det, pol
+    changed = {s: _replace_scaled(getattr(sc, s), name, f)
+               for s in ("scene", "atmosphere", "optics", "target", "laser")
+               if name in getattr(sc, s).__dataclass_fields__}
+    if name in sc.__dataclass_fields__:
+        changed[name] = getattr(sc, name) * f
+    if changed:
+        sc = replace(sc, **changed)
+    if name in det.params.__dataclass_fields__:
+        det = replace(det, params=_replace_scaled(det.params, name, f))
+    if name in pol.__dataclass_fields__:
+        pol = _replace_scaled(pol, name, f)
+    return sc, det, pol
+
+
+def reference_sensitivity(scenario, detector, policy, param_name: str,
+                          rel_step: float = 1e-3) -> float:
+    """``ranging.sensitivity`` as it was before it remembered the range
+    partial: each call evaluates g at r_max * exp(+-rel_step) and at both
+    parameter edits (three at a closed bound), with ``reference_edit``.
+    It raises the errors ``sensitivity`` raises, with their messages."""
+    if getattr(detector, "snr_mode", None) == "monte_carlo":
+        raise ConfigError("sensitivity needs a closed-form SNR model; the "
+                          "Monte Carlo range's noise swamps the difference "
+                          "(use snr_mode approx or analytic)")
+    if param_name not in ranging.SENSITIVITY_PARAMS:
+        raise ConfigError(
+            f"unknown parameter {param_name!r}; known: "
+            f"{', '.join(sorted(ranging.SENSITIVITY_PARAMS))}")
+    if not 0.0 < rel_step <= 0.1:
+        raise ConfigError("rel_step must be in (0, 0.1]")
+
+    def edit(sc, det, pol, f):
+        return reference_edit(param_name, sc, det, pol, f)
+
+    r = ranging.max_range(scenario, detector, policy).r_max_m
+
+    def g(sc, det, pol, range_m):
+        snr = ranging.snr_at_range(sc, det, range_m)
+        return math.log(snr / pol.tnr) if snr / pol.tnr > 0.0 else -math.inf
+
+    up, down = math.exp(rel_step), math.exp(-rel_step)
+
+    def g_edited(k: int) -> float:
+        return g(*edit(scenario, detector, policy, math.exp(k * rel_step)), r)
+
+    dg_r = (g(scenario, detector, policy, r * up)
+            - g(scenario, detector, policy, r * down))
+    try:
+        above = edit(scenario, detector, policy, up)
+    except ConfigError:
+        dg_p = (3.0 * g(scenario, detector, policy, r) - 4.0 * g_edited(-1)
+                + g_edited(-2))
+    else:
+        try:
+            below = edit(scenario, detector, policy, down)
+        except ConfigError:
+            dg_p = (-3.0 * g(scenario, detector, policy, r)
+                    + 4.0 * g(*above, r) - g_edited(2))
+        else:
+            dg_p = g(*above, r) - g(*below, r)
+    if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
+        raise ConfigError(
+            f"the elasticity of {param_name} is undefined at r_max "
+            f"{r:g} m: ln(SNR / tnr) there is not finite or not moved by "
+            "the range")
+    return -dg_p / dg_r + 0.0

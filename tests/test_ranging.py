@@ -19,7 +19,7 @@ from dtofsim.scene_link import (AtmosphereModel, SolarModel,
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import log_range_root, searched_max_range
+from oracles import log_range_root, reference_sensitivity, searched_max_range
 
 
 def with_peak_power(config, p_t):
@@ -818,21 +818,59 @@ class TestSensitivity:
                             rel_step=step)
         assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", [*VARIANTS, "apd_at_bounds"])
     def test_all_names_share_one_solve(self, monkeypatch, variant):
-        # the first name solves the range; every other one reuses it and
-        # makes only its four difference evaluations
-        config, det = closed_form_variant(variant)
+        # the first name solves the range and takes the two range steps;
+        # every other one reuses both and makes only its two parameter
+        # evaluations, and a name at a closed bound one more, its g_0
+        bounds = (("gain", "laser_efficiency") if variant == "apd_at_bounds"
+                  else ())
+        config, det = closed_form_variant(variant.removesuffix("_at_bounds"))
+        for name in bounds:
+            config = at_bound(config, name)
+            det = config.detector
         names = sorted(SENSITIVITY_PARAMS)
         calls = count_calls(monkeypatch, ranging, "snr_at_range")
         values = [sensitivity(config, det, config.tdc, name)
                   for name in names]
         evaluations = len(calls)
         base = max_range(config, det, config.tdc)
-        assert evaluations == base.evaluations + 4 * len(names)
+        assert evaluations == (base.evaluations + 2 + 2 * len(names)
+                               + len(bounds))
         # a fresh copy of the scenario per name defeats the reuse
         assert values == [sensitivity(replace(config), det, config.tdc, name)
                           for name in names]
+
+    @settings(max_examples=40, deadline=None)
+    @given(closed_form_scenarios(),
+           st.sets(st.sampled_from(("one_way_transmittance", "reflectivity",
+                                    "laser_efficiency", "sun_efficiency",
+                                    "gain", "quantum_efficiency", "pde",
+                                    "n_pixels")), max_size=3),
+           st.lists(st.sampled_from((1e-3, 1e-5, 0.1)), min_size=1,
+                    max_size=2))
+    def test_matches_the_reference_bit_for_bit(self, config, bounds,
+                                                rel_steps):
+        # every name of one scenario in turn, as `sensitivity --param all`
+        # asks them, so each later name reuses the remembered range
+        # partial of its rel_step; drawn names sit at a closed bound
+        params = config.detector.params.__dataclass_fields__
+        for name in sorted(bounds):
+            if name in params or name not in ("gain", "quantum_efficiency",
+                                              "pde", "n_pixels"):
+                config = at_bound(config, name)
+        base = (config, config.detector, config.tdc)
+
+        def outcome(fn, name, rel_step):
+            try:
+                return fn(*base, name, rel_step=rel_step).hex()
+            except (ConfigError, SolverError) as exc:
+                return type(exc), str(exc)
+
+        for rel_step in rel_steps:
+            for name in sorted(SENSITIVITY_PARAMS):
+                assert outcome(sensitivity, name, rel_step) == outcome(
+                    reference_sensitivity, name, rel_step), (name, rel_step)
 
     def test_unmoved_parameter_is_positive_zero(self, apd_config):
         # -0.0 would print as "-0.0" in `sensitivity --param all`
@@ -841,8 +879,7 @@ class TestSensitivity:
                                 apd_config.tdc, name)
             assert math.copysign(1.0, value) == 1.0 and value == 0.0
 
-    def test_undefined_elasticity_is_a_config_error(self, apd_config,
-                                                    monkeypatch):
+    def test_undefined_elasticity_is_a_config_error(self, monkeypatch):
         real = ranging.snr_at_range
 
         def infinite_above_45_w(sc, det, r):
@@ -851,10 +888,13 @@ class TestSensitivity:
         def flat_at_threshold(sc, det, r):
             return 10.0 if r < 150.0 else 5.0 if r <= 300.0 else 1.0
 
+        # fresh objects per fake: the same ones would reuse the first
+        # fake's solve and range partial
         for fake in (infinite_above_45_w, flat_at_threshold):
             monkeypatch.setattr(ranging, "snr_at_range", fake)
+            config = table1_preset("apd")
             with pytest.raises(ConfigError, match="peak_power_w is undefined"):
-                sensitivity(apd_config, apd_config.detector, apd_config.tdc,
+                sensitivity(config, config.detector, config.tdc,
                             "peak_power_w")
 
     def test_sun_elasticity(self, sipm_config):

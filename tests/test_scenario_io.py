@@ -6,7 +6,7 @@ import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from dtofsim import (ConfigError, apd, cli, detectors, scenario, scene_link,
                      sipm, tdc)
 from dtofsim.apd import ApdParams
 from dtofsim.detectors import SipmChoice
+from dtofsim.errors import copy_with
 from dtofsim.ranging import snr_at_range
 from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                                 SceneGeometry, SolarModel, TargetModel)
@@ -555,6 +556,50 @@ def _outcome(cls, name, value, **mode) -> str:
     return "ok"
 
 
+# copy_with is checked against dataclasses.replace on every parameter
+# class, the atmosphere and solar model in each mode and both scenarios
+_SPECTRUM = ((900.0, 0.6, 0.5), (905.0, 0.7, 0.9), (910.0, 0.6, 0.5))
+_COPY_BASES = {
+    **{cls.__name__: base for cls, base in _BASES.items()},
+    "ScenarioConfig_sipm": _SIPM, "ApdChoice": _APD.detector,
+    "AtmosphereModel_extinction": AtmosphereModel(
+        mode="extinction", extinction_coeff_per_m=1e-3),
+    "SolarModel_direct": SolarModel(in_band_irradiance_w_m2=29.4),
+    "SolarModel_spectrum": SolarModel(mode="spectrum_integral",
+                                      spectrum_table=_SPECTRUM)}
+
+
+def _copy_values(base, name: str):
+    """Values for the field ``name`` of ``base``: those the bases hold,
+    None, its domain's probes and any float, and, for a count, whole and
+    fractional floats."""
+    cls = type(base)
+    values = [getattr(b, name) for b in _COPY_BASES.values()
+              if type(b) is cls]
+    values.append(None)
+    if name == "spectrum_table":
+        values += [_SPECTRUM[:1], _SPECTRUM[::-1], ((900.0, -1.0, 0.5),),
+                   ((900.0, 0.6, 1.5), (905.0, 0.6, 0.5))]
+    if name in getattr(cls, "_WHOLE", ()):
+        values += [8.0, 2.5, 2.0000000000000004, 5e-324]
+    strategy = st.sampled_from(values)
+    for row in getattr(cls, "_DOMAINS", ()):
+        if row[0] == name:
+            strategy |= st.sampled_from(_probes(row))
+            if row[6] is None:
+                strategy |= st.floats()
+    return strategy
+
+
+def _copy_outcome(copy, base, changes):
+    """The copy's fields in order with their types, or its error."""
+    try:
+        obj = copy(base, **changes)
+    except (ConfigError, TypeError) as exc:  # TypeError: no spectrum rows
+        return type(exc), str(exc)
+    return obj, [(k, type(v), repr(v)) for k, v in vars(obj).items()]
+
+
 class TestDomains:
     def test_every_table_has_a_base(self):
         modules = (apd, detectors, scenario, scene_link, sipm, tdc)
@@ -615,6 +660,18 @@ class TestDomains:
     def test_nan_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             SipmMcConfig(seed=math.nan)
+
+    @pytest.mark.parametrize("key", sorted(_COPY_BASES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_copy_with_matches_replace(self, key, data):
+        base = _COPY_BASES[key]
+        names = data.draw(st.sets(st.sampled_from(
+            [f.name for f in fields(base) if f.init]), max_size=3))
+        changes = {name: data.draw(_copy_values(base, name), label=name)
+                   for name in sorted(names)}
+        assert _copy_outcome(copy_with, base, changes) \
+            == _copy_outcome(replace, base, changes)
 
     def test_none_passes_only_a_none_default(self):
         params = _APD.detector.params
