@@ -26,7 +26,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dtofsim import cli  # noqa: E402
-from dtofsim.scenario import save_scenario, table1_preset  # noqa: E402
+from dtofsim.scenario import (save_scenario, table1_preset,  # noqa: E402
+                              write_lines)
 
 
 def commands(config_dir: str, golden_dir: str) -> list[tuple[str, list[str]]]:
@@ -76,8 +77,7 @@ def build_outputs(config_dir: str, golden_dir: str) -> list[str]:
         runpy.run_path(os.path.join(ROOT, "scripts", "report_table1.py"),
                        run_name="__main__")
     report_path = os.path.join(golden_dir, "report_table1.txt")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.getvalue())
+    write_lines(report.getvalue().splitlines(), report_path)
     written.append(report_path)
     return written
 

@@ -8,17 +8,16 @@ stdout and files alike, is byte deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
-from . import ranging, sweeps
+from . import ranging
 from .apd import optimize_gain
 from .detectors import ApdChoice, DetectorChoice
 from .errors import ConfigError, SolverError
 from .ranging import SENSITIVITY_PARAMS, declares, max_range, sensitivity
-from .scenario import (ScenarioConfig, load_scenario, scenario_to_dict,
-                       table1_preset)
+from .scenario import (ScenarioConfig, load_scenario, save_scenario,
+                       table1_preset, write_lines)
 from .sweeps import (SWEEP_KINDS, SweepSpec, emit_csv, emit_svg,
                      format_number, make_grid, run_sweep)
 
@@ -88,15 +87,6 @@ def _grid(kind: str, lo, hi, n, spacing=None) -> tuple[float, ...]:
                        for value, default in zip(given, SWEEP_KINDS[kind].grid)))
 
 
-def _write_lines(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _emit_sweep(args, config: ScenarioConfig | None,
                 spec: SweepSpec) -> None:
     """Run the sweep and write it to --out, or as CSV to stdout."""
@@ -105,19 +95,13 @@ def _emit_sweep(args, config: ScenarioConfig | None,
     result = run_sweep(config, spec)
     if all(r.value is None for r in result.rows):
         raise SolverError("the solver failed at every grid point")
-    if args.out is None:
-        _write_lines(sweeps.csv_lines(result), None)
-    elif args.format == "svg":
-        emit_svg(result, args.out)
-    else:
-        emit_csv(result, args.out)
+    (emit_svg if args.format == "svg" else emit_csv)(result, args.out)
 
 
 def _cmd_preset(args) -> None:
     if args.name != "table1":
         raise ConfigError(f"unknown preset {args.name!r}")
-    config = table1_preset(args.detector)
-    _write_lines([json.dumps(scenario_to_dict(config), indent=2)], args.out)
+    save_scenario(table1_preset(args.detector), args.out)
 
 
 def _cmd_range(args) -> None:
@@ -131,7 +115,7 @@ def _cmd_range(args) -> None:
         lines.append(",".join([det.label, *map(format_number, numbers),
                                str(res.evaluations),
                                format_number(res.snr_se)]))
-    _write_lines(lines, args.out)
+    write_lines(lines, args.out)
 
 
 def _cmd_sweep(args) -> None:
@@ -166,8 +150,8 @@ def _cmd_optimize_gain(args) -> None:
                               config.bandwidth_hz)
             curve.append(f"{format_number(g)},{format_number(snr)}")
         curve.append(f"# optimum gain={gain_text} snr={snr_text}")
-        _write_lines(curve, args.out)
-    _write_lines(lines, None)
+        write_lines(curve, args.out)
+    write_lines(lines, None)
 
 
 def _cmd_sensitivity(args) -> None:
@@ -184,7 +168,7 @@ def _cmd_sensitivity(args) -> None:
     for name in names:
         value = sensitivity(config, det, config.tdc, name)
         lines.append(f"{name},{format_number(value)}")
-    _write_lines(lines, args.out)
+    write_lines(lines, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -402,11 +403,21 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
-def save_scenario(config: ScenarioConfig, path: str) -> None:
-    """Write a scenario file; byte deterministic for equal configurations."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_to_dict(config), fh, indent=2)
-        fh.write("\n")
+def write_lines(lines: list[str], path: str | None) -> None:
+    """Write ``lines`` as UTF-8 text with ``\\n`` line ends and one trailing
+    newline, to ``path`` or, when it is None, to stdout."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def save_scenario(config: ScenarioConfig, path: str | None) -> None:
+    """Write a scenario file, or to stdout when ``path`` is None; byte
+    deterministic for equal configurations."""
+    write_lines([json.dumps(scenario_to_dict(config), indent=2)], path)
 
 
 # reference scenario: 905 nm automotive lidar, Hamamatsu S12426-02 APD and a

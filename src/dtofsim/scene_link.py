@@ -6,7 +6,9 @@ The echo model treats the target as a Lambertian reflector larger than the
 laser spot, with the receive direction assumed equal to the emit direction.
 Background light is in-band solar irradiance reflected by the same target
 into the receiver field of view.  All functions here are pure and operate
-on immutable value types, so they are safe to call from any thread.
+on immutable value types, so they are safe to call from any thread.  That
+holds for this module only: the range solver and the SiPM Monte Carlo
+remember per-process state (see the README, Determinism).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import ranging, sipm
 from .detectors import DetectorChoice, SipmChoice
 from .errors import ConfigError, SolverError, copy_with
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, write_lines
 
 
 class SweepKind(NamedTuple):
@@ -272,11 +272,9 @@ def csv_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def emit_csv(result: SweepResult, path: str) -> None:
-    """Write the sweep as CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(result)))
-        fh.write("\n")
+def emit_csv(result: SweepResult, path: str | None) -> None:
+    """Write the sweep as CSV, to stdout when ``path`` is None."""
+    write_lines(csv_lines(result), path)
 
 
 # --- SVG -------------------------------------------------------------------
@@ -429,6 +427,4 @@ def emit_svg(result: SweepResult, path: str) -> None:
                      f'y="{ly + 4}" font-family="sans-serif" '
                      f'font-size="11">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    write_lines(parts, path)

@@ -55,6 +55,11 @@ class TestResponsivity:
     def test_zero_efficiency(self):
         assert responsivity(905e-9, 0.0) == 0.0
 
+    @pytest.mark.parametrize("efficiency", [-0.1, 1.1, math.nan])
+    def test_efficiency_outside_unit_interval_rejected(self, efficiency):
+        with pytest.raises(ConfigError, match="quantum_efficiency"):
+            responsivity(905e-9, efficiency)
+
     def test_linear_in_wavelength(self):
         assert responsivity(452.5e-9, 0.7) == pytest.approx(
             responsivity(905e-9, 0.7) / 2.0, rel=1e-12)

@@ -662,6 +662,26 @@ class TestNoCommandRaises:
         _, points = svg.read_text(encoding="utf-8").split('polyline points="')
         assert len(points.split('"')[0].split()) == 4  # of 5 CSV rows
 
+    def test_sweep_with_no_finite_row_draws_empty_axes(self, tmp_path, capsys):
+        # no sunlight and no dark counts: the SNR is infinite at every range
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["solar"]["illuminance_klux"] = 0.0
+        data["detector"]["dark_count_rate_cps"] = 0.0
+        config = tmp_path / "noiseless.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "snr-curve", "--config", str(config))
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows and all(row.split(",")[1:] == ["inf", "sipm:noiseless"]
+                            for row in rows)
+        svg = tmp_path / "x.svg"
+        code, _, err = run_cli(capsys, "snr-curve", "--config", str(config),
+                               "--format", "svg", "--out", str(svg))
+        assert code == 0 and err == ""
+        text = svg.read_text(encoding="utf-8")
+        ET.fromstring(text)
+        assert "<polyline" not in text
+
     @pytest.mark.parametrize("nmin,nmax,labels", [
         # 601 decades once wrote one label each, 917 text elements in all
         ("1e-300", "1e300", ["1e-300", "1e-200", "1e-100", "1", "1e+100",

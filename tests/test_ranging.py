@@ -558,6 +558,19 @@ class TestInvertedRange:
         assert type(inverted.value) is type(searched.value)
         assert str(inverted.value) == str(searched.value)
 
+    @pytest.mark.parametrize("detector", ["apd", "sipm"])
+    def test_underflowed_echo_agrees_with_the_searched_solve(self, detector):
+        # the echo at 100 m underflows to 0 W, a margin of -inf there
+        config = with_peak_power(table1_preset(detector), 1e6)
+        config = replace(config, atmosphere=AtmosphereModel(
+            mode="extinction", extinction_coeff_per_m=4.0))
+        assert link_powers(config, 100.0)[0] == 0.0
+        res = max_range(config, config.detector, config.tdc)
+        assert res.r_max_m == pytest.approx(
+            searched_max_range(config, config.detector, config.tdc),
+            rel=1e-11)
+        assert res.evaluations == 2
+
     @pytest.mark.parametrize("variant", ["apd", "sipm", "sipm_approx"])
     def test_zero_extinction_is_full_transmittance(self, variant):
         config, det = closed_form_variant(variant)

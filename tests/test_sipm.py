@@ -93,6 +93,11 @@ class TestFiredStd:
     def test_saturation_quenches_fluctuation(self):
         assert fired_std(TABLE1_SIPM, 1e9) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("response", [fired_count, fired_std])
+    def test_negative_photon_count_rejected(self, response):
+        with pytest.raises(ConfigError, match="n_photon"):
+            response(TABLE1_SIPM, -1.0)
+
 
 class TestOccupancies:
     def test_background_occupancy_reference(self):
@@ -368,6 +373,12 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="optical powers"):
             monte_carlo_snr(TABLE1_SIPM, p_r, p_rs, 6e-9, 905e-9, self.BW,
                             self.quick_mc())
+
+    @pytest.mark.parametrize("bandwidth_hz", [0.0, -1.0, math.nan])
+    def test_bandwidth_must_be_above_0(self, bandwidth_hz):
+        with pytest.raises(ConfigError, match="bandwidth_hz"):
+            monte_carlo_snr(TABLE1_SIPM, photons(50.0), P_RS_REF, 6e-9,
+                            905e-9, bandwidth_hz, self.quick_mc())
 
     @staticmethod
     def mc_snr_at_100_m(sipm_config, **counts):

@@ -59,6 +59,11 @@ class TestCorrectDetectionProb:
         with pytest.raises(ConfigError, match="comparisons"):
             correct_detection_prob(POLICY_REF, 0, 0.5)
 
+    @pytest.mark.parametrize("p_d", [-0.1, 1.1, math.nan])
+    def test_detection_prob_outside_unit_interval_rejected(self, p_d):
+        with pytest.raises(ConfigError, match="p_d"):
+            correct_detection_prob(POLICY_REF, M_REF, p_d)
+
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_in_detection_prob(self, a, b):
@@ -101,6 +106,10 @@ class TestMinDetectableSignal:
         sigma = 1.2945060113262815e-07
         assert min_detectable_signal(POLICY_REF, sigma) == pytest.approx(
             5 * sigma, rel=1e-15)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            min_detectable_signal(POLICY_REF, -1e-9)
 
 
 class TestPolicyValidation:
