@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .errors import ConfigError, check_domains, domains
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
@@ -90,10 +91,11 @@ def excess_noise_factor(params: ApdParams) -> float:
     return k_e * m + (1.0 - k_e) * (2.0 - 1.0 / m)
 
 
-def _variances(params: ApdParams, p_rs: float, p_r: float,
-               bandwidth_hz: float) -> tuple[float, ...]:
-    """The signal, background, dark, thermal and amplifier noise
-    variances, A^2, after the input checks, and then their sum."""
+def _noise_terms(params: ApdParams, p_rs: float, p_r: float,
+                 bandwidth_hz: float) -> tuple[float, ...]:
+    """What the noise variances and the signal current take from the
+    parameters alone, after the input checks: 2eB * R, M**2 * F(M), the
+    dark, thermal and amplifier variances, A^2, and M * R, A/W."""
     if p_rs < 0 or p_r < 0:
         raise ConfigError("optical powers must be >= 0")
     if not bandwidth_hz > 0:
@@ -101,13 +103,22 @@ def _variances(params: ApdParams, p_rs: float, p_r: float,
     k_pd = responsivity(params.wavelength_m, params.quantum_efficiency)
     m2f = params.gain * params.gain * excess_noise_factor(params)
     two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
-    var_signal = two_e_bw * k_pd * p_r * m2f
-    var_background = two_e_bw * k_pd * p_rs * m2f
     var_dark = (two_e_bw * params.surface_dark_current_a
                 + two_e_bw * params.bulk_dark_current_a * m2f)
     var_thermal = (4.0 * BOLTZMANN * params.temperature_k * bandwidth_hz
                    / params.load_resistance_ohm)
     var_amp = params.amplifier_noise_a * params.amplifier_noise_a
+    return (two_e_bw * k_pd, m2f, var_dark, var_thermal, var_amp,
+            k_pd * params.gain)
+
+
+def _summed(terms: tuple[float, ...], p_rs: float,
+            p_r: float) -> tuple[float, ...]:
+    """The signal, background, dark, thermal and amplifier noise
+    variances, A^2, from ``_noise_terms``, and then their sum."""
+    two_e_bw_k, m2f, var_dark, var_thermal, var_amp, _ = terms
+    var_signal = two_e_bw_k * p_r * m2f
+    var_background = two_e_bw_k * p_rs * m2f
     return (var_signal, var_background, var_dark, var_thermal, var_amp,
             var_signal + var_background + var_dark + var_thermal + var_amp)
 
@@ -120,7 +131,7 @@ def noise_sigma(params: ApdParams, p_rs: float, p_r: float,
     SNR denominator.
     """
     var_signal, var_background, var_dark, var_thermal, _, var_total = \
-        _variances(params, p_rs, p_r, bandwidth_hz)
+        _summed(_noise_terms(params, p_rs, p_r, bandwidth_hz), p_rs, p_r)
     return NoiseBudget(
         sigma_signal_a=math.sqrt(var_signal),
         sigma_background_a=math.sqrt(var_background),
@@ -137,24 +148,31 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
 
     The noise is ``noise_sigma(params, p_rs, 0.0, bandwidth_hz).total_a``
     from the same sum, so the two agree bit for bit, without the budget's
-    other four square roots.  The zero signal term stays in the sum: where
+    other four square roots; the current is ``signal_current`` from the
+    same responsivity.  The zero signal term stays in the sum: where
     M**2 * F(M) overflows it is 0 * inf, and the SNR is NaN, not finite.
     """
-    var_total = _variances(params, p_rs, 0.0, bandwidth_hz)[5]
-    i_s = signal_current(params, p_r)
+    terms = _noise_terms(params, p_rs, 0.0, bandwidth_hz)
+    if p_r < 0:
+        raise ConfigError("p_r must be >= 0")
+    i_s = terms[5] * p_r
     if i_s == 0.0:
         return 0.0
-    return i_s / math.sqrt(var_total)
+    return i_s / math.sqrt(_summed(terms, p_rs, 0.0)[5])
 
 
-def _min_signal_power(params: ApdParams, p_rs: float, bandwidth_hz: float,
-                      policy: TdcPolicy) -> float:
-    """The echo power, W, whose ``trigger_snr`` at background ``p_rs`` is
-    the policy's tnr: the weakest detectable current over M * R."""
-    var_total = _variances(params, p_rs, 0.0, bandwidth_hz)[5]
-    return (min_detectable_signal(policy, math.sqrt(var_total))
-            / (responsivity(params.wavelength_m, params.quantum_efficiency)
-               * params.gain))
+def _min_signal_power(params: ApdParams, bandwidth_hz: float,
+                      policy: TdcPolicy) -> Callable[[float], float]:
+    """p_min(p_rs): the echo power, W, whose ``trigger_snr`` at background
+    ``p_rs`` is the policy's tnr, the weakest detectable current over
+    M * R.  Its terms are computed once, for every ``p_rs``."""
+    terms = _noise_terms(params, 0.0, 0.0, bandwidth_hz)
+    m_r = terms[5]
+
+    def p_min(p_rs: float) -> float:
+        var_total = _summed(terms, p_rs, 0.0)[5]
+        return min_detectable_signal(policy, math.sqrt(var_total)) / m_r
+    return p_min
 
 
 def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
@@ -172,7 +190,7 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     lo, hi = gain_bounds
     if not (lo >= 1.0 and lo < hi < math.inf):
         raise ConfigError("gain_bounds must satisfy 1 <= lo < hi < inf")
-    _variances(params, p_rs, 0.0, bandwidth_hz)  # its checks precede any root
+    _noise_terms(params, p_rs, 0.0, bandwidth_hz)  # its checks precede a root
     two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
     a = two_e_bw * (responsivity(params.wavelength_m, params.quantum_efficiency)
                     * p_rs + params.bulk_dark_current_a)

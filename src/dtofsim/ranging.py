@@ -13,6 +13,7 @@ SNR has no such inverse, and its range is a root of the SNR in range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,18 +186,16 @@ def _min_signal_power(scenario: ScenarioConfig, detector: DetectorChoice,
     ``detector`` reaches the policy's tnr against the background ``p_rs``.
 
     Every closed-form SNR's noise is that of the background alone, so the
-    weakest detectable echo depends on ``p_rs`` and not on the echo.
+    weakest detectable echo depends on ``p_rs`` and not on the echo.  The
+    terms that do not depend on ``p_rs`` are computed here, once per solve.
     """
     params = detector.params
     if isinstance(detector, ApdChoice):
-        bandwidth_hz = scenario.bandwidth_hz
-        return lambda p_rs: apd._min_signal_power(params, p_rs, bandwidth_hz,
-                                                  policy)
+        return apd._min_signal_power(params, scenario.bandwidth_hz, policy)
     min_power = (sipm._min_signal_power_approx if detector.snr_mode == "approx"
                  else sipm._min_signal_power_analytic)
     laser = scenario.laser
-    return lambda p_rs: min_power(params, p_rs, laser.pulse_fwhm_s,
-                                  laser.wavelength_m, policy)
+    return min_power(params, laser.pulse_fwhm_s, laser.wavelength_m, policy)
 
 
 def _power_margin(p_r: float, p_min: float) -> float:
@@ -228,10 +227,13 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
         p_min = min_power(p_rs1)
         return max(math.sqrt(p_r1 / p_min) if p_min > 0.0 else math.inf, 1.0)
     tau1 = scene_link.one_way_transmittance(atm, 1.0)
+    # scene_link.one_way_transmittance's Beer-Lambert law, its coefficient
+    # read once
+    neg_k = -atm.extinction_coeff_per_m
 
     def h(u: float) -> float:
         r = math.exp(u)
-        t = scene_link.one_way_transmittance(atm, r) / tau1
+        t = math.exp(neg_k * r) / tau1
         return _power_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
 
     u_lo, h_lo = 0.0, None  # h at 1 m is needed only for [1 m, 100 m]
@@ -246,10 +248,11 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
     return math.exp(_brent_root(h, u_lo, h_lo, u_hi, h_hi, LOG_RANGE_TOL))
 
 
-# (scenario, detector, policy, result, range partials) of the last
-# successful max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step
+# (scenario, detector, policy, result, partials) of the last successful
+# max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step, and
+# g at r_max itself under None
 _last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
-                   dict[float, float]] | None = None
+                   dict[float | None, float]] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -370,9 +373,14 @@ _Edit = Callable[[ScenarioConfig, DetectorChoice, TdcPolicy, float],
                  tuple[ScenarioConfig, DetectorChoice, TdcPolicy]]
 
 
-# the scenario sections a field edit searches; ``solar`` is left to
-# _solar_edit, and ``tdc`` and ``detector`` hold copies the solver ignores
-_SECTIONS = ("scene", "atmosphere", "optics", "target", "laser")
+# the scenario sections a field edit searches, with their classes; ``solar``
+# is left to _solar_edit, and ``tdc`` and ``detector`` hold copies the
+# solver ignores
+_SECTIONS = (("scene", scene_link.SceneGeometry),
+             ("atmosphere", scene_link.AtmosphereModel),
+             ("optics", scene_link.ReceiverOptics),
+             ("target", scene_link.TargetModel),
+             ("laser", scene_link.LaserParams))
 
 
 def _scaled(obj, name: str, f: float):
@@ -385,17 +393,22 @@ def _field_edit(name: str) -> _Edit:
     The searched objects are the scenario's sections, the scenario itself,
     the detector's parameters and the policy; only those holding the field
     are rebuilt, so the laser's and the APD's ``wavelength_m`` move together.
+    The sections, the scenario and the policy hold it by their class, so
+    they are found once, here.
     """
+    sections = [s for s, cls in _SECTIONS if name in cls.__dataclass_fields__]
+    in_scenario = name in ScenarioConfig.__dataclass_fields__
+    in_policy = name in TdcPolicy.__dataclass_fields__
+
     def edit(sc, det, pol, f):
-        changed = {s: _scaled(getattr(sc, s), name, f) for s in _SECTIONS
-                   if name in getattr(sc, s).__dataclass_fields__}
-        if name in sc.__dataclass_fields__:
+        changed = {s: _scaled(getattr(sc, s), name, f) for s in sections}
+        if in_scenario:
             changed[name] = getattr(sc, name) * f
         if changed:
             sc = copy_with(sc, **changed)
         if name in det.params.__dataclass_fields__:
             det = copy_with(det, params=_scaled(det.params, name, f))
-        if name in pol.__dataclass_fields__:
+        if in_policy:
             pol = _scaled(pol, name, f)
         return sc, det, pol
     return edit
@@ -447,7 +460,12 @@ def declares(scenario: ScenarioConfig, detector: DetectorChoice,
     if edit is None:
         return False
     base = (scenario, detector, policy)
-    return any(a is not b for a, b in zip(edit(*base, 1.0), base))
+    return _rebuilds(edit(*base, 1.0), base)
+
+
+def _rebuilds(edited: tuple, base: tuple) -> bool:
+    """Whether an edit's (scenario, detector, policy) differs from ``base``."""
+    return any(map(operator.is_not, edited, base))
 
 
 def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -459,14 +477,18 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
     -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
     ``r_max`` with multipliers exp(+-rel_step): the parameter's edit for
-    the first, the range for the second, four SNR evaluations in all
-    (five at a closed bound, below).
+    the first, the range for the second, two SNR evaluations each.
     The perturbed scenarios run no solve of their own, so only the base
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
     base solve is a ``max_range`` call, which also keeps the range partial
     of each ``rel_step`` once evaluated without an error, whatever its
-    value.  So names asked one after another of the very same objects
-    share both, and each later name makes only its parameter evaluations.
+    value, and g_0, g at ``r_max`` itself, once a name needs it.  So names
+    asked one after another of the very same objects share all three, and
+    each later name makes only its parameter evaluations: two, or none for
+    a name this scenario does not declare.  ``--param all`` on the table1
+    APD makes 51 SNR evaluations (the solve's 2, the range partial's 2,
+    g_0, and 2 for each of its 23 declared names), on the table1 SiPM 43
+    (19 declared names).
 
     A parameter at a closed bound of its domain (a transmittance or an
     efficiency of 1, a gain or a pixel count of 1) has one edit that its
@@ -476,12 +498,13 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     at an upper bound and -3g_0 + 4g_1 - g_2 at a lower one, each
     estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
     evaluated, not taken as 0.  If both edits are rejected, so is the
-    name.
+    name.  A closed bound's partial thus takes two evaluations, beside g_0.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
-    SiPM parameter for an APD, say; see ``declares``) leaves g unchanged,
-    so it gives 0.0.  An SNR near ``r_max`` that is 0 or infinite, or one
+    SiPM parameter for an APD, say; see ``declares``) leaves g unchanged:
+    its partial is g_0 - g_0, with no edit evaluated, so it gives 0.0
+    where g_0 is finite.  An SNR near ``r_max`` that is 0 or infinite, or one
     flat in range, leaves the elasticity undefined: a ``ConfigError``.
     So is a Monte Carlo detector: its SNR scatters by far more than a step
     of ``rel_step`` moves it, so the difference is noise.
@@ -499,37 +522,43 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     edit = SENSITIVITY_PARAMS[param_name]
     solve = max_range(scenario, detector, policy)
     r, last = solve.r_max_m, _last_solve
-    range_partials = last[4] if last is not None and last[3] is solve else {}
+    partials = last[4] if last is not None and last[3] is solve else {}
+    base = (scenario, detector, policy)
 
     def g(sc, det, pol, range_m):
         return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
+
+    def g_0() -> float:
+        if (value := partials.get(None)) is None:
+            value = partials[None] = g(*base, r)
+        return value
 
     up, down = math.exp(rel_step), math.exp(-rel_step)
 
     def g_edited(k: int) -> float:
         """g at r with the parameter times exp(k * rel_step)."""
-        return g(*edit(scenario, detector, policy, math.exp(k * rel_step)), r)
+        return g(*edit(*base, math.exp(k * rel_step)), r)
 
     # every difference spans 2 * rel_step, which cancels in the ratio
-    if (dg_r := range_partials.get(rel_step)) is None:
-        dg_r = range_partials[rel_step] = (
-            g(scenario, detector, policy, r * up)
-            - g(scenario, detector, policy, r * down))
+    if (dg_r := partials.get(rel_step)) is None:
+        dg_r = partials[rel_step] = g(*base, r * up) - g(*base, r * down)
     try:
-        above = edit(scenario, detector, policy, up)
+        above = edit(*base, up)
     except ConfigError:
         # a closed upper bound: one-sided, toward the interior
-        dg_p = (3.0 * g(scenario, detector, policy, r) - 4.0 * g_edited(-1)
-                + g_edited(-2))
+        dg_p = 3.0 * g_0() - 4.0 * g_edited(-1) + g_edited(-2)
     else:
-        try:
-            below = edit(scenario, detector, policy, down)
-        except ConfigError:
-            # a closed lower bound
-            dg_p = (-3.0 * g(scenario, detector, policy, r)
-                    + 4.0 * g(*above, r) - g_edited(2))
+        if not _rebuilds(above, base):
+            # nothing holds the parameter, so g is g_0 at either edit
+            dg_p = g_0() - g_0()
         else:
-            dg_p = g(*above, r) - g(*below, r)
+            try:
+                below = edit(*base, down)
+            except ConfigError:
+                # a closed lower bound
+                dg_p = -3.0 * g_0() + 4.0 * g(*above, r) - g_edited(2)
+            else:
+                dg_p = g(*above, r) - g(*below, r)
     if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
         raise ConfigError(
             f"the elasticity of {param_name} is undefined at r_max "

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (ConfigError, SipmSaturationError, check_domains,
                      domains)
@@ -185,13 +185,13 @@ def _dark_mean(params: SipmParams) -> float:
     return params.n_pixels * params.dark_count_rate_cps * params.dead_time_s
 
 
-def _no_echo_fired(params: SipmParams, n_b_photon: float,
-                   exponent: float) -> tuple[float, float, float]:
-    """(n_b, n_d, variance): the pixels background and dark counts hold
-    fired, and the variance of the fired count without an echo."""
+def _no_echo_fired(params: SipmParams, n_b_photon: float, exponent: float,
+                   n_d: float) -> tuple[float, float]:
+    """(n_b, variance): the pixels the background holds fired, and the
+    variance of the fired count without an echo, with ``n_d`` the dark
+    mean (``_dark_mean``)."""
     n_b = _fired(params.n_pixels, n_b_photon, exponent)
-    n_d = _dark_mean(params)
-    return n_b, n_d, n_b * math.exp(n_b_photon * exponent) + n_d
+    return n_b, n_b * math.exp(n_b_photon * exponent) + n_d
 
 
 def fired_count(params: SipmParams, n_photon: float) -> float:
@@ -237,7 +237,8 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
     computed once.
     """
     exponent = _per_photon_exponent(params)
-    n_b, n_d, variance = _no_echo_fired(params, counts.n_b_photon, exponent)
+    n_d = _dark_mean(params)
+    n_b, variance = _no_echo_fired(params, counts.n_b_photon, exponent, n_d)
     n_s = _signal_fired(params, counts.n_s_photon, n_b, n_d, exponent)
     if n_s == 0.0:
         return 0.0
@@ -246,25 +247,31 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
     return n_s / math.sqrt(variance)
 
 
-def _min_signal_power_analytic(params: SipmParams, p_rs: float,
-                               pulse_fwhm_s: float, wavelength_m: float,
-                               policy: TdcPolicy) -> float:
-    """The echo power, W, whose ``trigger_snr_analytic`` at background
-    ``p_rs`` is the policy's tnr, in the photon budgets of
-    ``PhotonCounts.from_powers``.
+def _min_signal_power_analytic(params: SipmParams, pulse_fwhm_s: float,
+                               wavelength_m: float, policy: TdcPolicy
+                               ) -> Callable[[float], float]:
+    """p_min(p_rs): the echo power, W, whose ``trigger_snr_analytic`` at
+    background ``p_rs`` is the policy's tnr, in the photon budgets of
+    ``PhotonCounts.from_powers``.  The photon energy, the per-photon
+    exponent and the dark mean are computed once, for every ``p_rs``.
 
     The pulse must fire tnr * sqrt(variance) of the free pixels; where that
     is all of them or more, no echo reaches the threshold and it is inf.
     """
     h_nu = photon_energy(wavelength_m)
-    n_b_photon = p_rs * params.dead_time_s / h_nu
     exponent = _per_photon_exponent(params)
-    n_b, n_d, variance = _no_echo_fired(params, n_b_photon, exponent)
-    n_s = min_detectable_signal(policy, math.sqrt(variance))
-    available = params.n_pixels - n_b - n_d
-    if n_s >= available:
-        return math.inf
-    return math.log1p(-n_s / available) / exponent * 2.0 * h_nu / pulse_fwhm_s
+    n_d = _dark_mean(params)
+
+    def p_min(p_rs: float) -> float:
+        n_b_photon = p_rs * params.dead_time_s / h_nu
+        n_b, variance = _no_echo_fired(params, n_b_photon, exponent, n_d)
+        n_s = min_detectable_signal(policy, math.sqrt(variance))
+        available = params.n_pixels - n_b - n_d
+        if n_s >= available:
+            return math.inf
+        return (math.log1p(-n_s / available) / exponent * 2.0 * h_nu
+                / pulse_fwhm_s)
+    return p_min
 
 
 def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
@@ -285,16 +292,20 @@ def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
     return counts.n_s_photon * math.sqrt(params.pde / counts.n_b_photon)
 
 
-def _min_signal_power_approx(params: SipmParams, p_rs: float,
-                             pulse_fwhm_s: float, wavelength_m: float,
-                             policy: TdcPolicy) -> float:
-    """The echo power, W, whose ``trigger_snr_approx`` at background
-    ``p_rs`` is the policy's tnr, in the photon budgets of
-    ``PhotonCounts.from_powers``."""
+def _min_signal_power_approx(params: SipmParams, pulse_fwhm_s: float,
+                             wavelength_m: float, policy: TdcPolicy
+                             ) -> Callable[[float], float]:
+    """p_min(p_rs): the echo power, W, whose ``trigger_snr_approx`` at
+    background ``p_rs`` is the policy's tnr, in the photon budgets of
+    ``PhotonCounts.from_powers``; the photon energy is computed once."""
     h_nu = photon_energy(wavelength_m)
-    n_b_photon = p_rs * params.dead_time_s / h_nu
-    n_s = min_detectable_signal(policy, math.sqrt(n_b_photon / params.pde))
-    return n_s * 2.0 * h_nu / pulse_fwhm_s
+
+    def p_min(p_rs: float) -> float:
+        n_b_photon = p_rs * params.dead_time_s / h_nu
+        n_s = min_detectable_signal(policy,
+                                    math.sqrt(n_b_photon / params.pde))
+        return n_s * 2.0 * h_nu / pulse_fwhm_s
+    return p_min
 
 
 def _pulse_profile(mc: SipmMcConfig, n_s_photon: float, pulse_fwhm_s: float,

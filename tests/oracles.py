@@ -13,7 +13,9 @@ the link equation inverted by hand; it borrows only the library's
 aperture, in-band irradiance, excess-noise and photon-energy helpers.
 Elasticities come from the sensitivity algorithm as it was before it
 remembered the range partial: four SNR evaluations per name, edits by
-``dataclasses.replace``.
+``dataclasses.replace``.  The minimum detectable power is each closed-form
+model's p_min as it was before the solver built its terms once per solve,
+every term rebuilt on each call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dtofsim import apd, ranging, scene_link
 from dtofsim.detectors import ApdChoice, DetectorChoice
 from dtofsim.errors import (ConfigError, NoDetectionError,
                             UnboundedRangeError)
-from dtofsim.physconst import photon_energy
+from dtofsim.physconst import (BOLTZMANN, ELEMENTARY_CHARGE,
+                               photon_energy)
 from dtofsim.scenario import ScenarioConfig
 
 
@@ -303,6 +306,50 @@ def closed_form_max_range(scenario: ScenarioConfig,
                / (h_nu * p.dead_time_s * e_sun
                   * optics.sun_efficiency * cos_sun))
     return math.sqrt(common * scenario.laser.pulse_fwhm_s / 2.0) * quartic ** 0.25
+
+
+def reference_min_signal_power(scenario: ScenarioConfig,
+                               detector: DetectorChoice, policy,
+                               p_rs: float) -> float:
+    """``ranging._min_signal_power(scenario, detector, policy)(p_rs)`` as
+    it was computed per call, with every term rebuilt: for the APD the
+    responsivity, M**2 * F(M) and all five no-echo variances in their
+    summing order; for the SiPM the photon energy, the per-photon exponent
+    and the dark mean."""
+    laser = scenario.laser
+    if isinstance(detector, ApdChoice):
+        p, bandwidth_hz = detector.params, scenario.bandwidth_hz
+        k_pd = apd.responsivity(p.wavelength_m, p.quantum_efficiency)
+        m2f = p.gain * p.gain * apd.excess_noise_factor(p)
+        two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
+        var_signal = two_e_bw * k_pd * 0.0 * m2f
+        var_background = two_e_bw * k_pd * p_rs * m2f
+        var_dark = (two_e_bw * p.surface_dark_current_a
+                    + two_e_bw * p.bulk_dark_current_a * m2f)
+        var_thermal = (4.0 * BOLTZMANN * p.temperature_k * bandwidth_hz
+                       / p.load_resistance_ohm)
+        var_amp = p.amplifier_noise_a * p.amplifier_noise_a
+        var_total = (var_signal + var_background + var_dark + var_thermal
+                     + var_amp)
+        return (policy.tnr * math.sqrt(var_total)
+                / (apd.responsivity(p.wavelength_m, p.quantum_efficiency)
+                   * p.gain))
+    p = detector.params
+    h_nu = photon_energy(laser.wavelength_m)
+    n_b_photon = p_rs * p.dead_time_s / h_nu
+    if detector.snr_mode == "approx":
+        n_s = policy.tnr * math.sqrt(n_b_photon / p.pde)
+        return n_s * 2.0 * h_nu / laser.pulse_fwhm_s
+    exponent = math.expm1(-p.pde / p.n_pixels)
+    n_b = p.n_pixels * -math.expm1(n_b_photon * exponent)
+    n_d = p.n_pixels * p.dark_count_rate_cps * p.dead_time_s
+    variance = n_b * math.exp(n_b_photon * exponent) + n_d
+    n_s = policy.tnr * math.sqrt(variance)
+    available = p.n_pixels - n_b - n_d
+    if n_s >= available:
+        return math.inf
+    return (math.log1p(-n_s / available) / exponent * 2.0 * h_nu
+            / laser.pulse_fwhm_s)
 
 
 def _replace_scaled(obj, name: str, f: float):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from dtofsim.scene_link import (AtmosphereModel, SolarModel,
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import log_range_root, reference_sensitivity, searched_max_range
+from oracles import (log_range_root, reference_min_signal_power,
+                     reference_sensitivity, searched_max_range)
 
 
 def with_peak_power(config, p_t):
@@ -122,6 +124,37 @@ def closed_form_scenarios(draw, log_klux=st.floats(0.0, 2.0)):
             mode="extinction",
             extinction_coeff_per_m=10.0 ** draw(st.floats(-4.0, -3.0))))
     return config
+
+
+@st.composite
+def min_power_scenarios(draw):
+    """table1 scenarios of each closed-form p_min: power-law and ionization
+    APDs, analytic and approx SiPMs, with drawn detector parameters."""
+    kind = draw(st.sampled_from(("apd", "apd_ionization", "sipm",
+                                 "sipm_approx")))
+    config = table1_preset("apd" if kind.startswith("apd") else "sipm")
+    det = config.detector
+    if kind == "apd":
+        params = replace(det.params, gain=draw(st.floats(1.0, 500.0)),
+                         excess_noise_index=draw(st.floats(0.0, 1.0)))
+    elif kind == "apd_ionization":
+        params = replace(det.params, gain=draw(st.floats(1.0, 500.0)),
+                         excess_noise_mode="ionization",
+                         electron_ionization_rate=draw(st.floats(0.0, 1.0)))
+    else:
+        params = replace(
+            det.params, n_pixels=draw(st.floats(100.0, 1e4)),
+            pde=draw(st.floats(0.05, 1.0)),
+            dark_count_rate_cps=draw(st.sampled_from((0.0, 2007.0, 1e6))))
+        if kind == "sipm_approx":
+            det = replace(det, snr_mode="approx")
+    return replace(config, detector=replace(det, params=params))
+
+
+# 0, the least subnormal, table1's background at 1 m, one that holds every
+# pixel of the table1 SiPM fired (p_min inf), and one near the float limit
+EDGE_P_RS = (0.0, 5e-324, link_powers(table1_preset("apd"), 1.0)[1], 1e-3,
+             1e300)
 
 
 def solvable_scenarios():
@@ -595,6 +628,50 @@ class TestInvertedRange:
         assert [args[2] for args in calls] == [1.0, res.r_max_m]
         assert res.evaluations == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(min_power_scenarios(),
+           st.one_of(st.sampled_from(EDGE_P_RS), st.floats(0.0, 1e-2)))
+    def test_min_signal_power_matches_the_reference_bit_for_bit(self, config,
+                                                                p_rs):
+        # the terms built once per solve give each p_min bit for bit
+        det, policy = config.detector, config.tdc
+        p_min = ranging._min_signal_power(config, det, policy)
+        for value in (p_rs, *EDGE_P_RS):
+            assert p_min(value).hex() == reference_min_signal_power(
+                config, det, policy, value).hex(), value
+
+    @pytest.mark.parametrize("variant", ["apd", "sipm", "sipm_approx"])
+    def test_min_signal_power_edges(self, variant):
+        config, det = closed_form_variant(variant)
+        p_min = ranging._min_signal_power(config, det, config.tdc)
+        values = [p_min(p_rs) for p_rs in EDGE_P_RS]
+        # a finite p_min at table1's background; only the analytic SiPM
+        # has no detectable echo once the background fires every pixel
+        assert 0.0 < values[2] < math.inf
+        assert (values[3] == math.inf) == (variant == "sipm")
+
+    @settings(max_examples=60, deadline=None)
+    @given(min_power_scenarios(), st.floats(-6.0, -1.0))
+    def test_extinction_range_matches_the_reference_bit_for_bit(self, config,
+                                                                log_k):
+        config = replace(config, atmosphere=AtmosphereModel(
+            mode="extinction", extinction_coeff_per_m=10.0 ** log_k))
+
+        def solve():
+            # a fresh scenario object, so no remembered solve answers
+            sc = replace(config)
+            try:
+                return max_range(sc, sc.detector, sc.tdc).r_max_m.hex()
+            except (ConfigError, SolverError) as exc:
+                return type(exc), str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranging, "_min_signal_power",
+                       lambda sc, det, pol: partial(
+                           reference_min_signal_power, sc, det, pol))
+            expected = solve()
+        assert solve() == expected
+
 
 VARIANTS = ["apd", "sipm", "sipm_approx"]
 
@@ -835,7 +912,9 @@ class TestSensitivity:
     def test_all_names_share_one_solve(self, monkeypatch, variant):
         # the first name solves the range and takes the two range steps;
         # every other one reuses both and makes only its two parameter
-        # evaluations, and a name at a closed bound one more, its g_0
+        # evaluations, or none for a name this scenario does not declare;
+        # g_0, which undeclared names and those at a closed bound read, is
+        # evaluated once
         bounds = (("gain", "laser_efficiency") if variant == "apd_at_bounds"
                   else ())
         config, det = closed_form_variant(variant.removesuffix("_at_bounds"))
@@ -848,8 +927,11 @@ class TestSensitivity:
                   for name in names]
         evaluations = len(calls)
         base = max_range(config, det, config.tdc)
-        assert evaluations == (base.evaluations + 2 + 2 * len(names)
-                               + len(bounds))
+        declared = sum(declares(config, det, config.tdc, name)
+                       for name in names)
+        assert evaluations == base.evaluations + 2 + 1 + 2 * declared
+        # 23 names declared by the APD, 19 by the SiPM
+        assert evaluations == (51 if variant.startswith("apd") else 43)
         # a fresh copy of the scenario per name defeats the reuse
         assert values == [sensitivity(replace(config), det, config.tdc, name)
                           for name in names]
@@ -909,6 +991,44 @@ class TestSensitivity:
             with pytest.raises(ConfigError, match="peak_power_w is undefined"):
                 sensitivity(config, config.detector, config.tdc,
                             "peak_power_w")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_undeclared_name_evaluates_nothing_after_g0(self, monkeypatch,
+                                                         variant):
+        config, det = closed_form_variant(variant)
+        base = (config, det, config.tdc)
+        r = max_range(*base).r_max_m
+        undeclared = [name for name in sorted(SENSITIVITY_PARAMS)
+                      if not declares(*base, name)]
+        assert len(undeclared) == (4 if variant == "apd" else 8)
+        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        assert sensitivity(*base, undeclared[0]) == 0.0
+        # the two range steps, then g_0 and no edit
+        assert [(args[0], args[2]) for args in calls] == [
+            (config, r * math.exp(1e-3)), (config, r * math.exp(-1e-3)),
+            (config, r)]
+        calls.clear()
+        for name in undeclared[1:]:
+            value = sensitivity(*base, name)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert calls == []
+
+    def test_undeclared_name_with_infinite_g0_is_undefined(self,
+                                                           monkeypatch):
+        # g_0 - g_0 of an infinite g_0 is NaN, as g(above) - g(below) was
+        real = ranging.snr_at_range
+        config = table1_preset("apd")
+        base = (config, config.detector, config.tdc)
+        r = max_range(*base).r_max_m
+
+        def infinite_at_r_max(sc, det, range_m):
+            return math.inf if range_m == r else real(sc, det, range_m)
+
+        monkeypatch.setattr(ranging, "snr_at_range", infinite_at_r_max)
+        for fn in (sensitivity, reference_sensitivity):
+            with pytest.raises(ConfigError,
+                               match="^the elasticity of pde is undefined"):
+                fn(*base, "pde")
 
     def test_sun_elasticity(self, sipm_config):
         det = self.approx_detector(sipm_config)
