@@ -95,7 +95,8 @@ def _noise_terms(params: ApdParams, p_rs: float, p_r: float,
                  bandwidth_hz: float) -> tuple[float, ...]:
     """What the noise variances and the signal current take from the
     parameters alone, after the input checks: 2eB * R, M**2 * F(M), the
-    dark, thermal and amplifier variances, A^2, and M * R, A/W."""
+    unmultiplied surface and bulk dark terms 2eB * I, the thermal and
+    amplifier variances, A^2, and M * R, A/W."""
     if p_rs < 0 or p_r < 0:
         raise ConfigError("optical powers must be >= 0")
     if not bandwidth_hz > 0:
@@ -103,12 +104,11 @@ def _noise_terms(params: ApdParams, p_rs: float, p_r: float,
     k_pd = responsivity(params.wavelength_m, params.quantum_efficiency)
     m2f = params.gain * params.gain * excess_noise_factor(params)
     two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
-    var_dark = (two_e_bw * params.surface_dark_current_a
-                + two_e_bw * params.bulk_dark_current_a * m2f)
     var_thermal = (4.0 * BOLTZMANN * params.temperature_k * bandwidth_hz
                    / params.load_resistance_ohm)
     var_amp = params.amplifier_noise_a * params.amplifier_noise_a
-    return (two_e_bw * k_pd, m2f, var_dark, var_thermal, var_amp,
+    return (two_e_bw * k_pd, m2f, two_e_bw * params.surface_dark_current_a,
+            two_e_bw * params.bulk_dark_current_a, var_thermal, var_amp,
             k_pd * params.gain)
 
 
@@ -116,9 +116,10 @@ def _summed(terms: tuple[float, ...], p_rs: float,
             p_r: float) -> tuple[float, ...]:
     """The signal, background, dark, thermal and amplifier noise
     variances, A^2, from ``_noise_terms``, and then their sum."""
-    two_e_bw_k, m2f, var_dark, var_thermal, var_amp, _ = terms
+    two_e_bw_k, m2f, surface, bulk, var_thermal, var_amp, _ = terms
     var_signal = two_e_bw_k * p_r * m2f
     var_background = two_e_bw_k * p_rs * m2f
+    var_dark = surface + bulk * m2f
     return (var_signal, var_background, var_dark, var_thermal, var_amp,
             var_signal + var_background + var_dark + var_thermal + var_amp)
 
@@ -155,7 +156,7 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
     terms = _noise_terms(params, p_rs, 0.0, bandwidth_hz)
     if p_r < 0:
         raise ConfigError("p_r must be >= 0")
-    i_s = terms[5] * p_r
+    i_s = terms[6] * p_r
     if i_s == 0.0:
         return 0.0
     return i_s / math.sqrt(_summed(terms, p_rs, 0.0)[5])
@@ -167,7 +168,7 @@ def _min_signal_power(params: ApdParams, bandwidth_hz: float,
     ``p_rs`` is the policy's tnr, the weakest detectable current over
     M * R.  Its terms are computed once, for every ``p_rs``."""
     terms = _noise_terms(params, 0.0, 0.0, bandwidth_hz)
-    m_r = terms[5]
+    m_r = terms[6]
 
     def p_min(p_rs: float) -> float:
         var_total = _summed(terms, p_rs, 0.0)[5]
@@ -181,8 +182,9 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     """Gain that maximizes the trigger SNR, and the SNR there.
 
     The SNR is linear in ``p_r``, so the argmax does not depend on it; the
-    returned SNR is evaluated at the given ``p_r``.  With the no-echo
-    variance a * G + c, G = M**2 * F(M), the SNR peaks where a * (M * G' -
+    returned SNR is evaluated at the given ``p_r``.  The no-echo variance
+    is a * G + c, G = M**2 * F(M), with a and c read from the terms that
+    ``trigger_snr`` sums.  The SNR peaks where a * (M * G' -
     2 * G) = 2 * c: x * M**(2 + x) or k * M**3 + (1 - k) * M = 2 * c / a
     (power law, ionization).  Both grow with M, so the optimum is that
     root clamped to ``gain_bounds``; with x = 0 or a = 0 the SNR only rises.
@@ -190,13 +192,10 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
     lo, hi = gain_bounds
     if not (lo >= 1.0 and lo < hi < math.inf):
         raise ConfigError("gain_bounds must satisfy 1 <= lo < hi < inf")
-    _noise_terms(params, p_rs, 0.0, bandwidth_hz)  # its checks precede a root
-    two_e_bw = 2.0 * ELEMENTARY_CHARGE * bandwidth_hz
-    a = two_e_bw * (responsivity(params.wavelength_m, params.quantum_efficiency)
-                    * p_rs + params.bulk_dark_current_a)
-    c = (two_e_bw * params.surface_dark_current_a
-         + 4.0 * BOLTZMANN * params.temperature_k * bandwidth_hz
-         / params.load_resistance_ohm + params.amplifier_noise_a ** 2)
+    two_e_bw_k, _, surface, bulk, var_thermal, var_amp, _ = _noise_terms(
+        params, p_rs, 0.0, bandwidth_hz)
+    a = two_e_bw_k * p_rs + bulk
+    c = surface + var_thermal + var_amp
     ratio = 2.0 * c / a if a > 0.0 else math.inf
     x, k = params.excess_noise_index, params.electron_ionization_rate
     if params.excess_noise_mode == "power_law":

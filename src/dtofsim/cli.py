@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import ranging
 from .apd import optimize_gain
@@ -171,6 +172,7 @@ def _cmd_sensitivity(args) -> None:
     write_lines(lines, args.out)
 
 
+@cache  # a parse keeps no state in the parser; in-process callers reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="dtofsim",

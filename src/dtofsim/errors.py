@@ -2,8 +2,8 @@
 
 Each parameter class declares its fields' domains once, in a ``_DOMAINS``
 table from ``domains``, and its counts in a ``_WHOLE`` tuple, which
-``check_domains`` enforces.  Checks that span fields or modes stay code in
-the class.  ``copy_with`` is ``dataclasses.replace`` for these classes.
+``check_domains`` enforces.  Checks that span fields stay code in the
+class.  ``copy_with`` is ``dataclasses.replace`` for these classes.
 """
 
 from __future__ import annotations

@@ -62,12 +62,10 @@ class AtmosphereModel:
     one_way_transmittance: float = 1.0
     extinction_coeff_per_m: float = 0.0
 
-    _DOMAINS = domains(one_way_transmittance="in (0, 1]",
+    _DOMAINS = domains(mode=ATMOSPHERE_MODES,
+                       one_way_transmittance="in (0, 1]",
                        extinction_coeff_per_m=">= 0")
-    def __post_init__(self) -> None:
-        _require(self.mode in ATMOSPHERE_MODES,
-                 f"atmosphere mode must be one of {ATMOSPHERE_MODES}")
-        check_domains(self)
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -143,12 +141,11 @@ class SolarModel:
     reference_irradiance_w_m2: float = 29.4
     _in_band_w_m2: float = field(init=False, repr=False, compare=False)
 
-    _DOMAINS = domains(in_band_irradiance_w_m2=">= 0", illuminance_klux=">= 0",
+    _DOMAINS = domains(mode=SOLAR_MODES, in_band_irradiance_w_m2=">= 0",
+                       illuminance_klux=">= 0",
                        reference_illuminance_klux="> 0",
                        reference_irradiance_w_m2=">= 0")
     def __post_init__(self) -> None:
-        _require(self.mode in SOLAR_MODES,
-                 f"solar mode must be one of {SOLAR_MODES}")
         check_domains(self)
         if self.mode == "direct_irradiance":
             in_band = self.in_band_irradiance_w_m2

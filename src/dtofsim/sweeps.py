@@ -323,6 +323,13 @@ def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
     return ticks
 
 
+def _fraction(v: float, lo: float, hi: float, log: bool) -> float:
+    """Where ``v`` lies on an axis from ``lo`` (0) to ``hi`` (1)."""
+    if log:
+        v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+    return (v - lo) / (hi - lo)
+
+
 def emit_svg(result: SweepResult, path: str) -> None:
     """Write the sweep as a line chart; byte deterministic.
 
@@ -358,21 +365,11 @@ def emit_svg(result: SweepResult, path: str) -> None:
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x: float) -> float:
-        if log_x:
-            frac = (math.log10(x) - math.log10(x_lo)) \
-                / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            frac = (x - x_lo) / (x_hi - x_lo)
-        return _MARGIN_LEFT + frac * plot_w
+        return _MARGIN_LEFT + _fraction(x, x_lo, x_hi, log_x) * plot_w
 
     def sy(y: float) -> float:
-        if log_y:
-            y = max(y, y_lo)
-            frac = (math.log10(y) - math.log10(y_lo)) \
-                / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            frac = (y - y_lo) / (y_hi - y_lo)
-        return _MARGIN_TOP + (1.0 - frac) * plot_h
+        y = max(y, y_lo) if log_y else y
+        return _MARGIN_TOP + (1.0 - _fraction(y, y_lo, y_hi, log_y)) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '

@@ -511,10 +511,13 @@ _CHANGED = {("SipmMcConfig.seed", "nan"): "seed must be >= 0",
                    ("n_noise_periods", "inf"),
                    ("seed", "5e-324"), ("seed", "inf")]}}
 _APD, _SIPM = table1_preset("apd"), table1_preset("sipm")
+_SPECTRUM = ((900.0, 0.6, 0.5), (905.0, 0.7, 0.9), (910.0, 0.6, 0.5))
 _BASES = {
     ScenarioConfig: _APD, SceneGeometry: _APD.scene,
     AtmosphereModel: _APD.atmosphere, ReceiverOptics: _APD.optics,
-    TargetModel: _APD.target, LaserParams: _APD.laser, SolarModel: _APD.solar,
+    TargetModel: _APD.target, LaserParams: _APD.laser,
+    # the rows only spectrum_integral reads, so that its mode probe is ok
+    SolarModel: replace(_APD.solar, spectrum_table=_SPECTRUM[:2]),
     TdcPolicy: _APD.tdc, ApdParams: _APD.detector.params,
     SipmParams: _SIPM.detector.params, SipmChoice: _SIPM.detector,
     SipmMcConfig: SipmMcConfig(),
@@ -558,7 +561,6 @@ def _outcome(cls, name, value, **mode) -> str:
 
 # copy_with is checked against dataclasses.replace on every parameter
 # class, the atmosphere and solar model in each mode and both scenarios
-_SPECTRUM = ((900.0, 0.6, 0.5), (905.0, 0.7, 0.9), (910.0, 0.6, 0.5))
 _COPY_BASES = {
     **{cls.__name__: base for cls, base in _BASES.items()},
     "ScenarioConfig_sipm": _SIPM, "ApdChoice": _APD.detector,
@@ -656,6 +658,28 @@ class TestDomains:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert cli.main(["range", "--config", str(path)]) == 1
         assert f"scenario.detector: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls,message", [
+        (AtmosphereModel,
+         "mode must be one of ('fixed_transmittance', 'extinction')"),
+        (SolarModel, "mode must be one of ('direct_irradiance', "
+                     "'spectrum_integral', 'illuminance_scaled')"),
+    ])
+    def test_unknown_mode_names_the_modes(self, cls, message):
+        with pytest.raises(ConfigError) as info:
+            cls(mode="fog")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("section", ["atmosphere", "solar"])
+    def test_unknown_mode_in_a_file_exits_1(self, tmp_path, capsys, section):
+        data = scenario_to_dict(_APD)
+        data[section]["mode"] = "fog"
+        path = tmp_path / "fog.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["range", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"scenario.{section}.mode: unknown mode 'fog'" in captured.err
+        assert captured.out == ""
 
     def test_nan_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
