@@ -11,10 +11,10 @@ in closed form (Agrawal, Fiber-Optic Communication Systems, ch. 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, check_domains, domains
+from .errors import ConfigError, check_domains, copy_with, domains
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
 from .tdc import TdcPolicy, min_detectable_signal
 
@@ -207,4 +207,4 @@ def optimize_gain(params: ApdParams, p_rs: float, bandwidth_hz: float,
         s = math.sqrt((1.0 - k) / 3.0) / math.sqrt(k)
         gain = 2.0 * s * math.sinh(math.asinh(1.5 * ratio / (s * (1.0 - k))) / 3.0)
     gain = min(max(gain, lo), hi)
-    return gain, trigger_snr(replace(params, gain=gain), p_r, p_rs, bandwidth_hz)
+    return gain, trigger_snr(copy_with(params, "gain", gain), p_r, p_rs, bandwidth_hz)

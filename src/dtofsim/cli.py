@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 
 from . import ranging
 from .apd import optimize_gain
 from .detectors import ApdChoice, DetectorChoice
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, copy_with
 from .ranging import SENSITIVITY_PARAMS, declares, max_range, sensitivity
 from .scenario import (ScenarioConfig, load_scenario, save_scenario,
                        table1_preset, write_lines)
@@ -70,9 +69,8 @@ def _resolve(paths: list[str], detector: str | None) \
         configs = [load_scenario(p) for p in paths]
         detectors = [c.detector for c in configs]
         labels = [d.label for d in detectors]
-        if len(set(labels)) != len(labels):
-            detectors = [replace(d, label=f"{d.label}{i}") if labels.count(d.label) > 1
-                         else d for i, d in enumerate(detectors)]
+        detectors = [d if labels.count(d.label) == 1 else copy_with(
+            d, "label", f"{d.label}{i}") for i, d in enumerate(detectors)]
         return configs[0], detectors
     base = table1_preset("sipm" if detector == "sipm" else "apd")
     dets = [base.detector]
@@ -147,7 +145,7 @@ def _cmd_optimize_gain(args) -> None:
 
         curve = ["gain,snr"]
         for g in make_grid(bounds[0], bounds[1], args.curve_points, "log"):
-            snr = trigger_snr(replace(det.params, gain=g), p_r, p_rs,
+            snr = trigger_snr(copy_with(det.params, "gain", g), p_r, p_rs,
                               config.bandwidth_hz)
             curve.append(f"{format_number(g)},{format_number(snr)}")
         curve.append(f"# optimum gain={gain_text} snr={snr_text}")

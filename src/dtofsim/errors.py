@@ -3,7 +3,7 @@
 Each parameter class declares its fields' domains once, in a ``_DOMAINS``
 table from ``domains``, and its counts in a ``_WHOLE`` tuple, which
 ``check_domains`` enforces.  Checks that span fields stay code in the
-class.  ``copy_with`` is ``dataclasses.replace`` for these classes.
+class.  ``copy_with`` is ``dataclasses.replace`` of one field.
 """
 
 from __future__ import annotations
@@ -90,16 +90,17 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def copy_with(obj, **changes):
-    """``dataclasses.replace(obj, **changes)`` of a frozen dataclass, with
-    the same value or error, without its keyword call: each field is set
-    in declaration order, as ``__init__`` does (not through ``__dict__``,
-    which slows later reads), then the class's own ``__post_init__`` runs;
-    it recomputes an ``init=False`` field."""
+def copy_with(obj, name: str, value):
+    """``dataclasses.replace(obj, **{name: value})`` of a frozen dataclass,
+    with the same value or error, without its keyword call: each field is
+    copied in declaration order, as ``__init__`` sets it (not through
+    ``__dict__``, which slows later reads), ``name`` is set in its place,
+    then the class's own ``__post_init__`` runs; it recomputes an
+    ``init=False`` field."""
     new = object.__new__(type(obj))
-    for name in _field_names(type(obj)):
-        object.__setattr__(new, name, changes[name] if name in changes
-                           else getattr(obj, name))
+    for field in _field_names(type(obj)):
+        object.__setattr__(new, field, getattr(obj, field))
+    object.__setattr__(new, name, value)
     if hasattr(new, "__post_init__"):
         new.__post_init__()
     return new

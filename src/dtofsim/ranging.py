@@ -384,30 +384,30 @@ _SECTIONS = (("scene", scene_link.SceneGeometry),
 
 
 def _scaled(obj, name: str, f: float):
-    return copy_with(obj, **{name: getattr(obj, name) * f})
+    return copy_with(obj, name, getattr(obj, name) * f)
 
 
 def _field_edit(name: str) -> _Edit:
     """Scale the field ``name`` in every object that declares one.
 
     The searched objects are the scenario's sections, the scenario itself,
-    the detector's parameters and the policy; only those holding the field
-    are rebuilt, so the laser's and the APD's ``wavelength_m`` move together.
-    The sections, the scenario and the policy hold it by their class, so
-    they are found once, here.
+    the detector's parameters and the policy; each holding the field is
+    copied once, so the laser's and the APD's ``wavelength_m`` move together.
+    The one section or else the scenario, and the policy, hold it by their
+    class, so they are found once, here; a second section fails at import.
     """
-    sections = [s for s, cls in _SECTIONS if name in cls.__dataclass_fields__]
+    section, = [s for s, cls in _SECTIONS
+                if name in cls.__dataclass_fields__] or [None]
     in_scenario = name in ScenarioConfig.__dataclass_fields__
     in_policy = name in TdcPolicy.__dataclass_fields__
 
     def edit(sc, det, pol, f):
-        changed = {s: _scaled(getattr(sc, s), name, f) for s in sections}
-        if in_scenario:
-            changed[name] = getattr(sc, name) * f
-        if changed:
-            sc = copy_with(sc, **changed)
+        if section is not None:
+            sc = copy_with(sc, section, _scaled(getattr(sc, section), name, f))
+        elif in_scenario:
+            sc = _scaled(sc, name, f)
         if name in det.params.__dataclass_fields__:
-            det = copy_with(det, params=_scaled(det.params, name, f))
+            det = copy_with(det, "params", _scaled(det.params, name, f))
         if in_policy:
             pol = _scaled(pol, name, f)
         return sc, det, pol
@@ -418,14 +418,14 @@ def _solar_edit(sc, det, pol, f):
     # the link reads only the in-band value, whatever the solar mode
     e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
     solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
-    return copy_with(sc, solar=solar), det, pol
+    return copy_with(sc, "solar", solar), det, pol
 
 
 def _atmosphere_edit(sc, det, pol, f):
     atm = sc.atmosphere
     name = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
             else "extinction_coeff_per_m")
-    return copy_with(sc, atmosphere=_scaled(atm, name, f)), det, pol
+    return copy_with(sc, "atmosphere", _scaled(atm, name, f)), det, pol
 
 
 # parameters scaled wherever a field of their name is declared

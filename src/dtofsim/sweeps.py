@@ -186,11 +186,11 @@ def _max_range_point(config: ScenarioConfig, det: DetectorChoice,
 def _scenario_at(config: ScenarioConfig, kind: str, x: float) -> ScenarioConfig:
     """The scenario with the swept quantity set to grid value ``x``."""
     if kind == "elevation":
-        return copy_with(config, scene=copy_with(
-            config.scene, elevation_angle_rad=math.radians(x)))
+        return copy_with(config, "scene", copy_with(
+            config.scene, "elevation_angle_rad", math.radians(x)))
     if kind == "illuminance":
-        return copy_with(config,
-                         solar=copy_with(config.solar, illuminance_klux=x))
+        return copy_with(config, "solar",
+                         copy_with(config.solar, "illuminance_klux", x))
     return config
 
 
@@ -307,20 +307,21 @@ def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
                       if sum(d % s == 0 for d in decades) <= MAX_LOG_TICKS)
         return [10.0 ** d for d in decades if d % stride == 0] or [lo, hi]
     span = hi - lo
-    if span <= 0:
-        return [lo]
+    if span < 4.0 * sys.float_info.min:  # span / 4 would be subnormal
+        return [lo, hi] if span > 0 else [lo]
     step = 10.0 ** math.floor(math.log10(span / 4.0))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= 6:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
-        ticks.append(round(t, 12))
-        t += step
-    return ticks
+    # the <= 7 multiples of the step, rounded to its last digit (2.5 has two);
+    # on a span a few ULPs wide they collapse, and the ends are the ticks
+    first, digits = math.ceil(lo / step), 1 - math.floor(math.log10(step))
+    ticks = [min(max(round(k * step, digits), lo), hi)
+             for k in range(first, first + 7) if k * step <= hi + 1e-9 * span]
+    if ticks and all(a < b for a, b in zip(ticks, ticks[1:])):
+        return ticks
+    return [lo, hi]
 
 
 def _fraction(v: float, lo: float, hi: float, log: bool) -> float:

@@ -1,12 +1,16 @@
 import itertools
 import json
+import math
 import random
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtofsim import cli
 from dtofsim.cli import main
@@ -15,7 +19,7 @@ from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
                               table1_preset)
 from dtofsim.scene_link import sun_equivalent_irradiance
 from dtofsim.sipm import MAX_PIXELS
-from dtofsim.sweeps import MAX_GRID_POINTS, format_number
+from dtofsim.sweeps import MAX_GRID_POINTS, _axis_ticks, format_number
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -711,6 +715,33 @@ class TestNoCommandRaises:
                                "--out", str(tmp_path / "x.svg"))
         assert code == 1 and err == "error: log grid requires lo > 0\n"
 
+    @pytest.mark.parametrize("lo,hi,n,labels", [
+        # a span of two ULPs once never advanced the tick loop
+        ("10", "10.000000000000002", "2", ["10", "10"]),
+        # a span below 1e-12 once rounded every tick to a "0" off the plot
+        ("1e-14", "5e-14", "3", ["1e-14", "2e-14", "3e-14", "4e-14",
+                                 "5e-14"]),
+        # a subnormal span once raised a math domain error from log10(0)
+        ("0", "1e-323", "3", ["0", "9.88131e-324"])])
+    def test_narrow_linear_axis_is_drawn(self, tmp_path, lo, hi, n, labels):
+        svg = tmp_path / "narrow.svg"
+        # a child process, in bounded memory and time: the loop that never
+        # ended grew its tick list without bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtofsim.cli", "sweep", "--kind",
+             "elevation", "--min", lo, "--max", hi, "--n", n, "--format",
+             "svg", "--out", str(svg)],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (2 ** 30, 2 ** 30)))
+        assert proc.returncode == 0 and proc.stderr == ""
+        texts = [el for el in ET.fromstring(svg.read_text(encoding="utf-8"))
+                 if el.tag.endswith("text") and el.get("font-size") == "11"
+                 and el.get("text-anchor") == "middle"]
+        assert [el.text for el in texts] == labels
+        xs = [float(el.get("x")) for el in texts]  # the plot spans 80..770
+        assert xs == sorted(set(xs)) and 80 <= xs[0] and xs[-1] <= 770
+
     def test_odd_bounds_exit_with_a_documented_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         codes = {}
@@ -718,6 +749,25 @@ class TestNoCommandRaises:
             codes[" ".join(argv)] = main([*argv, "--out", out])
         capsys.readouterr()
         assert {a: c for a, c in codes.items() if c not in range(4)} == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude=st.floats(1e-300, 1e300), negative=st.booleans(),
+       ulps=st.integers(1, 1000))
+def test_linear_ticks_are_distinct_sorted_and_in_range(magnitude, negative,
+                                                       ulps):
+    lo = -magnitude if negative else magnitude
+    hi = lo + ulps * math.ulp(lo)
+    ticks = _axis_ticks(lo, hi, log=False)
+    assert 1 <= len(ticks) <= 7
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert lo <= ticks[0] and ticks[-1] <= hi
+
+
+def test_a_linear_tick_at_zero_reads_0():
+    # ticks summed step by step once reached -0.0, which is labelled "-0"
+    assert [f"{t:g}" for t in _axis_ticks(-1.0, 0.148, log=False)] \
+        == ["-1", "-0.8", "-0.6", "-0.4", "-0.2", "0"]
 
 
 def test_analytic_commands_load_no_numpy(tmp_path):

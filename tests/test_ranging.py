@@ -1086,6 +1086,15 @@ class TestSensitivity:
                     "dead_time_s", "dark_count_rate_cps", "tnr"}
         assert set(SENSITIVITY_PARAMS) == expected
 
+    @pytest.mark.parametrize("name", ranging._FIELD_PARAMS)
+    def test_a_field_name_has_at_most_one_scenario_owner(self, name):
+        # a field edit copies the one section, or else the scenario itself,
+        # that declares the name
+        sections = [s for s, cls in ranging._SECTIONS
+                    if name in cls.__dataclass_fields__]
+        assert len(sections) <= 1
+        assert not (sections and name in ScenarioConfig.__dataclass_fields__)
+
     @pytest.mark.parametrize("name", sorted(SENSITIVITY_PARAMS))
     @pytest.mark.parametrize("det", ["apd", "sipm"])
     def test_edit_returns_triple(self, name, det):
