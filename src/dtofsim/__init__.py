@@ -7,7 +7,7 @@ the trigger SNR meets the threshold-to-noise ratio.
 """
 
 from .apd import (ApdParams, NoiseBudget, excess_noise_factor, noise_sigma,
-                  optimize_gain, responsivity, signal_current, trigger_snr)
+                  optimize_gain, responsivity, trigger_snr)
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import (ConfigError, NoDetectionError, SipmSaturationError,
                      SolverError, UnboundedRangeError)
@@ -16,9 +16,8 @@ from .scenario import (ScenarioConfig, load_scenario, save_scenario,
                        table1_preset)
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
-                         effective_aperture, fov_half_angle,
-                         one_way_transmittance, received_powers,
-                         sun_equivalent_irradiance)
+                         effective_aperture, one_way_transmittance,
+                         received_powers, sun_equivalent_irradiance)
 from .sipm import (PhotonCounts, SipmMcConfig, SipmParams,
                    background_occupancy, dark_occupancy, fired_count,
                    fired_std, monte_carlo_snr, signal_fired,

@@ -74,14 +74,6 @@ def responsivity(wavelength_m: float, quantum_efficiency: float) -> float:
     return ELEMENTARY_CHARGE * quantum_efficiency / photon_energy(wavelength_m)
 
 
-def signal_current(params: ApdParams, p_r: float) -> float:
-    """Multiplied photocurrent at echo peak power ``p_r``, A."""
-    if p_r < 0:
-        raise ConfigError("p_r must be >= 0")
-    return responsivity(params.wavelength_m, params.quantum_efficiency) \
-        * params.gain * p_r
-
-
 def excess_noise_factor(params: ApdParams) -> float:
     """Multiplicative shot-noise penalty of the stochastic avalanche gain."""
     m = params.gain
@@ -149,9 +141,10 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
 
     The noise is ``noise_sigma(params, p_rs, 0.0, bandwidth_hz).total_a``
     from the same sum, so the two agree bit for bit, without the budget's
-    other four square roots; the current is ``signal_current`` from the
-    same responsivity.  The zero signal term stays in the sum: where
-    M**2 * F(M) overflows it is 0 * inf, and the SNR is NaN, not finite.
+    other four square roots; the current is the echo power times the
+    multiplied responsivity M * R.  The zero signal term stays in the sum:
+    where M**2 * F(M) overflows it is 0 * inf, and the SNR is NaN, not
+    finite.
     """
     terms = _noise_terms(params, p_rs, 0.0, bandwidth_hz)
     if p_r < 0:

@@ -206,53 +206,67 @@ def _power_margin(p_r: float, p_min: float) -> float:
     return _log_margin(p_r, p_min) if p_min > 0.0 else math.inf
 
 
+def _searched_range(margin: Callable[[float], float], m_1: float,
+                    width_m: float) -> float:
+    """The range, 1 m to ``RANGE_CAP_M``, where ``margin(r)`` falls to 0.
+
+    ``m_1`` >= 0 is the margin at 1 m.  hi doubles from 100 m while the
+    margin there is > 0; a margin of exactly 0 is the root, and one >= 0
+    at the cap returns the cap.  Otherwise Brent's method solves in ln r
+    on [hi / 2, hi] or [1 m, 100 m], to a width of max(LOG_RANGE_TOL,
+    width_m / hi); the ends are evaluated at their exact ranges, and a
+    root at an end is that range.
+    """
+    lo, m_lo = 1.0, m_1
+    hi = RANGE_BRACKET_START_M
+    while (m_hi := margin(hi)) > 0.0:
+        if hi >= RANGE_CAP_M:
+            return hi
+        lo, m_lo = hi, m_hi
+        hi = min(2.0 * hi, RANGE_CAP_M)
+    if m_hi == 0.0:
+        return hi
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    u = _brent_root(lambda u: margin(math.exp(u)), u_lo, m_lo, u_hi, m_hi,
+                    max(LOG_RANGE_TOL, width_m / hi))
+    return lo if u == u_lo else hi if u == u_hi else math.exp(u)
+
+
 def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
                     policy: TdcPolicy) -> float:
     """The range, at least 1 m, where the echo falls to the minimum
-    detectable power; inf where it never does before ``RANGE_CAP_M``.
+    detectable power; ``RANGE_CAP_M`` or more where it does not before.
 
     The link is read once, at 1 m: p_r(r) = p_r(1) t^2 / r^2 and
     p_rs(r) = p_rs(1) t, with t = tau(r) / tau(1) the transmittance
     relative to 1 m.  At a fixed transmittance t is 1 and the range is
-    sqrt(p_r(1) / p_min).  Under extinction, h(u) = ln(p_r / p_min) at
-    r = e^u is solved by Brent's method on the bracket the Monte Carlo's
-    SNR search takes, [hi / 2, hi] or [1 m, 100 m] with hi doubled from
-    100 m; each step costs one p_min.  A negative h at 1 m, where the SNR
-    was found at or above tnr, is rounding, and makes 1 m the root.
+    sqrt(p_r(1) / p_min).  Under extinction ``_searched_range`` solves
+    ln(p_r / p_min) = 0 to rounding; each step costs one p_min.  A
+    negative margin at 1 m, where the SNR was found at or above tnr, is
+    rounding, and counts as 0.
     """
     min_power = _min_signal_power(scenario, detector, policy)
     p_r1, p_rs1 = link_powers(scenario, 1.0)
+    p_min1 = min_power(p_rs1)
     atm = scenario.atmosphere
     if atm.mode == "fixed_transmittance":
-        p_min = min_power(p_rs1)
-        return max(math.sqrt(p_r1 / p_min) if p_min > 0.0 else math.inf, 1.0)
+        return max(math.sqrt(p_r1 / p_min1) if p_min1 > 0.0 else math.inf, 1.0)
     tau1 = scene_link.one_way_transmittance(atm, 1.0)
     # scene_link.one_way_transmittance's Beer-Lambert law, its coefficient
     # read once
     neg_k = -atm.extinction_coeff_per_m
 
-    def h(u: float) -> float:
-        r = math.exp(u)
+    def margin(r: float) -> float:
         t = math.exp(neg_k * r) / tau1
         return _power_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
 
-    u_lo, h_lo = 0.0, None  # h at 1 m is needed only for [1 m, 100 m]
-    hi = RANGE_BRACKET_START_M
-    while (h_hi := h(u_hi := math.log(hi))) >= 0.0:
-        if hi >= RANGE_CAP_M:
-            return math.inf
-        u_lo, h_lo = u_hi, h_hi
-        hi = min(2.0 * hi, RANGE_CAP_M)
-    if h_lo is None:
-        h_lo = max(h(0.0), 0.0)
-    return math.exp(_brent_root(h, u_lo, h_lo, u_hi, h_hi, LOG_RANGE_TOL))
+    return _searched_range(margin, max(_power_margin(p_r1, p_min1), 0.0), 0.0)
 
 
 # (scenario, detector, policy, result, partials) of the last successful
-# max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step, and
-# g at r_max itself under None
+# max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step
 _last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
-                   dict[float | None, float]] | None = None
+                   dict[float, float]] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -277,16 +291,16 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     closed-form solve makes 2 SNR evaluations, and its SNR at ``r_max`` is
     the threshold to within about 1e-14 relative.
 
-    The Monte Carlo grows a bracket by doubling from 100 m and solves
-    g(u) = ln(SNR(e^u) / tnr) = 0 by Brent's method on the bracket the
-    doubling leaves, [hi / 2, hi] or [1 m, 100 m].  Its seed is fixed, so
-    every evaluation of one solve reads the same function of range.  An
+    The Monte Carlo solves g(r) = ln(SNR(r) / tnr) = 0 by
+    ``_searched_range``, the bracket search the extinction inversion
+    takes, stopped on a bracket 1 mm wide.  Its seed is fixed, so every
+    evaluation of one solve reads the same function of range.  An
     evaluation whose SNR lies within ``SE_STOP_FRACTION`` times its own
     standard error of the threshold counts as a root (g = 0) and is
     returned: at table1 with 8 trials and seed 11 a solve takes 6
     evaluations with the rectangular pulse and 8 with the Gaussian.  A
     fixed-seed SNR can also jump across that noise band; the root then
-    stops on a bracket 1 mm wide and returns the endpoint of smaller |g|.
+    stops on the 1 mm bracket and returns the endpoint of smaller |g|.
     Each Monte Carlo evaluation is a ``SnrEstimate``; ``snr_se`` is the
     ``se`` of the returned one, and ``snr_at_rmax`` its value as a plain
     float.
@@ -307,8 +321,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     tnr = policy.tnr
     evaluations = 0
 
-    def evaluate(r: float) -> tuple[float, float, float]:
-        """(range, SNR, g); g is 0.0 inside the Monte Carlo's stop band."""
+    def evaluate(r: float) -> float:
         nonlocal evaluations
         evaluations += 1
         # every evaluation goes through the module's snr_at_range, which
@@ -318,45 +331,35 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
         if math.isnan(snr):
             raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
                               "the scenario's values overflow the model")
-        # at se = 0 the band holds only snr == tnr, where g is 0.0 already
-        if abs(snr - tnr) <= SE_STOP_FRACTION * getattr(snr, "se", 0.0):
-            return r, snr, 0.0
-        return r, snr, _log_margin(snr, tnr)
+        return snr
 
-    def unbounded() -> UnboundedRangeError:
-        return UnboundedRangeError(f"SNR stays above the threshold {tnr:g} "
-                                   f"out to {RANGE_CAP_M:g} m")
-
-    above = evaluate(1.0)  # the last range with the SNR at or above tnr
-    if above[1] < tnr:
+    snr = evaluate(1.0)
+    if snr < tnr:
         raise NoDetectionError(
-            f"SNR {above[1]:.4g} is below the threshold {tnr:g} at 1 m")
-    if above[1] == math.inf:
+            f"SNR {snr:.4g} is below the threshold {tnr:g} at 1 m")
+    if snr == math.inf:
         raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
     if not _is_monte_carlo(detector):
         r = min(_inverted_range(scenario, detector, policy), RANGE_CAP_M)
-        _, snr, _ = evaluate(r)
-        if r == RANGE_CAP_M and snr >= tnr:
-            raise unbounded()
+        snr = evaluate(r)
     else:
-        hi = RANGE_BRACKET_START_M
-        while (at_hi := evaluate(hi))[1] >= tnr:
-            if hi >= RANGE_CAP_M:
-                raise unbounded()
-            above = at_hi
-            hi = min(2.0 * hi, RANGE_CAP_M)
+        def g(snr: float) -> float:
+            # 0.0 inside the noise band; at se = 0 it holds only tnr itself
+            if abs(snr - tnr) <= SE_STOP_FRACTION * getattr(snr, "se", 0.0):
+                return 0.0
+            return _log_margin(snr, tnr)
 
-        u_lo, u_hi = math.log(above[0]), math.log(hi)
-        # each evaluated ln(range) -> its evaluation, the endpoints exactly
-        points = {u_lo: above, u_hi: at_hi}
+        points = {1.0: snr}  # each evaluated range -> its SNR
 
-        def g(u: float) -> float:
-            point = points[u] = evaluate(math.exp(u))
-            return point[2]
+        def margin(r: float) -> float:
+            points[r] = snr = evaluate(r)
+            return g(snr)
 
-        u = _brent_root(g, u_lo, above[2], u_hi, at_hi[2],
-                        RANGE_WIDTH_TOL_M / hi)
-        r, snr, _ = points[u]
+        r = _searched_range(margin, g(snr), RANGE_WIDTH_TOL_M)
+        snr = points[r]
+    if r == RANGE_CAP_M and snr >= tnr:
+        raise UnboundedRangeError(f"SNR stays above the threshold {tnr:g} "
+                                  f"out to {RANGE_CAP_M:g} m")
 
     p_r, p_rs = link_powers(scenario, r)
     result = RangeResult(r_max_m=r, snr_at_rmax=float(snr),
@@ -482,13 +485,12 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
     base solve is a ``max_range`` call, which also keeps the range partial
     of each ``rel_step`` once evaluated without an error, whatever its
-    value, and g_0, g at ``r_max`` itself, once a name needs it.  So names
-    asked one after another of the very same objects share all three, and
-    each later name makes only its parameter evaluations: two, or none for
-    a name this scenario does not declare.  ``--param all`` on the table1
-    APD makes 51 SNR evaluations (the solve's 2, the range partial's 2,
-    g_0, and 2 for each of its 23 declared names), on the table1 SiPM 43
-    (19 declared names).
+    value.  So names asked one after another of the very same objects
+    share both, and each later name makes only its parameter evaluations:
+    two, or none for a name this scenario does not declare.
+    ``--param all`` on the table1 APD makes 50 SNR evaluations (the
+    solve's 2, the range partial's 2, and 2 for each of its 23 declared
+    names), on the table1 SiPM 42 (19 declared names).
 
     A parameter at a closed bound of its domain (a transmittance or an
     efficiency of 1, a gain or a pixel count of 1) has one edit that its
@@ -497,17 +499,18 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     margin at the parameter times exp(k * rel_step): 3g_0 - 4g_-1 + g_-2
     at an upper bound and -3g_0 + 4g_1 - g_2 at a lower one, each
     estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
-    evaluated, not taken as 0.  If both edits are rejected, so is the
-    name.  A closed bound's partial thus takes two evaluations, beside g_0.
+    the solve's own root margin, ln(snr_at_rmax / tnr), not taken as 0.
+    If both edits are rejected, so is the name.  A closed bound's partial
+    thus takes two evaluations.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
     SiPM parameter for an APD, say; see ``declares``) leaves g unchanged:
-    its partial is g_0 - g_0, with no edit evaluated, so it gives 0.0
-    where g_0 is finite.  An SNR near ``r_max`` that is 0 or infinite, or one
-    flat in range, leaves the elasticity undefined: a ``ConfigError``.
-    So is a Monte Carlo detector: its SNR scatters by far more than a step
-    of ``rel_step`` moves it, so the difference is noise.
+    its partial is 0.0, with no edit evaluated.  An SNR near ``r_max``
+    that is 0 or infinite, or one flat in range, leaves the elasticity
+    undefined: a ``ConfigError``.  So is a Monte Carlo detector: its SNR
+    scatters by far more than a step of ``rel_step`` moves it, so the
+    difference is noise.
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "
@@ -528,37 +531,34 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     def g(sc, det, pol, range_m):
         return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
 
-    def g_0() -> float:
-        if (value := partials.get(None)) is None:
-            value = partials[None] = g(*base, r)
-        return value
-
-    up, down = math.exp(rel_step), math.exp(-rel_step)
-
     def g_edited(k: int) -> float:
         """g at r with the parameter times exp(k * rel_step)."""
         return g(*edit(*base, math.exp(k * rel_step)), r)
 
+    up, down = math.exp(rel_step), math.exp(-rel_step)
     # every difference spans 2 * rel_step, which cancels in the ratio
     if (dg_r := partials.get(rel_step)) is None:
         dg_r = partials[rel_step] = g(*base, r * up) - g(*base, r * down)
+    side = 0  # +1 at a closed upper bound, -1 at a closed lower one
     try:
         above = edit(*base, up)
     except ConfigError:
-        # a closed upper bound: one-sided, toward the interior
-        dg_p = 3.0 * g_0() - 4.0 * g_edited(-1) + g_edited(-2)
+        side = 1
     else:
         if not _rebuilds(above, base):
-            # nothing holds the parameter, so g is g_0 at either edit
-            dg_p = g_0() - g_0()
+            dg_p = 0.0  # nothing holds the parameter
         else:
             try:
                 below = edit(*base, down)
             except ConfigError:
-                # a closed lower bound
-                dg_p = -3.0 * g_0() + 4.0 * g(*above, r) - g_edited(2)
+                side = -1
             else:
                 dg_p = g(*above, r) - g(*below, r)
+    if side:
+        # one-sided, toward the interior
+        g_0 = _log_margin(solve.snr_at_rmax, policy.tnr)
+        dg_p = side * (3.0 * g_0 - 4.0 * g_edited(-side)
+                       + g_edited(-2 * side))
     if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
         raise ConfigError(
             f"the elasticity of {param_name} is undefined at r_max "

@@ -220,11 +220,6 @@ def effective_aperture(optics: ReceiverOptics, theta_r: float) -> float:
     return area
 
 
-def fov_half_angle(optics: ReceiverOptics) -> float:
-    """Unilateral field of view of the receiver, rad."""
-    return math.atan(optics.detector_radius_m / optics.focal_length_m)
-
-
 def _spectrum_integral(table: tuple[tuple[float, float, float], ...]) -> float:
     """Trapezoidal integral of irradiance * transmittance on the table grid."""
     total = 0.0

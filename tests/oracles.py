@@ -199,6 +199,15 @@ def exact_trapezoid(rows: list[tuple[float, float, float]]) -> float:
     return float(total)
 
 
+def signal_current(params: apd.ApdParams, p_r: float) -> float:
+    """Multiplied photocurrent at echo peak power ``p_r``, A: the echo
+    power times the library's responsivity and the gain."""
+    if p_r < 0:
+        raise ConfigError("p_r must be >= 0")
+    return apd.responsivity(params.wavelength_m, params.quantum_efficiency) \
+        * params.gain * p_r
+
+
 def grid_argmax(fn, lo: float, hi: float, step: float) -> tuple[float, float]:
     """Exhaustive scan of fn over [lo, hi] with the given step."""
     best_x, best_v = lo, fn(lo)

@@ -9,11 +9,10 @@ from scipy import optimize
 
 from dtofsim import ConfigError
 from dtofsim.apd import (ApdParams, excess_noise_factor, noise_sigma,
-                         optimize_gain, responsivity, signal_current,
-                         trigger_snr)
+                         optimize_gain, responsivity, trigger_snr)
 from dtofsim.physconst import BOLTZMANN, ELEMENTARY_CHARGE
 
-from oracles import grid_argmax
+from oracles import grid_argmax, signal_current
 
 # reference operating point: (power, background) at 100 m and the system
 # bandwidth, frozen from 50-digit link-equation evaluations

@@ -673,6 +673,74 @@ class TestInvertedRange:
         assert solve() == expected
 
 
+class TestSearchedRange:
+    """The bracket search that the Monte Carlo and the extinction
+    inversion share: its root and cap rules, seen through ``max_range``."""
+
+    @staticmethod
+    def fake_monte_carlo(monkeypatch, sipm_config, snr_of_range):
+        """A Monte Carlo solve whose SNR at r is ``snr_of_range(r)``, an
+        ``SnrEstimate``; returns (result, evaluated ranges)."""
+        ranges = []
+
+        def fake(sc, det, r):
+            ranges.append(r)
+            return snr_of_range(r)
+
+        monkeypatch.setattr(ranging, "snr_at_range", fake)
+        res = max_range(sipm_config, monte_carlo(sipm_config, 0),
+                        sipm_config.tdc)
+        return res, ranges
+
+    def test_a_root_in_the_band_ends_the_doubling(self, sipm_config,
+                                                 monkeypatch):
+        # inside the noise band above tnr at exactly 200 m: that is the
+        # root, and 400 m is never evaluated
+        tnr = sipm_config.tdc.tnr
+
+        def snr(r):
+            if r == 200.0:
+                return SnrEstimate(tnr + 0.1, 1.0)
+            return SnrEstimate(tnr + 1.0 if r < 200.0 else tnr - 1.0, 0.1)
+
+        res, ranges = self.fake_monte_carlo(monkeypatch, sipm_config, snr)
+        assert res.r_max_m == 200.0
+        assert res.snr_at_rmax == tnr + 0.1 and res.snr_se == 1.0
+        assert ranges == [1.0, 100.0, 200.0]
+        assert res.evaluations == 3
+
+    def test_in_the_band_below_tnr_at_the_cap_is_the_cap(self, sipm_config,
+                                                         monkeypatch):
+        tnr = sipm_config.tdc.tnr
+
+        def snr(r):
+            if r == ranging.RANGE_CAP_M:
+                return SnrEstimate(tnr - 0.1, 1.0)
+            return SnrEstimate(tnr + 1.0, 0.1)
+
+        res, ranges = self.fake_monte_carlo(monkeypatch, sipm_config, snr)
+        assert res.r_max_m == 1e5
+        assert res.snr_at_rmax == tnr - 0.1
+        # 1 m, 100 m doubled nine times to 51.2 km, and the cap
+        assert ranges == [1.0, *(100.0 * 2 ** k for k in range(10)), 1e5]
+
+    def test_both_solves_raise_one_unbounded_error(self, apd_config,
+                                                   sipm_config, monkeypatch):
+        # a margin still positive at 100 km: the extinction inversion of
+        # a strong laser, and a Monte Carlo SNR above tnr everywhere
+        strong = replace(with_peak_power(apd_config, 5e6),
+                         atmosphere=AtmosphereModel(
+                             mode="extinction", extinction_coeff_per_m=1e-9))
+        with pytest.raises(UnboundedRangeError) as inverted:
+            max_range(strong, strong.detector, strong.tdc)
+        tnr = sipm_config.tdc.tnr
+        with pytest.raises(UnboundedRangeError) as searched:
+            self.fake_monte_carlo(monkeypatch, sipm_config,
+                                  lambda r: SnrEstimate(tnr + 1.0, 0.1))
+        assert str(inverted.value) == str(searched.value) == (
+            "SNR stays above the threshold 5 out to 100000 m")
+
+
 VARIANTS = ["apd", "sipm", "sipm_approx"]
 
 
@@ -861,12 +929,12 @@ class TestSensitivity:
         calls = count_calls(monkeypatch, ranging, "snr_at_range")
         value = sensitivity(config, det, config.tdc, "laser_efficiency")
         assert value == pytest.approx(0.5, abs=1e-8)
-        # g_0, g_-1 and g_-2, and the two range steps
-        assert len(calls) == 5
+        # g_-1 and g_-2, and the two range steps; g_0 is the solve's own
+        assert len(calls) == 4
 
     def test_lower_bound_evaluations(self, monkeypatch, apd_config):
-        # at a gain of 1 the edit downward is rejected: g_0, g_1 and g_2,
-        # and the two range steps
+        # at a gain of 1 the edit downward is rejected: g_1 and g_2, and
+        # the two range steps; g_0 is the solve's own
         config = at_bound(apd_config, "gain")
         r = max_range(config, config.detector, config.tdc).r_max_m
         calls = count_calls(monkeypatch, ranging, "snr_at_range")
@@ -874,7 +942,7 @@ class TestSensitivity:
         h = 1e-3
         assert sorted((det.params.gain, range_m)
                       for _, det, range_m in calls) == [
-            (1.0, r * math.exp(-h)), (1.0, r), (1.0, r * math.exp(h)),
+            (1.0, r * math.exp(-h)), (1.0, r * math.exp(h)),
             (math.exp(h), r), (math.exp(2 * h), r)]
 
     @pytest.mark.parametrize("variant,name,side", [
@@ -913,8 +981,7 @@ class TestSensitivity:
         # the first name solves the range and takes the two range steps;
         # every other one reuses both and makes only its two parameter
         # evaluations, or none for a name this scenario does not declare;
-        # g_0, which undeclared names and those at a closed bound read, is
-        # evaluated once
+        # g_0, which the names at a closed bound read, is the solve's own
         bounds = (("gain", "laser_efficiency") if variant == "apd_at_bounds"
                   else ())
         config, det = closed_form_variant(variant.removesuffix("_at_bounds"))
@@ -929,9 +996,9 @@ class TestSensitivity:
         base = max_range(config, det, config.tdc)
         declared = sum(declares(config, det, config.tdc, name)
                        for name in names)
-        assert evaluations == base.evaluations + 2 + 1 + 2 * declared
+        assert evaluations == base.evaluations + 2 + 2 * declared
         # 23 names declared by the APD, 19 by the SiPM
-        assert evaluations == (51 if variant.startswith("apd") else 43)
+        assert evaluations == (50 if variant.startswith("apd") else 42)
         # a fresh copy of the scenario per name defeats the reuse
         assert values == [sensitivity(replace(config), det, config.tdc, name)
                           for name in names]
@@ -993,8 +1060,8 @@ class TestSensitivity:
                             "peak_power_w")
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_undeclared_name_evaluates_nothing_after_g0(self, monkeypatch,
-                                                         variant):
+    def test_undeclared_name_evaluates_only_the_range_steps(self, monkeypatch,
+                                                            variant):
         config, det = closed_form_variant(variant)
         base = (config, det, config.tdc)
         r = max_range(*base).r_max_m
@@ -1003,32 +1070,14 @@ class TestSensitivity:
         assert len(undeclared) == (4 if variant == "apd" else 8)
         calls = count_calls(monkeypatch, ranging, "snr_at_range")
         assert sensitivity(*base, undeclared[0]) == 0.0
-        # the two range steps, then g_0 and no edit
+        # the two range steps and no edit
         assert [(args[0], args[2]) for args in calls] == [
-            (config, r * math.exp(1e-3)), (config, r * math.exp(-1e-3)),
-            (config, r)]
+            (config, r * math.exp(1e-3)), (config, r * math.exp(-1e-3))]
         calls.clear()
         for name in undeclared[1:]:
             value = sensitivity(*base, name)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert calls == []
-
-    def test_undeclared_name_with_infinite_g0_is_undefined(self,
-                                                           monkeypatch):
-        # g_0 - g_0 of an infinite g_0 is NaN, as g(above) - g(below) was
-        real = ranging.snr_at_range
-        config = table1_preset("apd")
-        base = (config, config.detector, config.tdc)
-        r = max_range(*base).r_max_m
-
-        def infinite_at_r_max(sc, det, range_m):
-            return math.inf if range_m == r else real(sc, det, range_m)
-
-        monkeypatch.setattr(ranging, "snr_at_range", infinite_at_r_max)
-        for fn in (sensitivity, reference_sensitivity):
-            with pytest.raises(ConfigError,
-                               match="^the elasticity of pde is undefined"):
-                fn(*base, "pde")
 
     def test_sun_elasticity(self, sipm_config):
         det = self.approx_detector(sipm_config)

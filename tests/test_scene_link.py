@@ -10,9 +10,9 @@ from dtofsim.ranging import SENSITIVITY_PARAMS, max_range, sensitivity
 from dtofsim.scenario import table1_preset
 from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                                 SceneGeometry, SolarModel, TargetModel,
-                                effective_aperture, fov_half_angle,
-                                load_spectrum_csv, one_way_transmittance,
-                                received_powers, sun_equivalent_irradiance)
+                                effective_aperture, load_spectrum_csv,
+                                one_way_transmittance, received_powers,
+                                sun_equivalent_irradiance)
 
 from oracles import exact_trapezoid
 
@@ -255,22 +255,6 @@ class TestExtinctionLink:
         # p * r**2 rounds differently at each range, so allow a few ulps
         assert p2 * r2 * r2 <= p1 * r1 * r1 * (1.0 + 1e-12)
         assert b2 <= b1
-
-
-class TestFovHalfAngle:
-    def test_small_angle(self):
-        assert fov_half_angle(TABLE1_OPTICS) == pytest.approx(
-            0.003333320987736625, rel=1e-12)
-
-    def test_unity_ratio(self):
-        optics = ReceiverOptics(aperture_radius_m=0.025, focal_length_m=0.03,
-                                detector_radius_m=0.03)
-        assert fov_half_angle(optics) == pytest.approx(math.pi / 4, rel=1e-12)
-
-    def test_vanishing_detector(self):
-        optics = ReceiverOptics(aperture_radius_m=0.025, focal_length_m=0.03,
-                                detector_radius_m=1e-12)
-        assert fov_half_angle(optics) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestSpectrumCsv:
