@@ -144,7 +144,7 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
     other four square roots; the current is the echo power times the
     multiplied responsivity M * R.  The zero signal term stays in the sum:
     where M**2 * F(M) overflows it is 0 * inf, and the SNR is NaN, not
-    finite.
+    finite, which ``ranging.snr_at_range`` rejects.
     """
     terms = _noise_terms(params, p_rs, 0.0, bandwidth_hz)
     if p_r < 0:

@@ -138,6 +138,7 @@ def _cmd_optimize_gain(args) -> None:
     bounds = (args.gain_min, args.gain_max)
     gain_star, snr_star = optimize_gain(det.params, p_rs,
                                         config.bandwidth_hz, bounds, p_r=p_r)
+    ranging.judged_snr(snr_star, "gain {:g}", gain_star)
     gain_text, snr_text = format_number(gain_star), format_number(snr_star)
     lines = [f"gain_opt,{gain_text}", f"snr_opt,{snr_text}"]
     if args.out is not None:
@@ -145,8 +146,9 @@ def _cmd_optimize_gain(args) -> None:
 
         curve = ["gain,snr"]
         for g in make_grid(bounds[0], bounds[1], args.curve_points, "log"):
-            snr = trigger_snr(copy_with(det.params, "gain", g), p_r, p_rs,
-                              config.bandwidth_hz)
+            snr = ranging.judged_snr(trigger_snr(
+                copy_with(det.params, "gain", g), p_r, p_rs,
+                config.bandwidth_hz), "gain {:g}", g)
             curve.append(f"{format_number(g)},{format_number(snr)}")
         curve.append(f"# optimum gain={gain_text} snr={snr_text}")
         write_lines(curve, args.out)

@@ -87,33 +87,45 @@ def _photon_counts(scenario: ScenarioConfig, params: sipm.SipmParams,
                                          params.dead_time_s)
 
 
+def judged_snr(snr: float, where: str, x: float) -> float:
+    """``snr``, unless it is NaN, the 0 * inf of values that overflow the
+    model, which compares false both ways and so would steer a solver or
+    print as a result: then a ``ConfigError`` at ``where.format(x)``."""
+    if math.isnan(snr):
+        raise ConfigError(f"the trigger SNR at {where.format(x)} is not a "
+                          "number; the scenario's values overflow the model")
+    return snr
+
+
 def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``.
 
     The one SNR dispatch: the link once, then the APD or the SiPM's
-    analytic, approx or Monte Carlo model.  A Monte Carlo SNR is a
-    ``SnrEstimate`` that carries its standard error.  ``max_range``
-    inverts each closed-form mode through its p_min, which
+    analytic, approx or Monte Carlo model.  It is also the one verdict on
+    every SNR: one that is not a number is a ``ConfigError``.  A Monte
+    Carlo SNR is a ``SnrEstimate`` that carries its standard error.
+    ``max_range`` inverts each closed-form mode through its p_min, which
     ``_min_signal_power`` picks, so a new closed-form mode is added there
     too.
     """
     p_r, p_rs = link_powers(scenario, range_m)
     params = detector.params
-    if isinstance(detector, ApdChoice):
-        return apd.trigger_snr(params, p_r, p_rs, scenario.bandwidth_hz)
     try:
-        if detector.snr_mode == "monte_carlo":
+        if isinstance(detector, ApdChoice):
+            snr = apd.trigger_snr(params, p_r, p_rs, scenario.bandwidth_hz)
+        elif detector.snr_mode == "monte_carlo":
             laser = scenario.laser
-            return SnrEstimate(*sipm.monte_carlo_snr(
+            snr = SnrEstimate(*sipm.monte_carlo_snr(
                 params, p_r, p_rs, laser.pulse_fwhm_s, laser.wavelength_m,
                 scenario.bandwidth_hz, detector.mc_config()))
-        counts = _photon_counts(scenario, params, p_r, p_rs)
-        if detector.snr_mode == "approx":
-            return sipm.trigger_snr_approx(params, counts)
-        return sipm.trigger_snr_analytic(params, counts)
+        else:
+            counts = _photon_counts(scenario, params, p_r, p_rs)
+            snr = (sipm.trigger_snr_approx if detector.snr_mode == "approx"
+                   else sipm.trigger_snr_analytic)(params, counts)
     except SipmSaturationError as exc:
         raise SipmSaturationError(f"{exc} (at range {range_m:g} m)") from exc
+    return judged_snr(snr, "{:g} m", range_m)
 
 
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
@@ -252,12 +264,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
     if atm.mode == "fixed_transmittance":
         return max(math.sqrt(p_r1 / p_min1) if p_min1 > 0.0 else math.inf, 1.0)
     tau1 = scene_link.one_way_transmittance(atm, 1.0)
-    # scene_link.one_way_transmittance's Beer-Lambert law, its coefficient
-    # read once
-    neg_k = -atm.extinction_coeff_per_m
 
     def margin(r: float) -> float:
-        t = math.exp(neg_k * r) / tau1
+        t = scene_link.one_way_transmittance(atm, r) / tau1
         return _power_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
 
     return _searched_range(margin, max(_power_margin(p_r1, p_min1), 0.0), 0.0)
@@ -274,13 +283,11 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     """Range at which the trigger SNR falls to the threshold-to-noise ratio.
 
     Every mode first evaluates the SNR at 1 m, through the module
-    attribute ``snr_at_range``.  An SNR there that is not a number (the
-    scenario's values overflow the noise model) is a ``ConfigError``; one
-    below threshold is ``NoDetectionError``; an infinite one, the
-    noiseless limit, is ``UnboundedRangeError``: noise never grows with
-    range.  A root at ``RANGE_CAP_M`` (100 km) or past it is
-    ``UnboundedRangeError`` when the SNR there is still at or above
-    threshold.
+    attribute ``snr_at_range``.  An SNR there below threshold is
+    ``NoDetectionError``; an infinite one, the noiseless limit, is
+    ``UnboundedRangeError``: noise never grows with range.  A root at
+    ``RANGE_CAP_M`` (100 km) or past it is ``UnboundedRangeError`` when
+    the SNR there is still at or above threshold.
 
     The closed-form modes (the APD, the SiPM's analytic and approx) invert
     the SNR: their noise does not depend on the echo, so the weakest
@@ -319,21 +326,9 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
             and last[2] is policy):
         return last[3]
     tnr = policy.tnr
-    evaluations = 0
-
-    def evaluate(r: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        # every evaluation goes through the module's snr_at_range, which
-        # profilers wrap to count them
-        snr = snr_at_range(scenario, detector, r)
-        # NaN compares false both ways, so it would steer the solver
-        if math.isnan(snr):
-            raise ConfigError(f"the trigger SNR at {r:g} m is not a number; "
-                              "the scenario's values overflow the model")
-        return snr
-
-    snr = evaluate(1.0)
+    # every evaluation goes through the module's snr_at_range, which
+    # profilers wrap to count them
+    snr = snr_at_range(scenario, detector, 1.0)
     if snr < tnr:
         raise NoDetectionError(
             f"SNR {snr:.4g} is below the threshold {tnr:g} at 1 m")
@@ -341,7 +336,8 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
         raise UnboundedRangeError("SNR is infinite at 1 m: no noise at any range")
     if not _is_monte_carlo(detector):
         r = min(_inverted_range(scenario, detector, policy), RANGE_CAP_M)
-        snr = evaluate(r)
+        snr = snr_at_range(scenario, detector, r)
+        evaluations = 2
     else:
         def g(snr: float) -> float:
             # 0.0 inside the noise band; at se = 0 it holds only tnr itself
@@ -349,14 +345,15 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
                 return 0.0
             return _log_margin(snr, tnr)
 
-        points = {1.0: snr}  # each evaluated range -> its SNR
+        points = {1.0: snr}  # each evaluated range, all distinct -> its SNR
 
         def margin(r: float) -> float:
-            points[r] = snr = evaluate(r)
+            points[r] = snr = snr_at_range(scenario, detector, r)
             return g(snr)
 
         r = _searched_range(margin, g(snr), RANGE_WIDTH_TOL_M)
         snr = points[r]
+        evaluations = len(points)
     if r == RANGE_CAP_M and snr >= tnr:
         raise UnboundedRangeError(f"SNR stays above the threshold {tnr:g} "
                                   f"out to {RANGE_CAP_M:g} m")

@@ -535,6 +535,40 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and reason in err
 
+    def test_sweep_of_an_overflowing_model_is_1(self, tmp_path, capsys):
+        # a gain whose M**2 * F(M) overflows: every distance's SNR is NaN
+        data = scenario_to_dict(table1_preset("apd"))
+        data["detector"]["gain"] = 1e160
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "snr-curve", "--n", "2",
+                                 "--config", str(path))
+        assert code == 1 and out == ""
+        assert "the trigger SNR at 25 m is not a number" in err
+
+    def test_overflowing_gain_optimum_is_1(self, tmp_path, capsys):
+        # a dark APD's optimum is the upper bound, where M**2 * F(M)
+        # overflows
+        data = scenario_to_dict(table1_preset("apd"))
+        data["solar"]["illuminance_klux"] = 0.0
+        data["detector"]["bulk_dark_current_na"] = 0.0
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "optimize-gain", "--config",
+                                 str(path), "--gain-max", "1e200")
+        assert code == 1 and out == ""
+        assert "the trigger SNR at gain 1e+200 is not a number" in err
+
+    def test_overflowing_gain_curve_is_1(self, tmp_path, capsys):
+        # the table1 optimum is finite, but M**2 * F(M) overflows at the
+        # curve's gains of 1e150 and 1e200
+        out_path = tmp_path / "gain.csv"
+        code, out, err = run_cli(capsys, "optimize-gain", "--gain-max",
+                                 "1e200", "--curve-points", "5",
+                                 "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert "the trigger SNR at gain 1e+150 is not a number" in err
+
     @pytest.mark.parametrize("section,key", [
         ("detector", "gain"), (None, "bandwidth_mhz"),
         ("optics", "aperture_radius_m")])

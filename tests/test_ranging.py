@@ -367,7 +367,8 @@ class TestMaxRange:
         # gain**2 overflows to inf, and the no-echo signal shot-noise term
         # of the noise budget is then 0 * inf
         huge = with_gain(apd_config, 1e300)
-        assert math.isnan(snr_at_range(huge, huge.detector, 1.0))
+        with pytest.raises(ConfigError, match="SNR at 1 m is not a number"):
+            snr_at_range(huge, huge.detector, 1.0)
         with pytest.raises(ConfigError, match="not a number"):
             max_range(huge, huge.detector, huge.tdc)
 

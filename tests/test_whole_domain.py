@@ -13,11 +13,13 @@ left out, since one of its solves takes seconds.
 Each file runs ``range``, ``sensitivity --param all``, ``sweep --kind K
 --n 5`` for each kind and, for an APD, ``optimize-gain``, in process
 through ``cli.main``.  Each must exit 0, 1 or 2 without raising, and write
-nothing to stdout unless it exits 0.
+nothing to stdout unless it exits 0, and then no ``nan`` cell: a trigger
+SNR that is not a number exits 1.
 """
 
 import io
 import math
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -35,6 +37,8 @@ from dtofsim.sweeps import SWEEP_KINDS
 _APD, _SIPM = table1_preset("apd"), table1_preset("sipm")
 _CLOSED_FORM = {"snr_mode": ("analytic", "approx")}  # names drawn instead
 _SWEEPS = [kind for kind in SWEEP_KINDS if kind != "photon_response"]
+# a nan cell of a CSV row, not the substring of a word such as illuminance
+_NAN_CELL = re.compile(r"(^|[,:])-?nan(,|$)", re.MULTILINE)
 
 
 def _field(row, table1):
@@ -130,3 +134,4 @@ def test_every_command_exits_with_a_documented_code(config, tmp_path_factory):
         assert code in (0, 1, 2), (argv, err)
         assert "Traceback" not in err, argv
         assert code == 0 or out == "", (argv, code, err)
+        assert not _NAN_CELL.search(out), (argv, out)
