@@ -12,6 +12,7 @@ SNR has no such inverse, and its range is a root of the SNR in range.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -114,7 +115,7 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
     try:
         if isinstance(detector, ApdChoice):
             snr = apd.trigger_snr(params, p_r, p_rs, scenario.bandwidth_hz)
-        elif detector.snr_mode == "monte_carlo":
+        elif _is_monte_carlo(detector):
             laser = scenario.laser
             snr = SnrEstimate(*sipm.monte_carlo_snr(
                 params, p_r, p_rs, laser.pulse_fwhm_s, laser.wavelength_m,
@@ -139,10 +140,14 @@ def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
     return (n_b + n_d + n_s) / params.n_pixels
 
 
-def _log_margin(snr: float, tnr: float) -> float:
-    """ln(SNR / tnr); an SNR of 0 gives -inf and an infinite one +inf."""
-    ratio = snr / tnr
-    return math.log(ratio) if ratio > 0.0 else -math.inf
+def _log_margin(a: float, b: float) -> float:
+    """ln(a / b), the one margin of every range search: ln(SNR / tnr) or
+    ln(p_r / p_min).  -inf where ``a`` <= 0 (no echo, a Monte Carlo SNR
+    below 0) or ``b`` is infinite; +inf where ``b`` <= 0 (no noise)."""
+    if b > 0.0:
+        ratio = a / b
+        return math.log(ratio) if ratio > 0.0 else -math.inf
+    return -math.inf if a <= 0.0 else math.inf
 
 
 def _brent_root(g: Callable[[float], float], a: float, fa: float, b: float,
@@ -210,14 +215,6 @@ def _min_signal_power(scenario: ScenarioConfig, detector: DetectorChoice,
     return min_power(params, laser.pulse_fwhm_s, laser.wavelength_m, policy)
 
 
-def _power_margin(p_r: float, p_min: float) -> float:
-    """ln(p_r / p_min), the sign of ln(SNR / tnr); -inf with no echo, and
-    +inf where no noise makes every echo detectable."""
-    if p_r == 0.0:
-        return -math.inf
-    return _log_margin(p_r, p_min) if p_min > 0.0 else math.inf
-
-
 def _searched_range(margin: Callable[[float], float], m_1: float,
                     width_m: float) -> float:
     """The range, 1 m to ``RANGE_CAP_M``, where ``margin(r)`` falls to 0.
@@ -253,9 +250,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
     p_rs(r) = p_rs(1) t, with t = tau(r) / tau(1) the transmittance
     relative to 1 m.  At a fixed transmittance t is 1 and the range is
     sqrt(p_r(1) / p_min).  Under extinction ``_searched_range`` solves
-    ln(p_r / p_min) = 0 to rounding; each step costs one p_min.  A
-    negative margin at 1 m, where the SNR was found at or above tnr, is
-    rounding, and counts as 0.
+    the one margin ``_log_margin(p_r, p_min)`` = 0 to rounding; each step
+    costs one p_min.  A negative margin at 1 m, where the SNR was found
+    at or above tnr, is rounding, and counts as 0.
     """
     min_power = _min_signal_power(scenario, detector, policy)
     p_r1, p_rs1 = link_powers(scenario, 1.0)
@@ -267,9 +264,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
     def margin(r: float) -> float:
         t = scene_link.one_way_transmittance(atm, r) / tau1
-        return _power_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
+        return _log_margin(p_r1 * t * t / (r * r), min_power(p_rs1 * t))
 
-    return _searched_range(margin, max(_power_margin(p_r1, p_min1), 0.0), 0.0)
+    return _searched_range(margin, max(_log_margin(p_r1, p_min1), 0.0), 0.0)
 
 
 # (scenario, detector, policy, result, partials) of the last successful
@@ -298,10 +295,10 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     closed-form solve makes 2 SNR evaluations, and its SNR at ``r_max`` is
     the threshold to within about 1e-14 relative.
 
-    The Monte Carlo solves g(r) = ln(SNR(r) / tnr) = 0 by
-    ``_searched_range``, the bracket search the extinction inversion
-    takes, stopped on a bracket 1 mm wide.  Its seed is fixed, so every
-    evaluation of one solve reads the same function of range.  An
+    The Monte Carlo solves g(r) = ``_log_margin(SNR(r), tnr)`` = 0 by
+    ``_searched_range``, the bracket search and margin the extinction
+    inversion takes, stopped on a bracket 1 mm wide.  Its seed is fixed,
+    so every evaluation of one solve reads the same function of range.  An
     evaluation whose SNR lies within ``SE_STOP_FRACTION`` times its own
     standard error of the threshold counts as a root (g = 0) and is
     returned: at table1 with 8 trials and seed 11 a solve takes 6
@@ -369,64 +366,14 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
 # --- sensitivity -----------------------------------------------------------
 
-_Edit = Callable[[ScenarioConfig, DetectorChoice, TdcPolicy, float],
-                 tuple[ScenarioConfig, DetectorChoice, TdcPolicy]]
-
-
-# the scenario sections a field edit searches, with their classes; ``solar``
-# is left to _solar_edit, and ``tdc`` and ``detector`` hold copies the
-# solver ignores
+# the scenario sections a field name is searched in, with their classes;
+# ``solar`` is left to the sun_irradiance edit, and ``tdc`` and
+# ``detector`` hold copies the solver ignores
 _SECTIONS = (("scene", scene_link.SceneGeometry),
              ("atmosphere", scene_link.AtmosphereModel),
              ("optics", scene_link.ReceiverOptics),
              ("target", scene_link.TargetModel),
              ("laser", scene_link.LaserParams))
-
-
-def _scaled(obj, name: str, f: float):
-    return copy_with(obj, name, getattr(obj, name) * f)
-
-
-def _field_edit(name: str) -> _Edit:
-    """Scale the field ``name`` in every object that declares one.
-
-    The searched objects are the scenario's sections, the scenario itself,
-    the detector's parameters and the policy; each holding the field is
-    copied once, so the laser's and the APD's ``wavelength_m`` move together.
-    The one section or else the scenario, and the policy, hold it by their
-    class, so they are found once, here; a second section fails at import.
-    """
-    section, = [s for s, cls in _SECTIONS
-                if name in cls.__dataclass_fields__] or [None]
-    in_scenario = name in ScenarioConfig.__dataclass_fields__
-    in_policy = name in TdcPolicy.__dataclass_fields__
-
-    def edit(sc, det, pol, f):
-        if section is not None:
-            sc = copy_with(sc, section, _scaled(getattr(sc, section), name, f))
-        elif in_scenario:
-            sc = _scaled(sc, name, f)
-        if name in det.params.__dataclass_fields__:
-            det = copy_with(det, "params", _scaled(det.params, name, f))
-        if in_policy:
-            pol = _scaled(pol, name, f)
-        return sc, det, pol
-    return edit
-
-
-def _solar_edit(sc, det, pol, f):
-    # the link reads only the in-band value, whatever the solar mode
-    e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
-    solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
-    return copy_with(sc, "solar", solar), det, pol
-
-
-def _atmosphere_edit(sc, det, pol, f):
-    atm = sc.atmosphere
-    name = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
-            else "extinction_coeff_per_m")
-    return copy_with(sc, "atmosphere", _scaled(atm, name, f)), det, pol
-
 
 # parameters scaled wherever a field of their name is declared
 _FIELD_PARAMS = (
@@ -439,28 +386,66 @@ _FIELD_PARAMS = (
     "amplifier_noise_a", "n_pixels", "pde", "dead_time_s",
     "dark_count_rate_cps",
 )
-SENSITIVITY_PARAMS: dict[str, _Edit] = {
-    **{name: _field_edit(name) for name in _FIELD_PARAMS},
-    "sun_irradiance": _solar_edit,
-    # the field this scales depends on the atmosphere's mode
-    "one_way_transmittance": _atmosphere_edit,
-}
+# the one section that declares each field name, or None; the
+# one-element unpacking fails at import where two sections do
+_SECTION_OF = {
+    name: section for name in _FIELD_PARAMS
+    for section, in [[s for s, cls in _SECTIONS
+                      if name in cls.__dataclass_fields__] or [None]]}
+
+
+def _scaled(obj, name: str, f: float):
+    return copy_with(obj, name, getattr(obj, name) * f)
+
+
+def _edit(name: str, sc: ScenarioConfig, det: DetectorChoice, pol: TdcPolicy,
+          f: float) -> tuple[ScenarioConfig, DetectorChoice, TdcPolicy]:
+    """The one sensitivity edit: (sc, det, pol) with ``name`` times ``f``.
+
+    ``sun_irradiance`` scales the in-band solar irradiance, which the link
+    reads in every solar mode, and ``one_way_transmittance`` the
+    atmosphere's field of its mode.  Any other name scales its field in
+    its one scenario section or else the scenario, the detector's
+    parameters and the policy, copying each that declares it once (the
+    laser's and the APD's ``wavelength_m`` move together).
+    """
+    if name == "sun_irradiance":
+        e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
+        solar = scene_link.SolarModel(in_band_irradiance_w_m2=e_sun)
+        return copy_with(sc, "solar", solar), det, pol
+    if name == "one_way_transmittance":
+        atm = sc.atmosphere
+        field = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
+                 else "extinction_coeff_per_m")
+        return copy_with(sc, "atmosphere", _scaled(atm, field, f)), det, pol
+    if (section := _SECTION_OF[name]) is not None:
+        sc = copy_with(sc, section, _scaled(getattr(sc, section), name, f))
+    elif name in ScenarioConfig.__dataclass_fields__:
+        sc = _scaled(sc, name, f)
+    if name in det.params.__dataclass_fields__:
+        det = copy_with(det, "params", _scaled(det.params, name, f))
+    if name in TdcPolicy.__dataclass_fields__:
+        pol = _scaled(pol, name, f)
+    return sc, det, pol
+
+
+SENSITIVITY_PARAMS = {name: functools.partial(_edit, name) for name in (
+    *_FIELD_PARAMS, "sun_irradiance", "one_way_transmittance")}
 
 
 def declares(scenario: ScenarioConfig, detector: DetectorChoice,
              policy: TdcPolicy, param_name: str) -> bool:
     """Whether ``param_name``'s sensitivity edit has a field to scale here.
 
-    That is, whether the edit by a factor of 1 rebuilds the scenario, the
-    detector or the policy, whatever the field's value; ``sensitivity``
-    gives 0.0 for a name whose edit rebuilds none.  The solar and
-    atmosphere edits always rebuild theirs.  An unknown name has none.
+    That is, whether ``_edit``, the one edit of every name, by a factor of
+    1 rebuilds the scenario, the detector or the policy, whatever the
+    field's value; ``sensitivity`` gives 0.0 for a name whose edit
+    rebuilds none.  ``sun_irradiance`` and ``one_way_transmittance``
+    always rebuild theirs.  An unknown name has none.
     """
-    edit = SENSITIVITY_PARAMS.get(param_name)
-    if edit is None:
-        return False
     base = (scenario, detector, policy)
-    return _rebuilds(edit(*base, 1.0), base)
+    return (param_name in SENSITIVITY_PARAMS
+            and _rebuilds(SENSITIVITY_PARAMS[param_name](*base, 1.0), base))
 
 
 def _rebuilds(edited: tuple, base: tuple) -> bool:

@@ -1,6 +1,8 @@
+import importlib
 import math
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +16,15 @@ from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              SnrEstimate, declares, link_powers, max_range,
                              sensitivity, snr_at_range)
-from dtofsim.scenario import ScenarioConfig
+from dtofsim.scenario import ScenarioConfig, config_from_dict
 from dtofsim.scene_link import (AtmosphereModel, SolarModel,
                                 sun_equivalent_irradiance)
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import (log_range_root, reference_min_signal_power,
-                     reference_sensitivity, searched_max_range)
+from oracles import (log_range_root, reference_edit,
+                     reference_min_signal_power, reference_sensitivity,
+                     searched_max_range)
 
 
 def with_peak_power(config, p_t):
@@ -674,6 +677,22 @@ class TestInvertedRange:
         assert solve() == expected
 
 
+class TestLogMargin:
+    """ln(a / b), the one margin of the inversion, the Monte Carlo search
+    and the elasticities, at the edges of its domain."""
+
+    @pytest.mark.parametrize("a,b,expected", [
+        (0.0, 5.0, -math.inf),          # no echo
+        (-0.3, 5.0, -math.inf),         # a negative Monte Carlo SNR
+        (math.inf, 5.0, math.inf),      # an infinite SNR
+        (1e-9, 0.0, math.inf),          # no noise: every echo detectable
+        (0.0, 0.0, -math.inf),          # no echo beats no noise
+        (1e-9, math.inf, -math.inf),    # a saturated array's p_min
+        (math.e, 1.0, 1.0)])
+    def test_table(self, a, b, expected):
+        assert ranging._log_margin(a, b) == expected
+
+
 class TestSearchedRange:
     """The bracket search that the Monte Carlo and the extinction
     inversion share: its root and cap rules, seen through ``max_range``."""
@@ -901,6 +920,88 @@ class TestSensitivity:
         value = sensitivity(config, config.detector, config.tdc, name,
                             rel_step=step)
         assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)
+
+    def test_near_saturation_default_step_matches_solves(self):
+        # the 99.99 % fired array of the example above, r_max 92.8945 m,
+        # at the default rel_step, for every declared name: a Richardson
+        # difference of max_range solves (steps 2e-6 and 1e-6) agrees to
+        # 1e-4 of max(|elasticity|, 1e-3); a central difference of
+        # ln p_min in ln p_rs reads eta 189.1 here against 136.15
+        sipm = table1_preset("sipm")
+        config = replace(with_illuminance(sipm, 100.0),
+                         target=replace(sipm.target, reflectivity=0.375),
+                         scene=replace(sipm.scene, sun_angle_rad=0.0))
+        base = (config, config.detector, config.tdc)
+        assert max_range(*base).r_max_m == pytest.approx(92.8945, abs=1e-4)
+        assert ranging.sipm_fired_fraction(config, config.detector,
+                                           92.8945) == pytest.approx(
+            0.9999, abs=5e-5)
+
+        def difference_of_solves(name: str, h: float) -> float:
+            up, down = (max_range(*SENSITIVITY_PARAMS[name](*base, f)).r_max_m
+                        for f in (math.exp(h), math.exp(-h)))
+            return (math.log(up) - math.log(down)) / (2.0 * h)
+
+        names = [name for name in sorted(SENSITIVITY_PARAMS)
+                 if declares(*base, name)]
+        assert len(names) == 19
+        for name in names:
+            expected = (4.0 * difference_of_solves(name, 1e-6)
+                        - difference_of_solves(name, 2e-6)) / 3.0
+            value = sensitivity(*base, name)
+            assert abs(value - expected) <= 1e-4 * max(abs(expected), 1e-3), \
+                (name, value, expected)
+
+    @staticmethod
+    def edit_parity_inputs(monkeypatch, group: str) -> list:
+        """Scenarios whose edits ``test_edit_matches_the_reference`` checks:
+        perfbench's seeded pairs (both detectors, both atmosphere modes),
+        table1 with a direct and a spectrum solar model, or table1 with
+        a parameter at a closed bound of its domain."""
+        if group == "perfbench":
+            monkeypatch.syspath_prepend(
+                str(Path(__file__).resolve().parent.parent))
+            harness = importlib.import_module("perfbench.harness")
+            return [config_from_dict(d) for s in range(1, 31)
+                    for d in harness.scenario_dicts(harness.rng_for(s, 0))]
+        apd, sipm = table1_preset("apd"), table1_preset("sipm")
+        if group == "solar":
+            rows = ((890.0, 1.0, 0.9), (905.0, 1.1, 1.0), (920.0, 0.9, 0.8))
+            return [replace(config, solar=solar) for config in (apd, sipm)
+                    for solar in (SolarModel(in_band_irradiance_w_m2=29.4),
+                                  SolarModel(mode="spectrum_integral",
+                                             spectrum_table=rows))]
+        return [at_bound(apd, "one_way_transmittance"),
+                at_bound(sipm, "one_way_transmittance"),
+                at_bound(apd, "laser_efficiency"), at_bound(apd, "gain"),
+                at_bound(sipm, "n_pixels")]
+
+    @pytest.mark.parametrize("group", ["perfbench", "solar", "bounds"])
+    def test_edit_matches_the_reference(self, monkeypatch, group):
+        # every name's edit gives the triple dataclasses.replace gives,
+        # hands back the very objects it leaves unedited, and raises the
+        # reference's ConfigError where a step leaves a closed domain
+        factors = (math.exp(1e-3), math.exp(-1e-3), math.exp(2e-3),
+                   math.exp(-2e-3), 1.0)
+        rejected = 0
+        for config in self.edit_parity_inputs(monkeypatch, group):
+            base = (config, config.detector, config.tdc)
+            for name in sorted(SENSITIVITY_PARAMS):
+                for f in factors:
+                    try:
+                        expected = reference_edit(name, *base, f)
+                    except ConfigError as exc:
+                        with pytest.raises(ConfigError) as info:
+                            SENSITIVITY_PARAMS[name](*base, f)
+                        assert str(info.value) == str(exc), (name, f)
+                        rejected += 1
+                        continue
+                    edited = SENSITIVITY_PARAMS[name](*base, f)
+                    assert edited == expected, (name, f)
+                    assert [a is b for a, b in zip(edited, base)] \
+                        == [a is b for a, b in zip(expected, base)], (name, f)
+        # each bound rejects its two steps outward
+        assert rejected == (10 if group == "bounds" else 0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_interior_names_take_the_central_difference(self, variant):
