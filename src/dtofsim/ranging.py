@@ -102,15 +102,29 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
                  range_m: float) -> float:
     """Trigger SNR of the composed scene and detector at ``range_m``.
 
-    The one SNR dispatch: the link once, then the APD or the SiPM's
-    analytic, approx or Monte Carlo model.  It is also the one verdict on
-    every SNR: one that is not a number is a ``ConfigError``.  A Monte
-    Carlo SNR is a ``SnrEstimate`` that carries its standard error.
-    ``max_range`` inverts each closed-form mode through its p_min, which
-    ``_min_signal_power`` picks, so a new closed-form mode is added there
-    too.
+    The link once, through the module attribute ``link_powers``, then
+    ``snr_from_powers`` at its powers.  ``max_range`` inverts each
+    closed-form mode through its p_min, which ``_min_signal_power`` picks,
+    so a new closed-form mode is added there too.  ``sensitivity`` moves
+    a link parameter through its exponents in the powers at ``r_max``
+    (``scene_link.LINK_EXPONENTS``) and so reads ``snr_from_powers``
+    directly.
     """
-    p_r, p_rs = link_powers(scenario, range_m)
+    return snr_from_powers(scenario, detector,
+                           *link_powers(scenario, range_m), range_m)
+
+
+def snr_from_powers(scenario: ScenarioConfig, detector: DetectorChoice,
+                    p_r: float, p_rs: float, range_m: float) -> float:
+    """Trigger SNR of ``detector`` at the echo and background powers
+    ``p_r`` and ``p_rs``, W, of the link at ``range_m``.
+
+    The one SNR dispatch: the APD or the SiPM's analytic, approx or Monte
+    Carlo model.  It is also the one verdict on every SNR: one that is not
+    a number is a ``ConfigError``, and a saturated SiPM names
+    ``range_m``.  A Monte Carlo SNR is a ``SnrEstimate`` that carries its
+    standard error.
+    """
     params = detector.params
     try:
         if isinstance(detector, ApdChoice):
@@ -130,10 +144,11 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
 
 def sipm_fired_fraction(scenario: ScenarioConfig, detector: SipmChoice,
-                        range_m: float) -> float:
-    """Fraction of the array fired at the pulse; near 1 means saturation."""
+                        p_r: float, p_rs: float) -> float:
+    """Fraction of the array fired at the pulse of the link powers ``p_r``
+    and ``p_rs``; near 1 means saturation."""
     params = detector.params
-    counts = _photon_counts(scenario, params, *link_powers(scenario, range_m))
+    counts = _photon_counts(scenario, params, p_r, p_rs)
     n_b = sipm.background_occupancy(params, counts)
     n_d, _ = sipm.dark_occupancy(params)
     n_s = sipm.signal_fired(params, counts, n_b, n_d)
@@ -461,8 +476,15 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     One range solve, then implicit differentiation of its root: with
     g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
     -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
-    ``r_max`` with multipliers exp(+-rel_step): the parameter's edit for
-    the first, the range for the second, two SNR evaluations each.
+    ``r_max`` with multipliers exp(+-rel_step), two SNR evaluations each.
+    The range partial steps the range through ``snr_at_range``.  The
+    parameter partial reads the solve's link powers at ``r_max``
+    (``RangeResult.min_detectable_power_w`` and ``background_power_w``):
+    a link parameter, one of ``scene_link.LINK_EXPONENTS``, scales them
+    by its exponents (alpha, gamma) there, to p_r exp(+-alpha rel_step)
+    and p_rs exp(+-gamma rel_step), with no edit and no link evaluation;
+    any other name's edit leaves both powers as they are, so its edited
+    objects are evaluated at them through ``snr_from_powers``.
     The perturbed scenarios run no solve of their own, so only the base
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
     base solve is a ``max_range`` call, which also keeps the range partial
@@ -472,10 +494,11 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     two, or none for a name this scenario does not declare.
     ``--param all`` on the table1 APD makes 50 SNR evaluations (the
     solve's 2, the range partial's 2, and 2 for each of its 23 declared
-    names), on the table1 SiPM 42 (19 declared names).
+    names), on the table1 SiPM 42 (19 declared names), and on either 6
+    link evaluations (the solve's 4 and the range partial's 2).
 
-    A parameter at a closed bound of its domain (a transmittance or an
-    efficiency of 1, a gain or a pixel count of 1) has one edit that its
+    A detector-side parameter at a closed bound of its domain (a gain or
+    a pixel count of 1, an efficiency of 1) has one edit that its
     validation rejects with ``ConfigError``.  Its partial is then the
     one-sided second-order difference toward the interior, with g_k the
     margin at the parameter times exp(k * rel_step): 3g_0 - 4g_-1 + g_-2
@@ -483,7 +506,9 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
     the solve's own root margin, ln(snr_at_rmax / tnr), not taken as 0.
     If both edits are rejected, so is the name.  A closed bound's partial
-    thus takes two evaluations.
+    thus takes two evaluations.  A link parameter at its bound (a
+    transmittance, reflectivity or efficiency of 1) takes the central
+    difference in the powers like any other value.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
@@ -509,33 +534,50 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     r, last = solve.r_max_m, _last_solve
     partials = last[4] if last is not None and last[3] is solve else {}
     base = (scenario, detector, policy)
+    p_r, p_rs = solve.min_detectable_power_w, solve.background_power_w
 
-    def g(sc, det, pol, range_m):
-        return _log_margin(snr_at_range(sc, det, range_m), pol.tnr)
+    def g(sc, det, pol, p_r=p_r, p_rs=p_rs):
+        """g at r_max of the powers ``p_r`` and ``p_rs``."""
+        return _log_margin(snr_from_powers(sc, det, p_r, p_rs, r), pol.tnr)
 
     def g_edited(k: int) -> float:
-        """g at r with the parameter times exp(k * rel_step)."""
-        return g(*edit(*base, math.exp(k * rel_step)), r)
+        """g at r_max with the parameter times exp(k * rel_step)."""
+        return g(*edit(*base, math.exp(k * rel_step)))
+
+    def g_range(range_m: float) -> float:
+        return _log_margin(snr_at_range(scenario, detector, range_m),
+                           policy.tnr)
 
     up, down = math.exp(rel_step), math.exp(-rel_step)
     # every difference spans 2 * rel_step, which cancels in the ratio
     if (dg_r := partials.get(rel_step)) is None:
-        dg_r = partials[rel_step] = g(*base, r * up) - g(*base, r * down)
+        dg_r = partials[rel_step] = g_range(r * up) - g_range(r * down)
     side = 0  # +1 at a closed upper bound, -1 at a closed lower one
-    try:
-        above = edit(*base, up)
-    except ConfigError:
-        side = 1
+    if (exponents := scene_link.LINK_EXPONENTS.get(param_name)) is not None:
+        alpha, gamma = exponents(scenario.scene, scenario.atmosphere, r)
+        # a steep angle or extinction exponent shortens the step, so that
+        # no power moves by more than exp(+-2 rel_step), as the fixed
+        # exponents' do; the difference is scaled back to span 2 rel_step
+        n = max(1.0, abs(alpha) / 2.0, abs(gamma) / 2.0)
+        du_r, du_s = alpha * rel_step / n, gamma * rel_step / n
+        dg_p = n * (g(*base, p_r * math.exp(du_r), p_rs * math.exp(du_s))
+                    - g(*base, p_r * math.exp(-du_r),
+                        p_rs * math.exp(-du_s)))
     else:
-        if not _rebuilds(above, base):
-            dg_p = 0.0  # nothing holds the parameter
+        try:
+            above = edit(*base, up)
+        except ConfigError:
+            side = 1
         else:
-            try:
-                below = edit(*base, down)
-            except ConfigError:
-                side = -1
+            if not _rebuilds(above, base):
+                dg_p = 0.0  # nothing holds the parameter
             else:
-                dg_p = g(*above, r) - g(*below, r)
+                try:
+                    below = edit(*base, down)
+                except ConfigError:
+                    side = -1
+                else:
+                    dg_p = g(*above) - g(*below)
     if side:
         # one-sided, toward the interior
         g_0 = _log_margin(solve.snr_at_rmax, policy.tnr)

@@ -1,6 +1,7 @@
 """Optical link budget: echo and solar-background power at the photodetector.
 
-``received_powers`` returns both powers for one range in one call.
+``received_powers`` returns both powers for one range in one call, and
+``LINK_EXPONENTS`` states the exponent of each of its factors in them.
 
 The echo model treats the target as a Lambertian reflector larger than the
 laser spot, with the receive direction assumed equal to the emit direction.
@@ -259,3 +260,40 @@ def received_powers(range_m: float, scene: SceneGeometry,
             * target.reflectivity * area * fov_ratio * fov_ratio
             * math.cos(scene.sun_angle_rad))
     return p_r, p_rs
+
+
+def _cos_exponent(theta: float) -> float:
+    """d ln cos(theta f) / d ln f at f = 1."""
+    return -theta * math.tan(theta)
+
+
+def _transmittance_exponents(atm: AtmosphereModel,
+                             range_m: float) -> tuple[float, float]:
+    """(2x, x), with x = d ln tau / d ln of the atmosphere's field: the
+    transmittance itself, or else the extinction coefficient k, where
+    ln tau = -k r; the echo crosses the path twice."""
+    x = (1.0 if atm.mode == "fixed_transmittance"
+         else -atm.extinction_coeff_per_m * range_m)
+    return 2.0 * x, x
+
+
+# the exponents (alpha, gamma) of each factor x of ``received_powers`` at
+# range r, by its sensitivity name: d ln p_r / d ln x and d ln p_rs / d ln x,
+# exact since both powers are products; ``sun_irradiance`` scales the
+# in-band irradiance and ``one_way_transmittance`` its atmosphere's field
+LINK_EXPONENTS = {
+    "peak_power_w": lambda scene, atm, r: (1.0, 0.0),
+    "laser_efficiency": lambda scene, atm, r: (1.0, 0.0),
+    "reflectivity": lambda scene, atm, r: (1.0, 1.0),
+    "aperture_radius_m": lambda scene, atm, r: (2.0, 2.0),
+    "sun_efficiency": lambda scene, atm, r: (0.0, 1.0),
+    "sun_irradiance": lambda scene, atm, r: (0.0, 1.0),
+    "detector_radius_m": lambda scene, atm, r: (0.0, 2.0),
+    "focal_length_m": lambda scene, atm, r: (0.0, -2.0),
+    "sun_angle_rad":
+        lambda scene, atm, r: (0.0, _cos_exponent(scene.sun_angle_rad)),
+    "incidence_angle_rad":
+        lambda scene, atm, r: (_cos_exponent(scene.incidence_angle_rad), 0.0),
+    "one_way_transmittance":
+        lambda scene, atm, r: _transmittance_exponents(atm, r),
+}

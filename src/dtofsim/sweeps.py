@@ -156,15 +156,17 @@ class SweepResult:
 
 def _distance_point(config: ScenarioConfig, det: DetectorChoice,
                     r: float) -> SweepRow:
+    # one link evaluation feeds both the SNR and the fired fraction
+    p_r, p_rs = ranging.link_powers(config, r)
     try:
-        snr = ranging.snr_at_range(config, det, r)
+        snr = ranging.snr_from_powers(config, det, p_r, p_rs, r)
     except SolverError as exc:
         return SweepRow(r, det.label, None, type(exc).__name__)
     status = STATUS_OK
     if isinstance(det, SipmChoice) and math.isinf(snr):
         status = "noiseless"
     elif isinstance(det, SipmChoice) and det.snr_mode == "analytic":
-        if (ranging.sipm_fired_fraction(config, det, r)
+        if (ranging.sipm_fired_fraction(config, det, p_r, p_rs)
                 >= SIPM_SATURATION_FRACTION):
             status = "saturated"
     return SweepRow(r, det.label, snr, status)

@@ -20,9 +20,12 @@ every term rebuilt on each call.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, optimize
@@ -33,7 +36,7 @@ from dtofsim.errors import (ConfigError, NoDetectionError,
                             UnboundedRangeError)
 from dtofsim.physconst import (BOLTZMANN, ELEMENTARY_CHARGE,
                                photon_energy)
-from dtofsim.scenario import ScenarioConfig
+from dtofsim.scenario import ScenarioConfig, config_from_dict
 
 
 def gaussian_tail_quad(threshold: float) -> float:
@@ -444,3 +447,21 @@ def reference_sensitivity(scenario, detector, policy, param_name: str,
             f"{r:g} m: ln(SNR / tnr) there is not finite or not moved by "
             "the range")
     return -dg_p / dg_r + 0.0
+
+
+def perfbench_scenarios(seeds) -> list[ScenarioConfig]:
+    """The benchmark's design_space inputs: ``perfbench/harness.py``'s
+    seeded (APD, SiPM) table1 pair of pass 0 for each seed, which varies
+    the sun angle up to 80 degrees and draws both atmosphere modes."""
+    harness = sys.modules.get("perfbench_harness")
+    if harness is None:
+        path = (Path(__file__).resolve().parent.parent / "perfbench"
+                / "harness.py")
+        spec = importlib.util.spec_from_file_location("perfbench_harness",
+                                                      path)
+        harness = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up there
+        sys.modules[spec.name] = harness
+        spec.loader.exec_module(harness)
+    return [config_from_dict(d) for s in seeds
+            for d in harness.scenario_dicts(harness.rng_for(s, 0))]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtofsim import cli
+from dtofsim import cli, ranging
 from dtofsim.cli import main
 from dtofsim.ranging import SENSITIVITY_PARAMS
 from dtofsim.scenario import (load_scenario, save_scenario, scenario_to_dict,
@@ -185,6 +185,27 @@ class TestSweepCommands:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text(encoding="utf-8").splitlines()[0]
         assert header == "range_m,snr_apd,snr_sipm,status"
+
+    def test_distance_sweep_reads_the_link_once_per_point(
+            self, tmp_path, capsys, monkeypatch):
+        # the SNR and the analytic SiPM's fired fraction share one link
+        # evaluation: 96 points of 2 detectors read it 192 times, where
+        # a second read for the fired fraction made 288
+        calls = []
+        link_powers = ranging.link_powers
+
+        def counted(*args):
+            calls.append(args)
+            return link_powers(*args)
+
+        monkeypatch.setattr(ranging, "link_powers", counted)
+        out = tmp_path / "distance_snr.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--kind", "distance",
+                             "--detector", "both", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 192
+        assert out.read_bytes() == \
+            (ROOT / "goldens" / "distance_snr.csv").read_bytes()
 
     def test_snr_curve_alias(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

@@ -1,8 +1,6 @@
-import importlib
 import math
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +14,13 @@ from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              SnrEstimate, declares, link_powers, max_range,
                              sensitivity, snr_at_range)
-from dtofsim.scenario import ScenarioConfig, config_from_dict
-from dtofsim.scene_link import (AtmosphereModel, SolarModel,
+from dtofsim.scenario import ScenarioConfig
+from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, SolarModel,
                                 sun_equivalent_irradiance)
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import (log_range_root, reference_edit,
+from oracles import (log_range_root, perfbench_scenarios, reference_edit,
                      reference_min_signal_power, reference_sensitivity,
                      searched_max_range)
 
@@ -92,6 +90,20 @@ def at_bound(config, name):
     det = config.detector
     return replace(config, detector=replace(
         det, params=replace(det.params, **{name: 1.0})))
+
+
+def elasticity_of_solves(base: tuple, name: str, h: float) -> float:
+    """d ln r_max / d ln p of ``name`` by a Richardson difference of
+    ``max_range`` solves of its edits at steps 2h and h."""
+    edit = SENSITIVITY_PARAMS[name]
+
+    def difference_of_solves(h: float) -> float:
+        up, down = (max_range(*edit(*base, f)).r_max_m
+                    for f in (math.exp(h), math.exp(-h)))
+        return (math.log(up) - math.log(down)) / (2.0 * h)
+
+    return (4.0 * difference_of_solves(h)
+            - difference_of_solves(2.0 * h)) / 3.0
 
 
 def closed_form_variant(variant: str):
@@ -255,7 +267,8 @@ class TestSnrAtRange:
         assert len(budgets) == 3
         res = max_range(sipm_config, det, sipm_config.tdc)
         assert len(budgets) == 3 + res.evaluations
-        ranging.sipm_fired_fraction(sipm_config, det, 100.0)
+        ranging.sipm_fired_fraction(sipm_config, det,
+                                    *link_powers(sipm_config, 100.0))
         assert len(budgets) == 4 + res.evaluations
 
 
@@ -933,8 +946,9 @@ class TestSensitivity:
                          scene=replace(sipm.scene, sun_angle_rad=0.0))
         base = (config, config.detector, config.tdc)
         assert max_range(*base).r_max_m == pytest.approx(92.8945, abs=1e-4)
-        assert ranging.sipm_fired_fraction(config, config.detector,
-                                           92.8945) == pytest.approx(
+        assert ranging.sipm_fired_fraction(
+            config, config.detector,
+            *link_powers(config, 92.8945)) == pytest.approx(
             0.9999, abs=5e-5)
 
         def difference_of_solves(name: str, h: float) -> float:
@@ -952,18 +966,45 @@ class TestSensitivity:
             assert abs(value - expected) <= 1e-4 * max(abs(expected), 1e-3), \
                 (name, value, expected)
 
+    def test_link_names_match_solves(self):
+        # perfbench's inputs, each also at an incidence angle of 0.3 rad, at
+        # the default rel_step: a Richardson difference of max_range solves
+        # (steps 2e-6 and 1e-6) agrees with every link name to 5e-5 of
+        # max(|elasticity|, 1e-3), a gap the range partial sets (2.2e-5 at
+        # aperture_radius_m, seed 20), and with the names whose exponents
+        # depend on the scenario to 3e-6; the edit-and-link difference was
+        # 1.7e-5 off for sun_angle_rad
+        scenario_dependent = {"sun_angle_rad", "incidence_angle_rad",
+                              "one_way_transmittance"}
+        for config in perfbench_scenarios(range(1, 41)):
+            for config in (config, replace(config, scene=replace(
+                    config.scene, incidence_angle_rad=0.3))):
+                base = (config, config.detector, config.tdc)
+                for name in sorted(LINK_EXPONENTS):
+                    expected = elasticity_of_solves(base, name, 1e-6)
+                    value = sensitivity(*base, name)
+                    bound = 3e-6 if name in scenario_dependent else 5e-5
+                    assert abs(value - expected) \
+                        <= bound * max(abs(expected), 1e-3), \
+                        (name, value, expected)
+
+    def test_table1_sun_angle_meets_the_decimal_chain(self, apd_config):
+        # the table1 APD chain in 60-digit decimal arithmetic (inputs the
+        # preset's doubles, a central difference of relative step 1e-25)
+        # gives 0.4425122717847621; the edit-and-link difference printed
+        # 0.442513488991563, 1.2e-6 off
+        value = sensitivity(apd_config, apd_config.detector, apd_config.tdc,
+                            "sun_angle_rad")
+        assert abs(value - 0.4425122717847621) <= 1e-7
+
     @staticmethod
-    def edit_parity_inputs(monkeypatch, group: str) -> list:
+    def edit_parity_inputs(group: str) -> list:
         """Scenarios whose edits ``test_edit_matches_the_reference`` checks:
         perfbench's seeded pairs (both detectors, both atmosphere modes),
         table1 with a direct and a spectrum solar model, or table1 with
         a parameter at a closed bound of its domain."""
         if group == "perfbench":
-            monkeypatch.syspath_prepend(
-                str(Path(__file__).resolve().parent.parent))
-            harness = importlib.import_module("perfbench.harness")
-            return [config_from_dict(d) for s in range(1, 31)
-                    for d in harness.scenario_dicts(harness.rng_for(s, 0))]
+            return perfbench_scenarios(range(1, 31))
         apd, sipm = table1_preset("apd"), table1_preset("sipm")
         if group == "solar":
             rows = ((890.0, 1.0, 0.9), (905.0, 1.1, 1.0), (920.0, 0.9, 0.8))
@@ -977,14 +1018,14 @@ class TestSensitivity:
                 at_bound(sipm, "n_pixels")]
 
     @pytest.mark.parametrize("group", ["perfbench", "solar", "bounds"])
-    def test_edit_matches_the_reference(self, monkeypatch, group):
+    def test_edit_matches_the_reference(self, group):
         # every name's edit gives the triple dataclasses.replace gives,
         # hands back the very objects it leaves unedited, and raises the
         # reference's ConfigError where a step leaves a closed domain
         factors = (math.exp(1e-3), math.exp(-1e-3), math.exp(2e-3),
                    math.exp(-2e-3), 1.0)
         rejected = 0
-        for config in self.edit_parity_inputs(monkeypatch, group):
+        for config in self.edit_parity_inputs(group):
             base = (config, config.detector, config.tdc)
             for name in sorted(SENSITIVITY_PARAMS):
                 for f in factors:
@@ -1006,21 +1047,53 @@ class TestSensitivity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_interior_names_take_the_central_difference(self, variant):
         # away from a bound, every name is -(g_1 - g_-1) / (g(r up) -
-        # g(r down)) bit for bit
+        # g(r down)) bit for bit: g_k of a link name at the solve's powers
+        # times exp(k h) to its exponents, of any other name at its edit
         config, det = closed_form_variant(variant)
-        r = max_range(config, det, config.tdc).r_max_m
-        up, down = math.exp(1e-3), math.exp(-1e-3)
+        base = (config, det, config.tdc)
+        solve = max_range(*base)
+        r = solve.r_max_m
+        h = 1e-3
+        up, down = math.exp(h), math.exp(-h)
 
         def g(sc, d, pol, range_m):
             return math.log(snr_at_range(sc, d, range_m) / pol.tnr)
 
-        dg_r = g(config, det, config.tdc, r * up) \
-            - g(config, det, config.tdc, r * down)
+        def g_powers(a, c):
+            snr = ranging.snr_from_powers(
+                config, det, solve.min_detectable_power_w * math.exp(a),
+                solve.background_power_w * math.exp(c), r)
+            return math.log(snr / config.tdc.tnr)
+
+        dg_r = g(*base, r * up) - g(*base, r * down)
         for name, edit in SENSITIVITY_PARAMS.items():
-            dg_p = g(*edit(config, det, config.tdc, up), r) \
-                - g(*edit(config, det, config.tdc, down), r)
-            assert sensitivity(config, det, config.tdc, name) \
-                == -dg_p / dg_r + 0.0, name
+            if name in LINK_EXPONENTS:
+                alpha, gamma = LINK_EXPONENTS[name](config.scene,
+                                                    config.atmosphere, r)
+                # table1's exponents take the full step
+                assert max(abs(alpha), abs(gamma)) <= 2.0, name
+                dg_p = g_powers(alpha * h, gamma * h) \
+                    - g_powers(-alpha * h, -gamma * h)
+            else:
+                dg_p = g(*edit(*base, up), r) - g(*edit(*base, down), r)
+            assert sensitivity(*base, name) == -dg_p / dg_r + 0.0, name
+
+    @pytest.mark.parametrize("variant", ["apd", "sipm"])
+    def test_steep_exponent_shortens_the_step(self, variant):
+        # at a sun 1e-4 rad short of grazing, d ln p_rs / d ln theta is
+        # about -1.6e4: a full step would move p_rs by exp(+-16), and its
+        # difference read 1431 for the APD against the solves' 31.528;
+        # the shortened step meets a Richardson difference of solves
+        # (steps 1e-8 and 2e-8) to 1e-6 of the value
+        config = table1_preset(variant)
+        config = replace(config, scene=replace(config.scene,
+                                               sun_angle_rad=1.5707))
+        base = (config, config.detector, config.tdc)
+        expected = elasticity_of_solves(base, "sun_angle_rad", 1e-8)
+        assert expected == pytest.approx(
+            31.528 if variant == "apd" else 3501.25, rel=1e-4)
+        value = sensitivity(*base, "sun_angle_rad")
+        assert value == pytest.approx(expected, rel=1e-6)
 
     def test_upper_bound_power_law_is_exact(self, monkeypatch, apd_config):
         # p_r is proportional to laser_efficiency and nothing else reads
@@ -1028,22 +1101,25 @@ class TestSensitivity:
         config = at_bound(apd_config, "laser_efficiency")
         det = config.detector
         max_range(config, det, config.tdc)
-        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        calls = count_calls(monkeypatch, ranging, "snr_from_powers")
+        links = count_calls(monkeypatch, ranging, "link_powers")
         value = sensitivity(config, det, config.tdc, "laser_efficiency")
         assert value == pytest.approx(0.5, abs=1e-8)
-        # g_-1 and g_-2, and the two range steps; g_0 is the solve's own
-        assert len(calls) == 4
+        # a link name takes the central difference in the powers at its
+        # bound too: the two range steps read the link, the two power
+        # steps do not
+        assert len(calls) == 4 and len(links) == 2
 
     def test_lower_bound_evaluations(self, monkeypatch, apd_config):
         # at a gain of 1 the edit downward is rejected: g_1 and g_2, and
         # the two range steps; g_0 is the solve's own
         config = at_bound(apd_config, "gain")
         r = max_range(config, config.detector, config.tdc).r_max_m
-        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        calls = count_calls(monkeypatch, ranging, "snr_from_powers")
         sensitivity(config, config.detector, config.tdc, "gain")
         h = 1e-3
         assert sorted((det.params.gain, range_m)
-                      for _, det, range_m in calls) == [
+                      for _, det, _, _, range_m in calls) == [
             (1.0, r * math.exp(-h)), (1.0, r * math.exp(h)),
             (math.exp(h), r), (math.exp(2 * h), r)]
 
@@ -1083,7 +1159,8 @@ class TestSensitivity:
         # the first name solves the range and takes the two range steps;
         # every other one reuses both and makes only its two parameter
         # evaluations, or none for a name this scenario does not declare;
-        # g_0, which the names at a closed bound read, is the solve's own
+        # g_0, which the names at a closed bound read, is the solve's own;
+        # the link is read by the solve (4 times) and the range steps alone
         bounds = (("gain", "laser_efficiency") if variant == "apd_at_bounds"
                   else ())
         config, det = closed_form_variant(variant.removesuffix("_at_bounds"))
@@ -1091,10 +1168,12 @@ class TestSensitivity:
             config = at_bound(config, name)
             det = config.detector
         names = sorted(SENSITIVITY_PARAMS)
-        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        calls = count_calls(monkeypatch, ranging, "snr_from_powers")
+        links = count_calls(monkeypatch, ranging, "link_powers")
         values = [sensitivity(config, det, config.tdc, name)
                   for name in names]
         evaluations = len(calls)
+        assert len(links) == 6
         base = max_range(config, det, config.tdc)
         declared = sum(declares(config, det, config.tdc, name)
                        for name in names)
@@ -1117,7 +1196,10 @@ class TestSensitivity:
                                                 rel_steps):
         # every name of one scenario in turn, as `sensitivity --param all`
         # asks them, so each later name reuses the remembered range
-        # partial of its rel_step; drawn names sit at a closed bound
+        # partial of its rel_step; drawn names sit at a closed bound.  A
+        # name that is not a link factor keeps the reference's edit, and
+        # its edited objects read the same link powers, so every bit
+        # agrees; a link name's difference is in the powers instead
         params = config.detector.params.__dataclass_fields__
         for name in sorted(bounds):
             if name in params or name not in ("gain", "quantum_efficiency",
@@ -1133,8 +1215,10 @@ class TestSensitivity:
 
         for rel_step in rel_steps:
             for name in sorted(SENSITIVITY_PARAMS):
-                assert outcome(sensitivity, name, rel_step) == outcome(
-                    reference_sensitivity, name, rel_step), (name, rel_step)
+                value = outcome(sensitivity, name, rel_step)
+                if name not in LINK_EXPONENTS:
+                    assert value == outcome(reference_sensitivity, name,
+                                            rel_step), (name, rel_step)
 
     def test_unmoved_parameter_is_positive_zero(self, apd_config):
         # -0.0 would print as "-0.0" in `sensitivity --param all`
@@ -1144,18 +1228,23 @@ class TestSensitivity:
             assert math.copysign(1.0, value) == 1.0 and value == 0.0
 
     def test_undefined_elasticity_is_a_config_error(self, monkeypatch):
-        real = ranging.snr_at_range
+        real = ranging.snr_from_powers
+        apd = table1_preset("apd")
+        solve = max_range(apd, apd.detector, apd.tdc)
 
-        def infinite_above_45_w(sc, det, r):
-            return math.inf if sc.laser.peak_power_w > 45.0 else real(sc, det, r)
+        def infinite_above_the_root_echo(sc, det, p_r, p_rs, r):
+            # the echo of the peak power's step up at r_max
+            if r == solve.r_max_m and p_r > solve.min_detectable_power_w:
+                return math.inf
+            return real(sc, det, p_r, p_rs, r)
 
-        def flat_at_threshold(sc, det, r):
+        def flat_at_threshold(sc, det, p_r, p_rs, r):
             return 10.0 if r < 150.0 else 5.0 if r <= 300.0 else 1.0
 
         # fresh objects per fake: the same ones would reuse the first
         # fake's solve and range partial
-        for fake in (infinite_above_45_w, flat_at_threshold):
-            monkeypatch.setattr(ranging, "snr_at_range", fake)
+        for fake in (infinite_above_the_root_echo, flat_at_threshold):
+            monkeypatch.setattr(ranging, "snr_from_powers", fake)
             config = table1_preset("apd")
             with pytest.raises(ConfigError, match="peak_power_w is undefined"):
                 sensitivity(config, config.detector, config.tdc,
@@ -1288,9 +1377,13 @@ class TestSensitivity:
         sc, _, _ = edit(config, config.detector, config.tdc, 2.0)
         assert sc.atmosphere.extinction_coeff_per_m == 2e-4
         assert sc.atmosphere.one_way_transmittance == 0.9
-        value = sensitivity(config, config.detector, config.tdc,
-                            "one_way_transmittance")
-        assert value == pytest.approx(-0.025551224462573623, rel=1e-9)
+        base = (config, config.detector, config.tdc)
+        # a Richardson difference of solves at steps 2e-6 and 1e-6; the
+        # edit-and-link difference read -0.025551224462573623, 1.7e-7 off
+        expected = elasticity_of_solves(base, "one_way_transmittance", 1e-6)
+        assert expected == pytest.approx(-0.02555122017670423, rel=1e-9)
+        value = sensitivity(*base, "one_way_transmittance")
+        assert value == pytest.approx(expected, rel=1e-8)
 
     def test_sun_irradiance_scales_in_band_irradiance_of_any_mode(
             self, apd_config):

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtofsim import ConfigError, scene_link
-from dtofsim.ranging import SENSITIVITY_PARAMS, max_range, sensitivity
+from dtofsim.ranging import (SENSITIVITY_PARAMS, link_powers, max_range,
+                             sensitivity)
 from dtofsim.scenario import table1_preset
-from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
-                                SceneGeometry, SolarModel, TargetModel,
-                                effective_aperture, load_spectrum_csv,
-                                one_way_transmittance, received_powers,
-                                sun_equivalent_irradiance)
+from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, LaserParams,
+                                ReceiverOptics, SceneGeometry, SolarModel,
+                                TargetModel, effective_aperture,
+                                load_spectrum_csv, one_way_transmittance,
+                                received_powers, sun_equivalent_irradiance)
 
-from oracles import exact_trapezoid
+from oracles import exact_trapezoid, perfbench_scenarios
 
 TABLE1_OPTICS = ReceiverOptics(aperture_radius_m=0.025, focal_length_m=0.03,
                                detector_radius_m=1e-4, laser_efficiency=0.7206,
@@ -255,6 +256,77 @@ class TestExtinctionLink:
         # p * r**2 rounds differently at each range, so allow a few ulps
         assert p2 * r2 * r2 <= p1 * r1 * r1 * (1.0 + 1e-12)
         assert b2 <= b1
+
+
+def exponent_inputs() -> list:
+    """Scenarios the exponent table is checked on: perfbench's seeded
+    pairs (sun angles up to 80 degrees, both atmosphere modes), and table1
+    with a direct and a spectrum solar model under each atmosphere mode;
+    each at an incidence angle of 0 and of 0.3 rad."""
+    rows = ((890.0, 1.0, 0.9), (905.0, 1.1, 1.0), (920.0, 0.9, 0.8))
+    configs = perfbench_scenarios(range(1, 41))
+    for config in (table1_preset("apd"), table1_preset("sipm")):
+        for solar in (SolarModel(in_band_irradiance_w_m2=29.4),
+                      SolarModel(mode="spectrum_integral",
+                                 spectrum_table=rows)):
+            for atm in (config.atmosphere, AtmosphereModel(
+                    mode="extinction", extinction_coeff_per_m=1e-3)):
+                configs.append(replace(config, solar=solar, atmosphere=atm))
+    return [replace(config, scene=replace(config.scene,
+                                          incidence_angle_rad=theta))
+            for config in configs for theta in (0.0, 0.3)]
+
+
+class TestLinkExponents:
+    """``LINK_EXPONENTS`` against the link it describes: ``sensitivity``
+    moves a link name's powers by its exponents and evaluates every other
+    name's edit at the unedited powers."""
+
+    RANGES = (1.0, 300.0)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return exponent_inputs()
+
+    def test_other_edits_leave_the_link_bit_for_bit(self, inputs):
+        others = sorted(set(SENSITIVITY_PARAMS) - set(LINK_EXPONENTS))
+        assert len(others) == 16
+        for config in inputs:
+            base = (config, config.detector, config.tdc)
+            for r in self.RANGES:
+                powers = link_powers(config, r)
+                for name in others:
+                    for f in (math.exp(1e-3), math.exp(-1e-3)):
+                        sc, _, _ = SENSITIVITY_PARAMS[name](*base, f)
+                        assert link_powers(sc, r) == powers, (name, f)
+
+    def test_exponents_are_the_link_log_slopes(self, inputs):
+        # a central difference in ln f, step 1e-6, of ln p_r and ln p_rs
+        # under each link name's edit
+        h = 1e-6
+        for config in inputs:
+            base = (config, config.detector, config.tdc)
+            for r in self.RANGES:
+                for name, exponents in LINK_EXPONENTS.items():
+                    (p_up, s_up), (p_down, s_down) = (
+                        link_powers(SENSITIVITY_PARAMS[name](*base, f)[0], r)
+                        for f in (math.exp(h), math.exp(-h)))
+                    slopes = (math.log(p_up / p_down) / (2.0 * h),
+                              math.log(s_up / s_down) / (2.0 * h))
+                    expected = exponents(config.scene, config.atmosphere, r)
+                    assert slopes == pytest.approx(expected, abs=1e-6), name
+
+    def test_keys_are_the_names_that_move_the_link(self, inputs):
+        # a link factor with no row of the table would be evaluated at
+        # powers its edit does not leave as they are
+        moved = set()
+        for config in inputs:
+            base = (config, config.detector, config.tdc)
+            powers = link_powers(config, 300.0)
+            moved |= {name for name, edit in SENSITIVITY_PARAMS.items()
+                      if link_powers(edit(*base, math.exp(1e-3))[0], 300.0)
+                      != powers}
+        assert moved == set(LINK_EXPONENTS)
 
 
 class TestSpectrumCsv:
