@@ -105,10 +105,7 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
     The link once, through the module attribute ``link_powers``, then
     ``snr_from_powers`` at its powers.  ``max_range`` inverts each
     closed-form mode through its p_min, which ``_min_signal_power`` picks,
-    so a new closed-form mode is added there too.  ``sensitivity`` moves
-    a link parameter through its exponents in the powers at ``r_max``
-    (``scene_link.LINK_EXPONENTS``) and so reads ``snr_from_powers``
-    directly.
+    so a new closed-form mode is added there too.
     """
     return snr_from_powers(scenario, detector,
                            *link_powers(scenario, range_m), range_m)
@@ -476,15 +473,11 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     One range solve, then implicit differentiation of its root: with
     g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
     -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
-    ``r_max`` with multipliers exp(+-rel_step), two SNR evaluations each.
-    The range partial steps the range through ``snr_at_range``.  The
-    parameter partial reads the solve's link powers at ``r_max``
-    (``RangeResult.min_detectable_power_w`` and ``background_power_w``):
-    a link parameter, one of ``scene_link.LINK_EXPONENTS``, scales them
-    by its exponents (alpha, gamma) there, to p_r exp(+-alpha rel_step)
-    and p_rs exp(+-gamma rel_step), with no edit and no link evaluation;
-    any other name's edit leaves both powers as they are, so its edited
-    objects are evaluated at them through ``snr_from_powers``.
+    ``r_max`` with multipliers exp(+-rel_step), two SNR evaluations each:
+    the range's through ``snr_at_range``, the parameter's at the solve's
+    link powers at ``r_max``.  A link parameter (``scene_link.
+    LINK_EXPONENTS``) scales those by its exponents, with no edit and no
+    link evaluation; any other name's edit leaves them as they are.
     The perturbed scenarios run no solve of their own, so only the base
     solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
     base solve is a ``max_range`` call, which also keeps the range partial
@@ -506,9 +499,11 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
     the solve's own root margin, ln(snr_at_rmax / tnr), not taken as 0.
     If both edits are rejected, so is the name.  A closed bound's partial
-    thus takes two evaluations.  A link parameter at its bound (a
-    transmittance, reflectivity or efficiency of 1) takes the central
-    difference in the powers like any other value.
+    thus takes two evaluations.  A link parameter at its bound takes the
+    central difference in the powers, except an angle whose step up
+    leaves its domain (a sun within ``rel_step`` of grazing, where its
+    exponent is huge and the power it scales near 0): it is one-sided,
+    each g_k at its edit's own link powers.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
@@ -542,7 +537,10 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
 
     def g_edited(k: int) -> float:
         """g at r_max with the parameter times exp(k * rel_step)."""
-        return g(*edit(*base, math.exp(k * rel_step)))
+        sc, det, pol = edit(*base, math.exp(k * rel_step))
+        # only a link name's edit moves the powers
+        return g(sc, det, pol,
+                 *(link_powers(sc, r) if exponents else (p_r, p_rs)))
 
     def g_range(range_m: float) -> float:
         return _log_margin(snr_at_range(scenario, detector, range_m),
@@ -555,14 +553,19 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     side = 0  # +1 at a closed upper bound, -1 at a closed lower one
     if (exponents := scene_link.LINK_EXPONENTS.get(param_name)) is not None:
         alpha, gamma = exponents(scenario.scene, scenario.atmosphere, r)
-        # a steep angle or extinction exponent shortens the step, so that
-        # no power moves by more than exp(+-2 rel_step), as the fixed
-        # exponents' do; the difference is scaled back to span 2 rel_step
+        # a steep exponent shortens the step, so that no power moves by
+        # more than exp(+-2 rel_step); n scales the difference back
         n = max(1.0, abs(alpha) / 2.0, abs(gamma) / 2.0)
         du_r, du_s = alpha * rel_step / n, gamma * rel_step / n
-        dg_p = n * (g(*base, p_r * math.exp(du_r), p_rs * math.exp(du_s))
-                    - g(*base, p_r * math.exp(-du_r),
-                        p_rs * math.exp(-du_s)))
+        try:
+            if n > 1.0:  # a steep name stepped out of its domain
+                edit(*base, up)
+        except ConfigError:
+            side = 1
+        else:
+            dg_p = n * (g(*base, p_r * math.exp(du_r), p_rs * math.exp(du_s))
+                        - g(*base, p_r * math.exp(-du_r),
+                            p_rs * math.exp(-du_s)))
     else:
         try:
             above = edit(*base, up)

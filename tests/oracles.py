@@ -20,7 +20,7 @@ every term rebuilt on each call.
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import math
 import sys
 from dataclasses import replace
@@ -453,15 +453,9 @@ def perfbench_scenarios(seeds) -> list[ScenarioConfig]:
     """The benchmark's design_space inputs: ``perfbench/harness.py``'s
     seeded (APD, SiPM) table1 pair of pass 0 for each seed, which varies
     the sun angle up to 80 degrees and draws both atmosphere modes."""
-    harness = sys.modules.get("perfbench_harness")
-    if harness is None:
-        path = (Path(__file__).resolve().parent.parent / "perfbench"
-                / "harness.py")
-        spec = importlib.util.spec_from_file_location("perfbench_harness",
-                                                      path)
-        harness = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up there
-        sys.modules[spec.name] = harness
-        spec.loader.exec_module(harness)
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    harness = importlib.import_module("perfbench.harness")
     return [config_from_dict(d) for s in seeds
             for d in harness.scenario_dicts(harness.rng_for(s, 0))]

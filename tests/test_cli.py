@@ -189,8 +189,7 @@ class TestSweepCommands:
     def test_distance_sweep_reads_the_link_once_per_point(
             self, tmp_path, capsys, monkeypatch):
         # the SNR and the analytic SiPM's fired fraction share one link
-        # evaluation: 96 points of 2 detectors read it 192 times, where
-        # a second read for the fired fraction made 288
+        # evaluation: 96 points of 2 detectors read it 192 times
         calls = []
         link_powers = ranging.link_powers
 
