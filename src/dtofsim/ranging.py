@@ -105,7 +105,8 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
     The link once, through the module attribute ``link_powers``, then
     ``snr_from_powers`` at its powers.  ``max_range`` inverts each
     closed-form mode through its p_min, which ``_min_signal_power`` picks,
-    so a new closed-form mode is added there too.
+    so a new closed-form mode is added there too.  ``sensitivity`` calls
+    it only through ``max_range``: it differentiates g in the powers.
     """
     return snr_from_powers(scenario, detector,
                            *link_powers(scenario, range_m), range_m)
@@ -282,9 +283,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
 
 # (scenario, detector, policy, result, partials) of the last successful
-# max_range; sensitivity keeps dg/d ln r at r_max there, by rel_step
+# max_range; sensitivity keeps (D_r, D_s) at r_max there, by rel_step
 _last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
-                   dict[float, float]] | None = None
+                   dict[float, tuple[float, float]]] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -327,7 +328,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     evaluates no SNR, so its ``evaluations`` counts the solve that made
     it.  A Monte Carlo detector carries its seed, so its solve repeats
     too.  A solve that raises is not remembered.  ``sensitivity`` keeps
-    its range partial at ``r_max`` with the solve, one per ``rel_step``.
+    its two log-power partials with the solve, a pair per ``rel_step``.
     """
     global _last_solve
     last = _last_solve
@@ -472,23 +473,24 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
 
     One range solve, then implicit differentiation of its root: with
     g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
-    -(dg/d ln p) / (dg/d ln r).  Both partials are central differences at
-    ``r_max`` with multipliers exp(+-rel_step), two SNR evaluations each:
-    the range's through ``snr_at_range``, the parameter's at the solve's
-    link powers at ``r_max``.  A link parameter (``scene_link.
-    LINK_EXPONENTS``) scales those by its exponents, with no edit and no
-    link evaluation; any other name's edit leaves them as they are.
-    The perturbed scenarios run no solve of their own, so only the base
-    solve can raise ``NoDetectionError`` or ``UnboundedRangeError``.  The
-    base solve is a ``max_range`` call, which also keeps the range partial
-    of each ``rel_step`` once evaluated without an error, whatever its
-    value.  So names asked one after another of the very same objects
-    share both, and each later name makes only its parameter evaluations:
-    two, or none for a name this scenario does not declare.
-    ``--param all`` on the table1 APD makes 50 SNR evaluations (the
-    solve's 2, the range partial's 2, and 2 for each of its 23 declared
-    names), on the table1 SiPM 42 (19 declared names), and on either 6
-    link evaluations (the solve's 4 and the range partial's 2).
+    -(dg/d ln p) / (dg/d ln r).  g reads the link only through the echo
+    and background powers, so the link side is one chain rule.  D_r and
+    D_s, central differences of g in ln p_r and ln p_rs at the solve's
+    powers at ``r_max`` (multipliers exp(+-rel_step)), take four SNR
+    evaluations and no link evaluation.  The range's partial and each
+    link name's is then alpha D_r + gamma D_s at its log-exponents in the
+    powers (``scene_link.range_exponents``, ``LINK_EXPONENTS``), with no
+    edit.  Any other name's partial is g at its edit up minus g at its
+    edit down, at the same powers, which its edits leave as they are.
+    Only the base solve, a ``max_range`` call, can raise
+    ``NoDetectionError`` or ``UnboundedRangeError``; it also keeps D_r
+    and D_s of each ``rel_step`` once evaluated without an error.  So
+    names asked of the very same objects share all three, and each later
+    name makes two SNR evaluations, or none for a link name or a name
+    this scenario does not declare.  ``--param all`` on the table1 APD
+    makes 30 (the solve's 2, D_r's and D_s's 4, and 2 for each of 12
+    declared names besides the link's), on the table1 SiPM 22, and on
+    either 4 link evaluations, all the solve's.
 
     A detector-side parameter at a closed bound of its domain (a gain or
     a pixel count of 1, an efficiency of 1) has one edit that its
@@ -500,10 +502,10 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     the solve's own root margin, ln(snr_at_rmax / tnr), not taken as 0.
     If both edits are rejected, so is the name.  A closed bound's partial
     thus takes two evaluations.  A link parameter at its bound takes the
-    central difference in the powers, except an angle whose step up
-    leaves its domain (a sun within ``rel_step`` of grazing, where its
-    exponent is huge and the power it scales near 0): it is one-sided,
-    each g_k at its edit's own link powers.
+    chain rule, except an angle whose step up leaves its domain (a sun
+    within ``rel_step`` of grazing: its exponent is huge, and the power
+    it scales below what D_s resolves): it is one-sided, each g_k at its
+    edit's own link powers.
 
     Parameters with a pure power-law influence return their exponent.  A
     name that no object of this scenario, detector and policy holds (a
@@ -530,57 +532,46 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     partials = last[4] if last is not None and last[3] is solve else {}
     base = (scenario, detector, policy)
     p_r, p_rs = solve.min_detectable_power_w, solve.background_power_w
+    link = scene_link.LINK_EXPONENTS.get(param_name)
+    exponents = link(scenario.scene, scenario.atmosphere, r) if link else None
 
     def g(sc, det, pol, p_r=p_r, p_rs=p_rs):
         """g at r_max of the powers ``p_r`` and ``p_rs``."""
         return _log_margin(snr_from_powers(sc, det, p_r, p_rs, r), pol.tnr)
 
-    def g_edited(k: int) -> float:
-        """g at r_max with the parameter times exp(k * rel_step)."""
-        sc, det, pol = edit(*base, math.exp(k * rel_step))
-        # only a link name's edit moves the powers
-        return g(sc, det, pol,
-                 *(link_powers(sc, r) if exponents else (p_r, p_rs)))
+    def edited(k: int) -> tuple | None:
+        """The edit at exp(k * rel_step), or None where validation rejects it."""
+        try:
+            return edit(*base, math.exp(k * rel_step))
+        except ConfigError:
+            return None
 
-    def g_range(range_m: float) -> float:
-        return _log_margin(snr_at_range(scenario, detector, range_m),
-                           policy.tnr)
+    def g_edited(k: int) -> float:
+        """g at r_max of ``edited(k)``, at its own link powers."""
+        sc, det, pol = edited(k)
+        return g(sc, det, pol, *(link_powers(sc, r) if link else (p_r, p_rs)))
 
     up, down = math.exp(rel_step), math.exp(-rel_step)
     # every difference spans 2 * rel_step, which cancels in the ratio
-    if (dg_r := partials.get(rel_step)) is None:
-        dg_r = partials[rel_step] = g_range(r * up) - g_range(r * down)
+    if (d := partials.get(rel_step)) is None:
+        d = partials[rel_step] = (
+            g(*base, p_r * up) - g(*base, p_r * down),
+            g(*base, p_r, p_rs * up) - g(*base, p_r, p_rs * down))
+    # a partial of log-exponents (alpha, gamma): alpha D_r + gamma D_s
+    dg_r = sum(map(operator.mul,
+                   scene_link.range_exponents(scenario.atmosphere, r), d))
     side = 0  # +1 at a closed upper bound, -1 at a closed lower one
-    if (exponents := scene_link.LINK_EXPONENTS.get(param_name)) is not None:
-        alpha, gamma = exponents(scenario.scene, scenario.atmosphere, r)
-        # a steep exponent shortens the step, so that no power moves by
-        # more than exp(+-2 rel_step); n scales the difference back
-        n = max(1.0, abs(alpha) / 2.0, abs(gamma) / 2.0)
-        du_r, du_s = alpha * rel_step / n, gamma * rel_step / n
-        try:
-            if n > 1.0:  # a steep name stepped out of its domain
-                edit(*base, up)
-        except ConfigError:
-            side = 1
-        else:
-            dg_p = n * (g(*base, p_r * math.exp(du_r), p_rs * math.exp(du_s))
-                        - g(*base, p_r * math.exp(-du_r),
-                            p_rs * math.exp(-du_s)))
+    # a link name's chain rule; a steep angle's only inside its domain
+    if link and (max(map(abs, exponents)) <= 2.0 or edited(1) is not None):
+        dg_p = sum(map(operator.mul, exponents, d))
+    elif (above := edited(1)) is None:
+        side = 1
+    elif not _rebuilds(above, base):
+        dg_p = 0.0  # nothing holds the parameter
+    elif (below := edited(-1)) is None:
+        side = -1
     else:
-        try:
-            above = edit(*base, up)
-        except ConfigError:
-            side = 1
-        else:
-            if not _rebuilds(above, base):
-                dg_p = 0.0  # nothing holds the parameter
-            else:
-                try:
-                    below = edit(*base, down)
-                except ConfigError:
-                    side = -1
-                else:
-                    dg_p = g(*above) - g(*below)
+        dg_p = g(*above) - g(*below)
     if side:
         # one-sided, toward the interior
         g_0 = _log_margin(solve.snr_at_rmax, policy.tnr)

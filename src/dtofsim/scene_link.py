@@ -1,7 +1,7 @@
 """Optical link budget: echo and solar-background power at the photodetector.
 
 ``received_powers`` returns both powers for one range in one call, and
-``LINK_EXPONENTS`` states the exponent of each of its factors in them.
+``LINK_EXPONENTS`` and ``range_exponents`` state their log-slopes.
 
 The echo model treats the target as a Lambertian reflector larger than the
 laser spot, with the receive direction assumed equal to the emit direction.
@@ -275,6 +275,15 @@ def _transmittance_exponents(atm: AtmosphereModel,
     x = (1.0 if atm.mode == "fixed_transmittance"
          else -atm.extinction_coeff_per_m * range_m)
     return 2.0 * x, x
+
+
+def range_exponents(atm: AtmosphereModel,
+                    range_m: float) -> tuple[float, float]:
+    """(d ln p_r / d ln r, d ln p_rs / d ln r) at ``range_m``: (-2 + 2x, x),
+    with x = d ln tau / d ln r, 0 at a fixed transmittance, else -k r."""
+    x = (0.0 if atm.mode == "fixed_transmittance"
+         else -atm.extinction_coeff_per_m * range_m)
+    return 2.0 * x - 2.0, x
 
 
 # the exponents (alpha, gamma) of each factor x of ``received_powers`` at

@@ -16,7 +16,7 @@ from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              sensitivity, snr_at_range)
 from dtofsim.scenario import ScenarioConfig
 from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, SolarModel,
-                                sun_equivalent_irradiance)
+                                range_exponents, sun_equivalent_irradiance)
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
@@ -969,10 +969,9 @@ class TestSensitivity:
     def test_link_names_match_solves(self):
         # perfbench's inputs, each also at an incidence angle of 0.3 rad, at
         # the default rel_step: a Richardson difference of max_range solves
-        # (steps 2e-6 and 1e-6) agrees with every link name to 5e-5 of
-        # max(|elasticity|, 1e-3), a gap the range partial sets (2.2e-5 at
-        # aperture_radius_m, seed 20), and with the names whose exponents
-        # depend on the scenario to 3e-6
+        # (steps 2e-6 and 1e-6) agrees with every link name to 1e-5 of
+        # max(|elasticity|, 1e-3) (5.4e-6 at aperture_radius_m, seed 20),
+        # and with the names whose exponents depend on the scenario to 3e-6
         scenario_dependent = {"sun_angle_rad", "incidence_angle_rad",
                               "one_way_transmittance"}
         for config in perfbench_scenarios(range(1, 41)):
@@ -982,7 +981,7 @@ class TestSensitivity:
                 for name in sorted(LINK_EXPONENTS):
                     expected = elasticity_of_solves(base, name, 1e-6)
                     value = sensitivity(*base, name)
-                    bound = 3e-6 if name in scenario_dependent else 5e-5
+                    bound = 3e-6 if name in scenario_dependent else 1e-5
                     assert abs(value - expected) \
                         <= bound * max(abs(expected), 1e-3), \
                         (name, value, expected)
@@ -1044,44 +1043,59 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_interior_names_take_the_central_difference(self, variant):
-        # away from a bound, every name is -(g_1 - g_-1) / (g(r up) -
-        # g(r down)) bit for bit: g_k of a link name at the solve's powers
-        # times exp(k h) to its exponents, of any other name at its edit
+        # away from a bound, every name is -dg_p / dg_r bit for bit, with
+        # D_r and D_s the central differences of g in ln p_r and ln p_rs at
+        # the solve's powers: the range's and each link name's partial are
+        # alpha D_r + gamma D_s, any other name's g_1 - g_-1 at its edits
         config, det = closed_form_variant(variant)
         base = (config, det, config.tdc)
         solve = max_range(*base)
         r = solve.r_max_m
-        h = 1e-3
-        up, down = math.exp(h), math.exp(-h)
+        p_r, p_rs = solve.min_detectable_power_w, solve.background_power_w
+        up, down = math.exp(1e-3), math.exp(-1e-3)
 
-        def g(sc, d, pol, range_m):
-            return math.log(snr_at_range(sc, d, range_m) / pol.tnr)
+        def g(sc, d, pol, p_r=p_r, p_rs=p_rs):
+            snr = ranging.snr_from_powers(sc, d, p_r, p_rs, r)
+            return math.log(snr / pol.tnr)
 
-        def g_powers(a, c):
-            snr = ranging.snr_from_powers(
-                config, det, solve.min_detectable_power_w * math.exp(a),
-                solve.background_power_w * math.exp(c), r)
-            return math.log(snr / config.tdc.tnr)
-
-        dg_r = g(*base, r * up) - g(*base, r * down)
+        d_r = g(*base, p_r * up) - g(*base, p_r * down)
+        d_s = g(*base, p_r, p_rs * up) - g(*base, p_r, p_rs * down)
+        alpha, gamma = range_exponents(config.atmosphere, r)
+        dg_r = alpha * d_r + gamma * d_s
         for name, edit in SENSITIVITY_PARAMS.items():
             if name in LINK_EXPONENTS:
                 alpha, gamma = LINK_EXPONENTS[name](config.scene,
                                                     config.atmosphere, r)
-                # table1's exponents take the full step
-                assert max(abs(alpha), abs(gamma)) <= 2.0, name
-                dg_p = g_powers(alpha * h, gamma * h) \
-                    - g_powers(-alpha * h, -gamma * h)
+                dg_p = alpha * d_r + gamma * d_s
             else:
-                dg_p = g(*edit(*base, up), r) - g(*edit(*base, down), r)
+                dg_p = g(*edit(*base, up)) - g(*edit(*base, down))
             assert sensitivity(*base, name) == -dg_p / dg_r + 0.0, name
 
+    def test_link_exponent_identities_are_exact(self):
+        # a partial linear in the exponents keeps their ratios to the bit:
+        # perfbench's inputs, each also at an incidence angle of 0.3 rad
+        fixed = 0
+        for config in perfbench_scenarios(range(1, 41)):
+            for config in (config, replace(config, scene=replace(
+                    config.scene, incidence_angle_rad=0.3))):
+                base = (config, config.detector, config.tdc)
+                value = {name: sensitivity(*base, name)
+                         for name in LINK_EXPONENTS}
+                if config.atmosphere.mode == "fixed_transmittance":
+                    fixed += 1
+                    assert value["peak_power_w"] == 0.5
+                    assert value["laser_efficiency"] == 0.5
+                assert value["aperture_radius_m"] == 2 * value["reflectivity"]
+                assert value["detector_radius_m"] == -value["focal_length_m"]
+                assert value["sun_efficiency"] == value["sun_irradiance"]
+        assert fixed == 108
+
     @pytest.mark.parametrize("variant", ["apd", "sipm"])
-    def test_steep_exponent_shortens_the_step(self, variant):
+    def test_steep_exponent_takes_the_chain_rule(self, variant):
         # at a sun of 1.569 rad, whose step up stays in the domain,
-        # d ln p_rs / d ln theta is about -870: a full step would move
-        # p_rs by exp(+-0.87); the shortened step meets a Richardson
-        # difference of solves (steps 1e-8 and 2e-8) to 1e-6 of the value
+        # d ln p_rs / d ln theta is about -870; that exponent times D_s
+        # meets a Richardson difference of solves (steps 1e-8 and 2e-8)
+        # to 1e-6 of the value
         config = table1_preset(variant)
         config = replace(config, scene=replace(config.scene,
                                                sun_angle_rad=1.569))
@@ -1097,15 +1111,17 @@ class TestSensitivity:
     def test_grazing_sun_takes_the_one_sided_rule(self, variant, theta):
         # within rel_step of grazing the step up leaves the sun angle's
         # domain [0, pi/2], and cos(pi/2) is 6e-17: the partial is the
-        # one-sided rule, each g_k at its edit's own link powers, bit for
-        # bit the reference's.  It meets a one-sided difference of solves
-        # at the same step; the SiPM's curvature there leaves 1.1e-3
+        # one-sided rule, each g_k at its edit's own link powers, as the
+        # reference's, whose range partial steps the range itself.  It
+        # meets a one-sided difference of solves at the same step; the
+        # SiPM's curvature there leaves 1.1e-3
         config = table1_preset(variant)
         config = replace(config, scene=replace(config.scene,
                                                sun_angle_rad=theta))
         base = (config, config.detector, config.tdc)
         value = sensitivity(*base, "sun_angle_rad")
-        assert value == reference_sensitivity(*base, "sun_angle_rad")
+        assert value == pytest.approx(
+            reference_sensitivity(*base, "sun_angle_rad"), rel=1e-8)
         edit = SENSITIVITY_PARAMS["sun_angle_rad"]
         g = [math.log(max_range(*edit(*base, math.exp(-k * 1e-3))).r_max_m)
              for k in range(3)]
@@ -1122,24 +1138,28 @@ class TestSensitivity:
         calls = count_calls(monkeypatch, ranging, "snr_from_powers")
         links = count_calls(monkeypatch, ranging, "link_powers")
         value = sensitivity(config, det, config.tdc, "laser_efficiency")
-        assert value == pytest.approx(0.5, abs=1e-8)
-        # a link name takes the central difference in the powers at its
-        # bound too: the two range steps read the link, the two power
-        # steps do not
-        assert len(calls) == 4 and len(links) == 2
+        assert value == 0.5
+        # a link name takes the chain rule at its bound too: the four
+        # log-power steps, and no link read
+        assert len(calls) == 4 and links == []
 
     def test_lower_bound_evaluations(self, monkeypatch, apd_config):
-        # at a gain of 1 the edit downward is rejected: g_1 and g_2, and
-        # the two range steps; g_0 is the solve's own
+        # at a gain of 1 the edit downward is rejected: the four log-power
+        # steps, then g_1 and g_2; g_0 is the solve's own
         config = at_bound(apd_config, "gain")
-        r = max_range(config, config.detector, config.tdc).r_max_m
+        solve = max_range(config, config.detector, config.tdc)
+        p_r, p_rs = solve.min_detectable_power_w, solve.background_power_w
         calls = count_calls(monkeypatch, ranging, "snr_from_powers")
         sensitivity(config, config.detector, config.tdc, "gain")
-        h = 1e-3
-        assert sorted((det.params.gain, range_m)
-                      for _, det, _, _, range_m in calls) == [
-            (1.0, r * math.exp(-h)), (1.0, r * math.exp(h)),
-            (math.exp(h), r), (math.exp(2 * h), r)]
+        up, down = math.exp(1e-3), math.exp(-1e-3)
+        assert [(det.params.gain, *powers, range_m)
+                for _, det, *powers, range_m in calls] == [
+            (1.0, p_r * up, p_rs, solve.r_max_m),
+            (1.0, p_r * down, p_rs, solve.r_max_m),
+            (1.0, p_r, p_rs * up, solve.r_max_m),
+            (1.0, p_r, p_rs * down, solve.r_max_m),
+            (up, p_r, p_rs, solve.r_max_m),
+            (math.exp(2e-3), p_r, p_rs, solve.r_max_m)]
 
     @pytest.mark.parametrize("variant,name,side", [
         ("apd", "one_way_transmittance", -1), ("apd", "gain", 1),
@@ -1174,11 +1194,11 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("variant", [*VARIANTS, "apd_at_bounds"])
     def test_all_names_share_one_solve(self, monkeypatch, variant):
-        # the first name solves the range and takes the two range steps;
-        # every other one reuses both and makes only its two parameter
-        # evaluations, or none for a name this scenario does not declare;
-        # g_0, which the names at a closed bound read, is the solve's own;
-        # the link is read by the solve (4 times) and the range steps alone
+        # the first name solves the range and takes the four log-power
+        # steps; every other one reuses both and makes only its two edits'
+        # evaluations, or none for a link name or a name this scenario does
+        # not declare; g_0, which the names at a closed bound read, is the
+        # solve's own; the link is read by the solve alone, 4 times
         bounds = (("gain", "laser_efficiency") if variant == "apd_at_bounds"
                   else ())
         config, det = closed_form_variant(variant.removesuffix("_at_bounds"))
@@ -1191,13 +1211,13 @@ class TestSensitivity:
         values = [sensitivity(config, det, config.tdc, name)
                   for name in names]
         evaluations = len(calls)
-        assert len(links) == 6
+        assert len(links) == 4
         base = max_range(config, det, config.tdc)
         declared = sum(declares(config, det, config.tdc, name)
-                       for name in names)
-        assert evaluations == base.evaluations + 2 + 2 * declared
-        # 23 names declared by the APD, 19 by the SiPM
-        assert evaluations == (50 if variant.startswith("apd") else 42)
+                       for name in names if name not in LINK_EXPONENTS)
+        assert evaluations == base.evaluations + 4 + 2 * declared
+        # 12 names besides the link's declared by the APD, 8 by the SiPM
+        assert evaluations == (30 if variant.startswith("apd") else 22)
         # a fresh copy of the scenario per name defeats the reuse
         assert values == [sensitivity(replace(config), det, config.tdc, name)
                           for name in names]
@@ -1213,13 +1233,12 @@ class TestSensitivity:
     def test_matches_the_reference_bit_for_bit(self, config, bounds,
                                                 rel_steps):
         # every name of one scenario in turn, as `sensitivity --param all`
-        # asks them, so each later name reuses the remembered range
-        # partial of its rel_step; drawn names sit at a closed bound.  A
-        # name that is not a link factor keeps the reference's edit, and
-        # its edited objects read the same link powers, so every bit
-        # agrees.  A link name's difference is in the powers: it fails as
-        # the reference does, and at rel_step 1e-5, where both
-        # differences are near the derivative, agrees to 1e-5
+        # asks them, so each later name reuses the remembered log-power
+        # partials of its rel_step; drawn names sit at a closed bound.
+        # Every name fails bit for bit as the reference does (type and
+        # message), which steps the range and edits every name; its value
+        # is another stencil of the same derivative, so at rel_step 1e-5,
+        # where both are near the derivative, it agrees to 1e-5
         params = config.detector.params.__dataclass_fields__
         for name in sorted(bounds):
             if name in params or name not in ("gain", "quantum_efficiency",
@@ -1237,7 +1256,7 @@ class TestSensitivity:
             for name in sorted(SENSITIVITY_PARAMS):
                 value = outcome(sensitivity, name, rel_step)
                 expected = outcome(reference_sensitivity, name, rel_step)
-                if name not in LINK_EXPONENTS or not isinstance(value, str):
+                if not isinstance(value, str):
                     assert value == expected, (name, rel_step)
                 else:
                     assert isinstance(expected, str), (name, rel_step)
@@ -1269,7 +1288,7 @@ class TestSensitivity:
             return 10.0 if r < 150.0 else 5.0 if r <= 300.0 else 1.0
 
         # fresh objects per fake: the same ones would reuse the first
-        # fake's solve and range partial
+        # fake's solve and log-power partials
         for fake in (infinite_above_the_root_echo, flat_at_threshold):
             monkeypatch.setattr(ranging, "snr_from_powers", fake)
             config = table1_preset("apd")
@@ -1286,11 +1305,13 @@ class TestSensitivity:
         undeclared = [name for name in sorted(SENSITIVITY_PARAMS)
                       if not declares(*base, name)]
         assert len(undeclared) == (4 if variant == "apd" else 8)
-        calls = count_calls(monkeypatch, ranging, "snr_at_range")
+        ranges = count_calls(monkeypatch, ranging, "snr_at_range")
+        calls = count_calls(monkeypatch, ranging, "snr_from_powers")
         assert sensitivity(*base, undeclared[0]) == 0.0
-        # the two range steps and no edit
-        assert [(args[0], args[2]) for args in calls] == [
-            (config, r * math.exp(1e-3)), (config, r * math.exp(-1e-3))]
+        # the four log-power steps and no edit
+        assert [(args[0], args[1], args[4]) for args in calls] \
+            == [(config, det, r)] * 4
+        assert ranges == []
         calls.clear()
         for name in undeclared[1:]:
             value = sensitivity(*base, name)
@@ -1394,7 +1415,7 @@ class TestSensitivity:
     def test_sipm_wavelength(self, sipm_config):
         value = sensitivity(sipm_config, sipm_config.detector,
                             sipm_config.tdc, "wavelength_m")
-        assert value == pytest.approx(0.17026309398352382, rel=1e-9)
+        assert value == pytest.approx(0.17026308638129029, rel=1e-9)
 
     def test_extinction_scales_coefficient(self, apd_config):
         config = replace(apd_config, atmosphere=AtmosphereModel(

@@ -13,7 +13,8 @@ from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, LaserParams,
                                 ReceiverOptics, SceneGeometry, SolarModel,
                                 TargetModel, effective_aperture,
                                 load_spectrum_csv, one_way_transmittance,
-                                received_powers, sun_equivalent_irradiance)
+                                range_exponents, received_powers,
+                                sun_equivalent_irradiance)
 
 from oracles import exact_trapezoid, perfbench_scenarios
 
@@ -278,9 +279,10 @@ def exponent_inputs() -> list:
 
 
 class TestLinkExponents:
-    """``LINK_EXPONENTS`` against the link it describes: ``sensitivity``
-    moves a link name's powers by its exponents and evaluates every other
-    name's edit at the unedited powers."""
+    """``LINK_EXPONENTS`` and ``range_exponents`` against the link they
+    describe: ``sensitivity`` takes a link name's partial and the range's
+    as their exponents times g's two log-power partials, and evaluates
+    every other name's edit at the unedited powers."""
 
     RANGES = (1.0, 300.0)
 
@@ -315,6 +317,19 @@ class TestLinkExponents:
                               math.log(s_up / s_down) / (2.0 * h))
                     expected = exponents(config.scene, config.atmosphere, r)
                     assert slopes == pytest.approx(expected, abs=1e-6), name
+
+    def test_range_exponents_are_the_link_log_slopes(self, inputs):
+        # a central difference in ln r, step 1e-6, of ln p_r and ln p_rs
+        h = 1e-6
+        for config in inputs:
+            for r in self.RANGES:
+                (p_up, s_up), (p_down, s_down) = (
+                    link_powers(config, r * f)
+                    for f in (math.exp(h), math.exp(-h)))
+                slopes = (math.log(p_up / p_down) / (2.0 * h),
+                          math.log(s_up / s_down) / (2.0 * h))
+                expected = range_exponents(config.atmosphere, r)
+                assert slopes == pytest.approx(expected, abs=1e-6), r
 
     def test_keys_are_the_names_that_move_the_link(self, inputs):
         # a link factor with no row of the table would be evaluated at
