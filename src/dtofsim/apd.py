@@ -155,6 +155,38 @@ def trigger_snr(params: ApdParams, p_r: float, p_rs: float,
     return i_s / math.sqrt(_summed(terms, p_rs, 0.0)[5])
 
 
+def log_partials(params: ApdParams, p_rs: float, bandwidth_hz: float
+                 ) -> tuple[float, float, dict[str, float]]:
+    """(d ln SNR / d ln p_r, d ln SNR / d ln p_rs, {name: d ln SNR / d ln x})
+    of ``trigger_snr`` at background ``p_rs``, for each parameter it reads.
+    ln SNR = ln(M R p_r) - ln V / 2, V the sum of ``_summed``'s variances,
+    so a variance V_k of log-slope s in x adds -s V_k / 2V.  M**2 F(M) has
+    log-slope 2 + x in M and x ln M in x (power law), or 2 + (kM + (1 - k)
+    / M) / F in M (ionization form)."""
+    terms = _noise_terms(params, p_rs, 0.0, bandwidth_hz)
+    variances = _summed(terms, p_rs, 0.0)
+    half = 0.5 / variances[5]
+    # each variance's share of V, halved
+    background, surface, bulk, thermal, amplifier = (
+        v * half for v in (variances[1], terms[2], terms[3] * terms[1],
+                           terms[4], terms[5]))
+    multiplied = background + bulk  # the shares in M**2 F(M)
+    m, x, k_e = params.gain, params.excess_noise_index, params.electron_ionization_rate
+    power_law = params.excess_noise_mode == "power_law"
+    slope = 2.0 + (x if power_law else (k_e * m + (1.0 - k_e) / m)
+                   / excess_noise_factor(params))
+    partials = {"gain": 1.0 - slope * multiplied}
+    if power_law:
+        partials["excess_noise_index"] = -x * math.log(m) * multiplied
+    # R = e eta lambda / (h c) reads eta and lambda alike
+    return 1.0, -background, partials | {
+        "quantum_efficiency": 1.0 - background, "wavelength_m": 1.0 - background,
+        "surface_dark_current_a": -surface, "bulk_dark_current_a": -bulk,
+        "temperature_k": -thermal, "load_resistance_ohm": thermal,
+        "amplifier_noise_a": -2.0 * amplifier,
+        "bandwidth_hz": -(background + surface + bulk + thermal)}
+
+
 def _min_signal_power(params: ApdParams, bandwidth_hz: float,
                       policy: TdcPolicy) -> Callable[[float], float]:
     """p_min(p_rs): the echo power, W, whose ``trigger_snr`` at background

@@ -103,10 +103,9 @@ def snr_at_range(scenario: ScenarioConfig, detector: DetectorChoice,
     """Trigger SNR of the composed scene and detector at ``range_m``.
 
     The link once, through the module attribute ``link_powers``, then
-    ``snr_from_powers`` at its powers.  ``max_range`` inverts each
-    closed-form mode through its p_min, which ``_min_signal_power`` picks,
-    so a new closed-form mode is added there too.  ``sensitivity`` calls
-    it only through ``max_range``: it differentiates g in the powers.
+    ``snr_from_powers`` at its powers.  A new closed-form mode is also
+    added to ``_min_signal_power``, whose p_min ``max_range`` inverts, and
+    to ``log_partials``, which ``sensitivity`` reads at the solve's powers.
     """
     return snr_from_powers(scenario, detector,
                            *link_powers(scenario, range_m), range_m)
@@ -283,9 +282,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
 
 
 # (scenario, detector, policy, result, partials) of the last successful
-# max_range; sensitivity keeps (D_r, D_s) at r_max there, by rel_step
+# max_range; partials is None until sensitivity puts log_partials at r_max
 _last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
-                   dict[float, tuple[float, float]]] | None = None
+                   tuple[float, float, dict] | None] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -302,33 +301,25 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     The closed-form modes (the APD, the SiPM's analytic and approx) invert
     the SNR: their noise does not depend on the echo, so the weakest
     detectable echo power p_min follows from the background alone, and the
-    range is where the link's echo falls to it (``_inverted_range``; at a
-    fixed transmittance sqrt(p_r(1 m) / p_min), with no iteration).  One
-    more ``snr_at_range`` call at the root gives ``snr_at_rmax``, so a
-    closed-form solve makes 2 SNR evaluations, and its SNR at ``r_max`` is
-    the threshold to within about 1e-14 relative.
+    range is where the link's echo falls to it (``_inverted_range``).  One
+    more ``snr_at_range`` call at the root gives ``snr_at_rmax``, within
+    about 1e-14 relative of the threshold: 2 SNR evaluations a solve.
 
     The Monte Carlo solves g(r) = ``_log_margin(SNR(r), tnr)`` = 0 by
-    ``_searched_range``, the bracket search and margin the extinction
-    inversion takes, stopped on a bracket 1 mm wide.  Its seed is fixed,
-    so every evaluation of one solve reads the same function of range.  An
-    evaluation whose SNR lies within ``SE_STOP_FRACTION`` times its own
-    standard error of the threshold counts as a root (g = 0) and is
-    returned: at table1 with 8 trials and seed 11 a solve takes 6
-    evaluations with the rectangular pulse and 8 with the Gaussian.  A
-    fixed-seed SNR can also jump across that noise band; the root then
-    stops on the 1 mm bracket and returns the endpoint of smaller |g|.
-    Each Monte Carlo evaluation is a ``SnrEstimate``; ``snr_se`` is the
-    ``se`` of the returned one, and ``snr_at_rmax`` its value as a plain
-    float.
+    ``_searched_range``, stopped on a bracket 1 mm wide; its fixed seed
+    makes every evaluation of one solve read the same function of range.
+    An evaluation whose SNR lies within ``SE_STOP_FRACTION`` times its own
+    standard error of the threshold is a root (g = 0) and is returned; a
+    jump across that band stops on the bracket and returns the endpoint
+    of smaller |g|.  ``snr_se`` is the ``se`` of the returned
+    ``SnrEstimate``, and ``snr_at_rmax`` its value as a plain float.
 
     The last successful solve is remembered: a call with the very same
     ``scenario``, ``detector`` and ``policy`` objects (``is``, not ``==``;
-    all three are frozen) returns the earlier ``RangeResult`` itself and
-    evaluates no SNR, so its ``evaluations`` counts the solve that made
-    it.  A Monte Carlo detector carries its seed, so its solve repeats
-    too.  A solve that raises is not remembered.  ``sensitivity`` keeps
-    its two log-power partials with the solve, a pair per ``rel_step``.
+    all three are frozen, and a Monte Carlo detector carries its seed)
+    returns the earlier ``RangeResult`` itself and evaluates no SNR.  A
+    solve that raises is not remembered.  ``sensitivity`` keeps the
+    detector's log-partials at ``r_max`` with the solve.
     """
     global _last_solve
     last = _last_solve
@@ -373,7 +364,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
                          min_detectable_power_w=p_r, background_power_w=p_rs,
                          evaluations=evaluations,
                          snr_se=getattr(snr, "se", 0.0))
-    _last_solve = (scenario, detector, policy, result, {})
+    _last_solve = (scenario, detector, policy, result, None)
     return result
 
 
@@ -448,22 +439,27 @@ SENSITIVITY_PARAMS = {name: functools.partial(_edit, name) for name in (
 
 def declares(scenario: ScenarioConfig, detector: DetectorChoice,
              policy: TdcPolicy, param_name: str) -> bool:
-    """Whether ``param_name``'s sensitivity edit has a field to scale here.
-
-    That is, whether ``_edit``, the one edit of every name, by a factor of
-    1 rebuilds the scenario, the detector or the policy, whatever the
-    field's value; ``sensitivity`` gives 0.0 for a name whose edit
-    rebuilds none.  ``sun_irradiance`` and ``one_way_transmittance``
-    always rebuild theirs.  An unknown name has none.
-    """
+    """Whether ``param_name``'s sensitivity edit has a field to scale here:
+    whether ``_edit`` by a factor of 1 rebuilds the scenario, the detector
+    or the policy, whatever the field's value.  ``sun_irradiance`` and
+    ``one_way_transmittance`` always rebuild theirs; an unknown name has
+    none.  ``sensitivity`` gives 0.0 for a name with none."""
     base = (scenario, detector, policy)
-    return (param_name in SENSITIVITY_PARAMS
-            and _rebuilds(SENSITIVITY_PARAMS[param_name](*base, 1.0), base))
+    return param_name in SENSITIVITY_PARAMS and any(map(
+        operator.is_not, SENSITIVITY_PARAMS[param_name](*base, 1.0), base))
 
 
-def _rebuilds(edited: tuple, base: tuple) -> bool:
-    """Whether an edit's (scenario, detector, policy) differs from ``base``."""
-    return any(map(operator.is_not, edited, base))
+def log_partials(scenario: ScenarioConfig, detector: DetectorChoice,
+                 p_r: float, p_rs: float) -> tuple[float, float, dict]:
+    """(d ln SNR / d ln p_r, d ln SNR / d ln p_rs, {name: d ln SNR / d ln x})
+    of a closed-form ``detector`` at the powers, as it states them."""
+    params = detector.params
+    if isinstance(detector, ApdChoice):
+        return apd.log_partials(params, p_rs, scenario.bandwidth_hz)
+    if detector.snr_mode == "approx":
+        return sipm.log_partials_approx()
+    return sipm.log_partials_analytic(
+        params, _photon_counts(scenario, params, p_r, p_rs))
 
 
 def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -471,50 +467,18 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
                 rel_step: float = 1e-3) -> float:
     """Elasticity of the maximum range with respect to one parameter.
 
-    One range solve, then implicit differentiation of its root: with
-    g = ln(SNR / tnr), which is 0 at ``r_max``, the elasticity is
-    -(dg/d ln p) / (dg/d ln r).  g reads the link only through the echo
-    and background powers, so the link side is one chain rule.  D_r and
-    D_s, central differences of g in ln p_r and ln p_rs at the solve's
-    powers at ``r_max`` (multipliers exp(+-rel_step)), take four SNR
-    evaluations and no link evaluation.  The range's partial and each
-    link name's is then alpha D_r + gamma D_s at its log-exponents in the
-    powers (``scene_link.range_exponents``, ``LINK_EXPONENTS``), with no
-    edit.  Any other name's partial is g at its edit up minus g at its
-    edit down, at the same powers, which its edits leave as they are.
-    Only the base solve, a ``max_range`` call, can raise
-    ``NoDetectionError`` or ``UnboundedRangeError``; it also keeps D_r
-    and D_s of each ``rel_step`` once evaluated without an error.  So
-    names asked of the very same objects share all three, and each later
-    name makes two SNR evaluations, or none for a link name or a name
-    this scenario does not declare.  ``--param all`` on the table1 APD
-    makes 30 (the solve's 2, D_r's and D_s's 4, and 2 for each of 12
-    declared names besides the link's), on the table1 SiPM 22, and on
-    either 4 link evaluations, all the solve's.
-
-    A detector-side parameter at a closed bound of its domain (a gain or
-    a pixel count of 1, an efficiency of 1) has one edit that its
-    validation rejects with ``ConfigError``.  Its partial is then the
-    one-sided second-order difference toward the interior, with g_k the
-    margin at the parameter times exp(k * rel_step): 3g_0 - 4g_-1 + g_-2
-    at an upper bound and -3g_0 + 4g_1 - g_2 at a lower one, each
-    estimating the same 2 * rel_step * dg/d ln p as g_1 - g_-1.  g_0 is
-    the solve's own root margin, ln(snr_at_rmax / tnr), not taken as 0.
-    If both edits are rejected, so is the name.  A closed bound's partial
-    thus takes two evaluations.  A link parameter at its bound takes the
-    chain rule, except an angle whose step up leaves its domain (a sun
-    within ``rel_step`` of grazing: its exponent is huge, and the power
-    it scales below what D_s resolves): it is one-sided, each g_k at its
-    edit's own link powers.
-
-    Parameters with a pure power-law influence return their exponent.  A
-    name that no object of this scenario, detector and policy holds (a
-    SiPM parameter for an APD, say; see ``declares``) leaves g unchanged:
-    its partial is 0.0, with no edit evaluated.  An SNR near ``r_max``
-    that is 0 or infinite, or one flat in range, leaves the elasticity
-    undefined: a ``ConfigError``.  So is a Monte Carlo detector: its SNR
-    scatters by far more than a step of ``rel_step`` moves it, so the
-    difference is noise.
+    One ``max_range`` solve, then implicit differentiation of its root:
+    with g = ln(SNR / tnr), 0 at ``r_max``, the elasticity is
+    -(dg/d ln p) / (dg/d ln r).  ``log_partials`` at the solve's powers
+    gives D_r and D_s in ln p_r and ln p_rs and one partial per parameter
+    the SNR reads.  The range's and each link name's partial is alpha D_r
+    + gamma D_s at its log-exponents in the powers (``range_exponents``,
+    ``LINK_EXPONENTS``), a detector name's its own, tnr's -1, and any
+    other's 0.  Nothing is evaluated, read, edited or differenced after
+    the solve, which keeps the partials for names asked next of the very
+    same objects.  A partial that is not finite, a range partial of 0 and
+    a Monte Carlo detector are ``ConfigError``.  ``rel_step`` is ignored
+    and to be removed.
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "
@@ -524,59 +488,24 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
         raise ConfigError(
             f"unknown parameter {param_name!r}; known: "
             f"{', '.join(sorted(SENSITIVITY_PARAMS))}")
-    if not 0.0 < rel_step <= 0.1:
-        raise ConfigError("rel_step must be in (0, 0.1]")
-    edit = SENSITIVITY_PARAMS[param_name]
+    global _last_solve
     solve = max_range(scenario, detector, policy)
     r, last = solve.r_max_m, _last_solve
-    partials = last[4] if last is not None and last[3] is solve else {}
-    base = (scenario, detector, policy)
-    p_r, p_rs = solve.min_detectable_power_w, solve.background_power_w
-    link = scene_link.LINK_EXPONENTS.get(param_name)
-    exponents = link(scenario.scene, scenario.atmosphere, r) if link else None
-
-    def g(sc, det, pol, p_r=p_r, p_rs=p_rs):
-        """g at r_max of the powers ``p_r`` and ``p_rs``."""
-        return _log_margin(snr_from_powers(sc, det, p_r, p_rs, r), pol.tnr)
-
-    def edited(k: int) -> tuple | None:
-        """The edit at exp(k * rel_step), or None where validation rejects it."""
-        try:
-            return edit(*base, math.exp(k * rel_step))
-        except ConfigError:
-            return None
-
-    def g_edited(k: int) -> float:
-        """g at r_max of ``edited(k)``, at its own link powers."""
-        sc, det, pol = edited(k)
-        return g(sc, det, pol, *(link_powers(sc, r) if link else (p_r, p_rs)))
-
-    up, down = math.exp(rel_step), math.exp(-rel_step)
-    # every difference spans 2 * rel_step, which cancels in the ratio
-    if (d := partials.get(rel_step)) is None:
-        d = partials[rel_step] = (
-            g(*base, p_r * up) - g(*base, p_r * down),
-            g(*base, p_r, p_rs * up) - g(*base, p_r, p_rs * down))
+    mine = last is not None and last[3] is solve
+    if not mine or (partials := last[4]) is None:
+        partials = log_partials(scenario, detector, solve.min_detectable_power_w,
+                                solve.background_power_w)
+        if mine:
+            _last_solve = (*last[:4], partials)
+    d_r, d_s, own = partials
     # a partial of log-exponents (alpha, gamma): alpha D_r + gamma D_s
-    dg_r = sum(map(operator.mul,
-                   scene_link.range_exponents(scenario.atmosphere, r), d))
-    side = 0  # +1 at a closed upper bound, -1 at a closed lower one
-    # a link name's chain rule; a steep angle's only inside its domain
-    if link and (max(map(abs, exponents)) <= 2.0 or edited(1) is not None):
-        dg_p = sum(map(operator.mul, exponents, d))
-    elif (above := edited(1)) is None:
-        side = 1
-    elif not _rebuilds(above, base):
-        dg_p = 0.0  # nothing holds the parameter
-    elif (below := edited(-1)) is None:
-        side = -1
+    alpha, gamma = scene_link.range_exponents(scenario.atmosphere, r)
+    dg_r = alpha * d_r + gamma * d_s
+    if (link := scene_link.LINK_EXPONENTS.get(param_name)) is not None:
+        alpha, gamma = link(scenario.scene, scenario.atmosphere, r)
+        dg_p = alpha * d_r + gamma * d_s
     else:
-        dg_p = g(*above) - g(*below)
-    if side:
-        # one-sided, toward the interior
-        g_0 = _log_margin(solve.snr_at_rmax, policy.tnr)
-        dg_p = side * (3.0 * g_0 - 4.0 * g_edited(-side)
-                       + g_edited(-2 * side))
+        dg_p = -1.0 if param_name == "tnr" else own.get(param_name, 0.0)
     if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
         raise ConfigError(
             f"the elasticity of {param_name} is undefined at r_max "

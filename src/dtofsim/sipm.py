@@ -247,6 +247,38 @@ def trigger_snr_analytic(params: SipmParams, counts: PhotonCounts) -> float:
     return n_s / math.sqrt(variance)
 
 
+def log_partials_analytic(params: SipmParams, counts: PhotonCounts
+                          ) -> tuple[float, float, dict[str, float]]:
+    """(d ln SNR / d ln p_r, d ln SNR / d ln p_rs, {name: d ln SNR / d ln x})
+    of ``trigger_snr_analytic`` at ``counts``, in forward mode: u = n_bγ e
+    (e the per-photon exponent), s_b = exp(u), n_b = -N expm1(u), var =
+    n_b s_b + n_d, A = N - n_b - n_d, v = n_sγ e, n_s = -A expm1(v) and
+    ln SNR = ln n_s - ln var / 2.  n_sγ goes as p_r, the pulse width and
+    the wavelength, n_bγ as p_rs, the dead time and the wavelength, n_d as
+    N, the dark count rate and the dead time; de / d ln N = (pde / N)
+    exp(-pde / N) = -de / d ln pde."""
+    n = params.n_pixels
+    exponent = _per_photon_exponent(params)
+    n_d = _dark_mean(params)
+    n_b, variance = _no_echo_fired(params, counts.n_b_photon, exponent, n_d)
+    available = n - n_b - n_d
+    u, v = counts.n_b_photon * exponent, counts.n_s_photon * exponent
+    s_b = math.exp(u)
+    # d ln n_s / dv, and d ln SNR / du, / d ln N (e fixed) and / d ln n_d
+    by_v = math.exp(v) / math.expm1(v)
+    by_u = n * s_b / available - 0.5 * s_b * (n_b - n * s_b) / variance
+    by_n = n * s_b / available - 0.5 * s_b * n_b / variance
+    by_dark = -n_d / available - 0.5 * n_d / variance
+    by_e = by_u * counts.n_b_photon + by_v * counts.n_s_photon
+    q = params.pde / n
+    d_e = q * math.exp(-q)  # de / d ln N, and -de / d ln pde
+    d_s, d_r = by_u * u, by_v * v
+    return d_r, d_s, {
+        "n_pixels": d_e * by_e + by_n + by_dark, "pde": -d_e * by_e,
+        "dead_time_s": d_s + by_dark, "dark_count_rate_cps": by_dark,
+        "pulse_fwhm_s": d_r, "wavelength_m": d_r + d_s}
+
+
 def _min_signal_power_analytic(params: SipmParams, pulse_fwhm_s: float,
                                wavelength_m: float, policy: TdcPolicy
                                ) -> Callable[[float], float]:
@@ -290,6 +322,13 @@ def trigger_snr_approx(params: SipmParams, counts: PhotonCounts) -> float:
     if counts.n_b_photon == 0.0:
         return math.inf
     return counts.n_s_photon * math.sqrt(params.pde / counts.n_b_photon)
+
+
+def log_partials_approx() -> tuple[float, float, dict[str, float]]:
+    """``log_partials_analytic`` of ``trigger_snr_approx``, whose
+    ln n_sγ + (ln pde - ln n_bγ) / 2 has constant exponents."""
+    return 1.0, -0.5, {"pde": 0.5, "dead_time_s": -0.5,
+                       "pulse_fwhm_s": 1.0, "wavelength_m": 0.5}
 
 
 def _min_signal_power_approx(params: SipmParams, pulse_fwhm_s: float,

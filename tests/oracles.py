@@ -11,8 +11,8 @@ precision, or from the SNR search the closed-form ranges used before the
 range solver inverted them.  The photon-limited range of each detector is
 the link equation inverted by hand; it borrows only the library's
 aperture, in-band irradiance, excess-noise and photon-energy helpers.
-Elasticities come from the sensitivity algorithm as it was before it
-remembered the range partial: four SNR evaluations per name, edits by
+Elasticities come from g = ln(SNR / tnr) written out again in 60-digit
+decimal arithmetic and differenced at a relative step of 1e-25; edits are
 ``dataclasses.replace``.  The minimum detectable power is each closed-form
 model's p_min as it was before the solver built its terms once per solve,
 every term rebuilt on each call.
@@ -24,7 +24,9 @@ import importlib
 import math
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,8 @@ from dtofsim import apd, ranging, scene_link
 from dtofsim.detectors import ApdChoice, DetectorChoice
 from dtofsim.errors import (ConfigError, NoDetectionError,
                             UnboundedRangeError)
-from dtofsim.physconst import (BOLTZMANN, ELEMENTARY_CHARGE,
-                               photon_energy)
+from dtofsim.physconst import (BOLTZMANN, ELEMENTARY_CHARGE, LIGHT_SPEED,
+                               PLANCK, photon_energy)
 from dtofsim.scenario import ScenarioConfig, config_from_dict
 
 
@@ -395,58 +397,122 @@ def reference_edit(name: str, sc, det, pol, f: float):
     return sc, det, pol
 
 
-def reference_sensitivity(scenario, detector, policy, param_name: str,
-                          rel_step: float = 1e-3) -> float:
-    """``ranging.sensitivity`` as it was before it remembered the range
-    partial: each call evaluates g at r_max * exp(+-rel_step) and at both
-    parameter edits (three at a closed bound), with ``reference_edit``.
-    It raises the errors ``sensitivity`` raises, with their messages."""
-    if getattr(detector, "snr_mode", None) == "monte_carlo":
-        raise ConfigError("sensitivity needs a closed-form SNR model; the "
-                          "Monte Carlo range's noise swamps the difference "
-                          "(use snr_mode approx or analytic)")
-    if param_name not in ranging.SENSITIVITY_PARAMS:
-        raise ConfigError(
-            f"unknown parameter {param_name!r}; known: "
-            f"{', '.join(sorted(ranging.SENSITIVITY_PARAMS))}")
-    if not 0.0 < rel_step <= 0.1:
-        raise ConfigError("rel_step must be in (0, 0.1]")
+# the inputs each detector's decimal margin reads, each named as the
+# sensitivity name that scales it; every model also reads tnr
+_DECIMAL_INPUTS = {
+    "apd": ("gain", "quantum_efficiency", "wavelength_m",
+            "excess_noise_index", "surface_dark_current_a",
+            "bulk_dark_current_a", "load_resistance_ohm", "temperature_k",
+            "amplifier_noise_a", "bandwidth_hz", "tnr"),
+    "sipm": ("n_pixels", "pde", "dead_time_s", "dark_count_rate_cps",
+             "pulse_fwhm_s", "wavelength_m", "tnr"),
+}
+DECIMAL_DIGITS = 60
+DECIMAL_LN_STEP = Decimal("1e-25")
 
-    def edit(sc, det, pol, f):
-        return reference_edit(param_name, sc, det, pol, f)
 
-    r = ranging.max_range(scenario, detector, policy).r_max_m
-
-    def g(sc, det, pol, range_m):
-        snr = ranging.snr_at_range(sc, det, range_m)
-        return math.log(snr / pol.tnr) if snr / pol.tnr > 0.0 else -math.inf
-
-    up, down = math.exp(rel_step), math.exp(-rel_step)
-
-    def g_edited(k: int) -> float:
-        return g(*edit(scenario, detector, policy, math.exp(k * rel_step)), r)
-
-    dg_r = (g(scenario, detector, policy, r * up)
-            - g(scenario, detector, policy, r * down))
-    try:
-        above = edit(scenario, detector, policy, up)
-    except ConfigError:
-        dg_p = (3.0 * g(scenario, detector, policy, r) - 4.0 * g_edited(-1)
-                + g_edited(-2))
+def _decimal_margin_apd(x: dict, ionization_rate) -> Decimal:
+    """SNR / tnr of the APD: the multiplied photocurrent over the root
+    of the background, surface and bulk dark, thermal and amplifier
+    variances, with M**2 F(M) of the power law, or of the ionization form
+    where ``ionization_rate`` is not None."""
+    e, m = Decimal(ELEMENTARY_CHARGE), x["gain"]
+    h_nu = Decimal(PLANCK) * Decimal(LIGHT_SPEED) / x["wavelength_m"]
+    k_pd = e * x["quantum_efficiency"] / h_nu
+    if ionization_rate is None:
+        f = (x["excess_noise_index"] * m.ln()).exp()
     else:
-        try:
-            below = edit(scenario, detector, policy, down)
-        except ConfigError:
-            dg_p = (-3.0 * g(scenario, detector, policy, r)
-                    + 4.0 * g(*above, r) - g_edited(2))
-        else:
-            dg_p = g(*above, r) - g(*below, r)
-    if not (math.isfinite(dg_r) and math.isfinite(dg_p)) or dg_r == 0.0:
-        raise ConfigError(
-            f"the elasticity of {param_name} is undefined at r_max "
-            f"{r:g} m: ln(SNR / tnr) there is not finite or not moved by "
-            "the range")
-    return -dg_p / dg_r + 0.0
+        k = Decimal(ionization_rate)
+        f = k * m + (1 - k) * (2 - 1 / m)
+    two_e_bw = 2 * e * x["bandwidth_hz"]
+    variance = (two_e_bw * k_pd * x["p_rs"] * m * m * f
+                + two_e_bw * x["surface_dark_current_a"]
+                + two_e_bw * x["bulk_dark_current_a"] * m * m * f
+                + 4 * Decimal(BOLTZMANN) * x["temperature_k"]
+                * x["bandwidth_hz"] / x["load_resistance_ohm"]
+                + x["amplifier_noise_a"] ** 2)
+    return m * k_pd * x["p_r"] / variance.sqrt() / x["tnr"]
+
+
+def _decimal_margin_sipm(x: dict, approx: bool) -> Decimal:
+    """SNR / tnr of the SiPM: fired pixels over the root of the fired
+    count's no-echo variance, or the photon-budget n_s √(pde / n_b)."""
+    h_nu = Decimal(PLANCK) * Decimal(LIGHT_SPEED) / x["wavelength_m"]
+    n_b_photon = x["p_rs"] * x["dead_time_s"] / h_nu
+    n_s_photon = x["p_r"] * x["pulse_fwhm_s"] / (2 * h_nu)
+    if approx:
+        snr = n_s_photon * (x["pde"] / n_b_photon).sqrt()
+    else:
+        n = x["n_pixels"]
+        e = (-x["pde"] / n).exp() - 1
+        n_d = n * x["dark_count_rate_cps"] * x["dead_time_s"]
+        survival = (n_b_photon * e).exp()
+        n_b = n * (1 - survival)
+        n_s = (n - n_b - n_d) * (1 - (n_s_photon * e).exp())
+        snr = n_s / (n_b * survival + n_d).sqrt()
+    return snr / x["tnr"]
+
+
+def decimal_elasticities(scenario, detector, policy) -> dict[str, float]:
+    """Every sensitivity name's elasticity of ``max_range``'s root, in
+    ``DECIMAL_DIGITS``-digit decimal arithmetic.
+
+    SNR / tnr is written out for each closed-form model above, its inputs
+    ``Decimal`` of the scenario's doubles and of the solve's powers at
+    r_max.  Each partial of g = ln(SNR / tnr) in ln x is a central
+    difference of relative step ``DECIMAL_LN_STEP``; the range's and each
+    link name's partial is its log-exponents in the powers
+    (``range_exponents``, ``LINK_EXPONENTS``) times the partials in ln p_r
+    and ln p_rs.  A name whose input no model reads, and that is no link
+    name, has 0.
+    """
+    solve = ranging.max_range(scenario, detector, policy)
+    params = detector.params
+    if isinstance(detector, ApdChoice):
+        kind = "apd"
+        model = partial(_decimal_margin_apd, ionization_rate=(
+            params.electron_ionization_rate
+            if params.excess_noise_mode == "ionization" else None))
+    else:
+        kind = "sipm"
+        model = partial(_decimal_margin_sipm,
+                        approx=detector.snr_mode == "approx")
+    # each input from the first of these that holds it: the APD's own
+    # wavelength, the laser's for the SiPM
+    holders = (params, scenario.laser, scenario, policy)
+    values = {name: getattr(next(h for h in holders if hasattr(h, name)), name)
+              for name in _DECIMAL_INPUTS[kind]}
+    values.update(p_r=solve.min_detectable_power_w,
+                  p_rs=solve.background_power_w)
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        x = {name: Decimal(value) for name, value in values.items()}
+        up, down = DECIMAL_LN_STEP.exp(), (-DECIMAL_LN_STEP).exp()
+
+        def ln_partial(name: str) -> Decimal:
+            # g(up) - g(down) as one logarithm
+            return ((model({**x, name: x[name] * up})
+                     / model({**x, name: x[name] * down})).ln()
+                    / (2 * DECIMAL_LN_STEP))
+
+        d = ln_partial("p_r"), ln_partial("p_rs")
+
+        def chained(exponents) -> Decimal:
+            return sum(Decimal(a) * b for a, b in zip(exponents, d))
+
+        r = solve.r_max_m
+        dg_r = chained(scene_link.range_exponents(scenario.atmosphere, r))
+        result = {}
+        for name in ranging.SENSITIVITY_PARAMS:
+            if name in scene_link.LINK_EXPONENTS:
+                dg_p = chained(scene_link.LINK_EXPONENTS[name](
+                    scenario.scene, scenario.atmosphere, r))
+            elif name in _DECIMAL_INPUTS[kind]:
+                dg_p = ln_partial(name)
+            else:
+                dg_p = Decimal(0)
+            result[name] = float(-dg_p / dg_r)
+    return result
 
 
 def perfbench_scenarios(seeds) -> list[ScenarioConfig]:

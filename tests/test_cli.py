@@ -301,7 +301,7 @@ class TestSensitivity:
         code, out, _ = run_cli(capsys, "sensitivity", "--detector", "apd",
                                "--param", "wavelength_m")
         assert code == 0
-        assert out.splitlines()[1] == "wavelength_m,0.25603019891975"
+        assert out.splitlines()[1] == "wavelength_m,0.256030197986319"
 
     @pytest.mark.parametrize("detector,param", [
         ("apd", "pde"), ("apd", "n_pixels"), ("sipm", "gain"),
