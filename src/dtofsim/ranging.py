@@ -281,10 +281,9 @@ def _inverted_range(scenario: ScenarioConfig, detector: DetectorChoice,
     return _searched_range(margin, max(_log_margin(p_r1, p_min1), 0.0), 0.0)
 
 
-# (scenario, detector, policy, result, partials) of the last successful
-# max_range; partials is None until sensitivity puts log_partials at r_max
-_last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy, RangeResult,
-                   tuple[float, float, dict] | None] | None = None
+# (scenario, detector, policy, result) of the last successful max_range
+_last_solve: tuple[ScenarioConfig, DetectorChoice, TdcPolicy,
+                   RangeResult] | None = None
 
 
 def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
@@ -318,8 +317,7 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
     ``scenario``, ``detector`` and ``policy`` objects (``is``, not ``==``;
     all three are frozen, and a Monte Carlo detector carries its seed)
     returns the earlier ``RangeResult`` itself and evaluates no SNR.  A
-    solve that raises is not remembered.  ``sensitivity`` keeps the
-    detector's log-partials at ``r_max`` with the solve.
+    solve that raises is not remembered.
     """
     global _last_solve
     last = _last_solve
@@ -364,20 +362,15 @@ def max_range(scenario: ScenarioConfig, detector: DetectorChoice,
                          min_detectable_power_w=p_r, background_power_w=p_rs,
                          evaluations=evaluations,
                          snr_se=getattr(snr, "se", 0.0))
-    _last_solve = (scenario, detector, policy, result, None)
+    _last_solve = (scenario, detector, policy, result)
     return result
 
 
 # --- sensitivity -----------------------------------------------------------
 
-# the scenario sections a field name is searched in, with their classes;
-# ``solar`` is left to the sun_irradiance edit, and ``tdc`` and
-# ``detector`` hold copies the solver ignores
-_SECTIONS = (("scene", scene_link.SceneGeometry),
-             ("atmosphere", scene_link.AtmosphereModel),
-             ("optics", scene_link.ReceiverOptics),
-             ("target", scene_link.TargetModel),
-             ("laser", scene_link.LaserParams))
+# the scenario's link sections; ``solar`` is left to the sun_irradiance
+# edit, and ``tdc`` and ``detector`` hold copies the solver ignores
+_SECTIONS = ("scene", "atmosphere", "optics", "target", "laser")
 
 # parameters scaled wherever a field of their name is declared
 _FIELD_PARAMS = (
@@ -390,12 +383,6 @@ _FIELD_PARAMS = (
     "amplifier_noise_a", "n_pixels", "pde", "dead_time_s",
     "dark_count_rate_cps",
 )
-# the one section that declares each field name, or None; the
-# one-element unpacking fails at import where two sections do
-_SECTION_OF = {
-    name: section for name in _FIELD_PARAMS
-    for section, in [[s for s, cls in _SECTIONS
-                      if name in cls.__dataclass_fields__] or [None]]}
 
 
 def _scaled(obj, name: str, f: float):
@@ -409,9 +396,10 @@ def _edit(name: str, sc: ScenarioConfig, det: DetectorChoice, pol: TdcPolicy,
     ``sun_irradiance`` scales the in-band solar irradiance, which the link
     reads in every solar mode, and ``one_way_transmittance`` the
     atmosphere's field of its mode.  Any other name scales its field in
-    its one scenario section or else the scenario, the detector's
-    parameters and the policy, copying each that declares it once (the
-    laser's and the APD's ``wavelength_m`` move together).
+    every object that declares one: the link sections, the scenario, the
+    detector's parameters and the policy (the laser's and the APD's
+    ``wavelength_m`` move together).  Every other object is returned
+    itself.
     """
     if name == "sun_irradiance":
         e_sun = scene_link.sun_equivalent_irradiance(sc.solar) * f
@@ -422,9 +410,10 @@ def _edit(name: str, sc: ScenarioConfig, det: DetectorChoice, pol: TdcPolicy,
         field = ("one_way_transmittance" if atm.mode == "fixed_transmittance"
                  else "extinction_coeff_per_m")
         return copy_with(sc, "atmosphere", _scaled(atm, field, f)), det, pol
-    if (section := _SECTION_OF[name]) is not None:
-        sc = copy_with(sc, section, _scaled(getattr(sc, section), name, f))
-    elif name in ScenarioConfig.__dataclass_fields__:
+    for section in _SECTIONS:
+        if name in (obj := getattr(sc, section)).__dataclass_fields__:
+            sc = copy_with(sc, section, _scaled(obj, name, f))
+    if name in sc.__dataclass_fields__:
         sc = _scaled(sc, name, f)
     if name in det.params.__dataclass_fields__:
         det = copy_with(det, "params", _scaled(det.params, name, f))
@@ -462,6 +451,10 @@ def log_partials(scenario: ScenarioConfig, detector: DetectorChoice,
         params, _photon_counts(scenario, params, p_r, p_rs))
 
 
+# (result, log_partials at its powers) of the last solve sensitivity read
+_last_partials: tuple[RangeResult, tuple[float, float, dict]] | None = None
+
+
 def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
                 policy: TdcPolicy, param_name: str,
                 rel_step: float = 1e-3) -> float:
@@ -475,10 +468,10 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     + gamma D_s at its log-exponents in the powers (``range_exponents``,
     ``LINK_EXPONENTS``), a detector name's its own, tnr's -1, and any
     other's 0.  Nothing is evaluated, read, edited or differenced after
-    the solve, which keeps the partials for names asked next of the very
-    same objects.  A partial that is not finite, a range partial of 0 and
-    a Monte Carlo detector are ``ConfigError``.  ``rel_step`` is ignored
-    and to be removed.
+    the solve; its partials are kept with its ``RangeResult`` (``is``)
+    for the names asked next.  A partial that is not finite, a range
+    partial of 0 and a Monte Carlo detector are ``ConfigError``.
+    ``rel_step`` is ignored and to be removed.
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "
@@ -488,16 +481,14 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
         raise ConfigError(
             f"unknown parameter {param_name!r}; known: "
             f"{', '.join(sorted(SENSITIVITY_PARAMS))}")
-    global _last_solve
+    global _last_partials
     solve = max_range(scenario, detector, policy)
-    r, last = solve.r_max_m, _last_solve
-    mine = last is not None and last[3] is solve
-    if not mine or (partials := last[4]) is None:
-        partials = log_partials(scenario, detector, solve.min_detectable_power_w,
-                                solve.background_power_w)
-        if mine:
-            _last_solve = (*last[:4], partials)
-    d_r, d_s, own = partials
+    r, last = solve.r_max_m, _last_partials
+    if last is None or last[0] is not solve:
+        last = _last_partials = (solve, log_partials(
+            scenario, detector, solve.min_detectable_power_w,
+            solve.background_power_w))
+    d_r, d_s, own = last[1]
     # a partial of log-exponents (alpha, gamma): alpha D_r + gamma D_s
     alpha, gamma = scene_link.range_exponents(scenario.atmosphere, r)
     dg_r = alpha * d_r + gamma * d_s

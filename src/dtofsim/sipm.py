@@ -64,10 +64,14 @@ DARK_LOAD_WARN_THRESHOLD = 1e-2
 # certain firing (p = 1); 1 - exp(-64) already rounds to 1
 _MAX_HAZARD = 64.0
 
-# caps on the steps of one Monte Carlo trial (its arrays) and of all trials
-# of one estimate (its run time); table1 counts about 2100 and 2.1e6
+# cap on the steps of one Monte Carlo trial, which set its arrays; table1
+# counts about 2100
 MAX_TRIAL_STEPS = 10**6
-MAX_TOTAL_STEPS = 10**9
+# cap on the kernel's work in one estimate, which sets its run time: per
+# trial its steps, and per pixel at most one firing a dead time and a step
+# plus two at the span's ends; table1 counts about 1.7e7, and a unit took
+# 10 to 25 ns on its array and 1 to 3 ns on 1e5 dim pixels (2 CPUs)
+MAX_WORK = 10**9
 # cap on the pixels of one Monte Carlo array, which set a batch's memory;
 # one trial of 10**6 pixels peaks at about 67 MB, interpreter and numpy
 # included
@@ -530,8 +534,8 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     that phase exactly, as the module docstring describes.  The hazard
     kernel is exact in distribution for the per-step firing law, and
     ``_renewal`` states its draw order, batches and memory.  A trial over
-    ``MAX_TRIAL_STEPS`` steps, all trials over ``MAX_TOTAL_STEPS``, or an
-    array over ``MAX_PIXELS`` pixels is a ``ConfigError``.  ``workers`` is
+    ``MAX_TRIAL_STEPS`` steps, an array over ``MAX_PIXELS`` pixels, or a
+    kernel's work over ``MAX_WORK`` is a ``ConfigError``.  ``workers`` is
     ignored; the benchmark harness in ``perfbench/`` still passes it.
     """
     import numpy as np
@@ -553,14 +557,17 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
         raise ConfigError(f"mc.time_step_ns, mc.n_noise_periods: a trial of "
                           f"{trial_steps:.4g} steps exceeds the cap of "
                           f"{MAX_TRIAL_STEPS}")
-    if not mc.n_trials * trial_steps <= MAX_TOTAL_STEPS:
-        raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
-                          f"{trial_steps:.4g} steps exceed the cap of "
-                          f"{MAX_TOTAL_STEPS}")
     n_pix = int(round(params.n_pixels))
     if n_pix > MAX_PIXELS:
         raise ConfigError(f"n_pixels: an array of {n_pix} pixels exceeds the "
                           f"cap of {MAX_PIXELS}")
+    work = mc.n_trials * (trial_steps + n_pix * (
+        trial_steps / (params.dead_time_s / mc.time_step_s + 1.0) + 2.0))
+    if not work <= MAX_WORK:
+        raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
+                          f"{trial_steps:.4g} steps on {n_pix} pixels are "
+                          f"{work:.4g} units of work, over the cap of "
+                          f"{MAX_WORK}")
 
     dt = mc.time_step_s
     dead_steps = max(1, round(params.dead_time_s / dt))

@@ -12,10 +12,12 @@ range solver inverted them.  The photon-limited range of each detector is
 the link equation inverted by hand; it borrows only the library's
 aperture, in-band irradiance, excess-noise and photon-energy helpers.
 Elasticities come from g = ln(SNR / tnr) written out again in 60-digit
-decimal arithmetic and differenced at a relative step of 1e-25; edits are
-``dataclasses.replace``.  The minimum detectable power is each closed-form
-model's p_min as it was before the solver built its terms once per solve,
-every term rebuilt on each call.
+decimal arithmetic and differenced at a relative step of 1e-25, and the
+fixed-transmittance range from the link in the same arithmetic and a
+bisection of that SNR's p_min; edits are ``dataclasses.replace``.  The
+minimum detectable power is each closed-form model's p_min as it was
+before the solver built its terms once per solve, every term rebuilt on
+each call.
 """
 
 from __future__ import annotations
@@ -411,11 +413,12 @@ DECIMAL_DIGITS = 60
 DECIMAL_LN_STEP = Decimal("1e-25")
 
 
-def _decimal_margin_apd(x: dict, ionization_rate) -> Decimal:
-    """SNR / tnr of the APD: the multiplied photocurrent over the root
-    of the background, surface and bulk dark, thermal and amplifier
-    variances, with M**2 F(M) of the power law, or of the ionization form
-    where ``ionization_rate`` is not None."""
+def _decimal_margin_apd(x: dict, ionization_rate):
+    """SNR / tnr of the APD as a function of the echo power p_r: the
+    multiplied photocurrent over the root of the background, surface and
+    bulk dark, thermal and amplifier variances, with M**2 F(M) of the
+    power law, or of the ionization form where ``ionization_rate`` is not
+    None."""
     e, m = Decimal(ELEMENTARY_CHARGE), x["gain"]
     h_nu = Decimal(PLANCK) * Decimal(LIGHT_SPEED) / x["wavelength_m"]
     k_pd = e * x["quantum_efficiency"] / h_nu
@@ -431,26 +434,50 @@ def _decimal_margin_apd(x: dict, ionization_rate) -> Decimal:
                 + 4 * Decimal(BOLTZMANN) * x["temperature_k"]
                 * x["bandwidth_hz"] / x["load_resistance_ohm"]
                 + x["amplifier_noise_a"] ** 2)
-    return m * k_pd * x["p_r"] / variance.sqrt() / x["tnr"]
+    per_watt = m * k_pd / variance.sqrt() / x["tnr"]
+    return lambda p_r: p_r * per_watt
 
 
-def _decimal_margin_sipm(x: dict, approx: bool) -> Decimal:
-    """SNR / tnr of the SiPM: fired pixels over the root of the fired
-    count's no-echo variance, or the photon-budget n_s √(pde / n_b)."""
+def _decimal_margin_sipm(x: dict, approx: bool):
+    """SNR / tnr of the SiPM as a function of the echo power p_r: fired
+    pixels over the root of the fired count's no-echo variance, or the
+    photon-budget n_s √(pde / n_b)."""
     h_nu = Decimal(PLANCK) * Decimal(LIGHT_SPEED) / x["wavelength_m"]
     n_b_photon = x["p_rs"] * x["dead_time_s"] / h_nu
-    n_s_photon = x["p_r"] * x["pulse_fwhm_s"] / (2 * h_nu)
+    photons_per_watt = x["pulse_fwhm_s"] / (2 * h_nu)
     if approx:
-        snr = n_s_photon * (x["pde"] / n_b_photon).sqrt()
+        per_photon = (x["pde"] / n_b_photon).sqrt() / x["tnr"]
+        return lambda p_r: p_r * photons_per_watt * per_photon
+    n = x["n_pixels"]
+    e = (-x["pde"] / n).exp() - 1
+    n_d = n * x["dark_count_rate_cps"] * x["dead_time_s"]
+    survival = (n_b_photon * e).exp()
+    n_b = n * (1 - survival)
+    noise = (n_b * survival + n_d).sqrt() * x["tnr"]
+    return lambda p_r: ((n - n_b - n_d)
+                        * (1 - (p_r * photons_per_watt * e).exp()) / noise)
+
+
+def _decimal_model(scenario, detector, policy):
+    """(kind, SNR / tnr of ``detector`` as a function of the echo power
+    built from the other inputs, those inputs as the scenario's doubles):
+    the APD's own wavelength, the laser's for the SiPM; the powers are
+    left to the caller."""
+    params = detector.params
+    if isinstance(detector, ApdChoice):
+        kind = "apd"
+        model = partial(_decimal_margin_apd, ionization_rate=(
+            params.electron_ionization_rate
+            if params.excess_noise_mode == "ionization" else None))
     else:
-        n = x["n_pixels"]
-        e = (-x["pde"] / n).exp() - 1
-        n_d = n * x["dark_count_rate_cps"] * x["dead_time_s"]
-        survival = (n_b_photon * e).exp()
-        n_b = n * (1 - survival)
-        n_s = (n - n_b - n_d) * (1 - (n_s_photon * e).exp())
-        snr = n_s / (n_b * survival + n_d).sqrt()
-    return snr / x["tnr"]
+        kind = "sipm"
+        model = partial(_decimal_margin_sipm,
+                        approx=detector.snr_mode == "approx")
+    # each input from the first of these that holds it
+    holders = (params, scenario.laser, scenario, policy)
+    values = {name: getattr(next(h for h in holders if hasattr(h, name)), name)
+              for name in _DECIMAL_INPUTS[kind]}
+    return kind, model, values
 
 
 def decimal_elasticities(scenario, detector, policy) -> dict[str, float]:
@@ -467,21 +494,7 @@ def decimal_elasticities(scenario, detector, policy) -> dict[str, float]:
     name, has 0.
     """
     solve = ranging.max_range(scenario, detector, policy)
-    params = detector.params
-    if isinstance(detector, ApdChoice):
-        kind = "apd"
-        model = partial(_decimal_margin_apd, ionization_rate=(
-            params.electron_ionization_rate
-            if params.excess_noise_mode == "ionization" else None))
-    else:
-        kind = "sipm"
-        model = partial(_decimal_margin_sipm,
-                        approx=detector.snr_mode == "approx")
-    # each input from the first of these that holds it: the APD's own
-    # wavelength, the laser's for the SiPM
-    holders = (params, scenario.laser, scenario, policy)
-    values = {name: getattr(next(h for h in holders if hasattr(h, name)), name)
-              for name in _DECIMAL_INPUTS[kind]}
+    kind, model, values = _decimal_model(scenario, detector, policy)
     values.update(p_r=solve.min_detectable_power_w,
                   p_rs=solve.background_power_w)
     with localcontext() as ctx:
@@ -489,10 +502,14 @@ def decimal_elasticities(scenario, detector, policy) -> dict[str, float]:
         x = {name: Decimal(value) for name, value in values.items()}
         up, down = DECIMAL_LN_STEP.exp(), (-DECIMAL_LN_STEP).exp()
 
+        def margin(changes: dict) -> Decimal:
+            inputs = {**x, **changes}
+            return model(inputs)(inputs["p_r"])
+
         def ln_partial(name: str) -> Decimal:
             # g(up) - g(down) as one logarithm
-            return ((model({**x, name: x[name] * up})
-                     / model({**x, name: x[name] * down})).ln()
+            return ((margin({name: x[name] * up})
+                     / margin({name: x[name] * down})).ln()
                     / (2 * DECIMAL_LN_STEP))
 
         d = ln_partial("p_r"), ln_partial("p_rs")
@@ -513,6 +530,81 @@ def decimal_elasticities(scenario, detector, policy) -> dict[str, float]:
                 dg_p = Decimal(0)
             result[name] = float(-dg_p / dg_r)
     return result
+
+
+# pi to DECIMAL_DIGITS digits
+DECIMAL_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494")
+# the relative width at which decimal_max_range's bisection stops
+DECIMAL_ROOT_TOL = Decimal("1e-40")
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    """cos x by its Taylor series, summed until a term no longer moves it."""
+    total = term = Decimal(1)
+    k = 0
+    while True:
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def decimal_max_range(scenario, detector,
+                      policy) -> tuple[Decimal, Decimal, Decimal]:
+    """(p_rs, p_min, r_max) of a closed-form ``detector`` at a fixed
+    transmittance, in ``DECIMAL_DIGITS``-digit decimal arithmetic.
+
+    The echo and background powers at 1 m are the link equations written
+    out again, cos from its Taylor series and pi as a literal; p_rs does
+    not depend on range.  p_min is the echo power at which the decimal
+    SNR / tnr of ``_decimal_margin_apd`` or ``_decimal_margin_sipm`` is 1,
+    bisected to ``DECIMAL_ROOT_TOL`` relative from a bracket that doubles
+    out of the doubles' own root; the range is sqrt(p_r(1 m) / p_min).
+    """
+    scene, optics, solar = scenario.scene, scenario.optics, scenario.solar
+    if (scenario.atmosphere.mode != "fixed_transmittance"
+            or solar.mode != "illuminance_scaled"):
+        raise ConfigError("the decimal range needs a fixed transmittance "
+                          "and an illuminance-scaled sun")
+    _, model, values = _decimal_model(scenario, detector, policy)
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        x = {name: Decimal(value) for name, value in values.items()}
+        d = Decimal
+        tau = d(scenario.atmosphere.one_way_transmittance)
+        rho = d(scenario.target.reflectivity)
+        area = DECIMAL_PI * d(optics.aperture_radius_m) ** 2
+        if optics.aperture_model == "cosine":
+            area *= _decimal_cos(d(scene.elevation_angle_rad))
+        p_r = (tau * tau * d(optics.laser_efficiency) * rho
+               * d(scenario.laser.peak_power_w) * area
+               * _decimal_cos(d(scene.incidence_angle_rad)) / DECIMAL_PI)
+        fov = d(optics.detector_radius_m) / d(optics.focal_length_m)
+        e_sun = (d(solar.reference_irradiance_w_m2)
+                 * d(solar.illuminance_klux)
+                 / d(solar.reference_illuminance_klux))
+        x["p_rs"] = p_rs = (e_sun * d(optics.sun_efficiency) * tau * rho
+                            * area * fov * fov
+                            * _decimal_cos(d(scene.sun_angle_rad)))
+
+        margin = model(x)
+        guess = d(reference_min_signal_power(scenario, detector, policy,
+                                             float(p_rs)))
+        lo, hi = guess / 2, guess * 2
+        while margin(lo) >= 1:
+            lo /= 2
+        while margin(hi) < 1:
+            hi *= 2
+        while hi - lo > DECIMAL_ROOT_TOL * lo:
+            mid = (lo + hi) / 2
+            if margin(mid) < 1:
+                lo = mid
+            else:
+                hi = mid
+        p_min = (lo + hi) / 2
+        return p_rs, p_min, (p_r / p_min).sqrt()
 
 
 def perfbench_scenarios(seeds) -> list[ScenarioConfig]:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 from functools import partial
 
 import numpy as np
@@ -20,7 +21,7 @@ from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, SolarModel,
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import (decimal_elasticities, log_range_root,
+from oracles import (decimal_elasticities, decimal_max_range, log_range_root,
                      perfbench_scenarios, reference_edit,
                      reference_min_signal_power, searched_max_range)
 
@@ -704,6 +705,57 @@ class TestInvertedRange:
                            reference_min_signal_power, sc, det, pol))
             expected = solve()
         assert solve() == expected
+
+
+# the fixed-transmittance range and p_min meet the 60-digit oracle to this
+# many ULPs of its value, bounds set from their float chains before any
+# run: about a dozen roundings in the echo power and in p_min, the
+# analytic SiPM's amplified by its background occupancy near saturation
+# (its eta reaches 2 in perfbench's draws); the range halves both
+P_MIN_ULPS = 32
+R_MAX_ULPS = 24
+
+
+def ulps_from(value: float, exact) -> float:
+    """|value - exact| in ULPs of ``exact`` rounded to a double."""
+    return float(abs(Decimal(value) - exact)) / math.ulp(float(exact))
+
+
+class TestDecimalRange:
+    """``max_range`` and p_min at a fixed transmittance against
+    ``oracles.decimal_max_range``."""
+
+    @staticmethod
+    def inputs(group: str) -> list:
+        """table1 with the APD in both excess-noise modes and with
+        amplifier noise, the SiPM analytic and approx; or the
+        fixed-transmittance draws of perfbench's seeds 1 to 100."""
+        if group == "perfbench":
+            return [config for config in perfbench_scenarios(range(1, 101))
+                    if config.atmosphere.mode == "fixed_transmittance"]
+        apd, sipm_config = table1_preset("apd"), table1_preset("sipm")
+        params = apd.detector.params
+        inputs = [apd, sipm_config, replace(sipm_config, detector=replace(
+            sipm_config.detector, snr_mode="approx"))]
+        for changes in ({"amplifier_noise_a": 2e-8},
+                        {"excess_noise_mode": "ionization",
+                         "electron_ionization_rate": 0.05}):
+            inputs.append(replace(apd, detector=replace(
+                apd.detector, params=replace(params, **changes))))
+        return inputs
+
+    @pytest.mark.parametrize("group", ["table1", "perfbench"])
+    def test_range_and_min_power_meet_the_decimal_oracle(self, group):
+        # p_min at the oracle's background rounded to a double
+        inputs = self.inputs(group)
+        for config in inputs:
+            base = (config, config.detector, config.tdc)
+            p_rs, p_min, r = decimal_max_range(*base)
+            got = ranging._min_signal_power(*base)(float(p_rs))
+            assert ulps_from(got, p_min) <= P_MIN_ULPS, (config, got)
+            got = max_range(*base).r_max_m
+            assert ulps_from(got, r) <= R_MAX_ULPS, (config, got)
+        assert len(inputs) == (5 if group == "table1" else 128)
 
 
 class TestLogMargin:
@@ -1402,13 +1454,38 @@ class TestSensitivity:
         assert set(SENSITIVITY_PARAMS) == expected
 
     @pytest.mark.parametrize("name", ranging._FIELD_PARAMS)
-    def test_a_field_name_has_at_most_one_scenario_owner(self, name):
-        # a field edit copies the one section, or else the scenario itself,
-        # that declares the name
-        sections = [s for s, cls in ranging._SECTIONS
-                    if name in cls.__dataclass_fields__]
-        assert len(sections) <= 1
-        assert not (sections and name in ScenarioConfig.__dataclass_fields__)
+    def test_field_edit_scales_every_declaring_object(self, name):
+        # the field times exactly 1.01 in every link section, the scenario,
+        # the detector's parameters and the policy where it is declared,
+        # all their other fields kept; every other object, the scenario's
+        # solar, tdc and detector copies included, is handed back itself
+        sections = ("scene", "atmosphere", "optics", "target", "laser")
+        declared = 0
+        for detector in ("apd", "sipm"):
+            config = table1_preset(detector)
+            sc, det, pol = SENSITIVITY_PARAMS[name](
+                config, config.detector, config.tdc, 1.01)
+            for kept in ("solar", "tdc", "detector"):
+                assert getattr(sc, kept) is getattr(config, kept)
+            pairs = [(getattr(config, s), getattr(sc, s)) for s in sections]
+            pairs += [(config, sc), (config.detector.params, det.params),
+                      (config.tdc, pol)]
+            for old, new in pairs:
+                if name not in old.__dataclass_fields__:
+                    if old is not config:
+                        assert new is old, (detector, type(old).__name__)
+                    continue
+                declared += 1
+                assert getattr(new, name) == getattr(old, name) * 1.01
+                restored = replace(new, **{name: getattr(old, name)})
+                assert restored == old, (detector, type(old).__name__)
+            # a container is rebuilt only around an edited object
+            assert (sc is config) == (
+                name not in ScenarioConfig.__dataclass_fields__
+                and all(new is old for old, new in pairs[:len(sections)]))
+            assert (det is config.detector) \
+                == (det.params is config.detector.params)
+        assert declared > 0
 
     @pytest.mark.parametrize("name", sorted(SENSITIVITY_PARAMS))
     @pytest.mark.parametrize("det", ["apd", "sipm"])

@@ -334,7 +334,7 @@ class TestMonteCarlo:
         ({"time_step_s": 2.05e-13}, "mc.time_step_ns"),  # 1024390 steps
         ({"time_step_s": 1e-21}, "mc.time_step_ns"),
         ({"n_noise_periods": 10**30}, "mc.n_noise_periods"),
-        ({"n_trials": 476191}, "mc.n_trials"),  # 476191 * 2100 > 1e9
+        ({"n_trials": 476191}, "mc.n_trials"),  # 476191 * 2100 steps > 1e9
         ({"n_trials": 10**30}, "mc.n_trials"),
     ], ids=["noise-periods", "time-step", "time-step-1e-21",
             "noise-periods-1e30", "trials", "trials-1e30"])
@@ -350,8 +350,9 @@ class TestMonteCarlo:
         # 999960 steps in a trial, just under MAX_TRIAL_STEPS
         mc = replace(self.quick_mc(n_trials=2), n_noise_periods=16651)
         assert monte_carlo_snr(*args, mc)[0] > 0
-        # MAX_TOTAL_STEPS scaled down to between 4 and 5 trials of 2100 steps
-        monkeypatch.setattr(sipm, "MAX_TOTAL_STEPS", 4.5 * 2100)
+        # a trial's work is 2100 steps and 400 * (2100 / 61 + 2) firings,
+        # 16670.5; MAX_WORK scaled down to between 4 and 5 trials of it
+        monkeypatch.setattr(sipm, "MAX_WORK", 4.5 * 16670.5)
         assert monte_carlo_snr(*args, self.quick_mc(n_trials=4))[0] > 0
         with pytest.raises(ConfigError, match="mc.n_trials"):
             monte_carlo_snr(*args, self.quick_mc(n_trials=5))
@@ -363,6 +364,21 @@ class TestMonteCarlo:
             with pytest.raises(ConfigError, match="n_pixels.*cap"):
                 monte_carlo_snr(params, photons(50.0), P_RS_REF / 100,
                                 6e-9, 905e-9, self.BW, self.quick_mc())
+        run.assert_not_called()
+
+    def test_work_over_the_cap_is_rejected_before_a_trial(self):
+        # inside the step and pixel caps, with trials x steps just under
+        # 1e9: 1000 trials of 998583 steps at a tenth of the dead time on
+        # 10**6 pixels are about 9e13 units of work, extrapolated to days
+        params = replace(TABLE1_SIPM, n_pixels=sipm.MAX_PIXELS,
+                         dark_count_rate_cps=0.0)
+        mc = replace(self.quick_mc(n_trials=1000), time_step_s=6e-10,
+                     warmup_s=5.99e-4)
+        with mock.patch.object(sipm, "_background") as run:
+            with pytest.raises(ConfigError,
+                               match=r"mc.n_trials: 1000 .*9.078e\+13 .*cap"):
+                monte_carlo_snr(params, photons(50.0), P_RS_REF / 100,
+                                6e-9, 905e-9, self.BW, mc)
         run.assert_not_called()
 
     @pytest.mark.parametrize("p_r,p_rs", [(math.nan, P_RS_REF),
