@@ -475,8 +475,8 @@ def sensitivity(scenario: ScenarioConfig, detector: DetectorChoice,
     """
     if _is_monte_carlo(detector):
         raise ConfigError("sensitivity needs a closed-form SNR model; the "
-                          "Monte Carlo range's noise swamps the difference "
-                          "(use snr_mode approx or analytic)")
+                          "Monte Carlo states no log-partials (use snr_mode "
+                          "approx or analytic)")
     if param_name not in SENSITIVITY_PARAMS:
         raise ConfigError(
             f"unknown parameter {param_name!r}; known: "

@@ -19,11 +19,11 @@ time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
 random number per firing instead of one per pixel and step.  A trial runs
 in two phases, split where the pulse span begins.  In the background
 phase (warm-up and noise periods) the hazard is a constant ``x``, so an
-armed pixel fires ``floor(E / x)`` steps later; pixels still armed, or
-armed again, when the pulse span begins carry into it, which the law's
-lack of memory allows.  The pulse phase searches the span's own summed
-hazard.  Both phases run in ``_renewal``, which states the draw order,
-the batches and their memory.
+armed pixel fires ``floor(E / x)`` steps later.  The pulse phase
+searches the span's own summed hazard.  Both phases run in ``_renewal``,
+which states the draw order, the batches, their memory, and the one
+hand-off: each pixel enters the pulse span at the step it is armed
+from, which the law's lack of memory allows.
 
 ``monte_carlo_snr`` remembers its last background phase: the inputs it
 read, the noise-period counts, each trial's pixels armed at each early
@@ -68,9 +68,10 @@ _MAX_HAZARD = 64.0
 # counts about 2100
 MAX_TRIAL_STEPS = 10**6
 # cap on the kernel's work in one estimate, which sets its run time: per
-# trial its steps, and per pixel at most one firing a dead time and a step
-# plus two at the span's ends; table1 counts about 1.7e7, and a unit took
-# 10 to 25 ns on its array and 1 to 3 ns on 1e5 dim pixels (2 CPUs)
+# trial its steps, and per pixel its expected detections, at most one a
+# dead time and a step, plus two draws at the span's ends; table1 counts
+# 0.9e7 to 1.7e7, and a unit took 8 to 28 ns on its array and on 1e6 dim
+# pixels (2 CPUs), so the cap allows about 30 s
 MAX_WORK = 10**9
 # cap on the pixels of one Monte Carlo array, which set a batch's memory;
 # one trial of 10**6 pixels peaks at about 67 MB, interpreter and numpy
@@ -138,9 +139,10 @@ class SipmMcConfig:
     ``n_noise_periods`` background-only counting periods per trial feed the
     noise estimate.  Trial ``i`` draws from the sub-seed ``(seed, i)``, one
     exponential per pixel firing: first those of its background phase
-    (warm-up and noise periods), then those of its pulse span, each in the
-    order ``_renewal`` states.  ``monte_carlo_snr`` caps the steps and the
-    pixels.
+    (warm-up and noise periods), then those of its pulse span, which starts
+    from the pixels the background phase hands over, each in the order
+    ``_renewal`` states.  ``monte_carlo_snr`` caps the steps, the pixels
+    and the work, which counts each pixel's expected detections.
     """
 
     n_trials: int = 1000
@@ -397,21 +399,24 @@ def _exponentials(rngs: list[np.random.Generator],
 
 
 def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
-             dead_steps: int, fire, step_bin: np.ndarray) -> np.ndarray:
+             dead_steps: int, fire, step_bin: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's pixel firings over the ``step_bin.size`` steps of a
-    phase, summed into the bin ``step_bin[t]`` of each firing step ``t``.
+    phase, and the pixels it hands on to the next: ``(counts, handed)``.
 
     ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``.
     Each round, every armed pixel draws ``E ~ Exp(1)``, and ``fire(key,
     ready)`` turns the draws of the pixels armed at steps ``ready`` into
     ``(t, fires)``: the firing steps of those that fire in the phase, and
-    the mask that picks them.  A pixel fired at ``t`` is armed again at
-    ``t + dead_steps + 1``.  Each generator draws for its own armed pixels
-    in the order of their ready steps, then of their firings, so a trial's
-    counts do not depend on its batch.  Trials run in batches of up to
-    ``_BATCH_SLOTS`` pixels (one trial of a larger array).  A batch holds
-    memory for its pixels and one step grid: each array goes when it is
-    done with, so a round holds at most four arrays over its pixels.
+    the mask that picks them.  Those fired are summed into ``counts[i,
+    step_bin[t]]`` and armed again at ``t + dead_steps + 1``, and those
+    armed at ``steps + k`` are handed on into ``handed[i, k]``.  Each
+    generator draws for its own armed pixels in the order of their ready
+    steps, then of their firings, so a trial's numbers do not depend on
+    its batch.  Trials run in batches of up to ``_BATCH_SLOTS`` pixels
+    (one trial of a larger array).  A batch holds memory for its pixels
+    and one step grid: each array goes when it is done with, so a round
+    holds at most four arrays over its pixels.
     """
     import numpy as np
 
@@ -421,11 +426,14 @@ def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
     per_batch = max(1, _BATCH_SLOTS // max(1, int(ready_at[0].sum())))
     offsets = np.tile(np.arange(held.shape[1]), per_batch)
     counts = np.zeros((len(rngs), n_bins), dtype=np.int64)
+    handed = np.zeros((len(rngs), width), dtype=np.int64)
     for lo in range(0, len(rngs), per_batch):
         batch, armed_at = rngs[lo:lo + per_batch], held[lo:lo + per_batch]
         ready = np.repeat(offsets[:armed_at.size], armed_at.ravel())
         owner = np.repeat(np.arange(len(batch)), armed_at.sum(axis=1))
-        fired = np.zeros(len(batch) * n_bins, dtype=np.int64)
+        # the batch's rows, as flat views
+        fired = counts[lo:lo + len(batch)].reshape(-1)
+        left = handed[lo:lo + len(batch)].reshape(-1)
         while owner.size:
             t, fires = fire(_exponentials(batch, owner), ready)
             owner = owner[fires]
@@ -433,13 +441,17 @@ def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
             bins = owner * n_bins
             bins += step_bin[t]
             fired += np.bincount(bins, minlength=fired.size)
-            del bins
+            bins = owner * width
+            bins += t
             t += width
             armed = t < steps
+            bins = bins[~armed]
+            bins += width - steps
+            left += np.bincount(bins, minlength=left.size)
+            del bins
             ready, owner = t[armed], owner[armed]
             del t
-        counts[lo:lo + len(batch)] = fired.reshape(len(batch), n_bins)
-    return counts
+    return counts, handed
 
 
 def _background(rngs: list[np.random.Generator], n_pix: int,
@@ -450,26 +462,18 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     the per-pixel hazard ``x_bg``.
 
     Returns ``(counts, ready_at)``: each trial's fired pixels summed into
-    the bin ``step_bin[t]`` of each firing step ``t``, and the number of its
-    pixels armed from each step ``k`` of ``0..dead_steps`` of the pulse
-    span.  All pixels start armed at step 0; in ``_renewal`` one armed at
-    ``s`` fires at ``s + floor(E / x_bg)``, the per-step law ``p = 1 -
-    exp(-x_bg)``, and one that does not fire before the pulse span is armed
-    at its start, as the law has no memory.  At ``x_bg`` 0 nothing fires
-    and nothing is drawn.
+    the bin ``step_bin[t]`` of each firing step ``t``, and its ``n_pix``
+    pixels by the step ``k`` of ``0..dead_steps`` of the pulse span they
+    are armed from: those ``_renewal`` hands over, and at ``k = 0`` those
+    still armed at the boundary, as the law has no memory.  All pixels
+    start armed at step 0; in ``_renewal`` one armed at ``s`` fires at ``s
+    + floor(E / x_bg)``, the per-step law ``p = 1 - exp(-x_bg)``.  At
+    ``x_bg`` 0 nothing fires and nothing is drawn.
     """
     import numpy as np
 
     steps = step_bin.size
-    n_bins = int(step_bin.max()) + 1
-    width = dead_steps + 1
     x = min(x_bg, _MAX_HAZARD)
-    # a firing in the last ``width`` steps arms its pixel at the step k = t
-    # + width - steps of the pulse span and ends its phase: it has the bin
-    # n_bins + k of its own
-    tail = np.arange(max(0, steps - width), steps)
-    phase_bin = step_bin.copy()
-    phase_bin[tail] = n_bins + width - steps + tail
 
     def fire(wait, ready):
         wait /= x
@@ -485,13 +489,9 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     # overflows to inf
     armed = np.full((len(rngs), 1), n_pix if x > 0.0 else 0)
     with np.errstate(over="ignore"):
-        counts = _renewal(rngs, armed, dead_steps, fire, phase_bin)
-    fired, ready_at = counts[:, :n_bins], counts[:, n_bins:]
-    np.add.at(fired, (slice(None), step_bin[tail]),
-              ready_at[:, width - tail.size:])
-    # the pixels that did not fire in the tail are armed at the span's start
+        counts, ready_at = _renewal(rngs, armed, dead_steps, fire, step_bin)
     ready_at[:, 0] += n_pix - ready_at.sum(axis=1)
-    return fired, ready_at
+    return counts, ready_at
 
 
 def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
@@ -517,7 +517,7 @@ def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
         key = key[fires]
         return cum[1:].searchsorted(key, side="right"), fires
 
-    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)
+    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)[0]
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -561,29 +561,30 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     if n_pix > MAX_PIXELS:
         raise ConfigError(f"n_pixels: an array of {n_pix} pixels exceeds the "
                           f"cap of {MAX_PIXELS}")
-    work = mc.n_trials * (trial_steps + n_pix * (
-        trial_steps / (params.dead_time_s / mc.time_step_s + 1.0) + 2.0))
+    dt = mc.time_step_s
+    counts = PhotonCounts.from_powers(p_r, p_rs, pulse_fwhm_s,
+                                      wavelength_m, params.dead_time_s)
+    # detected arrivals per pixel and step; dark counts bypass the PDE
+    x_bg = (counts.n_b_photon * params.pde / (params.dead_time_s * n_pix)
+            + params.dark_count_rate_cps) * dt
+    # a pixel fires at most once a dead time and a step, and at most once
+    # a detection
+    firings = min(trial_steps / (params.dead_time_s / dt + 1.0),
+                  x_bg * trial_steps + counts.n_s_photon * params.pde / n_pix)
+    work = mc.n_trials * (trial_steps + n_pix * (firings + 2.0))
     if not work <= MAX_WORK:
         raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
                           f"{trial_steps:.4g} steps on {n_pix} pixels are "
                           f"{work:.4g} units of work, over the cap of "
                           f"{MAX_WORK}")
 
-    dt = mc.time_step_s
     dead_steps = max(1, round(params.dead_time_s / dt))
     period_steps = max(1, round(1.0 / (bandwidth_hz * dt)))
     warm_steps = round(mc.warmup_s / dt)
-    counts = PhotonCounts.from_powers(p_r, p_rs, pulse_fwhm_s,
-                                      wavelength_m, params.dead_time_s)
-
-    # detected-arrival rates per pixel; dark counts bypass the PDE
-    rate_bg = (counts.n_b_photon * params.pde / (params.dead_time_s * n_pix)
-               + params.dark_count_rate_cps)
     profile, window_offset = _pulse_profile(mc, counts.n_s_photon,
                                             pulse_fwhm_s, period_steps)
-    x_pulse = rate_bg * dt + profile * params.pde / n_pix
+    x_pulse = x_bg + profile * params.pde / n_pix
 
-    x_bg = rate_bg * dt
     n_noise = mc.n_noise_periods
     global _last_background
     key = (n_pix, dead_steps, x_bg, warm_steps, n_noise, period_steps,

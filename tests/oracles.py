@@ -13,11 +13,11 @@ the link equation inverted by hand; it borrows only the library's
 aperture, in-band irradiance, excess-noise and photon-energy helpers.
 Elasticities come from g = ln(SNR / tnr) written out again in 60-digit
 decimal arithmetic and differenced at a relative step of 1e-25, and the
-fixed-transmittance range from the link in the same arithmetic and a
-bisection of that SNR's p_min; edits are ``dataclasses.replace``.  The
-minimum detectable power is each closed-form model's p_min as it was
-before the solver built its terms once per solve, every term rebuilt on
-each call.
+range from the link in the same arithmetic and a bisection of that SNR's
+p_min, or of its margin in range under extinction; edits are
+``dataclasses.replace``.  The minimum detectable power is each
+closed-form model's p_min as it was before the solver built its terms
+once per solve, every term rebuilt on each call.
 """
 
 from __future__ import annotations
@@ -551,60 +551,92 @@ def _decimal_cos(x: Decimal) -> Decimal:
         total += term
 
 
+def _decimal_root(below, lo: Decimal, hi: Decimal) -> Decimal:
+    """The point where ``below`` turns false, bisected to
+    ``DECIMAL_ROOT_TOL`` relative once ``lo`` has halved until below and
+    ``hi`` doubled until not."""
+    while not below(lo):
+        lo /= 2
+    while below(hi):
+        hi *= 2
+    while hi - lo > DECIMAL_ROOT_TOL * lo:
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def decimal_max_range(scenario, detector,
                       policy) -> tuple[Decimal, Decimal, Decimal]:
-    """(p_rs, p_min, r_max) of a closed-form ``detector`` at a fixed
-    transmittance, in ``DECIMAL_DIGITS``-digit decimal arithmetic.
+    """(p_rs, p_min, r_max) of a closed-form ``detector``, in
+    ``DECIMAL_DIGITS``-digit decimal arithmetic.
 
-    The echo and background powers at 1 m are the link equations written
-    out again, cos from its Taylor series and pi as a literal; p_rs does
-    not depend on range.  p_min is the echo power at which the decimal
-    SNR / tnr of ``_decimal_margin_apd`` or ``_decimal_margin_sipm`` is 1,
-    bisected to ``DECIMAL_ROOT_TOL`` relative from a bracket that doubles
-    out of the doubles' own root; the range is sqrt(p_r(1 m) / p_min).
+    The echo and background powers are the link equations written out
+    again, cos from its Taylor series, pi as a literal and, under
+    extinction, the transmittance from ``Decimal.exp``.  At a fixed
+    transmittance p_rs does not depend on range: p_min is the echo power
+    at which the decimal SNR / tnr of ``_decimal_margin_apd`` or
+    ``_decimal_margin_sipm`` is 1, bisected from a bracket that doubles
+    out of the doubles' own root, and the range is sqrt(p_r(1 m) /
+    p_min).  Under extinction the range is where that SNR / tnr at the
+    powers of r falls to 1, bisected in r from the bracket [1 m, 2 m]
+    doubled out, and p_rs and p_min are the powers there.  Both
+    bisections stop at ``DECIMAL_ROOT_TOL`` relative.  A range below 1 m
+    is ``NoDetectionError``, as in ``max_range``.
     """
     scene, optics, solar = scenario.scene, scenario.optics, scenario.solar
-    if (scenario.atmosphere.mode != "fixed_transmittance"
-            or solar.mode != "illuminance_scaled"):
-        raise ConfigError("the decimal range needs a fixed transmittance "
-                          "and an illuminance-scaled sun")
+    atm = scenario.atmosphere
+    if solar.mode != "illuminance_scaled":
+        raise ConfigError("the decimal range needs an illuminance-scaled sun")
     _, model, values = _decimal_model(scenario, detector, policy)
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         x = {name: Decimal(value) for name, value in values.items()}
         d = Decimal
-        tau = d(scenario.atmosphere.one_way_transmittance)
         rho = d(scenario.target.reflectivity)
         area = DECIMAL_PI * d(optics.aperture_radius_m) ** 2
         if optics.aperture_model == "cosine":
             area *= _decimal_cos(d(scene.elevation_angle_rad))
-        p_r = (tau * tau * d(optics.laser_efficiency) * rho
-               * d(scenario.laser.peak_power_w) * area
-               * _decimal_cos(d(scene.incidence_angle_rad)) / DECIMAL_PI)
+        # both powers at 1 m through a transmittance of 1
+        echo = (d(optics.laser_efficiency) * rho
+                * d(scenario.laser.peak_power_w) * area
+                * _decimal_cos(d(scene.incidence_angle_rad)) / DECIMAL_PI)
         fov = d(optics.detector_radius_m) / d(optics.focal_length_m)
         e_sun = (d(solar.reference_irradiance_w_m2)
                  * d(solar.illuminance_klux)
                  / d(solar.reference_illuminance_klux))
-        x["p_rs"] = p_rs = (e_sun * d(optics.sun_efficiency) * tau * rho
-                            * area * fov * fov
-                            * _decimal_cos(d(scene.sun_angle_rad)))
+        sun = (e_sun * d(optics.sun_efficiency) * rho * area * fov * fov
+               * _decimal_cos(d(scene.sun_angle_rad)))
 
-        margin = model(x)
-        guess = d(reference_min_signal_power(scenario, detector, policy,
-                                             float(p_rs)))
-        lo, hi = guess / 2, guess * 2
-        while margin(lo) >= 1:
-            lo /= 2
-        while margin(hi) < 1:
-            hi *= 2
-        while hi - lo > DECIMAL_ROOT_TOL * lo:
-            mid = (lo + hi) / 2
-            if margin(mid) < 1:
-                lo = mid
-            else:
-                hi = mid
-        p_min = (lo + hi) / 2
-        return p_rs, p_min, (p_r / p_min).sqrt()
+        if atm.mode == "fixed_transmittance":
+            tau = d(atm.one_way_transmittance)
+            x["p_rs"] = p_rs = tau * sun
+            margin = model(x)
+            guess = d(reference_min_signal_power(scenario, detector, policy,
+                                                 float(p_rs)))
+            p_min = _decimal_root(lambda p: margin(p) < 1, guess / 2,
+                                  guess * 2)
+            r = (tau * tau * echo / p_min).sqrt()
+            if r < 1:
+                raise NoDetectionError("the decimal range is below 1 m")
+        else:
+            k = d(atm.extinction_coeff_per_m)
+
+            def powers(r: Decimal) -> tuple[Decimal, Decimal]:
+                tau = (-k * r).exp()
+                return tau * tau * echo / (r * r), tau * sun
+
+            def detected(r: Decimal) -> bool:
+                p_r, p_rs = powers(r)
+                return model({**x, "p_rs": p_rs})(p_r) >= 1
+
+            if not detected(d(1)):
+                raise NoDetectionError("the decimal SNR is below tnr at 1 m")
+            r = _decimal_root(detected, d(1), d(2))
+            p_min, p_rs = powers(r)
+        return p_rs, p_min, r
 
 
 def perfbench_scenarios(seeds) -> list[ScenarioConfig]:

@@ -350,9 +350,11 @@ class TestMonteCarlo:
         # 999960 steps in a trial, just under MAX_TRIAL_STEPS
         mc = replace(self.quick_mc(n_trials=2), n_noise_periods=16651)
         assert monte_carlo_snr(*args, mc)[0] > 0
-        # a trial's work is 2100 steps and 400 * (2100 / 61 + 2) firings,
-        # 16670.5; MAX_WORK scaled down to between 4 and 5 trials of it
-        monkeypatch.setattr(sipm, "MAX_WORK", 4.5 * 16670.5)
+        # a trial's work is 2100 steps and 400 * (0.1325 + 0.0275 + 2):
+        # each pixel's expected background and signal detections, fewer
+        # than its 2100 / 61 dead times, and two draws at the span's ends,
+        # 2964.0; MAX_WORK scaled down to between 4 and 5 trials of it
+        monkeypatch.setattr(sipm, "MAX_WORK", 4.5 * 2964.0)
         assert monte_carlo_snr(*args, self.quick_mc(n_trials=4))[0] > 0
         with pytest.raises(ConfigError, match="mc.n_trials"):
             monte_carlo_snr(*args, self.quick_mc(n_trials=5))
@@ -369,7 +371,9 @@ class TestMonteCarlo:
     def test_work_over_the_cap_is_rejected_before_a_trial(self):
         # inside the step and pixel caps, with trials x steps just under
         # 1e9: 1000 trials of 998583 steps at a tenth of the dead time on
-        # 10**6 pixels are about 9e13 units of work, extrapolated to days
+        # 10**6 pixels, lit to about 0.15 detections a step, so each fires
+        # once a dead time, are about 9e13 units of work, extrapolated to
+        # days
         params = replace(TABLE1_SIPM, n_pixels=sipm.MAX_PIXELS,
                          dark_count_rate_cps=0.0)
         mc = replace(self.quick_mc(n_trials=1000), time_step_s=6e-10,
@@ -377,9 +381,28 @@ class TestMonteCarlo:
         with mock.patch.object(sipm, "_background") as run:
             with pytest.raises(ConfigError,
                                match=r"mc.n_trials: 1000 .*9.078e\+13 .*cap"):
-                monte_carlo_snr(params, photons(50.0), P_RS_REF / 100,
+                monte_carlo_snr(params, photons(50.0), P_RS_REF * 1e4,
                                 6e-9, 905e-9, self.BW, mc)
         run.assert_not_called()
+
+    def test_work_counts_expected_detections(self, sipm_config):
+        # table1's SiPM with 10**6 dark-free pixels at the powers of 100 m:
+        # a pixel expects 0.005 detections in a trial of 2100 steps, not
+        # the 34 dead times of the most it could fire, so 100 trials are
+        # 2.0e8 units and reach the kernel, and 1000 are 2.0e9
+        params = replace(sipm_config.detector.params, n_pixels=10**6,
+                         dark_count_rate_cps=0.0)
+        args = (params, *ranging.link_powers(sipm_config, 100.0), 6e-9,
+                905e-9, sipm_config.bandwidth_hz)
+        mc = SipmMcConfig.for_dead_time(6e-9, n_trials=100)
+        with mock.patch.object(sipm, "_background",
+                               side_effect=RuntimeError("ran")) as run:
+            with pytest.raises(RuntimeError, match="ran"):
+                monte_carlo_snr(*args, mc)
+            with pytest.raises(ConfigError,
+                               match=r"mc.n_trials: 1000 .*2.008e\+09 .*cap"):
+                monte_carlo_snr(*args, replace(mc, n_trials=1000))
+        run.assert_called_once()
 
     @pytest.mark.parametrize("p_r,p_rs", [(math.nan, P_RS_REF),
                                           (photons(50.0), math.nan),
@@ -624,6 +647,27 @@ class TestKernel:
                 assert (got == np.concatenate(one)).all()
                 assert (got == ref).all()
                 assert (again == ref).all()
+
+    @pytest.mark.parametrize("dead_steps", [1, 7, 60])
+    @pytest.mark.parametrize("x_bg", [1e-6, 1e-3, 0.1, 1.0, sipm._MAX_HAZARD])
+    @pytest.mark.parametrize("n_pix,n_trials", [(20, 6), (5000, 2)],
+                             ids=["trials-in-a-batch", "array-over-a-batch"])
+    def test_the_background_hands_every_pixel_to_the_pulse_span(
+            self, n_pix, n_trials, x_bg, dead_steps):
+        # 60 warm-up steps and four periods of 60; at the largest hazard
+        # every pixel fires at each multiple of dead_steps + 1, so all are
+        # armed again at one step of the pulse span
+        step_bin = np.r_[np.full(60, 4), np.arange(240) // 60]
+        rngs = [np.random.default_rng([5, i]) for i in range(n_trials)]
+        _, ready_at = sipm._background(rngs, n_pix, dead_steps, x_bg,
+                                       step_bin)
+        assert ready_at.shape == (n_trials, dead_steps + 1)
+        assert (ready_at >= 0).all()
+        assert (ready_at.sum(axis=1) == n_pix).all()
+        if x_bg == sipm._MAX_HAZARD:
+            width = dead_steps + 1
+            k = -step_bin.size % width
+            assert (ready_at[:, k] == n_pix).all()
 
     def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
         det = SipmChoice(params=sipm_config.detector.params,
