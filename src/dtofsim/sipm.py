@@ -21,9 +21,11 @@ in two phases, split where the pulse span begins.  In the background
 phase (warm-up and noise periods) the hazard is a constant ``x``, so an
 armed pixel fires ``floor(E / x)`` steps later.  The pulse phase
 searches the span's own summed hazard.  Both phases run in ``_renewal``,
-which states the draw order, the batches, their memory, and the one
-hand-off: each pixel enters the pulse span at the step it is armed
-from, which the law's lack of memory allows.
+which states the draw order, the batches and their memory, and counts
+firings alone.  The hand-off is the background phase's, the one phase
+with a next: ``_background`` bins each step of its last dead time apart,
+so each pixel enters the pulse span at the step it is armed from, which
+the law's lack of memory allows.
 
 ``monte_carlo_snr`` remembers its last background phase: the inputs it
 read, the noise-period counts, each trial's pixels armed at each early
@@ -68,11 +70,16 @@ _MAX_HAZARD = 64.0
 # counts about 2100
 MAX_TRIAL_STEPS = 10**6
 # cap on the kernel's work in one estimate, which sets its run time: per
-# trial its steps, and per pixel its expected detections, at most one a
-# dead time and a step, plus two draws at the span's ends; table1 counts
-# 0.9e7 to 1.7e7, and a unit took 8 to 28 ns on its array and on 1e6 dim
-# pixels (2 CPUs), so the cap allows about 30 s
+# trial its steps and TRIAL_UNITS, and per pixel its expected detections,
+# at most one a dead time and a step, plus two draws at the span's ends;
+# table1 counts 0.9e7 to 1.7e7, and a unit took 8 to 28 ns on its array
+# and on 1e6 dim pixels (2 CPUs), so the cap allows about 30 s
 MAX_WORK = 10**9
+# a trial's own cost in units of work: its generator and Python overhead
+# take about 10**3 units, but the charge is 10**4, so the cap admits at
+# most 10**5 trials, whose remembered states hold about 200 MB; table1's
+# SiPM exits 1 above about 3.7e4 trials
+TRIAL_UNITS = MAX_WORK // 10**5
 # cap on the pixels of one Monte Carlo array, which set a batch's memory;
 # one trial of 10**6 pixels peaks at about 67 MB, interpreter and numpy
 # included
@@ -142,7 +149,8 @@ class SipmMcConfig:
     (warm-up and noise periods), then those of its pulse span, which starts
     from the pixels the background phase hands over, each in the order
     ``_renewal`` states.  ``monte_carlo_snr`` caps the steps, the pixels
-    and the work, which counts each pixel's expected detections.
+    and the work, which counts each trial's own cost and each pixel's
+    expected detections.
     """
 
     n_trials: int = 1000
@@ -399,24 +407,23 @@ def _exponentials(rngs: list[np.random.Generator],
 
 
 def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
-             dead_steps: int, fire, step_bin: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+             dead_steps: int, fire, step_bin: np.ndarray) -> np.ndarray:
     """Each trial's pixel firings over the ``step_bin.size`` steps of a
-    phase, and the pixels it hands on to the next: ``(counts, handed)``.
+    phase, summed into the bin ``step_bin[t]`` of each firing step ``t``.
 
     ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``.
     Each round, every armed pixel draws ``E ~ Exp(1)``, and ``fire(key,
     ready)`` turns the draws of the pixels armed at steps ``ready`` into
     ``(t, fires)``: the firing steps of those that fire in the phase, and
-    the mask that picks them.  Those fired are summed into ``counts[i,
-    step_bin[t]]`` and armed again at ``t + dead_steps + 1``, and those
-    armed at ``steps + k`` are handed on into ``handed[i, k]``.  Each
-    generator draws for its own armed pixels in the order of their ready
-    steps, then of their firings, so a trial's numbers do not depend on
-    its batch.  Trials run in batches of up to ``_BATCH_SLOTS`` pixels
-    (one trial of a larger array).  A batch holds memory for its pixels
-    and one step grid: each array goes when it is done with, so a round
-    holds at most four arrays over its pixels.
+    the mask that picks them.  A pixel fired at ``t`` is armed again at
+    ``t + dead_steps + 1``, or leaves the phase if that is past it; the
+    hand-off to a next phase is ``_background``'s.  Each generator draws
+    for its own armed pixels in the order of their ready steps, then of
+    their firings, so a trial's counts do not depend on its batch.  Trials
+    run in batches of up to ``_BATCH_SLOTS`` pixels (one trial of a larger
+    array).  A batch holds memory for its pixels and one step grid: each
+    array goes when it is done with, so a round holds at most four arrays
+    over its pixels.
     """
     import numpy as np
 
@@ -426,14 +433,12 @@ def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
     per_batch = max(1, _BATCH_SLOTS // max(1, int(ready_at[0].sum())))
     offsets = np.tile(np.arange(held.shape[1]), per_batch)
     counts = np.zeros((len(rngs), n_bins), dtype=np.int64)
-    handed = np.zeros((len(rngs), width), dtype=np.int64)
     for lo in range(0, len(rngs), per_batch):
         batch, armed_at = rngs[lo:lo + per_batch], held[lo:lo + per_batch]
         ready = np.repeat(offsets[:armed_at.size], armed_at.ravel())
         owner = np.repeat(np.arange(len(batch)), armed_at.sum(axis=1))
-        # the batch's rows, as flat views
+        # the batch's rows, as a flat view
         fired = counts[lo:lo + len(batch)].reshape(-1)
-        left = handed[lo:lo + len(batch)].reshape(-1)
         while owner.size:
             t, fires = fire(_exponentials(batch, owner), ready)
             owner = owner[fires]
@@ -441,17 +446,12 @@ def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
             bins = owner * n_bins
             bins += step_bin[t]
             fired += np.bincount(bins, minlength=fired.size)
-            bins = owner * width
-            bins += t
+            del bins
             t += width
             armed = t < steps
-            bins = bins[~armed]
-            bins += width - steps
-            left += np.bincount(bins, minlength=left.size)
-            del bins
             ready, owner = t[armed], owner[armed]
             del t
-    return counts, handed
+    return counts
 
 
 def _background(rngs: list[np.random.Generator], n_pix: int,
@@ -464,16 +464,23 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     Returns ``(counts, ready_at)``: each trial's fired pixels summed into
     the bin ``step_bin[t]`` of each firing step ``t``, and its ``n_pix``
     pixels by the step ``k`` of ``0..dead_steps`` of the pulse span they
-    are armed from: those ``_renewal`` hands over, and at ``k = 0`` those
-    still armed at the boundary, as the law has no memory.  All pixels
+    are armed from.  This phase alone has a next one, so the hand-off is
+    its own: a firing at a step ``t`` of its last dead time arms its pixel
+    at ``k = t + dead_steps + 1 - steps``, and a pixel still armed at the
+    boundary is armed at ``k = 0``, as the law has no memory.  All pixels
     start armed at step 0; in ``_renewal`` one armed at ``s`` fires at ``s
     + floor(E / x_bg)``, the per-step law ``p = 1 - exp(-x_bg)``.  At
     ``x_bg`` 0 nothing fires and nothing is drawn.
     """
     import numpy as np
 
-    steps = step_bin.size
+    steps, n_bins = step_bin.size, int(step_bin.max()) + 1
+    width = dead_steps + 1
     x = min(x_bg, _MAX_HAZARD)
+    # each step of the last dead time has the bin n_bins + k of its own
+    tail = np.arange(max(0, steps - width), steps)
+    phase_bin = step_bin.copy()
+    phase_bin[tail] = n_bins + width - steps + tail
 
     def fire(wait, ready):
         wait /= x
@@ -489,7 +496,12 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
     # overflows to inf
     armed = np.full((len(rngs), 1), n_pix if x > 0.0 else 0)
     with np.errstate(over="ignore"):
-        counts, ready_at = _renewal(rngs, armed, dead_steps, fire, step_bin)
+        counts = _renewal(rngs, armed, dead_steps, fire, phase_bin)
+    # the own bins are the hand-off, and their firings go back into the
+    # bins of their steps
+    counts, ready_at = counts[:, :n_bins], counts[:, n_bins:]
+    np.add.at(counts, (slice(None), step_bin[tail]),
+              ready_at[:, width - tail.size:])
     ready_at[:, 0] += n_pix - ready_at.sum(axis=1)
     return counts, ready_at
 
@@ -517,7 +529,7 @@ def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
         key = key[fires]
         return cum[1:].searchsorted(key, side="right"), fires
 
-    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)[0]
+    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -571,7 +583,8 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     # a detection
     firings = min(trial_steps / (params.dead_time_s / dt + 1.0),
                   x_bg * trial_steps + counts.n_s_photon * params.pde / n_pix)
-    work = mc.n_trials * (trial_steps + n_pix * (firings + 2.0))
+    work = mc.n_trials * (trial_steps + TRIAL_UNITS
+                          + n_pix * (firings + 2.0))
     if not work <= MAX_WORK:
         raise ConfigError(f"mc.n_trials: {mc.n_trials} trials of "
                           f"{trial_steps:.4g} steps on {n_pix} pixels are "

@@ -568,17 +568,59 @@ def _decimal_root(below, lo: Decimal, hi: Decimal) -> Decimal:
     return (lo + hi) / 2
 
 
+def _decimal_powers(scenario):
+    """powers(r): the echo and background powers, W, at the ``Decimal``
+    range r, in the caller's decimal context: the link equations written
+    out again, cos from its Taylor series, pi as a literal and, under
+    extinction, the one-way transmittance from ``Decimal.exp``."""
+    scene, optics, solar = scenario.scene, scenario.optics, scenario.solar
+    atm = scenario.atmosphere
+    if solar.mode != "illuminance_scaled":
+        raise ConfigError("the decimal link needs an illuminance-scaled sun")
+    d = Decimal
+    rho = d(scenario.target.reflectivity)
+    area = DECIMAL_PI * d(optics.aperture_radius_m) ** 2
+    if optics.aperture_model == "cosine":
+        area *= _decimal_cos(d(scene.elevation_angle_rad))
+    # both powers at 1 m through a transmittance of 1
+    echo = (d(optics.laser_efficiency) * rho
+            * d(scenario.laser.peak_power_w) * area
+            * _decimal_cos(d(scene.incidence_angle_rad)) / DECIMAL_PI)
+    fov = d(optics.detector_radius_m) / d(optics.focal_length_m)
+    e_sun = (d(solar.reference_irradiance_w_m2) * d(solar.illuminance_klux)
+             / d(solar.reference_illuminance_klux))
+    sun = (e_sun * d(optics.sun_efficiency) * rho * area * fov * fov
+           * _decimal_cos(d(scene.sun_angle_rad)))
+
+    def powers(r: Decimal) -> tuple[Decimal, Decimal]:
+        tau = (d(atm.one_way_transmittance)
+               if atm.mode == "fixed_transmittance"
+               else (-d(atm.extinction_coeff_per_m) * r).exp())
+        return tau * tau * echo / (r * r), tau * sun
+    return powers
+
+
+def decimal_snr_at_range(scenario, detector, policy, r: float) -> Decimal:
+    """The SNR of a closed-form ``detector`` at the range ``r``, in
+    ``DECIMAL_DIGITS``-digit decimal arithmetic: tnr times its decimal SNR
+    / tnr at the powers of ``_decimal_powers``."""
+    _, model, values = _decimal_model(scenario, detector, policy)
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        x = {name: Decimal(value) for name, value in values.items()}
+        p_r, x["p_rs"] = _decimal_powers(scenario)(Decimal(r))
+        return x["tnr"] * model(x)(p_r)
+
+
 def decimal_max_range(scenario, detector,
                       policy) -> tuple[Decimal, Decimal, Decimal]:
     """(p_rs, p_min, r_max) of a closed-form ``detector``, in
-    ``DECIMAL_DIGITS``-digit decimal arithmetic.
+    ``DECIMAL_DIGITS``-digit decimal arithmetic, at the powers of
+    ``_decimal_powers``.
 
-    The echo and background powers are the link equations written out
-    again, cos from its Taylor series, pi as a literal and, under
-    extinction, the transmittance from ``Decimal.exp``.  At a fixed
-    transmittance p_rs does not depend on range: p_min is the echo power
-    at which the decimal SNR / tnr of ``_decimal_margin_apd`` or
-    ``_decimal_margin_sipm`` is 1, bisected from a bracket that doubles
+    At a fixed transmittance p_rs does not depend on range: p_min is the
+    echo power at which the decimal SNR / tnr of ``_decimal_margin_apd``
+    or ``_decimal_margin_sipm`` is 1, bisected from a bracket that doubles
     out of the doubles' own root, and the range is sqrt(p_r(1 m) /
     p_min).  Under extinction the range is where that SNR / tnr at the
     powers of r falls to 1, bisected in r from the bracket [1 m, 2 m]
@@ -586,48 +628,24 @@ def decimal_max_range(scenario, detector,
     bisections stop at ``DECIMAL_ROOT_TOL`` relative.  A range below 1 m
     is ``NoDetectionError``, as in ``max_range``.
     """
-    scene, optics, solar = scenario.scene, scenario.optics, scenario.solar
-    atm = scenario.atmosphere
-    if solar.mode != "illuminance_scaled":
-        raise ConfigError("the decimal range needs an illuminance-scaled sun")
     _, model, values = _decimal_model(scenario, detector, policy)
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         x = {name: Decimal(value) for name, value in values.items()}
         d = Decimal
-        rho = d(scenario.target.reflectivity)
-        area = DECIMAL_PI * d(optics.aperture_radius_m) ** 2
-        if optics.aperture_model == "cosine":
-            area *= _decimal_cos(d(scene.elevation_angle_rad))
-        # both powers at 1 m through a transmittance of 1
-        echo = (d(optics.laser_efficiency) * rho
-                * d(scenario.laser.peak_power_w) * area
-                * _decimal_cos(d(scene.incidence_angle_rad)) / DECIMAL_PI)
-        fov = d(optics.detector_radius_m) / d(optics.focal_length_m)
-        e_sun = (d(solar.reference_irradiance_w_m2)
-                 * d(solar.illuminance_klux)
-                 / d(solar.reference_illuminance_klux))
-        sun = (e_sun * d(optics.sun_efficiency) * rho * area * fov * fov
-               * _decimal_cos(d(scene.sun_angle_rad)))
-
-        if atm.mode == "fixed_transmittance":
-            tau = d(atm.one_way_transmittance)
-            x["p_rs"] = p_rs = tau * sun
+        powers = _decimal_powers(scenario)
+        if scenario.atmosphere.mode == "fixed_transmittance":
+            echo, p_rs = powers(d(1))
+            x["p_rs"] = p_rs
             margin = model(x)
             guess = d(reference_min_signal_power(scenario, detector, policy,
                                                  float(p_rs)))
             p_min = _decimal_root(lambda p: margin(p) < 1, guess / 2,
                                   guess * 2)
-            r = (tau * tau * echo / p_min).sqrt()
+            r = (echo / p_min).sqrt()
             if r < 1:
                 raise NoDetectionError("the decimal range is below 1 m")
         else:
-            k = d(atm.extinction_coeff_per_m)
-
-            def powers(r: Decimal) -> tuple[Decimal, Decimal]:
-                tau = (-k * r).exp()
-                return tau * tau * echo / (r * r), tau * sun
-
             def detected(r: Decimal) -> bool:
                 p_r, p_rs = powers(r)
                 return model({**x, "p_rs": p_rs})(p_r) >= 1

@@ -21,7 +21,8 @@ from dtofsim.scene_link import (LINK_EXPONENTS, AtmosphereModel, SolarModel,
 from dtofsim.sweeps import format_number
 from dtofsim.tdc import TdcPolicy
 
-from oracles import (decimal_elasticities, decimal_max_range, log_range_root,
+from oracles import (decimal_elasticities, decimal_max_range,
+                     decimal_snr_at_range, log_range_root,
                      perfbench_scenarios, reference_edit,
                      reference_min_signal_power, searched_max_range)
 
@@ -719,6 +720,12 @@ R_MAX_ULPS = 24
 # 5.7e-15 below the 100 km cap, 51 ULPs of r, and the margin's own
 # roundings add a few
 R_MAX_EXTINCTION_ULPS = 64
+# snr_at_range meets the oracle's SNR to this many ULPs, set before any
+# run: about a dozen roundings in each power, with up to 2 (k r + 1) more
+# in the echo's exp(-k r) squared under extinction (k r of a few at most
+# in these inputs), and as many again in the SNR, the SiPM's amplified by
+# its occupancy near saturation, as for p_min
+SNR_ULPS = 32
 
 
 def ulps_from(value: float, exact) -> float:
@@ -780,6 +787,23 @@ class TestDecimalRange:
             assert ulps_from(got, p_min) <= P_MIN_ULPS, (config, got)
             got = max_range(*base).r_max_m
             assert ulps_from(got, r) <= r_max_ulps, (config, got)
+        assert (len(inputs), misses) == self.SIZES[group]
+
+    @pytest.mark.parametrize("group", list(SIZES))
+    def test_snr_at_range_meets_the_decimal_oracle(self, group):
+        # at 1 m, at 100 m and at the solve's r_max, where there is one
+        inputs, misses = self.inputs(group), 0
+        for config in inputs:
+            base = (config, config.detector, config.tdc)
+            ranges = [1.0, 100.0]
+            try:
+                ranges.append(max_range(*base).r_max_m)
+            except NoDetectionError:
+                misses += 1
+            for r in ranges:
+                got = ranging.snr_at_range(config, config.detector, r)
+                exact = decimal_snr_at_range(*base, r)
+                assert ulps_from(got, exact) <= SNR_ULPS, (config, r, got)
         assert (len(inputs), misses) == self.SIZES[group]
 
 

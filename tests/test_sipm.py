@@ -350,11 +350,13 @@ class TestMonteCarlo:
         # 999960 steps in a trial, just under MAX_TRIAL_STEPS
         mc = replace(self.quick_mc(n_trials=2), n_noise_periods=16651)
         assert monte_carlo_snr(*args, mc)[0] > 0
-        # a trial's work is 2100 steps and 400 * (0.1325 + 0.0275 + 2):
-        # each pixel's expected background and signal detections, fewer
-        # than its 2100 / 61 dead times, and two draws at the span's ends,
-        # 2964.0; MAX_WORK scaled down to between 4 and 5 trials of it
-        monkeypatch.setattr(sipm, "MAX_WORK", 4.5 * 2964.0)
+        # a trial's work is 2100 steps, TRIAL_UNITS and 400 * (0.1325 +
+        # 0.0275 + 2): each pixel's expected background and signal
+        # detections, fewer than its 2100 / 61 dead times, and two draws at
+        # the span's ends, 12964.0; MAX_WORK scaled down to between 4 and 5
+        # trials of it
+        assert sipm.TRIAL_UNITS == 10**4
+        monkeypatch.setattr(sipm, "MAX_WORK", 4.5 * 12964.0)
         assert monte_carlo_snr(*args, self.quick_mc(n_trials=4))[0] > 0
         with pytest.raises(ConfigError, match="mc.n_trials"):
             monte_carlo_snr(*args, self.quick_mc(n_trials=5))
@@ -388,8 +390,9 @@ class TestMonteCarlo:
     def test_work_counts_expected_detections(self, sipm_config):
         # table1's SiPM with 10**6 dark-free pixels at the powers of 100 m:
         # a pixel expects 0.005 detections in a trial of 2100 steps, not
-        # the 34 dead times of the most it could fire, so 100 trials are
-        # 2.0e8 units and reach the kernel, and 1000 are 2.0e9
+        # the 34 dead times of the most it could fire, so with TRIAL_UNITS
+        # 100 trials are 2.0e8 units and reach the kernel, and 1000 are
+        # 2.0e9
         params = replace(sipm_config.detector.params, n_pixels=10**6,
                          dark_count_rate_cps=0.0)
         args = (params, *ranging.link_powers(sipm_config, 100.0), 6e-9,
@@ -400,9 +403,29 @@ class TestMonteCarlo:
             with pytest.raises(RuntimeError, match="ran"):
                 monte_carlo_snr(*args, mc)
             with pytest.raises(ConfigError,
-                               match=r"mc.n_trials: 1000 .*2.008e\+09 .*cap"):
+                               match=r"mc.n_trials: 1000 .*2.018e\+09 .*cap"):
                 monte_carlo_snr(*args, replace(mc, n_trials=1000))
         run.assert_called_once()
+
+    def test_work_charges_each_trial_for_itself(self, tmp_path):
+        # table1's SiPM with one dark-free pixel and 5e6 trials of 124
+        # steps: without TRIAL_UNITS its 6.8e8 units would pass the cap
+        # and build 5e6 generators, about 9 GB; with it they are 5.068e10
+        data = scenario_to_dict(table1_preset("sipm"))
+        data["detector"].update(
+            n_pixels=1, dark_count_rate_cps=0, snr_mode="monte_carlo",
+            mc={"n_trials": 5 * 10**6, "time_step_ns": 0.5,
+                "warmup_ns": 20, "n_noise_periods": 2})
+        path = tmp_path / "one_pixel.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        config = load_scenario(str(path))
+        with mock.patch.object(sipm, "_background") as run, \
+                mock.patch("numpy.random.Generator") as generator:
+            with pytest.raises(ConfigError, match=r"mc.n_trials: 5000000 "
+                               r"trials .*5.068e\+10 units .*over the cap"):
+                ranging.max_range(config, config.detector, config.tdc)
+        run.assert_not_called()
+        generator.assert_not_called()
 
     @pytest.mark.parametrize("p_r,p_rs", [(math.nan, P_RS_REF),
                                           (photons(50.0), math.nan),
@@ -668,6 +691,37 @@ class TestKernel:
             width = dead_steps + 1
             k = -step_bin.size % width
             assert (ready_at[:, k] == n_pix).all()
+
+    @pytest.mark.parametrize("dead_steps", [1, 7, 60])
+    @pytest.mark.parametrize("x_bg", [1e-6, 1e-3, 0.1, 1.0, sipm._MAX_HAZARD])
+    @pytest.mark.parametrize("across", [False, True],
+                             ids=["last-dead-time-in-one-period",
+                                  "last-dead-time-across-periods"])
+    @pytest.mark.parametrize("n_pix,n_trials", [(20, 6), (5000, 2)],
+                             ids=["trials-in-a-batch", "array-over-a-batch"])
+    def test_the_hand_off_bins_are_exact(self, n_pix, n_trials, across,
+                                         x_bg, dead_steps):
+        # the draws do not depend on the bin map, so a run with one bin per
+        # step shows where every firing fell: summed by period it gives the
+        # noise-period counts, and a firing at step steps - width + k arms
+        # its pixel at step k of the pulse span
+        width = dead_steps + 1
+        period_steps = max(1, width // 3) if across else width + 20
+        step_bin = np.r_[np.full(60, 4), np.arange(4 * period_steps)
+                         // period_steps]
+        steps = step_bin.size
+
+        def run(bins):
+            rngs = [np.random.default_rng([6, i]) for i in range(n_trials)]
+            return sipm._background(rngs, n_pix, dead_steps, x_bg, bins)
+
+        per_period, ready_at = run(step_bin)
+        per_step, ready_again = run(np.arange(steps))
+        summed = np.zeros_like(per_period)
+        np.add.at(summed, (slice(None), step_bin), per_step)
+        assert (per_period == summed).all()
+        assert (ready_at == ready_again).all()
+        assert (ready_at[:, 1:] == per_step[:, steps - width + 1:]).all()
 
     def test_table1_monte_carlo_range_is_pinned(self, sipm_config):
         det = SipmChoice(params=sipm_config.detector.params,
