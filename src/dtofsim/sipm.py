@@ -19,21 +19,22 @@ time.  That is exactly the per-step law ``p_t = 1 - exp(-x_t)``, with one
 random number per firing instead of one per pixel and step.  A trial runs
 in two phases, split where the pulse span begins.  In the background
 phase (warm-up and noise periods) the hazard is a constant ``x``, so an
-armed pixel fires ``floor(E / x)`` steps later.  The pulse phase
-searches the span's own summed hazard.  Both phases run in ``_renewal``,
-which states the draw order, the batches and their memory, and counts
-firings alone.  The hand-off is the background phase's, the one phase
-with a next: ``_background`` bins each step of its last dead time apart,
-so each pixel enters the pulse span at the step it is armed from, which
-the law's lack of memory allows.
+armed pixel fires ``floor(E / x)`` steps later.  The pulse phase bins
+each firing by the span's own summed hazard at its bins' edges, and
+finds its step only for a pixel armed again in the span.  Both phases
+run in ``_renewal``, which states the draw order, the batches and their
+memory, and counts firings alone.  The hand-off is the background
+phase's, the one phase with a next: ``_background`` bins each step of
+its last dead time apart, so each pixel enters the pulse span at the
+step it is armed from, which the law's lack of memory allows.
 
 ``monte_carlo_snr`` remembers its last background phase: the inputs it
-read, the noise-period counts, each trial's pixels armed at each early
-step of the pulse span, and each trial's generator with its state after
-the phase.  An evaluation with the same background inputs, as at every
-range of a fixed-transmittance solve, restores those states and runs the
-pulse phase alone, so it gives the same numbers as a recompute, bit for
-bit.
+read, the noise periods' mean and standard deviation, each trial's
+pixels armed at each early step of the pulse span, and each trial's
+generator with its state after the phase.  An evaluation with the same
+background inputs, as at every range of a fixed-transmittance solve,
+restores those states and runs the pulse phase alone, so it gives the
+same numbers as a recompute, bit for bit.
 
 Only the Monte Carlo uses numpy, and it imports numpy on first use, so
 the analytic model and ``import dtofsim`` start without it.
@@ -407,27 +408,28 @@ def _exponentials(rngs: list[np.random.Generator],
 
 
 def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
-             dead_steps: int, fire, step_bin: np.ndarray) -> np.ndarray:
-    """Each trial's pixel firings over the ``step_bin.size`` steps of a
-    phase, summed into the bin ``step_bin[t]`` of each firing step ``t``.
+             dead_steps: int, fire, steps: int, n_bins: int) -> np.ndarray:
+    """Each trial's pixel firings over the ``steps`` steps of a phase,
+    summed into ``n_bins`` bins.
 
     ``ready_at[i, k]`` of trial ``i``'s pixels are armed from step ``k``.
     Each round, every armed pixel draws ``E ~ Exp(1)``, and ``fire(key,
     ready)`` turns the draws of the pixels armed at steps ``ready`` into
-    ``(t, fires)``: the firing steps of those that fire in the phase, and
-    the mask that picks them.  A pixel fired at ``t`` is armed again at
-    ``t + dead_steps + 1``, or leaves the phase if that is past it; the
-    hand-off to a next phase is ``_background``'s.  Each generator draws
-    for its own armed pixels in the order of their ready steps, then of
-    their firings, so a trial's counts do not depend on its batch.  Trials
-    run in batches of up to ``_BATCH_SLOTS`` pixels (one trial of a larger
-    array).  A batch holds memory for its pixels and one step grid: each
-    array goes when it is done with, so a round holds at most four arrays
-    over its pixels.
+    ``(fires, bins, again, t)``: the mask that picks those that fire in the
+    phase, the bin of each of their firings, the mask that picks the
+    firings whose pixel is armed again in the phase, and the firing steps
+    ``t`` of those.  A pixel fired at ``t`` is armed again at ``t +
+    dead_steps + 1``, or leaves the phase if that is past it; the hand-off
+    to a next phase is ``_background``'s.  Each generator draws for its own
+    armed pixels in the order of their ready steps, then of their firings,
+    so a trial's counts do not depend on its batch.  Trials run in batches
+    of up to ``_BATCH_SLOTS`` pixels (one trial of a larger array).  A
+    batch holds memory for its pixels, and ``fire`` the phase's step
+    grids: each array goes when it is done with, so a round holds at most
+    four arrays over its pixels.
     """
     import numpy as np
 
-    steps, n_bins = step_bin.size, int(step_bin.max()) + 1
     width = dead_steps + 1
     held = ready_at[:, :steps]
     per_batch = max(1, _BATCH_SLOTS // max(1, int(ready_at[0].sum())))
@@ -440,17 +442,14 @@ def _renewal(rngs: list[np.random.Generator], ready_at: np.ndarray,
         # the batch's rows, as a flat view
         fired = counts[lo:lo + len(batch)].reshape(-1)
         while owner.size:
-            t, fires = fire(_exponentials(batch, owner), ready)
+            fires, bins, again, t = fire(_exponentials(batch, owner), ready)
             owner = owner[fires]
             del ready, fires
-            bins = owner * n_bins
-            bins += step_bin[t]
+            bins += owner * n_bins
             fired += np.bincount(bins, minlength=fired.size)
             del bins
-            t += width
-            armed = t < steps
-            ready, owner = t[armed], owner[armed]
-            del t
+            owner, ready = owner[again], t + width
+            del again, t
     return counts
 
 
@@ -490,13 +489,16 @@ def _background(rngs: list[np.random.Generator], n_pix: int,
         del wait
         t += ready
         fires = t < steps
-        return t[fires], fires
+        t = t[fires]
+        again = t < steps - width
+        return fires, phase_bin[t], again, t[again]
 
     # at x_bg 0 no pixel is armed, so none draws; near 0, E / x_bg
     # overflows to inf
     armed = np.full((len(rngs), 1), n_pix if x > 0.0 else 0)
     with np.errstate(over="ignore"):
-        counts = _renewal(rngs, armed, dead_steps, fire, phase_bin)
+        counts = _renewal(rngs, armed, dead_steps, fire, steps,
+                          n_bins + width)
     # the own bins are the hand-off, and their firings go back into the
     # bins of their steps
     counts, ready_at = counts[:, :n_bins], counts[:, n_bins:]
@@ -514,11 +516,20 @@ def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
     the bin ``step_bin[t]`` of each firing step ``t``, from the ``ready_at``
     ``_background`` leaves.  In ``_renewal`` a pixel armed at ``s`` fires at
     the first ``t`` with ``cum[t + 1] > cum[s] + E``, where ``cum[t]`` is
-    the hazard summed over the steps before ``t``.
+    the hazard summed over the steps before ``t``.  As ``cum`` never
+    decreases, ``t`` is at or after a step ``b`` exactly when ``cum[b] <=
+    cum[s] + E``: so a firing's bin is found among the summed hazards at
+    the starts of ``step_bin``'s runs, and its step only when its pixel is
+    armed again in the span.
     """
     import numpy as np
 
     cum = np.concatenate([[0.0], np.cumsum(np.minimum(x_pulse, _MAX_HAZARD))])
+    starts = np.flatnonzero(step_bin[1:] != step_bin[:-1]) + 1
+    edges = cum[starts]
+    run_bin = np.concatenate((step_bin[:1], step_bin[starts]))
+    # fired before this step, a pixel is armed again in the span
+    last = max(0, x_pulse.size - dead_steps - 1)
 
     def fire(key, ready):
         key += cum[ready]  # the key cum[s] + E
@@ -527,9 +538,14 @@ def _pulse(rngs: list[np.random.Generator], ready_at: np.ndarray,
         # cum[t + 1] > key, so t >= s, and never on a zero-hazard step
         fires = key < cum[-1]
         key = key[fires]
-        return cum[1:].searchsorted(key, side="right"), fires
+        again = key < cum[last]
+        t = cum[1:].searchsorted(key[again], side="right")
+        run = edges.searchsorted(key, side="right")
+        del key
+        return fires, run_bin[run], again, t
 
-    return _renewal(rngs, ready_at, dead_steps, fire, step_bin)
+    return _renewal(rngs, ready_at, dead_steps, fire, x_pulse.size,
+                    int(step_bin.max()) + 1)
 
 
 def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
@@ -543,7 +559,8 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     different operating points share random numbers.  Evaluations whose
     background inputs are equal (pixels, dead time, background hazard,
     warm-up, noise periods and their length, seed and trial count) share
-    that phase exactly, as the module docstring describes.  The hazard
+    that phase and its noise statistics exactly, as the module docstring
+    describes.  The hazard
     kernel is exact in distribution for the per-step firing law, and
     ``_renewal`` states its draw order, batches and memory.  A trial over
     ``MAX_TRIAL_STEPS`` steps, an array over ``MAX_PIXELS`` pixels, or a
@@ -603,7 +620,7 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
     key = (n_pix, dead_steps, x_bg, warm_steps, n_noise, period_steps,
            mc.seed, mc.n_trials)
     if _last_background is not None and _last_background[0] == key:
-        _, rngs, states, per_period, ready_at = _last_background
+        _, rngs, states, baseline, noise_std, ready_at = _last_background
         for rng, state in zip(rngs, states):
             rng.bit_generator.state = state
     else:
@@ -616,28 +633,25 @@ def monte_carlo_snr(params: SipmParams, p_r: float, p_rs: float,
             np.arange(n_noise * period_steps) // period_steps])
         counts, ready_at = _background(rngs, n_pix, dead_steps, x_bg,
                                        step_bin)
-        per_period = counts[:, :n_noise]
+        background = counts[:, :n_noise].ravel().astype(float)
+        baseline = float(background.mean())
+        noise_std = float(background.std(ddof=1))
         _last_background = (key, rngs,
                             [rng.bit_generator.state for rng in rngs],
-                            per_period, ready_at)
-    # bin 1 is the counting period at the pulse
-    pulse_bin = np.zeros(x_pulse.size, dtype=np.int64)
-    pulse_bin[window_offset:window_offset + period_steps] = 1
-    pulse_counts = _pulse(rngs, ready_at, dead_steps, x_pulse,
-                          pulse_bin)[:, 1]
-    background = per_period.ravel().astype(float)
-    pulse_counts = pulse_counts.astype(float)
-
-    baseline = float(background.mean())
-    noise_std = float(background.std(ddof=1))
+                            baseline, noise_std, ready_at)
     if noise_std == 0.0:
         raise SipmSaturationError(
             "background-only fired counts show no fluctuation; the noise "
             "statistic is undefined at this operating point")
+    # bin 1 is the counting period at the pulse
+    pulse_bin = np.zeros(x_pulse.size, dtype=np.int64)
+    pulse_bin[window_offset:window_offset + period_steps] = 1
+    pulse_counts = _pulse(rngs, ready_at, dead_steps, x_pulse,
+                          pulse_bin)[:, 1].astype(float)
     signal = float(pulse_counts.mean()) - baseline
     snr = signal / noise_std
 
-    n_bg = background.size
+    n_bg = mc.n_trials * n_noise
     se_signal = math.sqrt(pulse_counts.var(ddof=1) / mc.n_trials
                           + noise_std * noise_std / n_bg)
     se_noise = noise_std / math.sqrt(2.0 * (n_bg - 1))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import re
@@ -505,6 +507,44 @@ def run_trials(rngs, n_pix, dead_steps, x_bg, warm_steps, n_noise_periods,
     return per_period[:, :n_noise_periods], pulse_counts
 
 
+class StubDraws:
+    """A stand-in trial generator whose exponentials are ``values`` in
+    turn, so a test can put keys exactly on the pulse span's summed
+    hazards."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+
+    def standard_exponential(self, out):
+        out[:] = list(itertools.islice(self.values, out.size))
+
+
+def per_step_pulse(draws, ready_at, dead_steps, x_pulse, step_bin):
+    """The pulse phase one trial and one draw at a time, in the kernel's
+    draw order, each firing step found by a search over every step of the
+    span's summed hazard.  Returns the counts per bin and every key."""
+    cum = np.r_[0.0, np.cumsum(np.minimum(x_pulse, sipm._MAX_HAZARD))]
+    steps = x_pulse.size
+    counts = np.zeros((len(draws), int(step_bin.max()) + 1), dtype=np.int64)
+    keys = []
+    for i, values in enumerate(draws):
+        values = itertools.cycle(values)
+        ready = np.repeat(np.arange(ready_at.shape[1]), ready_at[i])
+        ready = [s for s in ready.tolist() if s < steps]
+        while ready:
+            armed_again = []
+            for s in ready:
+                key = cum[s] + next(values)
+                keys.append(key)
+                if key < cum[-1]:
+                    t = int(cum[1:].searchsorted(key, side="right"))
+                    counts[i, step_bin[t]] += 1
+                    if t + dead_steps + 1 < steps:
+                        armed_again.append(t + dead_steps + 1)
+            ready = armed_again
+    return counts, np.array(keys)
+
+
 class TestKernel:
     """The hazard kernel against the per-step law, the per-step reference
     loop and pinned outputs."""
@@ -582,6 +622,45 @@ class TestKernel:
                 < 4 * math.hypot(a["se_mean"], b["se_mean"]), name
             assert abs(a["var"] - b["var"]) \
                 <= 5 * math.hypot(a["se_var"], b["se_var"]), name
+
+    # 16 steps of hazards in quarters, so each summed hazard, and each key
+    # on the quarter grid, is exact; steps 0, 3-4, 6, 9-11 and 14 have none
+    TIED_SPAN = np.array([0.0, 0.25, 0.5, 0.0, 0.0, 0.25, 0.0, 0.5, 0.25,
+                          0.0, 0.0, 0.0, 0.5, 0.25, 0.0, 0.25])
+
+    @pytest.mark.parametrize("dead_steps", [1, 3, 15, 20],
+                             ids=["dead-1", "dead-3", "span-of-a-dead-time",
+                                  "span-under-a-dead-time"])
+    @pytest.mark.parametrize("step_bin", [
+        np.r_[np.ones(5), np.zeros(11)].astype(np.int64),
+        np.r_[np.zeros(9), np.ones(5), np.zeros(2)].astype(np.int64),
+        np.r_[np.zeros(11), np.ones(5)].astype(np.int64),
+        np.arange(16) // 3], ids=["window-at-start", "window-in-a-plateau",
+                                  "window-at-end", "six-bins"])
+    def test_ties_and_plateaus_bin_as_the_per_step_search(self, dead_steps,
+                                                          step_bin):
+        # keys on the quarter grid land exactly on the summed hazard at the
+        # bins' run starts, inside plateaus, at the span's end and at the
+        # last step from which a pixel is armed again in the span; random
+        # draws never do, and a search on the wrong side moves them
+        x = self.TIED_SPAN
+        cum = np.r_[0.0, np.cumsum(x)]
+        rng = np.random.default_rng(8)
+        ready_at = rng.multinomial(90, np.full(dead_steps + 1,
+                                               1 / (dead_steps + 1)), 3)
+        draws = [0.25 * rng.integers(0, 13, size=101) for _ in range(3)]
+        counts = sipm._pulse([StubDraws(d) for d in draws], ready_at,
+                             dead_steps, x, step_bin)
+        expected, keys = per_step_pulse(draws, ready_at, dead_steps, x,
+                                        step_bin)
+        assert (counts == expected).all()
+        starts = np.flatnonzero(np.diff(step_bin)) + 1
+        assert np.isin(cum[starts], keys).all()
+        assert np.isin(cum[1:-1][(x[:-1] == 0) & (x[1:] == 0)], keys).any()
+        assert cum[-1] in keys
+        last = x.size - dead_steps - 1
+        if last > 0:
+            assert cum[last] in keys
 
     # array realizations: pixels, dead time, trials, layout and hazards
     REALIZATIONS = dict(
@@ -789,6 +868,38 @@ class TestKernel:
                                params.n_pixels / params.pde * H_NU / 6e-9,
                                6e-9, 905e-9, 1.0 / 6e-9,
                                mc) == (4.138643516920243, 0.882027237482425)
+
+    def test_monte_carlo_fingerprint_is_pinned(self, monkeypatch):
+        # one digest over a grid: arrays inside and over a batch, spans
+        # shorter (rectangular at 6 ns) and longer than a dead time, no
+        # background to 30 detected photons per pixel and dead time, with
+        # and without dark counts, and each background once fresh and then
+        # remembered by two more echoes; the grid's saturated points give
+        # their errors
+        monkeypatch.setattr(sipm, "_last_background", None)
+        results = []
+        for n_pix, dead_time_s, shape in itertools.product(
+                (1, 7, 400, 5000), (6e-9, 2.5e-9), sipm.PULSE_SHAPES):
+            mc = SipmMcConfig(n_trials=6, time_step_s=1e-10, seed=3,
+                              warmup_s=1.8e-8, n_noise_periods=5,
+                              pulse_shape=shape)
+            for b, dcr in itertools.product((0.0, 0.01, 1.0, 30.0),
+                                            (0.0, 3e6)):
+                params = SipmParams(n_pixels=n_pix, pde=0.2,
+                                    dead_time_s=dead_time_s,
+                                    dark_count_rate_cps=dcr)
+                p_rs = b * n_pix / 0.2 * H_NU / dead_time_s
+                for p_r in (2.51e-8, 1e-7, 5e-9):
+                    try:
+                        result = monte_carlo_snr(params, p_r, p_rs, 6e-9,
+                                                 905e-9, 1.0 / 6e-9, mc)
+                    except SipmSaturationError as error:
+                        result = error
+                    results.append(repr(result))
+        assert len(results) == 384
+        digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+        assert digest == ("44066e4a63a5a15aee720c5f1c8332d8"
+                          "ebd5a299b42a4ec20cb90c7d6108b734")
 
     def test_memory_does_not_grow_with_steps_times_pixels(self):
         # 42 steps x 1e6 pixels x 4 trials: a whole-trial uniform block
