@@ -20,12 +20,12 @@ import io
 import os
 import runpy
 import sys
-from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dtofsim import cli  # noqa: E402
+from dtofsim.errors import replace  # noqa: E402
 from dtofsim.scenario import (save_scenario, table1_preset,  # noqa: E402
                               write_lines)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
@@ -13,6 +12,7 @@ sys.path.insert(0, os.path.join(
 from dtofsim import table1_preset  # noqa: E402
 from dtofsim.apd import optimize_gain  # noqa: E402
 from dtofsim.detectors import SipmChoice  # noqa: E402
+from dtofsim.errors import replace  # noqa: E402
 from dtofsim.ranging import link_powers, max_range, snr_at_range  # noqa: E402
 
 

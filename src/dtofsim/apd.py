@@ -11,17 +11,16 @@ in closed form (Agrawal, Fiber-Optic Communication Systems, ch. 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, check_domains, copy_with, domains
+from .errors import ConfigError, check_domains, copy_with, domains, record
 from .physconst import BOLTZMANN, ELEMENTARY_CHARGE, photon_energy
 from .tdc import TdcPolicy, min_detectable_signal
 
 EXCESS_NOISE_MODES = ("power_law", "ionization")
 
 
-@dataclass(frozen=True)
+@record
 class ApdParams:
     """Physical and circuit parameters of a linear-mode APD channel.
 
@@ -55,7 +54,7 @@ class ApdParams:
                 "ionization mode requires electron_ionization_rate")
 
 
-@dataclass(frozen=True)
+@record
 class NoiseBudget:
     """RMS noise components, amperes; total is their quadrature sum."""
 

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import apd, sipm
-from .errors import check_domains, domains
+from .errors import check_domains, domains, record
 
 SIPM_SNR_MODES = ("analytic", "approx", "monte_carlo")
 
 
-@dataclass(frozen=True)
+@record
 class ApdChoice:
     """APD detector option."""
 
@@ -19,7 +18,7 @@ class ApdChoice:
     label: str = "apd"
 
 
-@dataclass(frozen=True)
+@record
 class SipmChoice:
     """SiPM detector option with a selectable SNR evaluation mode."""
 

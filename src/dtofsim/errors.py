@@ -1,17 +1,21 @@
-"""Exception types shared across the toolkit, and the parameter domains.
+"""Exception types shared across the toolkit, the parameter domains, and
+``record``, which makes a parameter or result class a frozen record.
 
 Each parameter class declares its fields' domains once, in a ``_DOMAINS``
 table from ``domains``, and its counts in a ``_WHOLE`` tuple, which
 ``check_domains`` enforces.  Checks that span fields stay code in the
-class.  ``copy_with`` is ``dataclasses.replace`` of one field.
+class.  ``record`` compiles, per class, one source of the methods that
+``dataclass(frozen=True)`` generates and sets the ``__dataclass_fields__``
+that the stdlib ``dataclasses.replace`` reads, sparing start-up the
+``dataclasses`` module and its ``inspect``.  ``copy_with`` is ``replace``
+of one field without its keyword call.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import fields
-from functools import cache
+from types import SimpleNamespace
 
 
 class ConfigError(ValueError):
@@ -34,8 +38,13 @@ class SipmSaturationError(SolverError):
     """Background plus dark counts occupy the entire SPAD array."""
 
 
+class FrozenInstanceError(AttributeError):
+    """A field of a record was assigned or deleted."""
+
+
 _SPEC = re.compile(r"(>=?) (\S+)|in ([(\[])(\S+), (\S+)([)\]])")
 _NAMED_BOUNDS = {"pi/2": math.pi / 2, "-pi/2": -math.pi / 2}
+MISSING = object()  # a record field's default when it has none
 
 
 def _row(name: str, spec: str | tuple[str, ...]) -> tuple:
@@ -85,20 +94,70 @@ def check_domains(obj) -> None:
         object.__setattr__(obj, name, int(value))
 
 
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen record of its annotated names, in order, with
+    their class attributes as defaults and the methods, ``__post_init__``
+    call and ``__match_args__`` that ``dataclass(frozen=True)`` gives."""
+    names = tuple(cls.__annotations__)
+    params = ", ".join(f"{n}=cls.{n}" if n in vars(cls) else n for n in names)
+    post = ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    reprs = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    mine, theirs = ("(" + "".join(f"{s}.{n}," for n in names) + ")"
+                    for s in ("self", "other"))
+    source = "\n".join([
+        f"def __init__(self, {params}):",
+        *(f"    object.__setattr__(self, {n!r}, {n})" for n in names), *post,
+        "def __repr__(self):",
+        f'    return self.__class__.__qualname__ + f"({reprs})"',
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {mine} == {theirs}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash({mine})",
+        "def __setattr__(self, name, value):",
+        f"    if type(self) is cls or name in {names!r}:",
+        '        raise FrozenInstanceError(f"cannot assign to field {name!r}")',
+        "    super(cls, self).__setattr__(name, value)",
+        "def __delattr__(self, name):",
+        f"    if type(self) is cls or name in {names!r}:",
+        '        raise FrozenInstanceError(f"cannot delete field {name!r}")',
+        "    super(cls, self).__delattr__(name)"])
+    namespace = {"cls": cls, "FrozenInstanceError": FrozenInstanceError}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__",
+                 "__setattr__", "__delattr__"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, namespace[name])
+    cls.__match_args__ = names
+    # what dataclasses.replace reads: _field_type None is no ClassVar/InitVar
+    cls.__dataclass_fields__ = {n: SimpleNamespace(
+        name=n, default=vars(cls).get(n, MISSING), init=True, _field_type=None)
+        for n in names}
+    return cls
+
+
+def fields(cls) -> tuple:
+    """A record's fields in order; ``dataclasses.fields`` gives ``()``."""
+    return tuple(cls.__dataclass_fields__.values())
+
+
+def replace(obj, /, **changes):
+    """``dataclasses.replace``: a new record of ``obj``'s fields with
+    ``changes`` in their place, built and checked by ``__init__``."""
+    return type(obj)(**{n: getattr(obj, n) for n in obj.__dataclass_fields__}
+                     | changes)
 
 
 def copy_with(obj, name: str, value):
-    """``dataclasses.replace(obj, **{name: value})`` of a frozen dataclass,
-    with the same value or error, without its keyword call: each field is
-    copied in declaration order, as ``__init__`` sets it (not through
-    ``__dict__``, which slows later reads), ``name`` is set in its place,
-    then the class's own ``__post_init__`` runs; it recomputes an
-    ``init=False`` field."""
+    """``replace(obj, **{name: value})`` of a record, with the same value
+    or error, without its keyword call: each field is copied in
+    declaration order, as ``__init__`` sets it (not through ``__dict__``,
+    which slows later reads), ``name`` is set in its place, then the
+    class's own ``__post_init__`` runs; it recomputes any attribute it
+    sets."""
     new = object.__new__(type(obj))
-    for field in _field_names(type(obj)):
+    for field in type(obj).__dataclass_fields__:
         object.__setattr__(new, field, getattr(obj, field))
     object.__setattr__(new, name, value)
     if hasattr(new, "__post_init__"):

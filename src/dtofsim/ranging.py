@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from . import apd, scene_link, sipm
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
 from .errors import (ConfigError, NoDetectionError, SipmSaturationError,
-                     UnboundedRangeError, copy_with)
+                     UnboundedRangeError, copy_with, record)
 from .scenario import ScenarioConfig
 from .tdc import TdcPolicy
 
@@ -43,7 +42,7 @@ RANGE_WIDTH_TOL_M = 1e-3
 SE_STOP_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
+@record
 class RangeResult:
     """Solved maximum detectable range and the quantities that fix it."""
 

@@ -6,7 +6,7 @@ to SI on load.  Unknown keys are rejected so a typo cannot silently fall
 back to a default, and so is ``null``: an optional key that is absent
 takes the model's default.
 
-Each section is declared once, as a table of rows ``(file key, dataclass
+Each section is declared once, as a table of rows ``(file key, record
 field, unit, required)``.  The unit is a key of ``_UNITS`` for a scaled
 number, ``None`` for a number already in SI, or one of ``int``, ``str``
 and ``bool``.  One reader and one writer drive every table.
@@ -19,13 +19,12 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable
 
 from .apd import ApdParams
 from .detectors import ApdChoice, DetectorChoice, SipmChoice
-from .errors import ConfigError, check_domains, domains
+from .errors import ConfigError, check_domains, domains, record, replace
 from .scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                          SceneGeometry, SolarModel, TargetModel,
                          load_spectrum_csv)
@@ -36,7 +35,7 @@ from .tdc import TdcPolicy
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """Complete scene, optics, detector and trigger parameter set."""
 

@@ -14,11 +14,9 @@ remember per-process state (see the README, Determinism).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 
-from .errors import ConfigError, check_domains, domains
+from .errors import ConfigError, check_domains, domains, record
 
 APERTURE_MODELS = ("constant", "cosine")
 ATMOSPHERE_MODES = ("fixed_transmittance", "extinction")
@@ -32,7 +30,7 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
+@record
 class SceneGeometry:
     """Geometry of a single ranging direction.
 
@@ -55,7 +53,7 @@ class SceneGeometry:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class AtmosphereModel:
     """One-way atmospheric transmittance, either fixed or Beer-Lambert."""
 
@@ -69,7 +67,7 @@ class AtmosphereModel:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class ReceiverOptics:
     """Receive-path optics and efficiencies.
 
@@ -96,7 +94,7 @@ class ReceiverOptics:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class TargetModel:
     """Lambertian target with diffuse reflectivity."""
 
@@ -106,7 +104,7 @@ class TargetModel:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class LaserParams:
     """Pulsed laser transmitter parameters."""
 
@@ -119,7 +117,7 @@ class LaserParams:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class SolarModel:
     """In-band solar irradiance at the scene, W/m^2.
 
@@ -130,8 +128,8 @@ class SolarModel:
                         pair linearly to the requested illuminance
 
     The in-band value is worked out once, when the model is built (for a
-    spectrum, one integration per model), and is no part of equality,
-    ``repr``, ``replace`` or the scenario file.
+    spectrum, one integration per model), into ``_in_band_w_m2``, no
+    field: no part of equality, ``repr``, ``replace`` or the scenario file.
     """
 
     mode: str = "direct_irradiance"
@@ -140,7 +138,6 @@ class SolarModel:
     illuminance_klux: float = 0.0
     reference_illuminance_klux: float = 100.0
     reference_irradiance_w_m2: float = 29.4
-    _in_band_w_m2: float = field(init=False, repr=False, compare=False)
 
     _DOMAINS = domains(mode=SOLAR_MODES, in_band_irradiance_w_m2=">= 0",
                        illuminance_klux=">= 0",
@@ -176,6 +173,7 @@ def load_spectrum_csv(path: str) -> tuple[tuple[float, float, float], ...]:
     Expected header: ``wavelength_nm,irradiance_w_m2_nm,transmittance``,
     rows strictly increasing in wavelength.
     """
+    import csv  # its only user; kept off every command's start-up
     rows: list[tuple[float, float, float]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -43,11 +43,10 @@ the analytic model and ``import dtofsim`` start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (ConfigError, SipmSaturationError, check_domains,
-                     domains)
+                     domains, record)
 from .physconst import photon_energy
 from .tdc import TdcPolicy, min_detectable_signal
 
@@ -95,7 +94,7 @@ _BATCH_SLOTS = 4096
 _last_background: tuple | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SipmParams:
     """SPAD-array parameters.
 
@@ -116,7 +115,7 @@ class SipmParams:
     __post_init__ = check_domains
 
 
-@dataclass(frozen=True)
+@record
 class PhotonCounts:
     """Photon budgets entering the fired-pixel statistics.
 
@@ -140,7 +139,7 @@ class PhotonCounts:
                    n_s_photon=p_r * pulse_fwhm_s / (2.0 * h_nu))
 
 
-@dataclass(frozen=True)
+@record
 class SipmMcConfig:
     """Time-domain simulation controls.
 

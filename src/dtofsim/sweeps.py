@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ranging, sipm
 from .detectors import DetectorChoice, SipmChoice
-from .errors import ConfigError, SolverError, copy_with
+from .errors import ConfigError, SolverError, copy_with, record
 from .scenario import ScenarioConfig, write_lines
 
 
@@ -64,7 +63,7 @@ PHOTON_RESPONSE_FAMILIES: tuple[tuple[float, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """What to sweep: kind, grid of the independent variable, detectors.
 
@@ -134,7 +133,7 @@ def make_grid(lo: float, hi: float, n: int, spacing: str = "linear") -> tuple[fl
                   for x in inner), hi)
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     """One (grid point, series) evaluation."""
 
@@ -144,7 +143,7 @@ class SweepRow:
     status: str
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     """Long-format sweep output; one row per grid point and series."""
 

@@ -11,12 +11,11 @@ interest, far tighter than the ~1e-10 needed at tnr = 5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError, check_domains, domains
+from .errors import ConfigError, check_domains, domains, record
 
 
-@dataclass(frozen=True)
+@record
 class TdcPolicy:
     """Trigger policy: the threshold-to-noise ratio."""
 

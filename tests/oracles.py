@@ -25,7 +25,6 @@ from __future__ import annotations
 import importlib
 import math
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
@@ -37,7 +36,7 @@ from scipy import integrate, optimize
 from dtofsim import apd, ranging, scene_link
 from dtofsim.detectors import ApdChoice, DetectorChoice
 from dtofsim.errors import (ConfigError, NoDetectionError,
-                            UnboundedRangeError)
+                            UnboundedRangeError, replace)
 from dtofsim.physconst import (BOLTZMANN, ELEMENTARY_CHARGE, LIGHT_SPEED,
                                PLANCK, photon_energy)
 from dtofsim.scenario import ScenarioConfig, config_from_dict

@@ -5,7 +5,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from dtofsim import (TdcPolicy, correct_detection_prob, false_alarm_prob,
                      table1_preset)
 from dtofsim.apd import optimize_gain, trigger_snr
+from dtofsim.errors import replace
 from dtofsim.physconst import photon_energy
 from dtofsim.ranging import max_range, sensitivity, snr_at_range
 from dtofsim.scenario import save_scenario, scenario_to_dict

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from scipy import optimize
 from dtofsim import ConfigError
 from dtofsim.apd import (ApdParams, excess_noise_factor, noise_sigma,
                          optimize_gain, responsivity, trigger_snr)
+from dtofsim.errors import replace
 from dtofsim.physconst import BOLTZMANN, ELEMENTARY_CHARGE
 
 from oracles import grid_argmax, signal_current

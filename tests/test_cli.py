@@ -411,7 +411,7 @@ class TestExitCodes:
 
     def test_solver_error_is_2(self, tmp_path, capsys):
         config = table1_preset("apd")
-        from dataclasses import replace
+        from dtofsim.errors import replace
 
         weak = replace(config, laser=replace(config.laser, peak_power_w=1e-5))
         path = tmp_path / "weak.json"
@@ -845,6 +845,22 @@ for argv in (["range", "--detector", "apd"], ["range", "--detector", "sipm"],
     if code or "numpy" in sys.modules:
         loaded.append(f"{{' '.join(argv)}} (exit {{code}})")
 print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
+    # start-up cost: the records in errors.py spare it dataclasses and the
+    # inspect it imports; csv and numpy load only where they are used.
+    # Modules a site hook loaded before the import do not count
+    probe = """
+import sys
+before = set(sys.modules)
+import dtofsim.cli
+print(sorted((set(sys.modules) - before)
+             & {"dataclasses", "inspect", "csv", "numpy"}))
 """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)

@@ -10,12 +10,12 @@ checks run here too, on two passes of each workload.
 import importlib
 import importlib.util
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from dtofsim import apd, ranging, sipm, table1_preset
+from dtofsim.errors import replace
 
 ROOT = Path(__file__).resolve().parent.parent
 

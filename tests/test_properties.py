@@ -8,7 +8,6 @@ APD and the analytic and approx SiPM.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from dtofsim import NoDetectionError, UnboundedRangeError
 from dtofsim.detectors import ApdChoice
+from dtofsim.errors import replace
 from dtofsim.ranging import link_powers, max_range, sensitivity, snr_at_range
 from dtofsim.scenario import config_from_dict, scenario_to_dict, table1_preset
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from decimal import Decimal
 from functools import partial
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtofsim import (ConfigError, NoDetectionError, SipmSaturationError,
                      UnboundedRangeError, ranging, sipm, table1_preset)
-from dtofsim.errors import SolverError
+from dtofsim.errors import SolverError, replace
 from dtofsim.detectors import ApdChoice, SipmChoice
 from dtofsim.ranging import (SE_STOP_FRACTION, SENSITIVITY_PARAMS,
                              SnrEstimate, declares, link_powers, max_range,

@@ -6,7 +6,6 @@ import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from dtofsim import (ConfigError, apd, cli, detectors, scenario, scene_link,
                      sipm, tdc)
 from dtofsim.apd import ApdParams
 from dtofsim.detectors import SipmChoice
-from dtofsim.errors import copy_with
+from dtofsim.errors import copy_with, fields, replace
 from dtofsim.ranging import snr_at_range
 from dtofsim.scene_link import (AtmosphereModel, LaserParams, ReceiverOptics,
                                 SceneGeometry, SolarModel, TargetModel)

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtofsim import ConfigError, scene_link
+from dtofsim.errors import replace
 from dtofsim.ranging import (SENSITIVITY_PARAMS, link_powers, max_range,
                              sensitivity)
 from dtofsim.scenario import table1_preset
@@ -180,7 +180,7 @@ class TestSunEquivalentIrradiance:
         with pytest.raises(TypeError):
             SolarModel(mode="spectrum_integral", spectrum_table=rows,
                        _in_band_w_m2=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             replace(solar, _in_band_w_m2=1.0)
         # a replaced table is integrated again; equality reads the fields
         doubled = replace(solar, spectrum_table=tuple(

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from dtofsim import ConfigError, SipmSaturationError, ranging, sipm
 from dtofsim.detectors import SipmChoice
+from dtofsim.errors import replace
 from dtofsim.physconst import photon_energy
 from dtofsim.scenario import load_scenario, scenario_to_dict, table1_preset
 from dtofsim.sipm import (DARK_LOAD_WARN_THRESHOLD, PhotonCounts,

@@ -22,7 +22,6 @@ import math
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +29,7 @@ from hypothesis import strategies as st
 from dtofsim import cli
 from dtofsim.apd import ApdParams
 from dtofsim.detectors import SipmChoice
+from dtofsim.errors import replace
 from dtofsim.scenario import ScenarioConfig, save_scenario, table1_preset
 from dtofsim.scene_link import SolarModel
 from dtofsim.sweeps import SWEEP_KINDS
